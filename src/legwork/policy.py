@@ -260,9 +260,8 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy,
     high-level reward for a window is sum_i gamma^i r_i over the window's
     task rewards. Fallen agents emit zero actions. Episodes never end early.
 
-    Returns (hi_traj, lo_records, info): hi_traj holds per-decision arrays
-    (obs, act pre-clamp, rew, logp); lo_records holds per-step goals and
-    joint actions for replay; info carries per-step task rewards.
+    Returns (hi_traj, info): hi_traj holds per-decision arrays (obs, act
+    pre-clamp, rew, logp); info carries per-step task rewards.
     """
     if horizon % c != 0:
         raise ConfigurationError("horizon must be divisible by c")
@@ -271,7 +270,7 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy,
     obs = env.reset()
     n = env.n_agents
     hi_obs, hi_act, hi_rew, hi_logp = [], [], [], []
-    goals_log, actions_log, rewards = [], [], []
+    rewards = []
     goals = None
     window_ret = 0.0
     disc = 1.0
@@ -305,8 +304,6 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy,
             actions[i] = np.clip(a_lo, -1.0, 1.0)
         obs, r, _, _ = env.step(actions)
         rewards.append(r)
-        goals_log.append([(g.gx, g.gy) for g in goals])
-        actions_log.append(actions)
         window_ret += disc * r
         disc *= gamma
         if t % c == c - 1:
@@ -317,8 +314,7 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy,
         "rew": np.array(hi_rew),
         "logp": np.array(hi_logp),
     }
-    lo_records = {"goals": goals_log, "actions": actions_log}
-    return hi_traj, lo_records, {"task_rewards": np.array(rewards)}
+    return hi_traj, {"task_rewards": np.array(rewards)}
 
 
 # -- checkpoints ----------------------------------------------------------
@@ -326,7 +322,7 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy,
 def save_checkpoint(policy: MlpPolicy, base_path, meta: dict | None = None) -> None:
     """Write <base>.json (manifest) and <base>.bin (little-endian float64
     parameters, layer by layer: weight row-major then bias, then log_std)."""
-    base = Path(base_path)
+    base = Path(base_path)  # suffixes are appended, so dotted names survive
     base.parent.mkdir(parents=True, exist_ok=True)
     theta = policy.flat_params().astype("<f8")
     manifest = {
@@ -340,15 +336,15 @@ def save_checkpoint(policy: MlpPolicy, base_path, meta: dict | None = None) -> N
         "weights_file": base.name + ".bin",
         "meta": dict(sorted((meta or {}).items())),
     }
-    with open(base.with_suffix(".json"), "w") as f:
+    with open(base.with_name(base.name + ".json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
-    theta.tofile(base.with_suffix(".bin"))
+    theta.tofile(base.with_name(manifest["weights_file"]))
 
 
 def load_checkpoint(base_path) -> MlpPolicy:
     base = Path(base_path)
-    with open(base.with_suffix(".json")) as f:
+    with open(base.with_name(base.name + ".json")) as f:
         manifest = json.load(f)
     if manifest["format_version"] != CHECKPOINT_FORMAT_VERSION:
         raise ConfigurationError(

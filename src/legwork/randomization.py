@@ -13,7 +13,7 @@ distinct sub-streams derived from the episode seed with fixed spawn keys
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -73,17 +73,9 @@ class RandomizationConfig:
             raise ConfigurationError("wrench_period must be >= 1")
 
     @classmethod
-    def all_on(cls) -> "RandomizationConfig":
-        return cls()
-
-    @classmethod
     def all_off(cls) -> "RandomizationConfig":
         flags = {f.name: False for f in fields(cls) if f.name.endswith("_on")}
         return cls(**flags)
-
-    @classmethod
-    def no_height_field(cls) -> "RandomizationConfig":
-        return cls(height_field_on=False)
 
 
 def _draw(rng, lo, hi, on):
@@ -102,8 +94,7 @@ def sample_dynamics(config: RandomizationConfig, rng: np.random.Generator) -> Dy
     surface = _draw(rng, *config.surface_friction_range, config.surface_friction_on)
     gain = _draw(rng, *config.gain_range, config.gain_on)
     return DynamicsParams(joint_damping=damping, joint_friction=friction,
-                          actuator_gain=gain, actuator_bias=-gain,
-                          total_mass=mass, surface_friction=surface)
+                          actuator_gain=gain, total_mass=mass, surface_friction=surface)
 
 
 def sample_height_field(config: RandomizationConfig, rng: np.random.Generator) -> HeightField:
@@ -115,11 +106,6 @@ def sample_height_field(config: RandomizationConfig, rng: np.random.Generator) -
     amplitude = float(rng.uniform(lo, hi))
     grid = rng.uniform(0.0, amplitude, (HFIELD_N, HFIELD_N))
     return HeightField(grid, width=HFIELD_WIDTH, amplitude=amplitude)
-
-
-def sample_episode_params(config: RandomizationConfig, rng: np.random.Generator):
-    """(DynamicsParams, HeightField) for one episode from a single stream."""
-    return sample_dynamics(config, rng), sample_height_field(config, rng)
 
 
 def apply_sticky(action, prev_action, rng: np.random.Generator, sticky_prob: float):

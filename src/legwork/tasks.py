@@ -1,27 +1,31 @@
 """Task definitions: goal sampling, rewards, initializations, observations,
-success predicates, and the episode environments built on the planar world.
+success predicates, and the episode environment built on the planar world.
 
-Three tasks over 200 steps: Avoid (reach a target without disturbing a
-block), Push (shove a block onto a target), and Coordinate (two agents move
-a long block so both of its ends land on their targets). Low-level training
-uses a fourth, 40-step goal-reaching task.
+Four task kinds. low_goal trains the low level: one agent walks for 40 steps
+towards a goal drawn in its spawn frame, sees only its joints and the goal
+(mask_low_level_obs), and the episode ends early if it falls. The other
+three run 200 steps and never end early: Avoid (reach a target without
+disturbing a block), Push (shove a block onto a target), and Coordinate (two
+agents move a long block so both of its ends land on their targets). The
+kind fixes the agent count, the horizon and the observation size.
 
-Environments are one-episode objects: all randomness is derived from the
-seed passed at construction, so reset() always rebuilds the identical
-episode. Sub-stream keys (see substream): 0 terrain, 10+i agent-i dynamics,
-20+i agent-i sticky, 30+i agent-i wrench, 40 initialization geometry, 50
-object dimensions, 60 observation noise.
+One environment class, TaskEnv, runs every kind. It is a one-episode
+object: all randomness is derived from the seed passed at construction, so
+reset() always rebuilds the identical episode. Sub-stream keys (see
+substream): 0 terrain, 10+i agent-i dynamics, 20+i agent-i sticky, 30+i
+agent-i wrench, 40 initialization geometry (the low_goal goal), 50 object
+dimensions, 60 observation noise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .policy import Goal, mask_low_level_obs
+from .policy import LOW_LEVEL_OBS_DIM, Goal, mask_low_level_obs
 from .randomization import (
     RandomizationConfig,
     apply_sticky,
@@ -32,7 +36,6 @@ from .randomization import (
     substream,
 )
 from .world import (
-    AGENT_RADIUS,
     AgentState,
     BlockState,
     DynamicsParams,
@@ -59,16 +62,16 @@ COORD_BLOCK_AHEAD = 0.8  # m from the spawn line to the block center
 UPRIGHT_Z_MIN = 0.12
 
 AGENT_CORE_DIM = 28  # q(12) + qdot(12) + x, y, cos yaw, sin yaw
-TASK_OBS_DIM = {"avoid": 32, "push": 32, "coordinate": 70}
+TASK_OBS_DIM = {"low_goal": LOW_LEVEL_OBS_DIM, "avoid": 32, "push": 32,
+                "coordinate": 70}
 
 
 @dataclass
 class TaskSpec:
-    """Task kind plus the reward weights and success thresholds."""
+    """Task kind plus the reward weights and success thresholds. The kind
+    fixes the agent count, the horizon and the observation size."""
 
     kind: str
-    n_agents: int
-    horizon: int
     bonus: float = 10.0
     avoid_penalty: float = 10.0
     w_upright: float = 5.0
@@ -81,18 +84,18 @@ class TaskSpec:
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise ConfigurationError(f"unknown task kind {self.kind!r}")
-        want_h = 40 if self.kind == "low_goal" else 200
-        if self.horizon != want_h:
-            raise ConfigurationError(f"{self.kind} horizon must be {want_h}")
-        want_n = 2 if self.kind == "coordinate" else 1
-        if self.n_agents != want_n:
-            raise ConfigurationError(f"{self.kind} needs {want_n} agent(s)")
 
-    @classmethod
-    def for_kind(cls, kind: str, **kw) -> "TaskSpec":
-        n = 2 if kind == "coordinate" else 1
-        h = 40 if kind == "low_goal" else 200
-        return cls(kind=kind, n_agents=n, horizon=h, **kw)
+    @property
+    def n_agents(self) -> int:
+        return 2 if self.kind == "coordinate" else 1
+
+    @property
+    def horizon(self) -> int:
+        return 40 if self.kind == "low_goal" else 200
+
+    @property
+    def obs_dim(self) -> int:
+        return TASK_OBS_DIM[self.kind]
 
 
 @dataclass
@@ -100,23 +103,20 @@ class TaskInstance:
     """One episode's task: the spec plus this episode's target points."""
 
     spec: TaskSpec
-    targets: np.ndarray  # (1, 2) for avoid/push, (2, 2) for coordinate
+    targets: np.ndarray  # (1, 2) for low_goal/avoid/push, (2, 2) for coordinate
 
 
 @dataclass
 class EpisodeTrace:
-    """Per-step world snapshots for success evaluation and replay."""
+    """The world after reset and after every step, for success evaluation
+    and replay. Stepping never mutates a world state (see world.py), so the
+    trace holds the states themselves, not copies."""
 
-    agent_xy: list = field(default_factory=list)  # (n_agents, 2) per entry
-    agent_fallen: list = field(default_factory=list)
-    block_poses: list = field(default_factory=list)  # (n_blocks, 3) per entry
-    rewards: list = field(default_factory=list)  # one fewer than snapshots
+    worlds: list = field(default_factory=list)
+    rewards: list = field(default_factory=list)  # one fewer than worlds
 
     def record(self, world: WorldState):
-        self.agent_xy.append(np.array([[a.x, a.y] for a in world.agents]))
-        self.agent_fallen.append(np.array([a.fallen for a in world.agents]))
-        self.block_poses.append(
-            np.array([[b.x, b.y, b.yaw] for b in world.blocks]))
+        self.worlds.append(world)
 
 
 def _rel_body(agent: AgentState, px: float, py: float) -> tuple:
@@ -141,8 +141,9 @@ def agent_core_obs(agent: AgentState) -> np.ndarray:
 
 
 def observe_task(world: WorldState, task: TaskInstance) -> np.ndarray:
-    """Full task observation (the high-level / flat-policy view).
+    """The observation of each task kind.
 
+    low_goal (32): mask_low_level_obs of the agent and its goal.
     avoid, push (32): [agent core (28), target rel. agent body (2),
     block center rel. agent body (2)].
     coordinate (70): [both agent cores (56), block orientation cos/sin (2),
@@ -150,6 +151,9 @@ def observe_task(world: WorldState, task: TaskInstance) -> np.ndarray:
     each agent body (8)].
     """
     kind = task.spec.kind
+    if kind == "low_goal":
+        # Python floats: numpy scalars would slow every per-step use
+        return mask_low_level_obs(world.agents[0], Goal(*task.targets[0].tolist()))
     if kind in ("avoid", "push"):
         agent = world.agents[0]
         block = world.blocks[0]
@@ -189,42 +193,28 @@ def torso_xy_slots(n_agents: int) -> list:
     return slots
 
 
-# -- low-level goal task ----------------------------------------------------
+# -- rewards ------------------------------------------------------------------
 
-def sample_low_level_goal(rng: np.random.Generator) -> Goal:
-    """Goal = (u cos v, u sin v), u ~ U(1, 2), v ~ U(-0.5, 0.5), in the
-    agent's spawn frame. Draw order: u then v."""
-    u = rng.uniform(1.0, 2.0)
-    v = rng.uniform(-0.5, 0.5)
-    return Goal(u * math.cos(v), u * math.sin(v))
+def _upright(agent: AgentState, spec: TaskSpec) -> float:
+    return -spec.w_upright if agent.z_proxy < UPRIGHT_Z_MIN else 0.0
 
 
-def low_level_reward_terms(s: AgentState, s_next: AgentState, goal: Goal,
-                           spec: TaskSpec) -> dict:
-    d = math.hypot(goal.gx - s_next.x, goal.gy - s_next.y)
+def low_level_reward_terms(world: WorldState, task: TaskInstance) -> dict:
+    agent = world.agents[0]
+    spec = task.spec
+    gx, gy = task.targets[0].tolist()
+    d = math.hypot(gx - agent.x, gy - agent.y)
     terms = {
         "distance": -d,
-        "upright": -spec.w_upright if s_next.z_proxy < UPRIGHT_Z_MIN else 0.0,
+        "upright": _upright(agent, spec),
         "heading": 0.0,
         "bonus": spec.bonus if d < spec.bonus_radius else 0.0,
     }
     if d > 0.0:  # direction undefined exactly at the goal
-        hx, hy = math.cos(s_next.yaw), math.sin(s_next.yaw)
-        terms["heading"] = spec.w_heading * ((goal.gx - s_next.x) * hx
-                                             + (goal.gy - s_next.y) * hy) / d
+        hx, hy = math.cos(agent.yaw), math.sin(agent.yaw)
+        terms["heading"] = spec.w_heading * ((gx - agent.x) * hx
+                                             + (gy - agent.y) * hy) / d
     return terms
-
-
-def low_level_reward(s: AgentState, s_next: AgentState, goal: Goal,
-                     spec: TaskSpec | None = None) -> float:
-    spec = spec or TaskSpec.for_kind("low_goal")
-    return sum(low_level_reward_terms(s, s_next, goal, spec).values())
-
-
-# -- task rewards -----------------------------------------------------------
-
-def _upright(agent: AgentState, spec: TaskSpec) -> float:
-    return -spec.w_upright if agent.z_proxy < UPRIGHT_Z_MIN else 0.0
 
 
 def avoid_reward_terms(world: WorldState, task: TaskInstance) -> dict:
@@ -268,22 +258,13 @@ def coordinate_reward_terms(world: WorldState, task: TaskInstance) -> dict:
     }
 
 
-def avoid_reward(world, task):
-    return sum(avoid_reward_terms(world, task).values())
-
-
-def push_reward(world, task):
-    return sum(push_reward_terms(world, task).values())
-
-
-def coordinate_reward(world, task):
-    return sum(coordinate_reward_terms(world, task).values())
+REWARD_TERMS = {"low_goal": low_level_reward_terms, "avoid": avoid_reward_terms,
+                "push": push_reward_terms, "coordinate": coordinate_reward_terms}
 
 
 def task_reward(world: WorldState, task: TaskInstance) -> float:
-    fn = {"avoid": avoid_reward, "push": push_reward,
-          "coordinate": coordinate_reward}[task.spec.kind]
-    return fn(world, task)
+    """The sum of the kind's reward terms, in their listed order."""
+    return sum(REWARD_TERMS[task.spec.kind](world, task).values())
 
 
 # -- initializations ---------------------------------------------------------
@@ -291,6 +272,22 @@ def task_reward(world: WorldState, task: TaskInstance) -> float:
 def _nominal_world(agents, blocks):
     return WorldState(agents, blocks, HeightField.flat(),
                       [DynamicsParams.nominal()] * len(agents))
+
+
+def sample_low_level_goal(rng: np.random.Generator) -> Goal:
+    """Goal = (u cos v, u sin v), u ~ U(1, 2), v ~ U(-0.5, 0.5), in the
+    agent's spawn frame. Draw order: u then v."""
+    u = rng.uniform(1.0, 2.0)
+    v = rng.uniform(-0.5, 0.5)
+    return Goal(u * math.cos(v), u * math.sin(v))
+
+
+def init_low_goal(rng: np.random.Generator):
+    """low_goal start: one agent at rest at the origin facing +x, no blocks;
+    the goal from sample_low_level_goal is the single target."""
+    goal = sample_low_level_goal(rng)
+    world = _nominal_world([AgentState.at_rest()], [])
+    return world, TaskInstance(TaskSpec("low_goal"), np.array([[goal.gx, goal.gy]]))
 
 
 def init_avoid(rng: np.random.Generator):
@@ -304,7 +301,7 @@ def init_avoid(rng: np.random.Generator):
     block = BlockState(r_b * math.cos(th_b), r_b * math.sin(th_b), 0.0,
                        PUSH_BLOCK_HALF, PUSH_BLOCK_MASS)
     world = _nominal_world([AgentState.at_rest()], [block])
-    return world, TaskInstance(TaskSpec.for_kind("avoid"), target)
+    return world, TaskInstance(TaskSpec("avoid"), target)
 
 
 def init_push(rng: np.random.Generator, max_attempts: int = 100):
@@ -322,9 +319,10 @@ def init_push(rng: np.random.Generator, max_attempts: int = 100):
         if math.hypot(bx, by) >= 0.5:  # agent spawns at the origin
             block = BlockState(bx, by, 0.0, PUSH_BLOCK_HALF, PUSH_BLOCK_MASS)
             world = _nominal_world([AgentState.at_rest()], [block])
-            return world, TaskInstance(TaskSpec.for_kind("push"),
+            return world, TaskInstance(TaskSpec("push"),
                                        np.array([[tx, ty]]))
-    raise RuntimeError("push initialization failed to separate block and agent")
+    raise ConfigurationError(
+        f"push initialization failed to separate block and agent in {max_attempts} draws")
 
 
 def init_coordinate(rng: np.random.Generator, half_extents=COORD_BLOCK_HALF):
@@ -343,7 +341,7 @@ def init_coordinate(rng: np.random.Generator, half_extents=COORD_BLOCK_HALF):
               AgentState.at_rest(y=-COORD_AGENT_GAP / 2)]
     block = BlockState(COORD_BLOCK_AHEAD, 0.0, 0.0, half_extents, COORD_BLOCK_MASS)
     world = _nominal_world(agents, [block])
-    return world, TaskInstance(TaskSpec.for_kind("coordinate"), targets)
+    return world, TaskInstance(TaskSpec("coordinate"), targets)
 
 
 def fixed_eval_init(kind: str, variant: str = "+"):
@@ -358,7 +356,7 @@ def fixed_eval_init(kind: str, variant: str = "+"):
         block = BlockState(1.0, 0.0, 0.0, PUSH_BLOCK_HALF, PUSH_BLOCK_MASS)
         world = _nominal_world([AgentState.at_rest()], [block])
         targets = np.array([[2.0, sign * 0.5]])
-        return world, TaskInstance(TaskSpec.for_kind(kind), targets)
+        return world, TaskInstance(TaskSpec(kind), targets)
     if kind == "coordinate":
         agents = [AgentState.at_rest(y=COORD_AGENT_GAP / 2),
                   AgentState.at_rest(y=-COORD_AGENT_GAP / 2)]
@@ -366,7 +364,7 @@ def fixed_eval_init(kind: str, variant: str = "+"):
                            COORD_BLOCK_MASS)
         world = _nominal_world(agents, [block])
         targets = block_ends(block) + np.array([1.5, 0.0])
-        return world, TaskInstance(TaskSpec.for_kind("coordinate"), targets)
+        return world, TaskInstance(TaskSpec("coordinate"), targets)
     raise ConfigurationError(f"no fixed initialization for kind {kind!r}")
 
 
@@ -375,36 +373,36 @@ def fixed_eval_init(kind: str, variant: str = "+"):
 def success(task: TaskInstance, trace: EpisodeTrace) -> bool:
     """Success predicates per task.
 
+    low_goal: the agent's final position is within 0.5 m of the goal.
     avoid: the agent came within 0.5 m of the target at some step and the
     block's net displacement stayed below 0.05 m. push: the block's final
     center is within 0.5 m of the target. coordinate: both final block ends
     are within 0.3 m of their targets.
     """
     spec = task.spec
+    tx, ty = task.targets[0]
+    last = trace.worlds[-1]
+    if spec.kind == "low_goal":
+        agent = last.agents[0]
+        return math.hypot(tx - agent.x, ty - agent.y) < spec.bonus_radius
     if spec.kind == "avoid":
-        target = task.targets[0]
         reached = any(
-            math.hypot(xy[0][0] - target[0], xy[0][1] - target[1]) < spec.bonus_radius
-            for xy in trace.agent_xy)
-        b0 = trace.block_poses[0][0]
-        b1 = trace.block_poses[-1][0]
-        moved = math.hypot(b1[0] - b0[0], b1[1] - b0[1])
+            math.hypot(w.agents[0].x - tx, w.agents[0].y - ty) < spec.bonus_radius
+            for w in trace.worlds)
+        b0 = trace.worlds[0].blocks[0]
+        b1 = last.blocks[0]
+        moved = math.hypot(b1.x - b0.x, b1.y - b0.y)
         return reached and moved < spec.avoid_max_block_move
     if spec.kind == "push":
-        b = trace.block_poses[-1][0]
-        return math.hypot(b[0] - task.targets[0][0],
-                          b[1] - task.targets[0][1]) < spec.bonus_radius
-    if spec.kind == "coordinate":
-        bx, by, byaw = trace.block_poses[-1][0]
-        ends = block_ends(BlockState(bx, by, byaw, COORD_BLOCK_HALF,
-                                     COORD_BLOCK_MASS))
-        d0 = math.hypot(*(task.targets[0] - ends[0]))
-        d1 = math.hypot(*(task.targets[1] - ends[1]))
-        return d0 < spec.coord_radius and d1 < spec.coord_radius
-    raise ConfigurationError(f"no success predicate for kind {spec.kind!r}")
+        b = last.blocks[0]
+        return math.hypot(b.x - tx, b.y - ty) < spec.bonus_radius
+    ends = block_ends(last.blocks[0])
+    d0 = math.hypot(*(task.targets[0] - ends[0]))
+    d1 = math.hypot(*(task.targets[1] - ends[1]))
+    return d0 < spec.coord_radius and d1 < spec.coord_radius
 
 
-# -- environments --------------------------------------------------------------
+# -- environment ----------------------------------------------------------------
 
 @dataclass
 class EnvOverrides:
@@ -415,101 +413,34 @@ class EnvOverrides:
     sticky_prob: float = 0.0
 
 
-class LowLevelGoalEnv:
-    """One 40-step goal-reaching episode; terminates early if the agent falls.
-
-    All randomness derives from the constructor seed: dynamics, terrain,
-    goal, sticky decisions, and the wrench schedule each use their own
-    sub-stream, so the episode is reproducible and reset() rebuilds it
-    exactly.
-    """
-
-    horizon = 40
-    n_agents = 1
-
-    def __init__(self, rand: RandomizationConfig, seed: int,
-                 overrides: EnvOverrides | None = None):
-        self.rand = rand
-        self.seed = seed
-        self.overrides = overrides
-        self.spec = TaskSpec.for_kind("low_goal")
-        self.obs_dim = 32
-        self.reset()
-
-    def reset(self) -> np.ndarray:
-        ov = self.overrides
-        if ov is not None:
-            self.params = ov.params
-            self.terrain = ov.terrain
-            self.sticky_prob = ov.sticky_prob
-            self.wrench_on = False
-        else:
-            self.params = sample_dynamics(self.rand, substream(self.seed, 10))
-            self.terrain = sample_height_field(self.rand, substream(self.seed, 0))
-            self.sticky_prob = self.rand.sticky_prob if self.rand.sticky_on else 0.0
-            self.wrench_on = self.rand.wrench_on
-        self.goal = sample_low_level_goal(substream(self.seed, 40))
-        self._rng_sticky = substream(self.seed, 20)
-        self._rng_wrench = substream(self.seed, 30)
-        self.world = WorldState([AgentState.at_rest()], [], self.terrain,
-                                [self.params])
-        self._prev_action = None
-        self._wrench = ExternalWrench.zero()
-        self.t = 0
-        self.done = False
-        return self._obs()
-
-    def _obs(self) -> np.ndarray:
-        return mask_low_level_obs(self.world.agents[0], self.goal)
-
-    def agent_states(self):
-        return self.world.agents
-
-    def step(self, action: np.ndarray):
-        if self.done:
-            raise ConfigurationError("episode already finished")
-        act = np.clip(np.asarray(action, dtype=float), -1.0, 1.0)
-        if self.sticky_prob > 0.0:
-            act = apply_sticky(act, self._prev_action, self._rng_sticky,
-                               self.sticky_prob)
-        self._prev_action = act
-        if self.wrench_on:
-            self._wrench = sample_wrench(self.t, self._rng_wrench, self.rand,
-                                         self._wrench)
-        prev = self.world.agents[0]
-        self.world = world_step(self.world, [act], [self._wrench])
-        agent = self.world.agents[0]
-        reward = low_level_reward(prev, agent, self.goal, self.spec)
-        self.t += 1
-        self.done = agent.fallen or self.t >= self.horizon
-        dist = math.hypot(self.goal.gx - agent.x, self.goal.gy - agent.y)
-        info = {"distance": dist, "fell": agent.fallen,
-                "reached": dist < self.spec.bonus_radius}
-        return self._obs(), reward, self.done, info
-
-
 @dataclass
 class TaskEnvConfig:
-    """How a task episode is randomized and initialized."""
+    """How a task episode is randomized and initialized. Dynamics, terrain,
+    sticky actions and wrenches are drawn under rand's switches (nominal
+    when switched off) unless overrides pin them."""
 
     kind: str
     rand: RandomizationConfig = field(default_factory=RandomizationConfig.all_off)
-    dynamics_rand: bool = False  # sample dynamics/terrain/sticky/wrench per episode
     torso_obs_noise: float = 0.0  # uniform +-noise on torso xy observation slots
     fixed_init: str | None = None  # None = random init, else "+" or "-"
     overrides: EnvOverrides | None = None
 
 
 class TaskEnv:
-    """One 200-step task episode; never terminates early, fallen agents
-    freeze in place. Joint actions are (n_agents, 12)."""
+    """One episode of any task kind; joint actions are (n_agents, 12).
+
+    A low_goal episode ends early when its agent falls. The 200-step tasks
+    never end early; fallen agents freeze in place. obs holds the latest
+    observation; construction leaves the env reset.
+    """
 
     def __init__(self, config: TaskEnvConfig, seed: int):
-        if config.kind not in ("avoid", "push", "coordinate"):
-            raise ConfigurationError(f"not a task kind: {config.kind!r}")
+        spec = TaskSpec(config.kind)
         self.config = config
         self.seed = seed
-        self.obs_dim = TASK_OBS_DIM[config.kind]
+        self.n_agents = spec.n_agents
+        self.horizon = spec.horizon
+        self.obs_dim = spec.obs_dim
         self.reset()
 
     def reset(self) -> np.ndarray:
@@ -517,6 +448,8 @@ class TaskEnv:
         rng_init = substream(self.seed, 40)
         if cfg.fixed_init is not None:
             world, task = fixed_eval_init(cfg.kind, cfg.fixed_init)
+        elif cfg.kind == "low_goal":
+            world, task = init_low_goal(rng_init)
         elif cfg.kind == "avoid":
             world, task = init_avoid(rng_init)
         elif cfg.kind == "push":
@@ -527,8 +460,6 @@ class TaskEnv:
                 half = sample_object_dims(half, substream(self.seed, 50), cfg.rand)
             world, task = init_coordinate(rng_init, half_extents=half)
         self.task = task
-        self.n_agents = task.spec.n_agents
-        self.horizon = task.spec.horizon
 
         ov = cfg.overrides
         if ov is not None:
@@ -536,33 +467,30 @@ class TaskEnv:
             terrain = ov.terrain
             self.sticky_prob = ov.sticky_prob
             self.wrench_on = False
-        elif cfg.dynamics_rand:
+        else:
             params = [sample_dynamics(cfg.rand, substream(self.seed, 10 + i))
                       for i in range(self.n_agents)]
             terrain = sample_height_field(cfg.rand, substream(self.seed, 0))
             self.sticky_prob = cfg.rand.sticky_prob if cfg.rand.sticky_on else 0.0
             self.wrench_on = cfg.rand.wrench_on
-        else:
-            params = [DynamicsParams.nominal()] * self.n_agents
-            terrain = world.terrain
-            self.sticky_prob = 0.0
-            self.wrench_on = False
-        self.world = replace(world, terrain=terrain, params=params)
+        self.world = WorldState(world.agents, world.blocks, terrain, params)
 
         self._rng_sticky = [substream(self.seed, 20 + i) for i in range(self.n_agents)]
         self._rng_wrench = [substream(self.seed, 30 + i) for i in range(self.n_agents)]
-        self._rng_obs = substream(self.seed, 60)
+        self._rng_obs = (substream(self.seed, 60) if cfg.torso_obs_noise > 0.0
+                         else None)
         self._prev_actions = [None] * self.n_agents
         self._wrenches = [ExternalWrench.zero()] * self.n_agents
         self.t = 0
         self.done = False
         self.trace = EpisodeTrace()
         self.trace.record(self.world)
-        return self._obs()
+        self.obs = self._obs()
+        return self.obs
 
     def _obs(self) -> np.ndarray:
         obs = observe_task(self.world, self.task)
-        if self.config.torso_obs_noise > 0.0:
+        if self._rng_obs is not None:
             eps = self.config.torso_obs_noise
             for slot in torso_xy_slots(self.n_agents):
                 obs[slot] += self._rng_obs.uniform(-eps, eps)
@@ -574,7 +502,7 @@ class TaskEnv:
     def step(self, actions):
         if self.done:
             raise ConfigurationError("episode already finished")
-        acts = np.clip(np.asarray(actions, dtype=float), -1.0, 1.0)
+        acts = np.asarray(actions, dtype=float).clip(-1.0, 1.0)
         if acts.shape != (self.n_agents, 12):
             raise ConfigurationError(
                 f"actions must be ({self.n_agents}, 12), got {acts.shape}")
@@ -595,8 +523,10 @@ class TaskEnv:
         self.trace.record(self.world)
         self.trace.rewards.append(reward)
         self.t += 1
-        self.done = self.t >= self.horizon
-        return self._obs(), reward, self.done, {}
+        self.done = self.t >= self.horizon or (
+            self.config.kind == "low_goal" and self.world.agents[0].fallen)
+        self.obs = self._obs()
+        return self.obs, reward, self.done, {}
 
     def episode_success(self) -> bool:
         return success(self.task, self.trace)

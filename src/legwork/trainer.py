@@ -37,7 +37,7 @@ from .policy import (
     save_checkpoint,
 )
 from .randomization import RandomizationConfig
-from .tasks import EnvOverrides, LowLevelGoalEnv, TaskEnv, TaskEnvConfig
+from .tasks import TaskEnv, TaskEnvConfig, TaskSpec
 
 log = logging.getLogger(__name__)
 
@@ -90,7 +90,6 @@ class Trajectory:
 class TrajectoryBatch:
     trajectories: list
     horizon: int
-    returns: list = field(default=None)  # discounted returns per trajectory
     advantages: list = field(default=None)  # normalized across the batch
 
     def __post_init__(self):
@@ -132,40 +131,19 @@ def _traj_streams(seed: int, key: tuple):
     return env_seed, rng
 
 
-def run_low_episode(policy: MlpPolicy, rand: RandomizationConfig,
-                    overrides: EnvOverrides | None, env_seed: int,
-                    rng: np.random.Generator) -> Trajectory:
-    """One 40-step goal-reaching episode (ends early on a fall)."""
-    env = LowLevelGoalEnv(rand, env_seed, overrides=overrides)
-    obs = env.reset()
-    obs_l, act_l, rew_l, logp_l = [], [], [], []
-    info = {"reached": False}
-    for _ in range(env.horizon):
-        a_pre, logp = policy.sample(obs, rng)
-        obs_l.append(obs)
-        act_l.append(a_pre)
-        logp_l.append(logp)
-        obs, r, done, info = env.step(np.clip(a_pre, -1.0, 1.0))
-        rew_l.append(r)
-        if done:
-            break
-    return Trajectory(np.array(obs_l), np.array(act_l), np.array(rew_l),
-                      np.array(logp_l), success=bool(info["reached"]))
-
-
-def run_flat_task_episode(policy: MlpPolicy, task_cfg: TaskEnvConfig,
-                          env_seed: int, rng: np.random.Generator) -> Trajectory:
-    """One 200-step task episode driven directly at the joint level."""
-    env = TaskEnv(task_cfg, env_seed)
-    obs = env.reset()
+def run_task_episode(policy: MlpPolicy, task_cfg: TaskEnvConfig,
+                     env_seed: int, rng: np.random.Generator) -> Trajectory:
+    """One episode driven directly at the joint level: a low-level goal
+    episode, or a flat policy's task episode."""
+    env = TaskEnv(task_cfg, env_seed)  # constructed at its reset state
+    obs = env.obs
     obs_l, act_l, rew_l, logp_l = [], [], [], []
     for _ in range(env.horizon):
         a_pre, logp = policy.sample(obs, rng)
         obs_l.append(obs)
         act_l.append(a_pre)
         logp_l.append(logp)
-        joint = np.clip(a_pre, -1.0, 1.0).reshape(env.n_agents, 12)
-        obs, r, done, _ = env.step(joint)
+        obs, r, done, _ = env.step(a_pre.reshape(env.n_agents, 12))  # env clamps
         rew_l.append(r)
         if done:
             break
@@ -179,9 +157,9 @@ def run_hier_task_episode(pi_hi: MlpPolicy, pi_lo: MlpPolicy,
                           env_seed: int, rng: np.random.Generator) -> Trajectory:
     """One task episode under the hierarchy; the high-level view of it."""
     env = TaskEnv(task_cfg, env_seed)
-    hi, _, _ = hierarchical_episode(env, pi_hi, pi_lo, c=GOAL_HORIZON,
-                                    horizon=env.horizon, rng=rng,
-                                    noise_cfg=noise_cfg, gamma=gamma)
+    hi, _ = hierarchical_episode(env, pi_hi, pi_lo, c=GOAL_HORIZON,
+                                 horizon=env.horizon, rng=rng,
+                                 noise_cfg=noise_cfg, gamma=gamma)
     return Trajectory(hi["obs"], hi["act"], hi["rew"], hi["logp"],
                       success=env.episode_success())
 
@@ -277,12 +255,10 @@ def fit_baseline(batch: TrajectoryBatch, gamma: float,
     """Fit the value baseline on this batch's discounted returns."""
     if not batch.trajectories:
         raise ConfigurationError("cannot fit a baseline on an empty batch")
-    if batch.returns is None:
-        batch.returns = [discounted_returns(t.rew, gamma)
-                         for t in batch.trajectories]
     X = np.concatenate([LinearBaseline.features(t.obs, batch.horizon)
                         for t in batch.trajectories])
-    y = np.concatenate(batch.returns)
+    y = np.concatenate([discounted_returns(t.rew, gamma)
+                        for t in batch.trajectories])
     baseline = LinearBaseline(ridge)
     baseline.fit(X, y)
     return baseline
@@ -290,10 +266,7 @@ def fit_baseline(batch: TrajectoryBatch, gamma: float,
 
 def compute_advantages(batch: TrajectoryBatch, baseline: LinearBaseline | None,
                        gamma: float, lam: float) -> TrajectoryBatch:
-    """Fill batch.returns and batch.advantages (normalized to mean 0, std 1)."""
-    if batch.returns is None:
-        batch.returns = [discounted_returns(t.rew, gamma)
-                         for t in batch.trajectories]
+    """Fill batch.advantages (normalized to mean 0, std 1)."""
     raw = []
     for t in batch.trajectories:
         values = (baseline.predict(t.obs, batch.horizon)
@@ -462,11 +435,19 @@ def train_low_level(config: TrainConfig, rand: RandomizationConfig,
                     out_dir=None, metrics_path=None,
                     meta: dict | None = None) -> MlpPolicy:
     """Goal-reaching pre-training under the configured randomizations."""
-    policy = MlpPolicy(32, 12, hidden=(32, 32), seed=config.seed)
-    fn = lambda pol: partial(run_low_episode, pol, rand, None)
-    return train_policy(policy, fn, horizon=40, config=config,
+    spec = TaskSpec("low_goal")
+    policy = MlpPolicy(spec.obs_dim, 12, hidden=(32, 32), seed=config.seed)
+    env_cfg = TaskEnvConfig(kind="low_goal", rand=rand)
+    fn = lambda pol: partial(run_task_episode, pol, env_cfg)
+    return train_policy(policy, fn, horizon=spec.horizon, config=config,
                         out_dir=out_dir, metrics_path=metrics_path,
                         meta=meta, phase="low")
+
+
+def _high_level_spec(task_kind: str) -> TaskSpec:
+    if task_kind == "low_goal":
+        raise ConfigurationError("low_goal is trained by train_low_level")
+    return TaskSpec(task_kind)
 
 
 def _hier_env_cfg(task_kind: str, randomized: bool,
@@ -481,7 +462,7 @@ def _hier_env_cfg(task_kind: str, randomized: bool,
         sticky_on=dyn, wrench_on=dyn,
         highlevel_noise_on=randomized, object_dims_on=randomized)
     noise_cfg = rand if randomized else None
-    env_cfg = TaskEnvConfig(kind=task_kind, rand=rand, dynamics_rand=dyn)
+    env_cfg = TaskEnvConfig(kind=task_kind, rand=rand)
     return env_cfg, noise_cfg
 
 
@@ -490,11 +471,11 @@ def train_high_level(config: TrainConfig, task_kind: str,
                      out_dir=None, metrics_path=None,
                      meta: dict | None = None) -> MlpPolicy:
     """Goal-proposing training on a frozen low-level policy."""
+    spec = _high_level_spec(task_kind)
     env_cfg, noise_cfg = _hier_env_cfg(task_kind, randomized, config)
-    probe = TaskEnv(env_cfg, seed=0)
-    policy = MlpPolicy(probe.obs_dim, 2 * probe.n_agents, hidden=(32, 32),
+    policy = MlpPolicy(spec.obs_dim, 2 * spec.n_agents, hidden=(32, 32),
                        seed=config.seed)
-    horizon = probe.horizon // GOAL_HORIZON  # decisions per episode
+    horizon = spec.horizon // GOAL_HORIZON  # decisions per episode
     fn = lambda pol: partial(run_hier_task_episode, pol, low_policy, env_cfg,
                              noise_cfg, config.gamma)
     return train_policy(policy, fn, horizon=horizon, config=config,
@@ -508,16 +489,15 @@ def train_flat(config: TrainConfig, task_kind: str, randomized: bool,
     """Non-hierarchical baseline: width-64 policy on raw joint actions over
     the full task horizon. The randomized variant applies every low-level
     randomization plus uniform(-0.1, 0.1) torso xy observation noise."""
+    spec = _high_level_spec(task_kind)
     if randomized:
         env_cfg = TaskEnvConfig(kind=task_kind, rand=RandomizationConfig(),
-                                dynamics_rand=True, torso_obs_noise=0.1)
+                                torso_obs_noise=0.1)
     else:
-        env_cfg = TaskEnvConfig(kind=task_kind,
-                                rand=RandomizationConfig.all_off())
-    probe = TaskEnv(env_cfg, seed=0)
-    policy = MlpPolicy(probe.obs_dim, 12 * probe.n_agents, hidden=(64, 64),
+        env_cfg = TaskEnvConfig(kind=task_kind)
+    policy = MlpPolicy(spec.obs_dim, 12 * spec.n_agents, hidden=(64, 64),
                        seed=config.seed)
-    fn = lambda pol: partial(run_flat_task_episode, pol, env_cfg)
-    return train_policy(policy, fn, horizon=probe.horizon, config=config,
+    fn = lambda pol: partial(run_task_episode, pol, env_cfg)
+    return train_policy(policy, fn, horizon=spec.horizon, config=config,
                         out_dir=out_dir, metrics_path=metrics_path,
                         meta=meta, phase="flat")

@@ -13,7 +13,7 @@ their inputs, so episodes may run in parallel without sharing anything.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,19 +127,15 @@ class DynamicsParams:
     joint_damping: float = 1.0  # 1/s
     joint_friction: float = 0.003  # N*m dry friction
     actuator_gain: float = 5.0  # 1/s^2
-    actuator_bias: float = -5.0  # 1/s^2, must equal -actuator_gain
     total_mass: float = 1.8  # kg
     surface_friction: float = 1.0
     lateral_bias_force: float = 0.0  # N, signed, along body +y
 
     def __post_init__(self):
         vals = (self.joint_damping, self.joint_friction, self.actuator_gain,
-                self.actuator_bias, self.total_mass, self.surface_friction,
-                self.lateral_bias_force)
+                self.total_mass, self.surface_friction, self.lateral_bias_force)
         if not all(math.isfinite(v) for v in vals):
             raise ConfigurationError("dynamics parameters must be finite")
-        if self.actuator_bias != -self.actuator_gain:
-            raise ConfigurationError("actuator_bias must equal -actuator_gain")
         if min(self.joint_damping, self.joint_friction, self.actuator_gain,
                self.total_mass, self.surface_friction) < 0:
             raise ConfigurationError("dynamics magnitudes must be nonnegative")

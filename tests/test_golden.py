@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from legwork.randomization import RandomizationConfig
-from legwork.tasks import EnvOverrides, LowLevelGoalEnv, TaskEnv, TaskEnvConfig
+from legwork.tasks import EnvOverrides, TaskEnv, TaskEnvConfig
 from legwork.world import DynamicsParams, HeightField, scripted_trot_action
 
 _DYNAMICS_FLAGS = ("damping_on", "joint_friction_on", "mass_on",
@@ -25,26 +25,18 @@ _DYNAMICS_FLAGS = ("damping_on", "joint_friction_on", "mass_on",
 def make_env(kind, seed, rand, **options):
     """The environment under test; the only part written against the
     environment API."""
-    if kind == "low_goal":
-        return LowLevelGoalEnv(rand, seed, overrides=options.get("overrides"))
-    dynamics_rand = any(getattr(rand, f) for f in _DYNAMICS_FLAGS)
-    return TaskEnv(TaskEnvConfig(kind, rand=rand, dynamics_rand=dynamics_rand,
-                                 **options), seed)
+    return TaskEnv(TaskEnvConfig(kind, rand=rand, **options), seed)
 
 
 def run_episode(env, actions):
     """(rewards, steps taken, final observation, success)."""
-    rewards, obs, info = [], None, {}
+    rewards, obs = [], None
     for t in range(env.horizon):
-        if isinstance(env, LowLevelGoalEnv):
-            obs, r, done, info = env.step(actions[t][0])
-        else:
-            obs, r, done, _ = env.step(actions[t])
+        obs, r, done, _ = env.step(actions[t])
         rewards.append(r)
         if done:
             break
-    ok = info["reached"] if isinstance(env, LowLevelGoalEnv) else env.episode_success()
-    return rewards, len(rewards), obs, bool(ok)
+    return rewards, len(rewards), obs, env.episode_success()
 
 
 # -- cases -------------------------------------------------------------------

@@ -214,17 +214,17 @@ class TestHierarchicalEpisode:
 
     def test_decision_count(self):
         pi_hi, pi_lo = self._policies()
-        hi, lo, info = hierarchical_episode(_ConstRewardEnv(), pi_hi, pi_lo,
-                                            rng=np.random.default_rng(0))
+        hi, info = hierarchical_episode(_ConstRewardEnv(), pi_hi, pi_lo,
+                                        rng=np.random.default_rng(0))
         assert hi["obs"].shape[0] == 20
         assert hi["rew"].shape == (20,)
         assert len(info["task_rewards"]) == 200
 
     def test_window_reward_geometric_series(self):
         pi_hi, pi_lo = self._policies()
-        hi, _, info = hierarchical_episode(_ConstRewardEnv(reward=-1.0), pi_hi,
-                                           pi_lo, rng=np.random.default_rng(0),
-                                           gamma=0.99)
+        hi, info = hierarchical_episode(_ConstRewardEnv(reward=-1.0), pi_hi,
+                                        pi_lo, rng=np.random.default_rng(0),
+                                        gamma=0.99)
         expected = -(1 - 0.99 ** 10) / 0.01
         assert np.allclose(hi["rew"], expected, atol=1e-12)
         # independent oracle: accumulate the logged per-step rewards
@@ -235,9 +235,9 @@ class TestHierarchicalEpisode:
 
     def test_gamma_zero_keeps_first_step_only(self):
         pi_hi, pi_lo = self._policies()
-        hi, _, info = hierarchical_episode(_ConstRewardEnv(reward=-3.0), pi_hi,
-                                           pi_lo, rng=np.random.default_rng(0),
-                                           gamma=0.0)
+        hi, info = hierarchical_episode(_ConstRewardEnv(reward=-3.0), pi_hi,
+                                        pi_lo, rng=np.random.default_rng(0),
+                                        gamma=0.0)
         assert np.allclose(hi["rew"], -3.0)
 
     def test_indivisible_horizon_rejected(self):
@@ -271,6 +271,13 @@ class TestCheckpoints:
         back = load_checkpoint(tmp_path / "ck")
         assert np.array_equal(back.flat_params(), pol.flat_params())
         assert back.layer_dims == pol.layer_dims
+
+    def test_dotted_name_round_trip(self, tmp_path):
+        pol = MlpPolicy(4, 2, seed=3)
+        save_checkpoint(pol, tmp_path / "run.v1")
+        assert {p.name for p in tmp_path.iterdir()} == {"run.v1.json", "run.v1.bin"}
+        back = load_checkpoint(tmp_path / "run.v1")
+        assert np.array_equal(back.flat_params(), pol.flat_params())
 
     def test_byte_layout(self, tmp_path):
         pol = MlpPolicy(2, 1, hidden=(2, 2), seed=0)

@@ -8,7 +8,6 @@ from legwork.randomization import (
     apply_sticky,
     perturb_high_level_action,
     sample_dynamics,
-    sample_episode_params,
     sample_height_field,
     sample_object_dims,
     sample_wrench,
@@ -40,8 +39,9 @@ class _QueueRng:
 
 class TestEpisodeParams:
     def test_disabled_items_take_midpoints(self):
-        params, terrain = sample_episode_params(RandomizationConfig.all_off(),
-                                                np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        params = sample_dynamics(RandomizationConfig.all_off(), rng)
+        terrain = sample_height_field(RandomizationConfig.all_off(), rng)
         assert params.joint_damping == 1.0
         assert params.joint_friction == 0.003
         assert params.total_mass == 1.8
@@ -57,12 +57,6 @@ class TestEpisodeParams:
         assert masses.min() >= 1.6
         assert masses.max() <= 2.0
         assert abs(masses.mean() - 1.8) < 0.01
-
-    def test_actuator_bias_is_exact_negative_gain(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            p = sample_dynamics(RandomizationConfig(), rng)
-            assert p.actuator_bias + p.actuator_gain == 0.0
 
     def test_height_field_entries_within_amplitude(self):
         rng = np.random.default_rng(5)
@@ -182,7 +176,8 @@ class TestStreams:
     def test_same_seed_reproduces_everything(self):
         def draw_all(seed):
             rng = substream(seed, 0)
-            p, hf = sample_episode_params(RandomizationConfig(), rng)
+            p = sample_dynamics(RandomizationConfig(), rng)
+            hf = sample_height_field(RandomizationConfig(), rng)
             w = sample_wrench(0, rng, RandomizationConfig())
             s = apply_sticky(np.ones(2), np.zeros(2), rng, 0.5)
             n = perturb_high_level_action(np.zeros(2), rng, RandomizationConfig())

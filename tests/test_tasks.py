@@ -12,28 +12,24 @@ from legwork.tasks import (
     COORD_BLOCK_MASS,
     EpisodeTrace,
     EnvOverrides,
-    LowLevelGoalEnv,
     TaskEnv,
     TaskEnvConfig,
     TaskInstance,
     TaskSpec,
     agent_core_obs,
-    avoid_reward,
     avoid_reward_terms,
     block_ends,
-    coordinate_reward,
     coordinate_reward_terms,
     fixed_eval_init,
     init_avoid,
     init_coordinate,
     init_push,
-    low_level_reward,
     low_level_reward_terms,
     observe_task,
-    push_reward,
     push_reward_terms,
     sample_low_level_goal,
     success,
+    task_reward,
     torso_xy_slots,
 )
 from legwork.world import AgentState, BlockState, DynamicsParams, HeightField, WorldState
@@ -89,23 +85,27 @@ class TestGoalSampling:
         assert (g.gx, g.gy) == (1.0, 0.0)
 
 
-class TestLowLevelReward:
-    SPEC = TaskSpec.for_kind("low_goal")
+def _low_goal(agent, goal):
+    """The world and task of a low_goal episode with agent and goal."""
+    return (_world([agent], []),
+            TaskInstance(TaskSpec("low_goal"), np.array([[goal.gx, goal.gy]])))
 
+
+class TestLowLevelReward:
     def test_at_goal_upright(self):
         agent = AgentState.at_rest(x=1.0, y=1.0, yaw=0.3)
-        r = low_level_reward(agent, agent, Goal(1.0, 1.0), self.SPEC)
+        r = task_reward(*_low_goal(agent, Goal(1.0, 1.0)))
         assert r == pytest.approx(10.0)
 
     def test_facing_goal_two_meters(self):
         agent = AgentState.at_rest()
-        r = low_level_reward(agent, agent, Goal(2.0, 0.0), self.SPEC)
+        r = task_reward(*_low_goal(agent, Goal(2.0, 0.0)))
         assert r == pytest.approx(-2.0 + 1.0)
 
     def test_fallen_facing_away(self):
         agent = AgentState.at_rest(yaw=math.pi)
         agent.z_proxy = 0.1
-        r = low_level_reward(agent, agent, Goal(1.0, 0.0), self.SPEC)
+        r = task_reward(*_low_goal(agent, Goal(1.0, 0.0)))
         assert r == pytest.approx(-1.0 - 5.0 - 1.0)
 
     def test_terms_sum_to_reward(self):
@@ -114,9 +114,9 @@ class TestLowLevelReward:
             agent = AgentState.at_rest(x=rng.uniform(-2, 2), y=rng.uniform(-2, 2),
                                        yaw=rng.uniform(-3, 3))
             agent.z_proxy = rng.uniform(0, 0.3)
-            goal = Goal(*rng.uniform(-2, 2, 2))
-            terms = low_level_reward_terms(agent, agent, goal, self.SPEC)
-            assert low_level_reward(agent, agent, goal, self.SPEC) == sum(terms.values())
+            world, task = _low_goal(agent, Goal(*rng.uniform(-2, 2, 2)))
+            terms = low_level_reward_terms(world, task)
+            assert task_reward(world, task) == sum(terms.values())
 
 
 class TestInitializations:
@@ -140,6 +140,10 @@ class TestInitializations:
         assert ks_statistic(r_ts, lambda r: (r - 1.5) / 1.0) < 0.02
         assert ks_statistic(th_ts, lambda t: (t + 1) / 2) < 0.02
         assert ks_statistic(offs, lambda t: (t + 0.5) / 1.0) < 0.02
+
+    def test_push_gives_up_after_max_attempts(self):
+        with pytest.raises(ConfigurationError):
+            init_push(np.random.default_rng(0), max_attempts=0)
 
     def test_push_never_starts_in_contact_margin(self):
         rng = np.random.default_rng(3)
@@ -181,40 +185,40 @@ class TestTaskRewards:
     def test_avoid_at_target_far_from_block(self):
         world = _world([AgentState.at_rest(x=2.0, y=0.5)],
                        [BlockState(-3.0, 0.0, 0.0, (0.3, 0.3), 4.0)])
-        task = TaskInstance(TaskSpec.for_kind("avoid"), np.array([[2.0, 0.5]]))
-        assert avoid_reward(world, task) == pytest.approx(10.0)
+        task = TaskInstance(TaskSpec("avoid"), np.array([[2.0, 0.5]]))
+        assert task_reward(world, task) == pytest.approx(10.0)
 
     def test_push_contact_at_target(self):
         # block centered on the target, agent touching its -x face:
         # center distance = agent radius + half extent = 0.6
         world = _world([AgentState.at_rest(x=0.4)],
                        [BlockState(1.0, 0.0, 0.0, (0.3, 0.3), 4.0)])
-        task = TaskInstance(TaskSpec.for_kind("push"), np.array([[1.0, 0.0]]))
-        assert push_reward(world, task) == pytest.approx(-0.6 + 0.0 + 10.0 + 0.0)
+        task = TaskInstance(TaskSpec("push"), np.array([[1.0, 0.0]]))
+        assert task_reward(world, task) == pytest.approx(-0.6 + 0.0 + 10.0 + 0.0)
 
     def test_coordinate_both_ends_at_targets(self):
         block = BlockState(0.0, 0.0, 0.0, COORD_BLOCK_HALF, COORD_BLOCK_MASS)
         world = _world([AgentState.at_rest(), AgentState.at_rest(y=-1.2)], [block])
-        task = TaskInstance(TaskSpec.for_kind("coordinate"), block_ends(block))
-        assert coordinate_reward(world, task) == pytest.approx(10.0)
+        task = TaskInstance(TaskSpec("coordinate"), block_ends(block))
+        assert task_reward(world, task) == pytest.approx(10.0)
 
     def test_terms_sum_to_rewards(self):
         rng = np.random.default_rng(8)
         for _ in range(30):
             world, task = init_push(rng)
             terms = push_reward_terms(world, task)
-            assert push_reward(world, task) == sum(terms.values())
+            assert task_reward(world, task) == sum(terms.values())
             world, task = init_avoid(rng)
             terms = avoid_reward_terms(world, task)
-            assert avoid_reward(world, task) == sum(terms.values())
+            assert task_reward(world, task) == sum(terms.values())
             world, task = init_coordinate(rng)
             terms = coordinate_reward_terms(world, task)
-            assert coordinate_reward(world, task) == sum(terms.values())
+            assert task_reward(world, task) == sum(terms.values())
 
 
 class TestSuccess:
     def test_avoid_fails_when_block_moves(self):
-        task = TaskInstance(TaskSpec.for_kind("avoid"), np.array([[2.0, 0.5]]))
+        task = TaskInstance(TaskSpec("avoid"), np.array([[2.0, 0.5]]))
         w0 = _world([AgentState.at_rest()], [BlockState(1.0, 0.0, 0.0, (0.3, 0.3), 4.0)])
         w1 = _world([AgentState.at_rest(x=2.0, y=0.5)],
                     [BlockState(1.2, 0.0, 0.0, (0.3, 0.3), 4.0)])  # moved 0.2 m
@@ -224,7 +228,7 @@ class TestSuccess:
         assert success(task, _trace_from([w0, w1_clean]))
 
     def test_push_boundary(self):
-        task = TaskInstance(TaskSpec.for_kind("push"), np.array([[2.0, 0.0]]))
+        task = TaskInstance(TaskSpec("push"), np.array([[2.0, 0.0]]))
         w0 = _world([AgentState.at_rest()], [BlockState(1.0, 0.0, 0.0, (0.3, 0.3), 4.0)])
         w_049 = _world([AgentState.at_rest()],
                        [BlockState(1.51, 0.0, 0.0, (0.3, 0.3), 4.0)])
@@ -237,11 +241,11 @@ class TestSuccess:
         block = BlockState(0.0, 0.0, 0.0, COORD_BLOCK_HALF, COORD_BLOCK_MASS)
         ends = block_ends(block)
         targets = ends + np.array([[0.29, 0.0], [0.31, 0.0]])  # 0.29 and 0.31 away
-        task = TaskInstance(TaskSpec.for_kind("coordinate"), targets)
+        task = TaskInstance(TaskSpec("coordinate"), targets)
         w = _world([AgentState.at_rest(), AgentState.at_rest(y=-1.2)], [block])
         assert not success(task, _trace_from([w, w]))
         targets_ok = ends + np.array([[0.29, 0.0], [0.29, 0.0]])
-        task_ok = TaskInstance(TaskSpec.for_kind("coordinate"), targets_ok)
+        task_ok = TaskInstance(TaskSpec("coordinate"), targets_ok)
         assert success(task_ok, _trace_from([w, w]))
 
     @settings(max_examples=50)
@@ -249,7 +253,7 @@ class TestSuccess:
     def test_push_success_monotone(self, d_succ, d_less):
         # any final distance strictly below a succeeding one also succeeds
         d2 = min(d_succ, d_less)
-        task = TaskInstance(TaskSpec.for_kind("push"), np.array([[0.0, 0.0]]))
+        task = TaskInstance(TaskSpec("push"), np.array([[0.0, 0.0]]))
         w0 = _world([AgentState.at_rest()], [BlockState(3.0, 0.0, 0.0, (0.3, 0.3), 4.0)])
         w_a = _world([AgentState.at_rest()], [BlockState(d_succ, 0.0, 0.0, (0.3, 0.3), 4.0)])
         w_b = _world([AgentState.at_rest()], [BlockState(d2, 0.0, 0.0, (0.3, 0.3), 4.0)])
@@ -317,13 +321,15 @@ class TestObservations:
 
 
 class TestLowLevelGoalEnv:
+    """The low_goal kind of TaskEnv."""
+
     def test_deterministic_episode(self):
         def run(seed):
-            env = LowLevelGoalEnv(RandomizationConfig(), seed)
+            env = TaskEnv(TaskEnvConfig("low_goal", rand=RandomizationConfig()), seed)
             rng = np.random.default_rng(0)
             total, obs = 0.0, env.reset()
             for _ in range(env.horizon):
-                obs, r, done, info = env.step(rng.uniform(-1, 1, 12))
+                obs, r, done, info = env.step(rng.uniform(-1, 1, (1, 12)))
                 total += r
                 if done:
                     break
@@ -335,32 +341,32 @@ class TestLowLevelGoalEnv:
         assert np.array_equal(o1, o2)
 
     def test_terminates_on_fall(self):
-        env = LowLevelGoalEnv(RandomizationConfig.all_off(), 0)
+        env = TaskEnv(TaskEnvConfig("low_goal"), 0)
         env.world.agents[0].qdot[:] = 0.0
         env.world.agents[0].q[:] = -1.4
         env.world.agents[0].qdot[1] = 20.0  # will trip the stability check
-        _, _, done, info = env.step(np.zeros(12))
-        assert done and info["fell"]
+        _, _, done, _ = env.step(np.zeros((1, 12)))
+        assert done and env.world.agents[0].fallen
 
     def test_goal_within_law(self):
         for seed in range(50):
-            env = LowLevelGoalEnv(RandomizationConfig(), seed)
-            r = math.hypot(env.goal.gx, env.goal.gy)
+            env = TaskEnv(TaskEnvConfig("low_goal", rand=RandomizationConfig()), seed)
+            r = math.hypot(*env.task.targets[0])
             assert 1.0 <= r <= 2.0
 
     def test_overrides_pin_dynamics(self):
         ov = EnvOverrides(params=DynamicsParams.nominal(),
                           terrain=HeightField.flat(), sticky_prob=0.0)
-        env = LowLevelGoalEnv(RandomizationConfig(), 3, overrides=ov)
-        assert env.params.total_mass == 1.8
-        assert env.terrain.amplitude == 0.0
+        env = TaskEnv(TaskEnvConfig("low_goal", rand=RandomizationConfig(),
+                                    overrides=ov), 3)
+        assert env.world.params[0].total_mass == 1.8
+        assert env.world.terrain.amplitude == 0.0
         assert not env.wrench_on
 
 
 class TestTaskEnv:
     def test_reset_is_reproducible(self):
-        cfg = TaskEnvConfig(kind="push", rand=RandomizationConfig(),
-                            dynamics_rand=True)
+        cfg = TaskEnvConfig(kind="push", rand=RandomizationConfig())
         e1 = TaskEnv(cfg, seed=11)
         e2 = TaskEnv(cfg, seed=11)
         assert np.array_equal(observe_task(e1.world, e1.task),

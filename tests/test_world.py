@@ -246,12 +246,10 @@ action_vec = st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12).map(np.arr
 
 @st.composite
 def ranged_params(draw):
-    gain = draw(st.floats(4.0, 6.0))
     return DynamicsParams(
         joint_damping=draw(st.floats(0.9, 1.1)),
         joint_friction=draw(st.floats(0.001, 0.005)),
-        actuator_gain=gain,
-        actuator_bias=-gain,
+        actuator_gain=draw(st.floats(4.0, 6.0)),
         total_mass=draw(st.floats(1.6, 2.0)),
         surface_friction=draw(st.floats(0.8, 1.2)),
     )
