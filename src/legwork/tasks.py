@@ -440,7 +440,6 @@ class TaskEnv:
         self.seed = seed
         self.n_agents = spec.n_agents
         self.horizon = spec.horizon
-        self.obs_dim = spec.obs_dim
         self.reset()
 
     def reset(self) -> np.ndarray:
