@@ -4,7 +4,12 @@ hierarchical executor.
 The policy is a tanh MLP producing the mean of a diagonal Gaussian with a
 state-independent learned log standard deviation. Sampled actions are
 clamped to [-1, 1] before reaching the environment; gradients always use
-the log-density of the pre-clamp sample.
+the log-density of the pre-clamp sample. Rollouts evaluate it row by row
+(mean_rows, sample_rows), so a row's action never depends on the rows
+beside it; the trainer's maths evaluates whole batches (mean_batch).
+
+Goal mappings, observation masking and the hierarchical executor work on
+all rows of a world.Worlds at once.
 
 The high level emits one action per c low-level steps. Each per-agent pair
 of that action maps through a polar transform to a goal offset in the
@@ -24,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericsError
 from .randomization import RandomizationConfig, perturb_high_level_action
-from .world import AgentState, N_JOINTS
+from .world import N_JOINTS, AgentState, Worlds
 
 LOW_LEVEL_OBS_DIM = 32  # q(12) + qdot(12) + zeroed torso pose(6) + body goal(2)
 GOAL_HORIZON = 10  # low-level steps per high-level decision
@@ -45,42 +50,44 @@ def f_goal_space(agent: AgentState) -> tuple:
     return (agent.x, agent.y)
 
 
-def h_map(a_hi_pair) -> tuple:
-    """Polar map from one high-level action pair to a body-frame goal offset.
+def h_map(a_hi_pairs) -> tuple:
+    """Polar map from high-level action pairs (..., 2) to body-frame goal
+    offsets (ox, oy), each of shape (...).
 
     radius = 0.5 + 0.3 * a0 in [0.2, 0.8]; bearing = 0.2 * a1 in [-0.2, 0.2].
     Out-of-range inputs are clamped, never rejected.
     """
-    a0 = min(max(float(a_hi_pair[0]), -1.0), 1.0)
-    a1 = min(max(float(a_hi_pair[1]), -1.0), 1.0)
-    u = 0.5 + 0.3 * a0
-    v = 0.2 * a1
-    return (u * math.cos(v), u * math.sin(v))
+    pairs = np.asarray(a_hi_pairs, dtype=float)
+    u = 0.5 + 0.3 * np.clip(pairs[..., 0], -1.0, 1.0)
+    v = 0.2 * np.clip(pairs[..., 1], -1.0, 1.0)
+    return (u * np.cos(v), u * np.sin(v))
 
 
-def goal_from_high_action(agent: AgentState, a_hi_pair) -> Goal:
-    """World-frame goal: the h_map offset rotated by the agent yaw and
-    anchored at its current position."""
-    ox, oy = h_map(a_hi_pair)
-    c, s = math.cos(agent.yaw), math.sin(agent.yaw)
-    return Goal(agent.x + c * ox - s * oy, agent.y + s * ox + c * oy)
+def goal_from_high_action(world: Worlds, a_hi: np.ndarray) -> np.ndarray:
+    """World-frame goals (E, A, 2) from high-level actions a_hi (E, 2A):
+    agent i's h_map offset of pair i, rotated by the agent yaw and anchored
+    at its current position."""
+    ox, oy = h_map(np.reshape(a_hi, world.x.shape + (2,)))
+    c, s = np.cos(world.yaw), np.sin(world.yaw)
+    return np.stack([world.x + c * ox - s * oy, world.y + s * ox + c * oy], axis=-1)
 
 
-def mask_low_level_obs(agent: AgentState, goal: Goal) -> np.ndarray:
-    """Low-level observation with the torso pose zeroed out.
+def mask_low_level_obs(world: Worlds, goals: np.ndarray) -> np.ndarray:
+    """Low-level observations of every agent, (E, A, 32), with the torso
+    pose zeroed out; goals (E, A, 2) are world-frame points.
 
     Layout: [q (12), qdot (12), zeros (6), goal offset in body frame (2)].
     The six zeros stand for the torso positional/rotational slots, so the
     policy is blind to where in the world it stands.
     """
-    c, s = math.cos(agent.yaw), math.sin(agent.yaw)
-    dx = goal.gx - agent.x
-    dy = goal.gy - agent.y
-    obs = np.zeros(LOW_LEVEL_OBS_DIM)
-    obs[0:12] = agent.q
-    obs[12:24] = agent.qdot
-    obs[30] = c * dx + s * dy
-    obs[31] = -s * dx + c * dy
+    c, s = np.cos(world.yaw), np.sin(world.yaw)
+    dx = goals[..., 0] - world.x
+    dy = goals[..., 1] - world.y
+    obs = np.zeros(world.x.shape + (LOW_LEVEL_OBS_DIM,))
+    obs[..., 0:12] = world.q
+    obs[..., 12:24] = world.qdot
+    obs[..., 30] = c * dx + s * dy
+    obs[..., 31] = -s * dx + c * dy
     return obs
 
 
@@ -121,27 +128,30 @@ class MlpPolicy:
         means = h @ self.weights[-1].T + self.biases[-1]
         return means, cache
 
-    def mean(self, obs: np.ndarray) -> np.ndarray:
-        h = obs
+    def mean_rows(self, X: np.ndarray) -> np.ndarray:
+        """Means of the rows of X, each row computed on its own.
+
+        Every layer is a stack of matrix-vector products, so a row's mean is
+        bit-identical whatever rows share the call; the rows of a BLAS
+        matrix product (mean_batch) round differently with the row count.
+        Rollouts use this; the trainer's maths uses mean_batch.
+        """
+        h = X
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.tanh(w @ h + b)
-        return self.weights[-1] @ h + self.biases[-1]
+            h = np.tanh(np.matmul(w, h[:, :, None])[:, :, 0] + b)
+        return np.matmul(self.weights[-1], h[:, :, None])[:, :, 0] + self.biases[-1]
 
-    def sample(self, obs: np.ndarray, rng: np.random.Generator):
-        """Draw a pre-clamp action and its log density."""
-        mu = self.mean(obs)
+    def sample_rows(self, X: np.ndarray, noise: np.ndarray):
+        """Pre-clamp actions mean + std * noise for the rows of X, and their
+        log densities. noise holds one standard-normal draw per row and
+        action dimension; zero noise gives the mean."""
+        mu = self.mean_rows(X)
         std = np.exp(self.log_std)
-        act = mu + std * rng.standard_normal(self.act_dim)
+        act = mu + std * noise
         z = (act - mu) / std
-        logp = -0.5 * float(z @ z) - float(self.log_std.sum()) \
-            - 0.5 * self.act_dim * LOG_2PI
+        zz = np.matmul(z[:, None, :], z[:, :, None])[:, 0, 0]  # a dot per row
+        logp = -0.5 * zz - self.log_std.sum() - 0.5 * self.act_dim * LOG_2PI
         return act, logp
-
-    def log_prob(self, obs: np.ndarray, act: np.ndarray) -> float:
-        mu = self.mean(obs)
-        z = (act - mu) * np.exp(-self.log_std)
-        return -0.5 * float(z @ z) - float(self.log_std.sum()) \
-            - 0.5 * self.act_dim * LOG_2PI
 
     def log_prob_batch(self, X: np.ndarray, A: np.ndarray) -> np.ndarray:
         means, _ = self.mean_batch(X)
@@ -247,74 +257,77 @@ def gaussian_kl(mu_old: np.ndarray, log_std_old: np.ndarray,
 
 # -- hierarchical execution ----------------------------------------------
 
-def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy,
-                         c: int = GOAL_HORIZON, horizon: int = 200,
-                         rng: np.random.Generator | None = None,
+def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy, rngs,
+                         c: int = GOAL_HORIZON,
                          noise_cfg: RandomizationConfig | None = None,
                          gamma: float = 0.99, deterministic: bool = False):
-    """Run one full task episode under the two-level policy.
+    """Run the env's E task episodes in lockstep under the two-level policy,
+    from the state the env is in; rngs holds one generator per row.
 
     Every c steps the high level observes the task observation and emits a
     2n-dim action (optionally polluted with uniform noise) that becomes one
     goal per agent; the frozen low level then acts for c steps. The
     high-level reward for a window is sum_i gamma^i r_i over the window's
     task rewards. Fallen agents emit zero actions. Episodes never end early.
+    Each row draws from its own generator in a fixed order: at a decision
+    the high-level sample, then its noise; every step one low-level sample
+    per standing agent, in agent order.
 
-    Returns (hi_traj, info): hi_traj holds per-decision arrays (obs, act
-    pre-clamp, rew, logp); info carries per-step task rewards.
+    Returns (hi_traj, info): hi_traj holds per-row, per-decision arrays
+    (obs, act pre-clamp, rew, logp), each with leading axes (E, decisions);
+    info carries the per-step task rewards (E, horizon).
     """
+    horizon = env.horizon
     if horizon % c != 0:
         raise ConfigurationError("horizon must be divisible by c")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    obs = env.reset()
-    n = env.n_agents
+    n_rows, n = len(rngs), env.n_agents
+    n_hi, n_lo = pi_hi.act_dim, pi_lo.act_dim
+
+    def noise(shape, draw):
+        """Standard-normal draws where draw is set, in row-major order."""
+        out = np.zeros(shape)
+        if not deterministic:
+            for idx in zip(*(ix.tolist() for ix in np.nonzero(draw))):
+                out[idx] = rngs[idx[0]].standard_normal(shape[-1])
+        return out
+
+    every_row = np.ones(n_rows, dtype=bool)
     hi_obs, hi_act, hi_rew, hi_logp = [], [], [], []
     rewards = []
-    goals = None
-    window_ret = 0.0
-    disc = 1.0
+    obs = env.obs
     for t in range(horizon):
         if t % c == 0:
-            if deterministic:
-                a_pre = pi_hi.mean(obs)
-                logp = pi_hi.log_prob(obs, a_pre)
-            else:
-                a_pre, logp = pi_hi.sample(obs, rng)
+            a_pre, logp = pi_hi.sample_rows(obs, noise((n_rows, n_hi), every_row))
             a_hi = np.clip(a_pre, -1.0, 1.0)
             if noise_cfg is not None:
-                a_hi = perturb_high_level_action(a_hi, rng, noise_cfg)
-            agents = env.agent_states()
-            goals = [goal_from_high_action(agents[i], a_hi[2 * i:2 * i + 2])
-                     for i in range(n)]
+                a_hi = np.array([perturb_high_level_action(a, rng, noise_cfg)
+                                 for a, rng in zip(a_hi, rngs)])
+            goals = goal_from_high_action(env.world, a_hi)
             hi_obs.append(obs)
             hi_act.append(a_pre)
             hi_logp.append(logp)
             window_ret = 0.0
             disc = 1.0
-        actions = np.zeros((n, N_JOINTS))
-        for i, agent in enumerate(env.agent_states()):
-            if agent.fallen:
-                continue
-            lo_obs = mask_low_level_obs(agent, goals[i])
-            if deterministic:
-                a_lo = pi_lo.mean(lo_obs)
-            else:
-                a_lo, _ = pi_lo.sample(lo_obs, rng)
-            actions[i] = np.clip(a_lo, -1.0, 1.0)
-        obs, r, _, _ = env.step(actions)
+        world = env.world
+        standing = ~world.fallen
+        lo_obs = mask_low_level_obs(world, goals).reshape(n_rows * n, -1)
+        a_lo, _ = pi_lo.sample_rows(lo_obs, noise((n_rows, n, n_lo), standing)
+                                    .reshape(n_rows * n, n_lo))
+        actions = np.where(standing[..., None],
+                           np.clip(a_lo, -1.0, 1.0).reshape(n_rows, n, N_JOINTS), 0.0)
+        obs, r, _ = env.step(actions)
         rewards.append(r)
-        window_ret += disc * r
+        window_ret = window_ret + disc * r
         disc *= gamma
         if t % c == c - 1:
             hi_rew.append(window_ret)
     hi_traj = {
-        "obs": np.array(hi_obs),
-        "act": np.array(hi_act),
-        "rew": np.array(hi_rew),
-        "logp": np.array(hi_logp),
+        "obs": np.stack(hi_obs, axis=1),
+        "act": np.stack(hi_act, axis=1),
+        "rew": np.stack(hi_rew, axis=1),
+        "logp": np.stack(hi_logp, axis=1),
     }
-    return hi_traj, {"task_rewards": np.array(rewards)}
+    return hi_traj, {"task_rewards": np.stack(rewards, axis=1)}
 
 
 # -- checkpoints ----------------------------------------------------------

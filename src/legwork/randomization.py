@@ -4,7 +4,8 @@ Low-level training randomizes joint damping, joint dry friction, total mass,
 surface friction, actuator gain, and the terrain height field, and applies
 sticky actions plus periodic torso wrenches. High-level training perturbs
 high-level actions with uniform noise; the two-agent task also rescales the
-block dimensions.
+block dimensions. Sticky actions and wrenches are drawn as whole-episode
+schedules up front, from sub-streams that nothing else reads.
 
 Every sampler takes an explicit numpy Generator. Distinct concerns use
 distinct sub-streams derived from the episode seed with fixed spawn keys
@@ -18,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigurationError
-from .world import DynamicsParams, ExternalWrench, HeightField
+from .world import DynamicsParams, HeightField
 
 HFIELD_N = 32
 HFIELD_WIDTH = 10.0
@@ -108,33 +109,31 @@ def sample_height_field(config: RandomizationConfig, rng: np.random.Generator) -
     return HeightField(grid, width=HFIELD_WIDTH, amplitude=amplitude)
 
 
-def apply_sticky(action, prev_action, rng: np.random.Generator, sticky_prob: float):
-    """Repeat the previous action with probability sticky_prob.
+def sticky_schedule(prob: float, rng: np.random.Generator, horizon: int) -> np.ndarray:
+    """Which steps of an episode repeat the previous action, shape (horizon,).
 
-    The first step of an episode (prev_action None) never sticks and draws
-    nothing; every later call consumes exactly one uniform draw.
+    Step 0 never sticks. Each later step t sticks when the t-th uniform draw
+    of rng is below prob, so the draws of an episode are one per step, in
+    order. prob 0: never sticks, and draws nothing.
     """
-    if prev_action is None:
-        return action
-    if action.shape != prev_action.shape:
-        raise ConfigurationError("action shapes must match")
-    if rng.uniform() < sticky_prob:
-        return prev_action
-    return action
+    out = np.zeros(horizon, dtype=bool)
+    if prob > 0.0:
+        out[1:] = rng.uniform(size=horizon - 1) < prob
+    return out
 
 
-def sample_wrench(step: int, rng: np.random.Generator, config: RandomizationConfig,
-                  current: ExternalWrench | None = None) -> ExternalWrench:
-    """Torso wrench schedule: a fresh draw every wrench_period steps, held
-    constant in between. Disabled: always the zero wrench, no draws."""
+def wrench_schedule(config: RandomizationConfig, rng: np.random.Generator,
+                    horizon: int) -> np.ndarray:
+    """Torso wrench (fx, fy, torque) of every step, shape (horizon, 3): a
+    fresh draw every wrench_period steps from step 0, held constant in
+    between. Each draw takes fx, fy, then torque. Disabled: zeros, no draws."""
     if not config.wrench_on:
-        return ExternalWrench.zero()
-    if current is not None and step % config.wrench_period != 0:
-        return current
+        return np.zeros((horizon, 3))
+    n_draws = -(-horizon // config.wrench_period)
     flo, fhi = config.wrench_force_range
     tlo, thi = config.wrench_torque_range
-    return ExternalWrench(float(rng.uniform(flo, fhi)), float(rng.uniform(flo, fhi)),
-                          float(rng.uniform(tlo, thi)))
+    draws = rng.uniform((flo, flo, tlo), (fhi, fhi, thi), (n_draws, 3))
+    return np.repeat(draws, config.wrench_period, axis=0)[:horizon]
 
 
 def perturb_high_level_action(a_hi, rng: np.random.Generator,

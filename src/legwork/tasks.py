@@ -9,12 +9,16 @@ disturbing a block), Push (shove a block onto a target), and Coordinate (two
 agents move a long block so both of its ends land on their targets). The
 kind fixes the agent count, the horizon and the observation size.
 
-One environment class, TaskEnv, runs every kind. It is a one-episode
-object: all randomness is derived from the seed passed at construction, so
-reset() always rebuilds the identical episode. Sub-stream keys (see
-substream): 0 terrain, 10+i agent-i dynamics, 20+i agent-i sticky, 30+i
-agent-i wrench, 40 initialization geometry (the low_goal goal), 50 object
-dimensions, 60 observation noise.
+Initializations describe one episode (a WorldState and a TaskInstance).
+Observations, rewards and success are computed for many episodes at once,
+on the rows of a world.Worlds and the matching rows of targets (E, k, 2).
+
+One environment class, TaskEnv, runs E episodes of one kind in lockstep,
+one seed per row. Row e draws all its randomness from seeds[e], so its
+episode is the same bit for bit whatever rows run beside it. Sub-stream
+keys (see substream): 0 terrain, 10+i agent-i dynamics, 20+i agent-i
+sticky, 30+i agent-i wrench, 40 initialization geometry (the low_goal
+goal), 50 object dimensions, 60 observation noise.
 """
 
 from __future__ import annotations
@@ -28,21 +32,23 @@ from .errors import ConfigurationError
 from .policy import LOW_LEVEL_OBS_DIM, Goal, mask_low_level_obs
 from .randomization import (
     RandomizationConfig,
-    apply_sticky,
     sample_dynamics,
     sample_height_field,
     sample_object_dims,
-    sample_wrench,
+    sticky_schedule,
     substream,
+    wrench_schedule,
 )
 from .world import (
+    N_JOINTS,
     AgentState,
     BlockState,
     DynamicsParams,
-    ExternalWrench,
     HeightField,
+    Worlds,
     WorldState,
-    world_step,
+    hypot,
+    step_worlds,
 )
 
 TASK_KINDS = ("low_goal", "avoid", "push", "coordinate")
@@ -106,42 +112,33 @@ class TaskInstance:
     targets: np.ndarray  # (1, 2) for low_goal/avoid/push, (2, 2) for coordinate
 
 
-@dataclass
-class EpisodeTrace:
-    """The world after reset and after every step, for success evaluation
-    and replay. Stepping never mutates a world state (see world.py), so the
-    trace holds the states themselves, not copies."""
-
-    worlds: list = field(default_factory=list)
-    rewards: list = field(default_factory=list)  # one fewer than worlds
-
-    def record(self, world: WorldState):
-        self.worlds.append(world)
-
-
-def _rel_body(agent: AgentState, px: float, py: float) -> tuple:
-    c, s = math.cos(agent.yaw), math.sin(agent.yaw)
-    dx, dy = px - agent.x, py - agent.y
+def _rel_body(x, y, yaw, px, py) -> tuple:
+    """(px, py) in the body frame of the agent posed at (x, y, yaw)."""
+    c, s = np.cos(yaw), np.sin(yaw)
+    dx, dy = px - x, py - y
     return (c * dx + s * dy, -s * dx + c * dy)
 
 
-def block_ends(block: BlockState, offset: float = COORD_END_OFFSET) -> np.ndarray:
-    """The two tracked end points, at +-offset along the block's long axis."""
-    ux, uy = -math.sin(block.yaw), math.cos(block.yaw)
-    return np.array([[block.x + offset * ux, block.y + offset * uy],
-                     [block.x - offset * ux, block.y - offset * uy]])
+def block_ends(x, y, yaw, offset: float = COORD_END_OFFSET) -> np.ndarray:
+    """The two tracked end points of blocks posed at (x, y, yaw), at
+    +-offset along the long axis: shape (..., 2 ends, 2)."""
+    ux, uy = -np.sin(yaw), np.cos(yaw)
+    return np.stack([np.stack([x + offset * ux, y + offset * uy], axis=-1),
+                     np.stack([x - offset * ux, y - offset * uy], axis=-1)],
+                    axis=-2)
 
 
 # -- observations ----------------------------------------------------------
 
-def agent_core_obs(agent: AgentState) -> np.ndarray:
-    return np.concatenate([agent.q, agent.qdot,
-                           [agent.x, agent.y,
-                            math.cos(agent.yaw), math.sin(agent.yaw)]])
+def agent_core_obs(world: Worlds) -> np.ndarray:
+    """(E, A, 28): q, qdot, x, y, cos yaw, sin yaw of every agent."""
+    pose = np.stack([world.x, world.y, np.cos(world.yaw), np.sin(world.yaw)],
+                    axis=-1)
+    return np.concatenate([world.q, world.qdot, pose], axis=-1)
 
 
-def observe_task(world: WorldState, task: TaskInstance) -> np.ndarray:
-    """The observation of each task kind.
+def observe_task(world: Worlds, spec: TaskSpec, targets: np.ndarray) -> np.ndarray:
+    """The observation of every row, (E, obs_dim), by task kind.
 
     low_goal (32): mask_low_level_obs of the agent and its goal.
     avoid, push (32): [agent core (28), target rel. agent body (2),
@@ -150,37 +147,30 @@ def observe_task(world: WorldState, task: TaskInstance) -> np.ndarray:
     each target rel. its block end, block frame (4), each block end rel.
     each agent body (8)].
     """
-    kind = task.spec.kind
+    kind = spec.kind
     if kind == "low_goal":
-        # Python floats: numpy scalars would slow every per-step use
-        return mask_low_level_obs(world.agents[0], Goal(*task.targets[0].tolist()))
+        return mask_low_level_obs(world, targets)[:, 0]
+    core = agent_core_obs(world)
+    n_rows = len(core)
     if kind in ("avoid", "push"):
-        agent = world.agents[0]
-        block = world.blocks[0]
-        tx, ty = task.targets[0]
-        return np.concatenate([
-            agent_core_obs(agent),
-            _rel_body(agent, tx, ty),
-            _rel_body(agent, block.x, block.y),
-        ])
+        x, y, yaw = world.x[:, 0], world.y[:, 0], world.yaw[:, 0]
+        tgt = _rel_body(x, y, yaw, targets[:, 0, 0], targets[:, 0, 1])
+        blk = _rel_body(x, y, yaw, world.bx[:, 0], world.by[:, 0])
+        return np.concatenate([core[:, 0], np.stack([*tgt, *blk], axis=-1)], axis=-1)
     if kind == "coordinate":
-        a0, a1 = world.agents
-        block = world.blocks[0]
-        ends = block_ends(block)
-        c, s = math.cos(block.yaw), math.sin(block.yaw)
-        rel_block = []
-        for k in range(2):
-            dx = task.targets[k][0] - ends[k][0]
-            dy = task.targets[k][1] - ends[k][1]
-            rel_block.extend([c * dx + s * dy, -s * dx + c * dy])
-        rel_agents = []
-        for ag in (a0, a1):
-            for k in range(2):
-                rel_agents.extend(_rel_body(ag, ends[k][0], ends[k][1]))
-        return np.concatenate([
-            agent_core_obs(a0), agent_core_obs(a1),
-            [c, s], rel_block, rel_agents,
-        ])
+        byaw = world.byaw[:, 0]
+        ends = block_ends(world.bx[:, 0], world.by[:, 0], byaw)  # (E, 2, 2)
+        c, s = np.cos(byaw)[:, None], np.sin(byaw)[:, None]
+        dx = targets[..., 0] - ends[..., 0]
+        dy = targets[..., 1] - ends[..., 1]
+        rel_block = np.stack([c * dx + s * dy, -s * dx + c * dy], axis=-1)
+        # each agent (axis 1) against each end (axis 2)
+        rel_agents = np.stack(_rel_body(world.x[:, :, None], world.y[:, :, None],
+                                        world.yaw[:, :, None], ends[:, None, :, 0],
+                                        ends[:, None, :, 1]), axis=-1)
+        return np.concatenate([core.reshape(n_rows, -1), c, s,
+                               rel_block.reshape(n_rows, -1),
+                               rel_agents.reshape(n_rows, -1)], axis=-1)
     raise ConfigurationError(f"no task observation for kind {kind!r}")
 
 
@@ -194,67 +184,67 @@ def torso_xy_slots(n_agents: int) -> list:
 
 
 # -- rewards ------------------------------------------------------------------
+# Each *_reward_terms function returns its terms in a fixed order, each an
+# (E,) array; task_reward sums them in that order.
 
-def _upright(agent: AgentState, spec: TaskSpec) -> float:
-    return -spec.w_upright if agent.z_proxy < UPRIGHT_Z_MIN else 0.0
+def _upright(z_proxy: np.ndarray, spec: TaskSpec) -> np.ndarray:
+    return np.where(z_proxy < UPRIGHT_Z_MIN, -spec.w_upright, 0.0)
 
 
-def low_level_reward_terms(world: WorldState, task: TaskInstance) -> dict:
-    agent = world.agents[0]
-    spec = task.spec
-    gx, gy = task.targets[0].tolist()
-    d = math.hypot(gx - agent.x, gy - agent.y)
-    terms = {
+def low_level_reward_terms(world: Worlds, spec: TaskSpec, targets: np.ndarray) -> dict:
+    x, y, yaw = world.x[:, 0], world.y[:, 0], world.yaw[:, 0]
+    dx = targets[:, 0, 0] - x
+    dy = targets[:, 0, 1] - y
+    d = hypot(dx, dy)
+    away = d > 0.0  # direction undefined exactly at the goal
+    heading = spec.w_heading * (dx * np.cos(yaw) + dy * np.sin(yaw)) / np.where(away, d, 1.0)
+    return {
         "distance": -d,
-        "upright": _upright(agent, spec),
-        "heading": 0.0,
-        "bonus": spec.bonus if d < spec.bonus_radius else 0.0,
+        "upright": _upright(world.z_proxy[:, 0], spec),
+        "heading": np.where(away, heading, 0.0),
+        "bonus": np.where(d < spec.bonus_radius, spec.bonus, 0.0),
     }
-    if d > 0.0:  # direction undefined exactly at the goal
-        hx, hy = math.cos(agent.yaw), math.sin(agent.yaw)
-        terms["heading"] = spec.w_heading * ((gx - agent.x) * hx
-                                             + (gy - agent.y) * hy) / d
-    return terms
 
 
-def avoid_reward_terms(world: WorldState, task: TaskInstance) -> dict:
-    agent = world.agents[0]
-    block = world.blocks[0]
-    spec = task.spec
-    d_target = math.hypot(task.targets[0][0] - agent.x, task.targets[0][1] - agent.y)
-    d_block = math.hypot(block.x - agent.x, block.y - agent.y)
+def avoid_reward_terms(world: Worlds, spec: TaskSpec, targets: np.ndarray) -> dict:
+    x, y = world.x[:, 0], world.y[:, 0]
+    d_target = hypot(targets[:, 0, 0] - x, targets[:, 0, 1] - y)
+    d_block = hypot(world.bx[:, 0] - x, world.by[:, 0] - y)
     return {
         "distance": -d_target,
-        "bonus": spec.bonus if d_target < spec.bonus_radius else 0.0,
-        "block_penalty": -spec.avoid_penalty if d_block < spec.avoid_block_radius else 0.0,
-        "upright": _upright(agent, spec),
+        "bonus": np.where(d_target < spec.bonus_radius, spec.bonus, 0.0),
+        "block_penalty": np.where(d_block < spec.avoid_block_radius,
+                                  -spec.avoid_penalty, 0.0),
+        "upright": _upright(world.z_proxy[:, 0], spec),
     }
 
 
-def push_reward_terms(world: WorldState, task: TaskInstance) -> dict:
-    agent = world.agents[0]
-    block = world.blocks[0]
-    spec = task.spec
-    d_ab = math.hypot(block.x - agent.x, block.y - agent.y)
-    d_bt = math.hypot(task.targets[0][0] - block.x, task.targets[0][1] - block.y)
+def push_reward_terms(world: Worlds, spec: TaskSpec, targets: np.ndarray) -> dict:
+    bx, by = world.bx[:, 0], world.by[:, 0]
+    d_ab = hypot(bx - world.x[:, 0], by - world.y[:, 0])
+    d_bt = hypot(targets[:, 0, 0] - bx, targets[:, 0, 1] - by)
     return {
         "agent_block": -d_ab,
         "block_target": -d_bt,
-        "bonus": spec.bonus if d_bt < spec.bonus_radius else 0.0,
-        "upright": _upright(agent, spec),
+        "bonus": np.where(d_bt < spec.bonus_radius, spec.bonus, 0.0),
+        "upright": _upright(world.z_proxy[:, 0], spec),
     }
 
 
-def coordinate_reward_terms(world: WorldState, task: TaskInstance) -> dict:
-    spec = task.spec
-    ends = block_ends(world.blocks[0])
-    d0 = math.hypot(*(task.targets[0] - ends[0]))
-    d1 = math.hypot(*(task.targets[1] - ends[1]))
+def _end_distances(world: Worlds, targets: np.ndarray) -> tuple:
+    ends = block_ends(world.bx[:, 0], world.by[:, 0], world.byaw[:, 0])
+    diff = targets - ends
+    return (hypot(diff[:, 0, 0], diff[:, 0, 1]), hypot(diff[:, 1, 0], diff[:, 1, 1]))
+
+
+def coordinate_reward_terms(world: Worlds, spec: TaskSpec, targets: np.ndarray) -> dict:
+    d0, d1 = _end_distances(world, targets)
+    both = (d0 < spec.coord_radius) & (d1 < spec.coord_radius)
     return {
         "end_0": -d0,
         "end_1": -d1,
-        "bonus": spec.bonus if (d0 < spec.coord_radius and d1 < spec.coord_radius) else 0.0,
-        "upright": sum(_upright(a, spec) for a in world.agents),
+        "bonus": np.where(both, spec.bonus, 0.0),
+        "upright": _upright(world.z_proxy, spec).sum(axis=1),
     }
 
 
@@ -262,9 +252,9 @@ REWARD_TERMS = {"low_goal": low_level_reward_terms, "avoid": avoid_reward_terms,
                 "push": push_reward_terms, "coordinate": coordinate_reward_terms}
 
 
-def task_reward(world: WorldState, task: TaskInstance) -> float:
-    """The sum of the kind's reward terms, in their listed order."""
-    return sum(REWARD_TERMS[task.spec.kind](world, task).values())
+def task_reward(world: Worlds, spec: TaskSpec, targets: np.ndarray) -> np.ndarray:
+    """The sum of the kind's reward terms, in their listed order, per row."""
+    return sum(REWARD_TERMS[spec.kind](world, spec, targets).values())
 
 
 # -- initializations ---------------------------------------------------------
@@ -363,15 +353,23 @@ def fixed_eval_init(kind: str, variant: str = "+"):
         block = BlockState(COORD_BLOCK_AHEAD, 0.0, 0.0, COORD_BLOCK_HALF,
                            COORD_BLOCK_MASS)
         world = _nominal_world(agents, [block])
-        targets = block_ends(block) + np.array([1.5, 0.0])
+        targets = block_ends(block.x, block.y, block.yaw) + np.array([1.5, 0.0])
         return world, TaskInstance(TaskSpec("coordinate"), targets)
     raise ConfigurationError(f"no fixed initialization for kind {kind!r}")
 
 
 # -- success ------------------------------------------------------------------
 
-def success(task: TaskInstance, trace: EpisodeTrace) -> bool:
-    """Success predicates per task.
+def target_reached(world: Worlds, spec: TaskSpec, targets: np.ndarray) -> np.ndarray:
+    """Whether agent 0 is within bonus_radius of the first target, per row."""
+    return hypot(world.x[:, 0] - targets[:, 0, 0],
+                 world.y[:, 0] - targets[:, 0, 1]) < spec.bonus_radius
+
+
+def success(spec: TaskSpec, targets: np.ndarray, start: Worlds, end: Worlds,
+            reached: np.ndarray) -> np.ndarray:
+    """Success of every row, (E,) bool, from the worlds at the start and at
+    the end of the episodes and whether target_reached held at any step.
 
     low_goal: the agent's final position is within 0.5 m of the goal.
     avoid: the agent came within 0.5 m of the target at some step and the
@@ -379,27 +377,16 @@ def success(task: TaskInstance, trace: EpisodeTrace) -> bool:
     center is within 0.5 m of the target. coordinate: both final block ends
     are within 0.3 m of their targets.
     """
-    spec = task.spec
-    tx, ty = task.targets[0]
-    last = trace.worlds[-1]
+    tx, ty = targets[:, 0, 0], targets[:, 0, 1]
     if spec.kind == "low_goal":
-        agent = last.agents[0]
-        return math.hypot(tx - agent.x, ty - agent.y) < spec.bonus_radius
+        return hypot(tx - end.x[:, 0], ty - end.y[:, 0]) < spec.bonus_radius
     if spec.kind == "avoid":
-        reached = any(
-            math.hypot(w.agents[0].x - tx, w.agents[0].y - ty) < spec.bonus_radius
-            for w in trace.worlds)
-        b0 = trace.worlds[0].blocks[0]
-        b1 = last.blocks[0]
-        moved = math.hypot(b1.x - b0.x, b1.y - b0.y)
-        return reached and moved < spec.avoid_max_block_move
+        moved = hypot(end.bx[:, 0] - start.bx[:, 0], end.by[:, 0] - start.by[:, 0])
+        return reached & (moved < spec.avoid_max_block_move)
     if spec.kind == "push":
-        b = last.blocks[0]
-        return math.hypot(b.x - tx, b.y - ty) < spec.bonus_radius
-    ends = block_ends(last.blocks[0])
-    d0 = math.hypot(*(task.targets[0] - ends[0]))
-    d1 = math.hypot(*(task.targets[1] - ends[1]))
-    return d0 < spec.coord_radius and d1 < spec.coord_radius
+        return hypot(end.bx[:, 0] - tx, end.by[:, 0] - ty) < spec.bonus_radius
+    d0, d1 = _end_distances(end, targets)
+    return (d0 < spec.coord_radius) & (d1 < spec.coord_radius)
 
 
 # -- environment ----------------------------------------------------------------
@@ -427,24 +414,48 @@ class TaskEnvConfig:
 
 
 class TaskEnv:
-    """One episode of any task kind; joint actions are (n_agents, 12).
+    """E episodes of one task kind, one per seed, stepped in lockstep; joint
+    actions are (E, n_agents, 12).
 
     A low_goal episode ends early when its agent falls. The 200-step tasks
-    never end early; fallen agents freeze in place. obs holds the latest
-    observation; construction leaves the env reset.
+    never end early; fallen agents freeze in place. done marks the rows
+    whose episode has ended: they keep their state and are not stepped
+    again. obs holds the latest observation of every row, world the latest
+    state and start the first, and reached whether target_reached has held
+    at any step; construction leaves every episode at its start. sticky
+    (E, n_agents, horizon) and wrench
+    (E, n_agents, horizon, 3) are each episode's sticky-action and torso
+    wrench schedules.
     """
 
-    def __init__(self, config: TaskEnvConfig, seed: int):
+    def __init__(self, config: TaskEnvConfig, seeds):
         spec = TaskSpec(config.kind)
         self.config = config
-        self.seed = seed
+        self.spec = spec
+        self.seeds = list(seeds)
+        if not self.seeds:
+            raise ConfigurationError("a TaskEnv needs at least one seed")
         self.n_agents = spec.n_agents
         self.horizon = spec.horizon
-        self.reset()
+        starts = [self._episode_start(seed) for seed in self.seeds]
+        self.world = Worlds.stack(s[0] for s in starts)
+        self.targets, self.sticky, self.wrench = (
+            np.stack([s[k] for s in starts]) for k in (1, 2, 3))
+        self._obs_noise = (np.stack([s[4] for s in starts])
+                           if config.torso_obs_noise > 0.0 else None)
+        self._prev_actions = None
+        self.t = 0
+        self.done = np.zeros(len(self.seeds), dtype=bool)
+        self.start = self.world
+        self.reached = target_reached(self.world, spec, self.targets)
+        self.obs = self._obs()
 
-    def reset(self) -> np.ndarray:
+    def _episode_start(self, seed: int) -> tuple:
+        """One episode's start world, targets, sticky and wrench schedules
+        and observation noise, each drawn from its own sub-stream of seed."""
         cfg = self.config
-        rng_init = substream(self.seed, 40)
+        n, horizon = self.n_agents, self.horizon
+        rng_init = substream(seed, 40)
         if cfg.fixed_init is not None:
             world, task = fixed_eval_init(cfg.kind, cfg.fixed_init)
         elif cfg.kind == "low_goal":
@@ -456,76 +467,60 @@ class TaskEnv:
         else:
             half = COORD_BLOCK_HALF
             if cfg.rand.object_dims_on:
-                half = sample_object_dims(half, substream(self.seed, 50), cfg.rand)
+                half = sample_object_dims(half, substream(seed, 50), cfg.rand)
             world, task = init_coordinate(rng_init, half_extents=half)
-        self.task = task
 
         ov = cfg.overrides
         if ov is not None:
-            params = [ov.params] * self.n_agents
-            terrain = ov.terrain
-            self.sticky_prob = ov.sticky_prob
-            self.wrench_on = False
+            params, terrain, sticky_prob = [ov.params] * n, ov.terrain, ov.sticky_prob
+            wrench = np.zeros((n, horizon, 3))
         else:
-            params = [sample_dynamics(cfg.rand, substream(self.seed, 10 + i))
-                      for i in range(self.n_agents)]
-            terrain = sample_height_field(cfg.rand, substream(self.seed, 0))
-            self.sticky_prob = cfg.rand.sticky_prob if cfg.rand.sticky_on else 0.0
-            self.wrench_on = cfg.rand.wrench_on
-        self.world = WorldState(world.agents, world.blocks, terrain, params)
-
-        self._rng_sticky = [substream(self.seed, 20 + i) for i in range(self.n_agents)]
-        self._rng_wrench = [substream(self.seed, 30 + i) for i in range(self.n_agents)]
-        self._rng_obs = (substream(self.seed, 60) if cfg.torso_obs_noise > 0.0
-                         else None)
-        self._prev_actions = [None] * self.n_agents
-        self._wrenches = [ExternalWrench.zero()] * self.n_agents
-        self.t = 0
-        self.done = False
-        self.trace = EpisodeTrace()
-        self.trace.record(self.world)
-        self.obs = self._obs()
-        return self.obs
+            params = [sample_dynamics(cfg.rand, substream(seed, 10 + i))
+                      for i in range(n)]
+            terrain = sample_height_field(cfg.rand, substream(seed, 0))
+            sticky_prob = cfg.rand.sticky_prob if cfg.rand.sticky_on else 0.0
+            wrench = np.stack([wrench_schedule(cfg.rand, substream(seed, 30 + i), horizon)
+                               for i in range(n)])
+        sticky = np.stack([sticky_schedule(sticky_prob, substream(seed, 20 + i), horizon)
+                           for i in range(n)])
+        noise = None
+        if cfg.torso_obs_noise > 0.0:
+            eps = cfg.torso_obs_noise
+            # one draw per torso slot of every observation, reset included
+            noise = substream(seed, 60).uniform(-eps, eps, (horizon + 1, 2 * n))
+        return (WorldState(world.agents, world.blocks, terrain, params),
+                task.targets, sticky, wrench, noise)
 
     def _obs(self) -> np.ndarray:
-        obs = observe_task(self.world, self.task)
-        if self._rng_obs is not None:
-            eps = self.config.torso_obs_noise
-            for slot in torso_xy_slots(self.n_agents):
-                obs[slot] += self._rng_obs.uniform(-eps, eps)
+        obs = observe_task(self.world, self.spec, self.targets)
+        if self._obs_noise is not None:
+            obs[:, torso_xy_slots(self.n_agents)] += self._obs_noise[:, self.t]
         return obs
 
-    def agent_states(self):
-        return self.world.agents
-
     def step(self, actions):
-        if self.done:
-            raise ConfigurationError("episode already finished")
+        """Advance every row whose episode is running. Returns (obs, rewards,
+        done), one entry per row; the rewards of rows that had already
+        finished carry no meaning."""
+        if self.done.all():
+            raise ConfigurationError("every episode already finished")
         acts = np.asarray(actions, dtype=float).clip(-1.0, 1.0)
-        if acts.shape != (self.n_agents, 12):
-            raise ConfigurationError(
-                f"actions must be ({self.n_agents}, 12), got {acts.shape}")
-        stepped = []
-        for i in range(self.n_agents):
-            a = acts[i]
-            if self.sticky_prob > 0.0:
-                a = apply_sticky(a, self._prev_actions[i], self._rng_sticky[i],
-                                 self.sticky_prob)
-            self._prev_actions[i] = a
-            if self.wrench_on:
-                self._wrenches[i] = sample_wrench(self.t, self._rng_wrench[i],
-                                                  self.config.rand,
-                                                  self._wrenches[i])
-            stepped.append(a)
-        self.world = world_step(self.world, stepped, self._wrenches)
-        reward = task_reward(self.world, self.task)
-        self.trace.record(self.world)
-        self.trace.rewards.append(reward)
+        shape = (len(self.seeds), self.n_agents, N_JOINTS)
+        if acts.shape != shape:
+            raise ConfigurationError(f"actions must be {shape}, got {acts.shape}")
+        t = self.t
+        if t > 0:
+            acts = np.where(self.sticky[:, :, t, None], self._prev_actions, acts)
+        self._prev_actions = acts
+        self.world = step_worlds(self.world, acts, self.wrench[:, :, t], ~self.done)
+        reward = task_reward(self.world, self.spec, self.targets)
+        self.reached = self.reached | target_reached(self.world, self.spec, self.targets)
         self.t += 1
-        self.done = self.t >= self.horizon or (
-            self.config.kind == "low_goal" and self.world.agents[0].fallen)
+        done = self.done | (self.t >= self.horizon)
+        if self.spec.kind == "low_goal":
+            done = done | self.world.fallen[:, 0]
+        self.done = done
         self.obs = self._obs()
-        return self.obs, reward, self.done, {}
+        return self.obs, reward, self.done
 
-    def episode_success(self) -> bool:
-        return success(self.task, self.trace)
+    def episode_success(self) -> np.ndarray:
+        return success(self.spec, self.targets, self.start, self.world, self.reached)

@@ -7,9 +7,12 @@ likelihood-ratio gradient, precondition it with conjugate gradient against
 Fisher-vector products, and apply a KL-normalized step
 theta' = theta + sqrt(2 delta / d.g) * d.
 
-Rollout collection is deterministic given (policy, seed): every trajectory
-draws from its own sub-stream keyed by (iteration, index), and per-index
-aggregation order is fixed, so worker count never changes results.
+Rollout collection steps all episodes of a batch in lockstep, as the rows
+of one TaskEnv. It is deterministic given (policy, seed): trajectory i
+draws from its own sub-streams keyed by (iteration, i), and every formula
+on the rollout path computes each row on its own (row-wise matrix-vector
+products and reductions), so neither the batch width nor the worker count
+changes a bit of the result.
 """
 
 from __future__ import annotations
@@ -122,7 +125,7 @@ class TrajectoryBatch:
         return float(np.mean([t.success for t in self.trajectories]))
 
 
-# -- episode runners (module level: picklable for worker pools) -------------
+# -- rollouts (module level: picklable for worker pools) ----------------------
 
 def _traj_streams(seed: int, key: tuple):
     ss = np.random.SeedSequence(seed, spawn_key=key)
@@ -132,58 +135,72 @@ def _traj_streams(seed: int, key: tuple):
 
 
 def run_task_episode(policy: MlpPolicy, task_cfg: TaskEnvConfig,
-                     env_seed: int, rng: np.random.Generator) -> Trajectory:
-    """One episode driven directly at the joint level: a low-level goal
-    episode, or a flat policy's task episode."""
-    env = TaskEnv(task_cfg, env_seed)  # constructed at its reset state
-    obs = env.obs
-    obs_l, act_l, rew_l, logp_l = [], [], [], []
-    for _ in range(env.horizon):
-        a_pre, logp = policy.sample(obs, rng)
-        obs_l.append(obs)
-        act_l.append(a_pre)
-        logp_l.append(logp)
-        obs, r, done, _ = env.step(a_pre.reshape(env.n_agents, 12))  # env clamps
-        rew_l.append(r)
-        if done:
+                     env_seeds, rngs) -> list:
+    """Episodes driven directly at the joint level, one per (env seed, rng)
+    row, stepped in lockstep: low-level goal episodes, or a flat policy's
+    task episodes. Each row draws one action sample from its rng per step
+    it runs. Returns one Trajectory per row."""
+    env = TaskEnv(task_cfg, env_seeds)  # constructed at its reset state
+    n_rows, horizon = len(env.seeds), env.horizon
+    obs = np.zeros((n_rows, horizon, env.obs.shape[1]))
+    act = np.zeros((n_rows, horizon, policy.act_dim))
+    rew = np.zeros((n_rows, horizon))
+    logp = np.zeros((n_rows, horizon))
+    steps = np.zeros(n_rows, dtype=int)
+    for t in range(horizon):
+        live = np.flatnonzero(~env.done)
+        if not live.size:
             break
-    return Trajectory(np.array(obs_l), np.array(act_l), np.array(rew_l),
-                      np.array(logp_l), success=env.episode_success())
+        noise = np.zeros((n_rows, policy.act_dim))
+        for e in live.tolist():
+            noise[e] = rngs[e].standard_normal(policy.act_dim)
+        obs[:, t] = env.obs
+        act[:, t], logp[:, t] = policy.sample_rows(env.obs, noise)
+        _, rew[:, t], _ = env.step(act[:, t].reshape(n_rows, env.n_agents, 12))  # env clamps
+        steps[live] += 1
+    ok = env.episode_success()
+    return [Trajectory(obs[e, :n], act[e, :n], rew[e, :n], logp[e, :n],
+                       success=bool(ok[e])) for e, n in enumerate(steps.tolist())]
 
 
 def run_hier_task_episode(pi_hi: MlpPolicy, pi_lo: MlpPolicy,
                           task_cfg: TaskEnvConfig,
                           noise_cfg: RandomizationConfig | None, gamma: float,
-                          env_seed: int, rng: np.random.Generator) -> Trajectory:
-    """One task episode under the hierarchy; the high-level view of it."""
-    env = TaskEnv(task_cfg, env_seed)
-    hi, _ = hierarchical_episode(env, pi_hi, pi_lo, c=GOAL_HORIZON,
-                                 horizon=env.horizon, rng=rng,
+                          env_seeds, rngs) -> list:
+    """Task episodes under the hierarchy, one per (env seed, rng) row,
+    stepped in lockstep; the high-level view of each."""
+    env = TaskEnv(task_cfg, env_seeds)
+    hi, _ = hierarchical_episode(env, pi_hi, pi_lo, rngs, c=GOAL_HORIZON,
                                  noise_cfg=noise_cfg, gamma=gamma)
-    return Trajectory(hi["obs"], hi["act"], hi["rew"], hi["logp"],
-                      success=env.episode_success())
+    ok = env.episode_success()
+    return [Trajectory(hi["obs"][e], hi["act"][e], hi["rew"][e], hi["logp"][e],
+                       success=bool(ok[e])) for e in range(len(env.seeds))]
 
 
-def _run_indexed(args):
-    episode_fn, seed, key = args
-    env_seed, rng = _traj_streams(seed, key)
-    return episode_fn(env_seed=env_seed, rng=rng)
+def _run_rows(args):
+    rollout_fn, seed, keys = args
+    streams = [_traj_streams(seed, key) for key in keys]
+    return rollout_fn([s for s, _ in streams], [rng for _, rng in streams])
 
 
-def collect_batch(episode_fn, n_traj: int, horizon: int, seed: int,
+def collect_batch(rollout_fn, n_traj: int, horizon: int, seed: int,
                   seed_key: tuple = (), workers: int = 1) -> TrajectoryBatch:
-    """Collect n_traj trajectories; deterministic given (episode_fn, seed).
+    """Collect n_traj trajectories; deterministic given (rollout_fn, seed).
 
-    episode_fn(env_seed, rng) -> Trajectory must be picklable when
-    workers > 1. Trajectory i always uses sub-stream seed_key + (i,), so the
-    result is identical for any worker count.
+    rollout_fn(env_seeds, rngs) -> [Trajectory] runs one episode per row in
+    lockstep and must be picklable when workers > 1. Trajectory i always
+    uses sub-stream seed_key + (i,); each worker process runs a contiguous
+    slice of the rows, and since a row's result does not depend on the
+    rows beside it, the batch is identical for any worker count.
     """
-    jobs = [(episode_fn, seed, tuple(seed_key) + (i,)) for i in range(n_traj)]
+    keys = [tuple(seed_key) + (i,) for i in range(n_traj)]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            trajectories = list(pool.map(_run_indexed, jobs))
+        bounds = np.linspace(0, n_traj, min(workers, n_traj) + 1).astype(int)
+        jobs = [(rollout_fn, seed, keys[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            trajectories = [tr for part in pool.map(_run_rows, jobs) for tr in part]
     else:
-        trajectories = [_run_indexed(j) for j in jobs]
+        trajectories = _run_rows((rollout_fn, seed, keys))
     return TrajectoryBatch(trajectories, horizon=horizon)
 
 
@@ -294,21 +311,31 @@ def policy_gradient(batch: TrajectoryBatch, policy: MlpPolicy) -> np.ndarray:
 
 
 def fisher_vector_product(batch: TrajectoryBatch, policy: MlpPolicy,
-                          v: np.ndarray, damping: float) -> np.ndarray:
+                          v: np.ndarray, damping: float, cache=None) -> np.ndarray:
     """F v + damping v, with F the Hessian of the mean KL between the
     collection-time policy and the current one over batch states (for a
     Gaussian policy this is the Gauss-Newton form J' diag(1/var) J plus a
-    constant 2I block for log_std)."""
-    X = batch.flat_obs()
-    _, cache = policy.mean_batch(X)
+    constant 2I block for log_std). cache is policy.mean_batch's activation
+    cache over batch.flat_obs(); pass it to reuse one forward pass across
+    the products of a CG solve (it is computed when omitted)."""
+    if cache is None:
+        _, cache = policy.mean_batch(batch.flat_obs())
     dmu = mean_jvp(policy, v, cache)
     inv_var = np.exp(-2.0 * policy.log_std)
-    out = mean_vjp(policy, dmu * inv_var, cache) / len(X)
+    out = mean_vjp(policy, dmu * inv_var, cache) / len(cache[0])
     out[-policy.act_dim:] = 2.0 * v[-policy.act_dim:]
     out += damping * v
     if not np.all(np.isfinite(out)):
         raise NumericsError("non-finite Fisher-vector product")
     return out
+
+
+def fisher_operator(batch: TrajectoryBatch, policy: MlpPolicy, damping: float):
+    """v -> fisher_vector_product(batch, policy, v, damping), with one
+    forward pass over the batch shared by every product; the pass is freed
+    with the operator."""
+    _, cache = policy.mean_batch(batch.flat_obs())
+    return lambda v: fisher_vector_product(batch, policy, v, damping, cache)
 
 
 def conjugate_gradient(fvp, g: np.ndarray, iters: int = 10,
@@ -385,13 +412,14 @@ class MetricsWriter:
             csv.writer(f).writerow([row[c] for c in METRICS_COLUMNS])
 
 
-def train_policy(policy: MlpPolicy, make_episode_fn, horizon: int,
+def train_policy(policy: MlpPolicy, make_rollout_fn, horizon: int,
                  config: TrainConfig, gamma: float | None = None,
                  out_dir=None, metrics_path=None, meta: dict | None = None,
                  phase: str = "policy") -> MlpPolicy:
     """Generic NPG loop: collect, fit baseline, GAE, gradient, CG, update.
 
-    make_episode_fn(policy) must return a picklable episode callable.
+    make_rollout_fn(policy) must return a picklable rollout callable (see
+    collect_batch).
     gamma overrides config.gamma for return/advantage discounting (the
     high level discounts across decisions with gamma^c).
     """
@@ -400,17 +428,15 @@ def train_policy(policy: MlpPolicy, make_episode_fn, horizon: int,
     out = Path(out_dir) if out_dir is not None else None
     start = time.monotonic()
     for it in range(config.iterations):
-        batch = collect_batch(make_episode_fn(policy), config.batch_size,
+        batch = collect_batch(make_rollout_fn(policy), config.batch_size,
                               horizon, config.seed, seed_key=(it,),
                               workers=config.workers)
         baseline = fit_baseline(batch, gamma)
         compute_advantages(batch, baseline, gamma, config.lam)
         g = policy_gradient(batch, policy)
 
-        def fvp(v, _batch=batch, _policy=policy):
-            return fisher_vector_product(_batch, _policy, v, config.cg_damping)
-
-        d, _ = conjugate_gradient(fvp, g, config.cg_iters)
+        d, _ = conjugate_gradient(fisher_operator(batch, policy, config.cg_damping),
+                                  g, config.cg_iters)
         new_policy, upd = npg_update(policy, g, d, config.kl_step)
         kl = 0.0 if upd["skipped"] else batch_kl(batch, policy, new_policy)
         policy = new_policy

@@ -6,14 +6,24 @@ Euler position servo; locomotion comes from a rectified gait model: a leg
 produces forward thrust only while its knee is extended (stance) and its
 flexion joint swings backward. Falls are an absorbing stability failure.
 
-All stepping functions are pure: they return new states and never mutate
-their inputs, so episodes may run in parallel without sharing anything.
+Layout: struct of arrays. A Worlds value holds E independent worlds, its
+rows, each with the same number of agents A and blocks B. Agent pose
+fields are (E, A) arrays, joint vectors (E, A, 12), block fields (E, B),
+terrain grids (E, n, n), and each dynamics parameter an (E, A) array.
+Every formula runs once over all rows; masks select the rows and agents
+that move. AgentState, BlockState, HeightField, DynamicsParams and
+WorldState describe one world; Worlds.stack turns a list of them into
+rows.
+
+Stepping is pure: step_worlds returns a new Worlds and never mutates its
+input, so a trace may hold every state. Each row's result depends on that
+row alone, bit for bit, whatever rows are stepped with it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -49,6 +59,18 @@ _PUSH_TOL = 1e-9
 _PUSH_MAX_ITERS = 64
 
 
+def hypot(a, b) -> np.ndarray:
+    """Elementwise math.hypot of two arrays of one shape.
+
+    np.hypot differs from math.hypot in the last bit on a few inputs in a
+    thousand; math.hypot keeps the pinned golden episodes exact.
+    """
+    a = np.asarray(a, dtype=float)
+    out = list(map(math.hypot, a.ravel().tolist(),
+                   np.asarray(b, dtype=float).ravel().tolist()))
+    return np.array(out, dtype=float).reshape(a.shape)
+
+
 @dataclass
 class AgentState:
     """Pose, torso-height proxy, and joint state of one legged agent."""
@@ -71,14 +93,6 @@ class AgentState:
     def at_rest(cls, x: float = 0.0, y: float = 0.0, yaw: float = 0.0) -> "AgentState":
         return cls(x, y, yaw, Z0, np.zeros(N_JOINTS), np.zeros(N_JOINTS))
 
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
-    @property
-    def heading(self) -> np.ndarray:
-        return np.array([math.cos(self.yaw), math.sin(self.yaw)])
-
 
 @dataclass
 class BlockState:
@@ -89,10 +103,6 @@ class BlockState:
     yaw: float
     half_extents: tuple[float, float]
     mass: float
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
 
 
 @dataclass
@@ -146,76 +156,121 @@ class DynamicsParams:
 
 
 @dataclass
-class ExternalWrench:
-    """Planar force plus torque applied to an agent torso."""
-
-    fx: float = 0.0
-    fy: float = 0.0
-    torque: float = 0.0
-
-    @classmethod
-    def zero(cls) -> "ExternalWrench":
-        return cls(0.0, 0.0, 0.0)
-
-    @property
-    def force_norm(self) -> float:
-        return math.hypot(self.fx, self.fy)
-
-
-@dataclass
 class WorldState:
-    """All agents, blocks, terrain, per-agent dynamics, and the step counter."""
+    """One world: its agents, blocks, terrain and per-agent dynamics."""
 
     agents: list
     blocks: list
     terrain: HeightField
     params: list
-    step: int = 0
 
     def __post_init__(self):
         if len(self.params) != len(self.agents):
             raise ConfigurationError("one DynamicsParams per agent required")
-        if self.step < 0:
-            raise ConfigurationError("step counter must be nonnegative")
 
 
-def sample_terrain(terrain: HeightField, x: float, y: float):
+@dataclass
+class Worlds:
+    """E worlds as arrays whose first axis is the row (world) index.
+
+    Agents: x, y, yaw, z_proxy, fallen (E, A); q, qdot (E, A, 12).
+    Blocks: bx, by, byaw, block_mass (E, B); half_extents (E, B, 2).
+    params maps each DynamicsParams field name to an (E, A) array; grid
+    holds each row's terrain heights (E, n, n) over a patch of one width.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    yaw: np.ndarray
+    z_proxy: np.ndarray
+    q: np.ndarray
+    qdot: np.ndarray
+    fallen: np.ndarray
+    bx: np.ndarray
+    by: np.ndarray
+    byaw: np.ndarray
+    half_extents: np.ndarray
+    block_mass: np.ndarray
+    params: dict
+    grid: np.ndarray
+    width: float
+
+    @classmethod
+    def stack(cls, worlds) -> "Worlds":
+        """Rows from WorldState descriptions that share their agent and
+        block counts and their terrain's grid size and width."""
+        worlds = list(worlds)
+        if not worlds:
+            raise ConfigurationError("need at least one world")
+        layout = {(len(w.agents), len(w.blocks), w.terrain.grid.shape,
+                   w.terrain.width) for w in worlds}
+        if len(layout) != 1:
+            raise ConfigurationError(
+                "stacked worlds must share agent and block counts and terrain layout")
+        e, a, b = len(worlds), len(worlds[0].agents), len(worlds[0].blocks)
+
+        def table(items, value, shape, dtype=float):
+            return np.array([[value(it) for it in getattr(w, items)] for w in worlds],
+                            dtype=dtype).reshape(shape)
+
+        return cls(
+            x=table("agents", lambda s: s.x, (e, a)),
+            y=table("agents", lambda s: s.y, (e, a)),
+            yaw=table("agents", lambda s: s.yaw, (e, a)),
+            z_proxy=table("agents", lambda s: s.z_proxy, (e, a)),
+            q=table("agents", lambda s: s.q, (e, a, N_JOINTS)),
+            qdot=table("agents", lambda s: s.qdot, (e, a, N_JOINTS)),
+            fallen=table("agents", lambda s: s.fallen, (e, a), bool),
+            bx=table("blocks", lambda s: s.x, (e, b)),
+            by=table("blocks", lambda s: s.y, (e, b)),
+            byaw=table("blocks", lambda s: s.yaw, (e, b)),
+            half_extents=table("blocks", lambda s: s.half_extents, (e, b, 2)),
+            block_mass=table("blocks", lambda s: s.mass, (e, b)),
+            params={f.name: table("params", lambda p, n=f.name: getattr(p, n), (e, a))
+                    for f in fields(DynamicsParams)},
+            grid=np.stack([w.terrain.grid for w in worlds]),
+            width=worlds[0].terrain.width,
+        )
+
+
+def terrain_at(grid: np.ndarray, width: float, x: np.ndarray, y: np.ndarray):
     """Height and analytic slope of the bilinear interpolant at (x, y).
 
-    Returns (height, (dh/dx, dh/dy)). Outside the patch the edge height is
-    returned with zero slope.
+    grid (E, n, n) holds one terrain per row; x and y are (E, k), k query
+    points per row. Returns (height, dh/dx, dh/dy), each (E, k). Outside
+    the patch the edge height is returned with zero slope.
     """
-    grid = terrain.grid
-    n = grid.shape[0]
-    half = terrain.width / 2.0
-    cell = terrain.width / (n - 1)
+    n = grid.shape[1]
+    half = width / 2.0
+    cell = width / (n - 1)
 
-    inside = (-half <= x <= half) and (-half <= y <= half)
-    gx = (min(max(x, -half), half) + half) / cell
-    gy = (min(max(y, -half), half) + half) / cell
-    i = min(int(gx), n - 2)
-    j = min(int(gy), n - 2)
+    inside = (-half <= x) & (x <= half) & (-half <= y) & (y <= half)
+    gx = (np.minimum(np.maximum(x, -half), half) + half) / cell
+    gy = (np.minimum(np.maximum(y, -half), half) + half) / cell
+    i = np.minimum(gx.astype(int), n - 2)
+    j = np.minimum(gy.astype(int), n - 2)
     fx = gx - i
     fy = gy - j
 
-    h00 = grid[i, j]
-    h10 = grid[i + 1, j]
-    h01 = grid[i, j + 1]
-    h11 = grid[i + 1, j + 1]
+    rows = np.arange(grid.shape[0])[:, None]
+    h00 = grid[rows, i, j]
+    h10 = grid[rows, i + 1, j]
+    h01 = grid[rows, i, j + 1]
+    h11 = grid[rows, i + 1, j + 1]
     height = (h00 * (1 - fx) * (1 - fy) + h10 * fx * (1 - fy)
               + h01 * (1 - fx) * fy + h11 * fx * fy)
-    if not inside:
-        return height, (0.0, 0.0)
-    dhdx = ((h10 - h00) * (1 - fy) + (h11 - h01) * fy) / cell
-    dhdy = ((h01 - h00) * (1 - fx) + (h11 - h10) * fx) / cell
-    return height, (dhdx, dhdy)
+    dhdx = np.where(inside, ((h10 - h00) * (1 - fy) + (h11 - h01) * fy) / cell, 0.0)
+    dhdy = np.where(inside, ((h01 - h00) * (1 - fx) + (h11 - h10) * fx) / cell, 0.0)
+    return height, dhdx, dhdy
 
 
-def step_agent(state: AgentState, action, params: DynamicsParams,
-               terrain: HeightField, wrench: ExternalWrench) -> AgentState:
-    """Advance one agent by dt under the surrogate dynamics.
+def step_agents(world: Worlds, actions, wrench, active) -> Worlds:
+    """Advance the active agents by dt under the surrogate dynamics; the
+    others keep their state.
 
-    The contract, in order:
+    actions (E, A, 12); wrench (E, A, 3) holds each torso's world-frame
+    force and torque (fx, fy, torque); active (E, A) is a bool mask. The
+    contract, in order:
       1. semi-implicit Euler joint servo with dry friction, clamped at
          +-Q_MAX (clamping zeroes the joint's velocity);
       2. per-leg thrust = clip(-qdot_flexion, 0, 1) gated by knee extension
@@ -228,141 +283,155 @@ def step_agent(state: AgentState, action, params: DynamicsParams,
       5. pose integration and the stability score that drives z_proxy and
          the absorbing fall flag.
     """
-    if state.fallen:
-        raise ConfigurationError("cannot step a fallen agent")
-    a = np.asarray(action, dtype=float)
-    if a.shape != (N_JOINTS,):
-        raise ConfigurationError("action must have 12 entries")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(state.q))
-            and np.all(np.isfinite(state.qdot))
-            and math.isfinite(state.x) and math.isfinite(state.y)
-            and math.isfinite(state.yaw)):
+    a = np.asarray(actions, dtype=float)
+    if a.shape != world.q.shape:
+        raise ConfigurationError(
+            f"actions must have shape {world.q.shape}, got {a.shape}")
+    finite = (np.isfinite(a).all(axis=-1) & np.isfinite(world.q).all(axis=-1)
+              & np.isfinite(world.qdot).all(axis=-1) & np.isfinite(world.x)
+              & np.isfinite(world.y) & np.isfinite(world.yaw))
+    if not finite[active].all():
         raise NumericsError("non-finite action or agent state")
-    a = np.clip(a, -1.0, 1.0)
+    a = np.minimum(np.maximum(np.where(active[..., None], a, 0.0), -1.0), 1.0)
+    p = world.params
 
     # 1. joint servo
-    qddot = (params.actuator_gain * (a - state.q)
-             - params.joint_damping * state.qdot
-             - params.joint_friction * np.sign(state.qdot))
-    qdot = state.qdot + qddot * DT
-    q = state.q + qdot * DT
+    qddot = (p["actuator_gain"][..., None] * (a - world.q)
+             - p["joint_damping"][..., None] * world.qdot
+             - p["joint_friction"][..., None] * np.sign(world.qdot))
+    qdot = world.qdot + qddot * DT
+    q = world.q + qdot * DT
     clamped = np.abs(q) > Q_MAX
-    if clamped.any():
-        q = np.clip(q, -Q_MAX, Q_MAX)
-        qdot = np.where(clamped, 0.0, qdot)
+    q = np.minimum(np.maximum(q, -Q_MAX), Q_MAX)
+    qdot = np.where(clamped, 0.0, qdot)
 
     # 2./3. rectified gait model
-    stance = (q[KNEE_IDX] > 0.0).astype(float)
-    thrust = np.clip(-qdot[FLEX_IDX], 0.0, 1.0) * stance
-    lat = np.clip(qdot[ABD_IDX], -1.0, 1.0) * stance
-    v_fwd = K_FWD * thrust.mean()
-    omega = K_TURN * (thrust[LEFT_LEGS].mean() - thrust[RIGHT_LEGS].mean())
-    v_lat = K_LAT * lat.mean()
+    # (np.clip and .mean() give the same bits; the ufuncs skip their
+    # per-call Python overhead, which dominates on rows this small)
+    stance = (q[..., KNEE_IDX] > 0.0).astype(float)
+    thrust = np.minimum(np.maximum(-qdot[..., FLEX_IDX], 0.0), 1.0) * stance
+    lat = np.minimum(np.maximum(qdot[..., ABD_IDX], -1.0), 1.0) * stance
+    v_fwd = K_FWD * (thrust.sum(axis=-1) / N_LEGS)
+    omega = K_TURN * (thrust[..., LEFT_LEGS].sum(axis=-1) / 2
+                      - thrust[..., RIGHT_LEGS].sum(axis=-1) / 2)
+    v_lat = K_LAT * (lat.sum(axis=-1) / N_LEGS)
 
     # 4. terrain/friction scaling and external forces
-    _, (sx, sy) = sample_terrain(terrain, state.x, state.y)
-    slope_mag = math.hypot(sx, sy)
-    scale = params.surface_friction * max(0.0, 1.0 - 2.0 * slope_mag)
-    v_fwd *= scale
-    v_lat *= scale
-    omega *= scale
+    _, sx, sy = terrain_at(world.grid, world.width, world.x, world.y)
+    slope_mag = hypot(sx, sy)
+    scale = p["surface_friction"] * np.maximum(0.0, 1.0 - 2.0 * slope_mag)
+    v_fwd = v_fwd * scale
+    v_lat = v_lat * scale
+    omega = omega * scale
 
-    inertia = params.total_mass * AGENT_RADIUS ** 2  # gyration radius = footprint
-    omega += wrench.torque * DT / inertia
-    yaw = state.yaw + omega * DT
-    c, s = math.cos(yaw), math.sin(yaw)
-    inv_m = DT / params.total_mass
-    vx = c * v_fwd - s * v_lat + (wrench.fx - s * params.lateral_bias_force) * inv_m
-    vy = s * v_fwd + c * v_lat + (wrench.fy + c * params.lateral_bias_force) * inv_m
+    fx, fy, torque = wrench[..., 0], wrench[..., 1], wrench[..., 2]
+    inertia = p["total_mass"] * AGENT_RADIUS ** 2  # gyration radius = footprint
+    omega = omega + torque * DT / inertia
+    yaw = world.yaw + omega * DT
+    c, s = np.cos(yaw), np.sin(yaw)
+    inv_m = DT / p["total_mass"]
+    bias = p["lateral_bias_force"]
+    vx = c * v_fwd - s * v_lat + (fx - s * bias) * inv_m
+    vy = s * v_fwd + c * v_lat + (fy + c * bias) * inv_m
 
     # 5. pose integration and stability; the speed term counts the gait
     # twist only (the wrench already has its own term)
-    x = state.x + vx * DT
-    y = state.y + vy * DT
-    twist_speed = math.hypot(v_fwd, v_lat)
+    x = world.x + vx * DT
+    y = world.y + vy * DT
     stability = (1.0
-                 - 0.5 * float(np.max(np.abs(qdot))) / QDOT_REF
+                 - 0.5 * np.max(np.abs(qdot), axis=-1) / QDOT_REF
                  - 4.0 * slope_mag
-                 - wrench.force_norm / F_REF
-                 - twist_speed / V_REF)
-    z_proxy = Z0 * min(max(stability, 0.0), 1.0)
-    return AgentState(x, y, yaw, z_proxy, q, qdot, fallen=stability < 0.0)
+                 - hypot(fx, fy) / F_REF
+                 - hypot(v_fwd, v_lat) / V_REF)
+    z_proxy = Z0 * np.minimum(np.maximum(stability, 0.0), 1.0)
+
+    moved = active[..., None]
+    return replace(
+        world,
+        x=np.where(active, x, world.x),
+        y=np.where(active, y, world.y),
+        yaw=np.where(active, yaw, world.yaw),
+        z_proxy=np.where(active, z_proxy, world.z_proxy),
+        q=np.where(moved, q, world.q),
+        qdot=np.where(moved, qdot, world.qdot),
+        fallen=np.where(active, stability < 0.0, world.fallen),
+    )
 
 
-def resolve_push(agent: AgentState, agent_radius: float, block: BlockState,
-                 dt: float) -> BlockState:
-    """Quasi-static contact resolution between a disc agent and a block.
+def push_block(ax, ay, bx, by, byaw, half_extents, mass, dt: float, active):
+    """Quasi-static contact resolution between a disc agent and a block in
+    every active row; returns the blocks' new (x, y, yaw), each (E,).
 
-    While the disc penetrates the block footprint, the block translates away
-    along the contact normal by the penetration depth and rotates about its
-    center by lever x displacement / (1 + mass). The block holds no momentum:
-    without contact it never moves.
+    ax, ay are the agent centers, bx, by, byaw, mass the blocks (E,) and
+    half_extents (E, 2). While a disc penetrates its block footprint, the
+    block translates away along the contact normal by the penetration depth
+    and rotates about its center by lever x displacement / (1 + mass). The
+    block holds no momentum: without contact it never moves. A row repeats
+    this until its contact is resolved, at most 64 times; resolved and
+    inactive rows are masked out of later iterations.
     """
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
-    hx, hy = block.half_extents
-    if hx <= 0 or hy <= 0:
+    hx, hy = half_extents[..., 0], half_extents[..., 1]
+    if not (np.all(hx > 0) and np.all(hy > 0)):
         raise ConfigurationError("block half extents must be positive")
 
-    bx, by, byaw = block.x, block.y, block.yaw
+    active = np.array(active, dtype=bool)
     for _ in range(_PUSH_MAX_ITERS):
-        c, s = math.cos(byaw), math.sin(byaw)
-        rx = agent.x - bx
-        ry = agent.y - by
+        if not active.any():
+            break
+        c, s = np.cos(byaw), np.sin(byaw)
+        rx = ax - bx
+        ry = ay - by
         lx = c * rx + s * ry
         ly = -s * rx + c * ry
-        qx = min(max(lx, -hx), hx)
-        qy = min(max(ly, -hy), hy)
+        qx = np.minimum(np.maximum(lx, -hx), hx)
+        qy = np.minimum(np.maximum(ly, -hy), hy)
         dx = lx - qx
         dy = ly - qy
         d2 = dx * dx + dy * dy
-        if d2 > 0.0:
-            d = math.sqrt(d2)
-            depth = agent_radius - d
-            if depth <= _PUSH_TOL:
-                break
-            nx, ny = dx / d, dy / d  # block -> agent, block frame
-            cx, cy = qx, qy
-        else:
-            # disc center inside the footprint: exit through the nearest face
-            px = hx - abs(lx)
-            py = hy - abs(ly)
-            if px <= py:
-                nx, ny = (1.0 if lx >= 0 else -1.0), 0.0
-                depth = agent_radius + px
-                cx, cy = math.copysign(hx, lx), ly
-            else:
-                nx, ny = 0.0, (1.0 if ly >= 0 else -1.0)
-                depth = agent_radius + py
-                cx, cy = lx, math.copysign(hy, ly)
+        outside = d2 > 0.0
+        d = np.sqrt(np.where(outside, d2, 1.0))
+        active = active & ~(outside & (AGENT_RADIUS - d <= _PUSH_TOL))
+        if not active.any():
+            break
+        # disc center inside the footprint: exit through the nearest face
+        px = hx - np.abs(lx)
+        py = hy - np.abs(ly)
+        xface = px <= py
+        nx = np.where(outside, dx / d, np.where(xface, np.where(lx >= 0, 1.0, -1.0), 0.0))
+        ny = np.where(outside, dy / d, np.where(xface, 0.0, np.where(ly >= 0, 1.0, -1.0)))
+        depth = np.where(outside, AGENT_RADIUS - d,
+                         AGENT_RADIUS + np.where(xface, px, py))
+        cx = np.where(outside, qx, np.where(xface, np.copysign(hx, lx), lx))
+        cy = np.where(outside, qy, np.where(xface, ly, np.copysign(hy, ly)))
         mvx = -(c * nx - s * ny) * depth
         mvy = -(s * nx + c * ny) * depth
-        bx += mvx
-        by += mvy
         cwx = c * cx - s * cy
         cwy = s * cx + c * cy
-        byaw += (cwx * mvy - cwy * mvx) / (1.0 + block.mass)
-    return BlockState(bx, by, byaw, block.half_extents, block.mass)
+        bx = np.where(active, bx + mvx, bx)
+        by = np.where(active, by + mvy, by)
+        byaw = np.where(active, byaw + (cwx * mvy - cwy * mvx) / (1.0 + mass), byaw)
+    return bx, by, byaw
 
 
-def world_step(world: WorldState, actions, wrenches) -> WorldState:
-    """Step every agent, then resolve pushes in agent-index order.
+def step_worlds(world: Worlds, actions, wrench, live) -> Worlds:
+    """Advance the live rows (bool mask (E,)) by one step; the other rows
+    keep their state.
 
-    Fallen agents receive no motion. Requires one action and one wrench per
-    agent.
+    Every standing agent moves; fallen agents receive no motion. Then each
+    agent pushes each block, in agent-index order. actions and wrench are
+    as in step_agents.
     """
-    n = len(world.agents)
-    if len(actions) != n or len(wrenches) != n:
-        raise ConfigurationError(
-            f"expected {n} actions and wrenches, got {len(actions)}/{len(wrenches)}")
-    agents = [st if st.fallen
-              else step_agent(st, act, p, world.terrain, w)
-              for st, act, w, p in zip(world.agents, actions, wrenches, world.params)]
-    blocks = list(world.blocks)
-    for ag in agents:
-        for k, blk in enumerate(blocks):
-            blocks[k] = resolve_push(ag, AGENT_RADIUS, blk, DT)
-    return WorldState(agents, blocks, world.terrain, world.params, world.step + 1)
+    live = np.asarray(live, dtype=bool)
+    world = step_agents(world, actions, wrench, live[:, None] & ~world.fallen)
+    bx, by, byaw = world.bx.copy(), world.by.copy(), world.byaw.copy()
+    for i in range(world.x.shape[1]):
+        for k in range(bx.shape[1]):
+            bx[:, k], by[:, k], byaw[:, k] = push_block(
+                world.x[:, i], world.y[:, i], bx[:, k], by[:, k], byaw[:, k],
+                world.half_extents[:, k], world.block_mass[:, k], DT, live)
+    return replace(world, bx=bx, by=by, byaw=byaw)
 
 
 def scripted_trot_action(step: int, period: int = 16,
@@ -381,21 +450,3 @@ def scripted_trot_action(step: int, period: int = 16,
         gate_phase = 2.0 * math.pi * (step + knee_lead) / period + pair_shift
         a[3 * leg + 2] = 1.0 if math.cos(gate_phase) < 0.0 else -1.0
     return a
-
-
-def run_open_loop(action_fn, params: DynamicsParams, terrain: HeightField,
-                  n_steps: int, start: AgentState | None = None) -> list:
-    """Roll a single agent under an open-loop action schedule, no wrenches.
-
-    Returns the state trajectory including the start state. Stops early if
-    the agent falls.
-    """
-    state = start if start is not None else AgentState.at_rest()
-    traj = [state]
-    zero = ExternalWrench.zero()
-    for t in range(n_steps):
-        state = step_agent(state, action_fn(t), params, terrain, zero)
-        traj.append(state)
-        if state.fallen:
-            break
-    return traj

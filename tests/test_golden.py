@@ -23,20 +23,20 @@ _DYNAMICS_FLAGS = ("damping_on", "joint_friction_on", "mass_on",
 
 
 def make_env(kind, seed, rand, **options):
-    """The environment under test; the only part written against the
-    environment API."""
-    return TaskEnv(TaskEnvConfig(kind, rand=rand, **options), seed)
+    """The environment under test, one episode wide; this and run_episode
+    are the only parts written against the environment API."""
+    return TaskEnv(TaskEnvConfig(kind, rand=rand, **options), [seed])
 
 
 def run_episode(env, actions):
     """(rewards, steps taken, final observation, success)."""
     rewards, obs = [], None
     for t in range(env.horizon):
-        obs, r, done, _ = env.step(actions[t])
-        rewards.append(r)
-        if done:
+        obs, r, done = env.step(actions[t][None])
+        rewards.append(r[0])
+        if done[0]:
             break
-    return rewards, len(rewards), obs, env.episode_success()
+    return rewards, len(rewards), obs[0], bool(env.episode_success()[0])
 
 
 # -- cases -------------------------------------------------------------------

@@ -21,7 +21,25 @@ from legwork.policy import (
     mean_jvp,
     save_checkpoint,
 )
-from legwork.world import AgentState, N_JOINTS
+from legwork.world import (
+    N_JOINTS,
+    AgentState,
+    DynamicsParams,
+    HeightField,
+    Worlds,
+    WorldState,
+)
+
+
+def rows(*agents):
+    """One world per agent, stacked as rows of one agent each."""
+    return Worlds.stack([WorldState([a], [], HeightField.flat(),
+                                    [DynamicsParams.nominal()]) for a in agents])
+
+
+def masked(agent, goal):
+    """mask_low_level_obs of one agent and its goal."""
+    return mask_low_level_obs(rows(agent), np.array([[[goal.gx, goal.gy]]]))[0, 0]
 
 
 class TestGoalSpace:
@@ -57,6 +75,8 @@ class TestHMap:
 
     def test_out_of_range_clamps(self):
         assert h_map((5.0, -5.0)) == h_map((1.0, -1.0))
+        assert np.array_equal(h_map([[5.0, -5.0], [0.3, 2.0]]),
+                              h_map([[1.0, -1.0], [0.3, 1.0]]))
 
     @settings(max_examples=200)
     @given(a0=st.floats(-1, 1), a1=st.floats(-1, 1))
@@ -69,16 +89,16 @@ class TestHMap:
 
     def test_world_anchoring(self):
         agent = AgentState.at_rest(x=1.0, y=2.0, yaw=math.pi / 2)
-        g = goal_from_high_action(agent, (0.0, 0.0))
+        gx, gy = goal_from_high_action(rows(agent), np.zeros((1, 2)))[0, 0]
         # body-frame offset (0.5, 0) rotated 90 degrees -> (0, 0.5)
-        assert g.gx == pytest.approx(1.0)
-        assert g.gy == pytest.approx(2.5)
+        assert gx == pytest.approx(1.0)
+        assert gy == pytest.approx(2.5)
 
 
 class TestMaskedObs:
     def test_goal_at_agent_is_zero_offset(self):
         agent = AgentState.at_rest(x=1.0, y=-2.0, yaw=0.5)
-        obs = mask_low_level_obs(agent, Goal(1.0, -2.0))
+        obs = masked(agent, Goal(1.0, -2.0))
         assert obs[30] == 0.0 and obs[31] == 0.0
 
     def test_pose_slots_always_zero(self):
@@ -87,7 +107,7 @@ class TestMaskedObs:
             agent = AgentState(rng.uniform(-5, 5), rng.uniform(-5, 5),
                                rng.uniform(-3, 3), 0.3,
                                rng.uniform(-1, 1, 12), rng.uniform(-2, 2, 12))
-            obs = mask_low_level_obs(agent, Goal(*rng.uniform(-5, 5, 2)))
+            obs = masked(agent, Goal(*rng.uniform(-5, 5, 2)))
             assert np.all(obs[24:30] == 0.0)
             assert obs.shape == (LOW_LEVEL_OBS_DIM,)
 
@@ -97,14 +117,14 @@ class TestMaskedObs:
         qdot = rng.uniform(-2, 2, 12)
         agent = AgentState(0.3, -0.7, 0.2, 0.3, q, qdot)
         goal = Goal(1.4, 0.3)
-        obs0 = mask_low_level_obs(agent, goal)
+        obs0 = masked(agent, goal)
         # rotate the whole scene by phi and translate by (tx, ty)
         phi, tx, ty = 1.1, 3.0, -2.0
         c, s = math.cos(phi), math.sin(phi)
         agent2 = AgentState(c * 0.3 - s * -0.7 + tx, s * 0.3 + c * -0.7 + ty,
                             0.2 + phi, 0.3, q, qdot)
         goal2 = Goal(c * 1.4 - s * 0.3 + tx, s * 1.4 + c * 0.3 + ty)
-        obs1 = mask_low_level_obs(agent2, goal2)
+        obs1 = masked(agent2, goal2)
         assert np.allclose(obs0, obs1, atol=1e-12)
 
 
@@ -112,22 +132,52 @@ class TestMlpPolicy:
     def test_zero_weights_zero_mean(self):
         pol = MlpPolicy(6, 3, seed=0)
         pol.set_flat_params(np.zeros(pol.n_params))
-        assert np.array_equal(pol.mean(np.ones(6)), np.zeros(3))
+        assert np.array_equal(pol.mean_rows(np.ones((1, 6))), np.zeros((1, 3)))
 
     def test_log_prob_at_mean(self):
         pol = MlpPolicy(5, 4, seed=3)
-        obs = np.random.default_rng(0).normal(size=5)
-        mu = pol.mean(obs)
+        obs = np.random.default_rng(0).normal(size=(1, 5))
+        mu, logp = pol.sample_rows(obs, np.zeros((1, 4)))
         expected = -pol.log_std.sum() - 2.0 * math.log(2 * math.pi)
-        assert pol.log_prob(obs, mu) == pytest.approx(expected, abs=1e-12)
+        assert np.array_equal(mu, pol.mean_rows(obs))
+        assert logp[0] == pytest.approx(expected, abs=1e-12)
+        assert pol.log_prob_batch(obs, mu)[0] == pytest.approx(expected, abs=1e-12)
+
+    def test_sample_log_density_matches_log_prob_batch(self):
+        pol = MlpPolicy(5, 4, seed=3)
+        pol.log_std[:] = [-0.5, 0.0, 0.3, 1.0]
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(7, 5))
+        act, logp = pol.sample_rows(X, rng.standard_normal((7, 4)))
+        assert np.allclose(logp, pol.log_prob_batch(X, act), rtol=0, atol=1e-12)
 
     def test_batch_matches_single(self):
         pol = MlpPolicy(5, 3, seed=4)
         rng = np.random.default_rng(1)
         X = rng.normal(size=(6, 5))
         means, _ = pol.mean_batch(X)
-        for i in range(6):
-            assert np.allclose(means[i], pol.mean(X[i]), atol=1e-12)
+        assert np.allclose(means, pol.mean_rows(X), atol=1e-12)
+
+    @pytest.mark.parametrize("dims", [(32, (32, 32), 12), (32, (32, 32), 2),
+                                      (70, (64, 64), 24)])
+    def test_rows_are_width_invariant(self, dims):
+        # a row's mean, sample and log density do not depend on the other
+        # rows of the call, bit for bit
+        obs_dim, hidden, act_dim = dims
+        pol = MlpPolicy(obs_dim, act_dim, hidden=hidden, seed=6)
+        pol.log_std[:] = np.linspace(-1.0, 0.5, act_dim)
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(40, obs_dim))
+        noise = rng.standard_normal((40, act_dim))
+        act, logp = pol.sample_rows(X, noise)
+        for width in (1, 2, 7, 20, 33):
+            a_w, l_w = pol.sample_rows(X[:width], noise[:width])
+            assert a_w.tobytes() == act[:width].tobytes()
+            assert l_w.tobytes() == logp[:width].tobytes()
+        for i in (0, 19, 39):
+            a_i, l_i = pol.sample_rows(X[i:i + 1], noise[i:i + 1])
+            assert a_i.tobytes() == act[i:i + 1].tobytes()
+            assert l_i.tobytes() == logp[i:i + 1].tobytes()
 
     def test_grad_matches_finite_differences(self):
         # central differences with eps=1e-5, relative error < 1e-4,
@@ -184,28 +234,29 @@ class TestMlpPolicy:
 
 
 class _ConstRewardEnv:
-    """Stub task env paying a constant reward each step."""
+    """Stub task env of E rows paying a constant reward each step."""
 
     n_agents = 1
     obs_dim = 4
 
-    def __init__(self, reward=-1.0, horizon=200):
+    def __init__(self, reward=-1.0, horizon=200, rows=1):
         self.reward = reward
         self.horizon = horizon
-        self._agent = AgentState.at_rest()
+        self.world = Worlds.stack([WorldState([AgentState.at_rest()], [],
+                                              HeightField.flat(),
+                                              [DynamicsParams.nominal()])] * rows)
+        self.obs = np.zeros((rows, self.obs_dim))
         self.t = 0
-
-    def reset(self):
-        self.t = 0
-        return np.zeros(self.obs_dim)
-
-    def agent_states(self):
-        return [self._agent]
 
     def step(self, actions):
-        assert actions.shape == (1, N_JOINTS)
+        assert actions.shape == (len(self.obs), 1, N_JOINTS)
         self.t += 1
-        return np.zeros(self.obs_dim), self.reward, self.t >= self.horizon, {}
+        return (self.obs, np.full(len(self.obs), self.reward),
+                np.full(len(self.obs), self.t >= self.horizon))
+
+
+def _rngs(n=1):
+    return [np.random.default_rng(i) for i in range(n)]
 
 
 class TestHierarchicalEpisode:
@@ -214,37 +265,34 @@ class TestHierarchicalEpisode:
 
     def test_decision_count(self):
         pi_hi, pi_lo = self._policies()
-        hi, info = hierarchical_episode(_ConstRewardEnv(), pi_hi, pi_lo,
-                                        rng=np.random.default_rng(0))
-        assert hi["obs"].shape[0] == 20
-        assert hi["rew"].shape == (20,)
-        assert len(info["task_rewards"]) == 200
+        hi, info = hierarchical_episode(_ConstRewardEnv(rows=3), pi_hi, pi_lo, _rngs(3))
+        assert hi["obs"].shape[:2] == (3, 20)
+        assert hi["rew"].shape == (3, 20)
+        assert info["task_rewards"].shape == (3, 200)
 
     def test_window_reward_geometric_series(self):
         pi_hi, pi_lo = self._policies()
         hi, info = hierarchical_episode(_ConstRewardEnv(reward=-1.0), pi_hi,
-                                        pi_lo, rng=np.random.default_rng(0),
-                                        gamma=0.99)
+                                        pi_lo, _rngs(), gamma=0.99)
         expected = -(1 - 0.99 ** 10) / 0.01
         assert np.allclose(hi["rew"], expected, atol=1e-12)
         # independent oracle: accumulate the logged per-step rewards
-        r = info["task_rewards"]
+        r = info["task_rewards"][0]
         for j in range(20):
             oracle = sum(0.99 ** i * r[10 * j + i] for i in range(10))
-            assert abs(hi["rew"][j] - oracle) <= 1e-9
+            assert abs(hi["rew"][0, j] - oracle) <= 1e-9
 
     def test_gamma_zero_keeps_first_step_only(self):
         pi_hi, pi_lo = self._policies()
         hi, info = hierarchical_episode(_ConstRewardEnv(reward=-3.0), pi_hi,
-                                        pi_lo, rng=np.random.default_rng(0),
-                                        gamma=0.0)
+                                        pi_lo, _rngs(), gamma=0.0)
         assert np.allclose(hi["rew"], -3.0)
 
     def test_indivisible_horizon_rejected(self):
         pi_hi, pi_lo = self._policies()
         with pytest.raises(ConfigurationError):
             hierarchical_episode(_ConstRewardEnv(horizon=7), pi_hi, pi_lo,
-                                 c=10, horizon=7)
+                                 _rngs(), c=10)
 
     def test_relative_goal_invariance(self):
         # identical body-frame goal and joint state => identical low action
@@ -258,8 +306,8 @@ class TestHierarchicalEpisode:
         body = (0.6, -0.2)
         g1 = Goal(0.6, -0.2)
         g2 = Goal(4.0 + c * body[0] - s * body[1], -2.0 + s * body[0] + c * body[1])
-        m1 = pi_lo.mean(mask_low_level_obs(a1, g1))
-        m2 = pi_lo.mean(mask_low_level_obs(a2, g2))
+        m1 = pi_lo.mean_rows(masked(a1, g1)[None])
+        m2 = pi_lo.mean_rows(masked(a2, g2)[None])
         assert np.allclose(m1, m2, atol=1e-12)
 
 

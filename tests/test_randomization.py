@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 from legwork.errors import ConfigurationError
 from legwork.randomization import (
     RandomizationConfig,
-    apply_sticky,
     perturb_high_level_action,
     sample_dynamics,
     sample_height_field,
     sample_object_dims,
-    sample_wrench,
+    sticky_schedule,
     substream,
+    wrench_schedule,
 )
 
 
@@ -78,54 +78,57 @@ class TestEpisodeParams:
 class TestSticky:
     def test_zero_prob_never_sticks(self):
         rng = np.random.default_rng(0)
-        a, prev = np.ones(12), np.zeros(12)
-        for _ in range(100):
-            assert apply_sticky(a, prev, rng, 0.0) is a
+        state = rng.bit_generator.state
+        assert not sticky_schedule(0.0, rng, 100).any()
+        assert rng.bit_generator.state == state  # and draws nothing
 
     def test_prob_one_always_sticks_after_step_zero(self):
-        rng = np.random.default_rng(0)
-        a, prev = np.ones(12), np.zeros(12)
-        assert apply_sticky(a, None, rng, 1.0) is a
-        for _ in range(100):
-            assert apply_sticky(a, prev, rng, 1.0) is prev
+        sticks = sticky_schedule(1.0, np.random.default_rng(0), 101)
+        assert not sticks[0]
+        assert sticks[1:].all()
 
     def test_stick_frequency(self):
-        rng = np.random.default_rng(9)
-        a, prev = np.ones(3), np.zeros(3)
-        hits = sum(apply_sticky(a, prev, rng, 0.2) is prev for _ in range(10_000))
-        assert abs(hits / 10_000 - 0.2) < 0.02
+        sticks = sticky_schedule(0.2, np.random.default_rng(9), 10_001)
+        assert abs(sticks[1:].mean() - 0.2) < 0.02
+
+    def test_one_draw_per_step_after_step_zero(self):
+        sticks = sticky_schedule(0.3, np.random.default_rng(4), 50)
+        draws = np.random.default_rng(4).uniform(size=49)
+        assert np.array_equal(sticks[1:], draws < 0.3)
 
 
 class TestWrench:
     def test_hold_then_refresh(self):
         cfg = RandomizationConfig()
-        rng = np.random.default_rng(3)
-        w = sample_wrench(0, rng, cfg)
-        held = [w]
-        for t in range(1, 10):
-            w = sample_wrench(t, rng, cfg, current=w)
-            held.append(w)
-        assert all(h is held[0] for h in held)
-        w10 = sample_wrench(10, rng, cfg, current=w)
-        assert w10 is not held[0]
+        w = wrench_schedule(cfg, np.random.default_rng(3), 25)
+        assert w.shape == (25, 3)
+        assert (w[:10] == w[0]).all() and (w[10:20] == w[10]).all()
+        assert (w[20:] == w[20]).all()
+        assert not (w[10] == w[0]).any() and not (w[20] == w[10]).any()
 
     def test_disabled_always_zero(self):
         cfg = RandomizationConfig(wrench_on=False)
         rng = np.random.default_rng(0)
-        for t in range(50):
-            w = sample_wrench(t, rng, cfg)
-            assert (w.fx, w.fy, w.torque) == (0.0, 0.0, 0.0)
+        state = rng.bit_generator.state
+        assert np.array_equal(wrench_schedule(cfg, rng, 50), np.zeros((50, 3)))
+        assert rng.bit_generator.state == state
 
     def test_draws_within_ranges(self):
         cfg = RandomizationConfig()
         flo, fhi = cfg.wrench_force_range
         tlo, thi = cfg.wrench_torque_range
-        rng = np.random.default_rng(17)
-        for t in range(1000):
-            w = sample_wrench(10 * t, rng, cfg)
-            assert flo <= w.fx <= fhi
-            assert flo <= w.fy <= fhi
-            assert tlo <= w.torque <= thi
+        w = wrench_schedule(cfg, np.random.default_rng(17), 10_000)
+        assert ((flo <= w[:, :2]) & (w[:, :2] <= fhi)).all()
+        assert ((tlo <= w[:, 2]) & (w[:, 2] <= thi)).all()
+
+    def test_draw_order_fx_fy_torque(self):
+        cfg = RandomizationConfig()
+        w = wrench_schedule(cfg, np.random.default_rng(8), 20)
+        rng = np.random.default_rng(8)
+        for t in (0, 10):
+            assert tuple(w[t]) == (rng.uniform(*cfg.wrench_force_range),
+                                   rng.uniform(*cfg.wrench_force_range),
+                                   rng.uniform(*cfg.wrench_torque_range))
 
 
 class TestHighLevelNoise:
@@ -178,15 +181,15 @@ class TestStreams:
             rng = substream(seed, 0)
             p = sample_dynamics(RandomizationConfig(), rng)
             hf = sample_height_field(RandomizationConfig(), rng)
-            w = sample_wrench(0, rng, RandomizationConfig())
-            s = apply_sticky(np.ones(2), np.zeros(2), rng, 0.5)
+            w = wrench_schedule(RandomizationConfig(), rng, 20)
+            s = sticky_schedule(0.5, rng, 20)
             n = perturb_high_level_action(np.zeros(2), rng, RandomizationConfig())
-            return p, hf.grid.copy(), (w.fx, w.fy, w.torque), s.copy(), n.copy()
+            return p, hf.grid.copy(), w, s, n.copy()
 
         a, b = draw_all(123), draw_all(123)
         assert a[0] == b[0]
         assert np.array_equal(a[1], b[1])
-        assert a[2] == b[2]
+        assert np.array_equal(a[2], b[2])
         assert np.array_equal(a[3], b[3])
         assert np.array_equal(a[4], b[4])
 

@@ -10,7 +10,6 @@ from legwork.randomization import RandomizationConfig
 from legwork.tasks import (
     COORD_BLOCK_HALF,
     COORD_BLOCK_MASS,
-    EpisodeTrace,
     EnvOverrides,
     TaskEnv,
     TaskEnvConfig,
@@ -29,10 +28,18 @@ from legwork.tasks import (
     push_reward_terms,
     sample_low_level_goal,
     success,
+    target_reached,
     task_reward,
     torso_xy_slots,
 )
-from legwork.world import AgentState, BlockState, DynamicsParams, HeightField, WorldState
+from legwork.world import (
+    AgentState,
+    BlockState,
+    DynamicsParams,
+    HeightField,
+    Worlds,
+    WorldState,
+)
 
 
 def ks_statistic(samples, cdf):
@@ -51,17 +58,35 @@ class _QueueRng:
         return self.values.pop(0)
 
 
-def _trace_from(world_seq, rewards=None):
-    trace = EpisodeTrace()
-    for w in world_seq:
-        trace.record(w)
-    trace.rewards = rewards or [0.0] * (len(world_seq) - 1)
-    return trace
-
-
 def _world(agents, blocks):
     return WorldState(list(agents), list(blocks), HeightField.flat(),
                       [DynamicsParams.nominal()] * len(agents))
+
+
+def _row(world, task):
+    """One episode as the one-row arguments of the batched task functions:
+    (Worlds, spec, targets)."""
+    return Worlds.stack([world]), task.spec, task.targets[None]
+
+
+def _reward(world, task) -> float:
+    return float(task_reward(*_row(world, task))[0])
+
+
+def _terms(terms_fn, world, task) -> dict:
+    return {k: float(v[0]) for k, v in terms_fn(*_row(world, task)).items()}
+
+
+def _observe(world, task) -> np.ndarray:
+    return observe_task(*_row(world, task))[0]
+
+
+def _succeeds(task, worlds) -> bool:
+    """success of a one-row episode that passed through the given worlds."""
+    rows = [_row(w, task) for w in worlds]
+    reached = np.any([target_reached(*r) for r in rows], axis=0)
+    return bool(success(task.spec, task.targets[None], rows[0][0], rows[-1][0],
+                        reached)[0])
 
 
 class TestGoalSampling:
@@ -94,18 +119,18 @@ def _low_goal(agent, goal):
 class TestLowLevelReward:
     def test_at_goal_upright(self):
         agent = AgentState.at_rest(x=1.0, y=1.0, yaw=0.3)
-        r = task_reward(*_low_goal(agent, Goal(1.0, 1.0)))
+        r = _reward(*_low_goal(agent, Goal(1.0, 1.0)))
         assert r == pytest.approx(10.0)
 
     def test_facing_goal_two_meters(self):
         agent = AgentState.at_rest()
-        r = task_reward(*_low_goal(agent, Goal(2.0, 0.0)))
+        r = _reward(*_low_goal(agent, Goal(2.0, 0.0)))
         assert r == pytest.approx(-2.0 + 1.0)
 
     def test_fallen_facing_away(self):
         agent = AgentState.at_rest(yaw=math.pi)
         agent.z_proxy = 0.1
-        r = task_reward(*_low_goal(agent, Goal(1.0, 0.0)))
+        r = _reward(*_low_goal(agent, Goal(1.0, 0.0)))
         assert r == pytest.approx(-1.0 - 5.0 - 1.0)
 
     def test_terms_sum_to_reward(self):
@@ -115,8 +140,8 @@ class TestLowLevelReward:
                                        yaw=rng.uniform(-3, 3))
             agent.z_proxy = rng.uniform(0, 0.3)
             world, task = _low_goal(agent, Goal(*rng.uniform(-2, 2, 2)))
-            terms = low_level_reward_terms(world, task)
-            assert task_reward(world, task) == sum(terms.values())
+            terms = _terms(low_level_reward_terms, world, task)
+            assert _reward(world, task) == sum(terms.values())
 
 
 class TestInitializations:
@@ -186,7 +211,7 @@ class TestTaskRewards:
         world = _world([AgentState.at_rest(x=2.0, y=0.5)],
                        [BlockState(-3.0, 0.0, 0.0, (0.3, 0.3), 4.0)])
         task = TaskInstance(TaskSpec("avoid"), np.array([[2.0, 0.5]]))
-        assert task_reward(world, task) == pytest.approx(10.0)
+        assert _reward(world, task) == pytest.approx(10.0)
 
     def test_push_contact_at_target(self):
         # block centered on the target, agent touching its -x face:
@@ -194,26 +219,26 @@ class TestTaskRewards:
         world = _world([AgentState.at_rest(x=0.4)],
                        [BlockState(1.0, 0.0, 0.0, (0.3, 0.3), 4.0)])
         task = TaskInstance(TaskSpec("push"), np.array([[1.0, 0.0]]))
-        assert task_reward(world, task) == pytest.approx(-0.6 + 0.0 + 10.0 + 0.0)
+        assert _reward(world, task) == pytest.approx(-0.6 + 0.0 + 10.0 + 0.0)
 
     def test_coordinate_both_ends_at_targets(self):
         block = BlockState(0.0, 0.0, 0.0, COORD_BLOCK_HALF, COORD_BLOCK_MASS)
         world = _world([AgentState.at_rest(), AgentState.at_rest(y=-1.2)], [block])
-        task = TaskInstance(TaskSpec("coordinate"), block_ends(block))
-        assert task_reward(world, task) == pytest.approx(10.0)
+        task = TaskInstance(TaskSpec("coordinate"), block_ends(block.x, block.y, block.yaw))
+        assert _reward(world, task) == pytest.approx(10.0)
 
     def test_terms_sum_to_rewards(self):
         rng = np.random.default_rng(8)
         for _ in range(30):
             world, task = init_push(rng)
-            terms = push_reward_terms(world, task)
-            assert task_reward(world, task) == sum(terms.values())
+            terms = _terms(push_reward_terms, world, task)
+            assert _reward(world, task) == sum(terms.values())
             world, task = init_avoid(rng)
-            terms = avoid_reward_terms(world, task)
-            assert task_reward(world, task) == sum(terms.values())
+            terms = _terms(avoid_reward_terms, world, task)
+            assert _reward(world, task) == sum(terms.values())
             world, task = init_coordinate(rng)
-            terms = coordinate_reward_terms(world, task)
-            assert task_reward(world, task) == sum(terms.values())
+            terms = _terms(coordinate_reward_terms, world, task)
+            assert _reward(world, task) == sum(terms.values())
 
 
 class TestSuccess:
@@ -222,31 +247,31 @@ class TestSuccess:
         w0 = _world([AgentState.at_rest()], [BlockState(1.0, 0.0, 0.0, (0.3, 0.3), 4.0)])
         w1 = _world([AgentState.at_rest(x=2.0, y=0.5)],
                     [BlockState(1.2, 0.0, 0.0, (0.3, 0.3), 4.0)])  # moved 0.2 m
-        assert not success(task, _trace_from([w0, w1]))
+        assert not _succeeds(task, [w0, w1])
         w1_clean = _world([AgentState.at_rest(x=2.0, y=0.5)],
                           [BlockState(1.0, 0.0, 0.0, (0.3, 0.3), 4.0)])
-        assert success(task, _trace_from([w0, w1_clean]))
+        assert _succeeds(task, [w0, w1_clean])
 
     def test_push_boundary(self):
         task = TaskInstance(TaskSpec("push"), np.array([[2.0, 0.0]]))
         w0 = _world([AgentState.at_rest()], [BlockState(1.0, 0.0, 0.0, (0.3, 0.3), 4.0)])
         w_049 = _world([AgentState.at_rest()],
                        [BlockState(1.51, 0.0, 0.0, (0.3, 0.3), 4.0)])
-        assert success(task, _trace_from([w0, w_049]))
+        assert _succeeds(task, [w0, w_049])
         w_051 = _world([AgentState.at_rest()],
                        [BlockState(1.49, 0.0, 0.0, (0.3, 0.3), 4.0)])
-        assert not success(task, _trace_from([w0, w_051]))
+        assert not _succeeds(task, [w0, w_051])
 
     def test_coordinate_needs_both_ends(self):
         block = BlockState(0.0, 0.0, 0.0, COORD_BLOCK_HALF, COORD_BLOCK_MASS)
-        ends = block_ends(block)
+        ends = block_ends(block.x, block.y, block.yaw)
         targets = ends + np.array([[0.29, 0.0], [0.31, 0.0]])  # 0.29 and 0.31 away
         task = TaskInstance(TaskSpec("coordinate"), targets)
         w = _world([AgentState.at_rest(), AgentState.at_rest(y=-1.2)], [block])
-        assert not success(task, _trace_from([w, w]))
+        assert not _succeeds(task, [w, w])
         targets_ok = ends + np.array([[0.29, 0.0], [0.29, 0.0]])
         task_ok = TaskInstance(TaskSpec("coordinate"), targets_ok)
-        assert success(task_ok, _trace_from([w, w]))
+        assert _succeeds(task_ok, [w, w])
 
     @settings(max_examples=50)
     @given(d_succ=st.floats(0.0, 0.499), d_less=st.floats(0.0, 1.0))
@@ -257,8 +282,8 @@ class TestSuccess:
         w0 = _world([AgentState.at_rest()], [BlockState(3.0, 0.0, 0.0, (0.3, 0.3), 4.0)])
         w_a = _world([AgentState.at_rest()], [BlockState(d_succ, 0.0, 0.0, (0.3, 0.3), 4.0)])
         w_b = _world([AgentState.at_rest()], [BlockState(d2, 0.0, 0.0, (0.3, 0.3), 4.0)])
-        assert success(task, _trace_from([w0, w_a]))
-        assert success(task, _trace_from([w0, w_b]))
+        assert _succeeds(task, [w0, w_a])
+        assert _succeeds(task, [w0, w_b])
 
 
 class TestFixedEvalInit:
@@ -274,7 +299,8 @@ class TestFixedEvalInit:
 
     def test_coordinate_targets_are_translated_ends(self):
         world, task = fixed_eval_init("coordinate")
-        ends = block_ends(world.blocks[0])
+        b = world.blocks[0]
+        ends = block_ends(b.x, b.y, b.yaw)
         assert np.allclose(task.targets, ends + np.array([1.5, 0.0]))
         assert task.targets[0][0] == pytest.approx(2.3)
         assert abs(task.targets[0][1]) == pytest.approx(0.55)
@@ -283,11 +309,11 @@ class TestFixedEvalInit:
 class TestObservations:
     def test_dimensions(self):
         w, t = init_push(np.random.default_rng(0))
-        assert observe_task(w, t).shape == (32,)
+        assert _observe(w, t).shape == (32,)
         w, t = init_avoid(np.random.default_rng(0))
-        assert observe_task(w, t).shape == (32,)
+        assert _observe(w, t).shape == (32,)
         w, t = init_coordinate(np.random.default_rng(0))
-        assert observe_task(w, t).shape == (70,)
+        assert _observe(w, t).shape == (70,)
 
     def test_relative_slots_match_independent_recomputation(self):
         rng = np.random.default_rng(6)
@@ -295,7 +321,7 @@ class TestObservations:
             world, task = init_push(rng)
             agent = world.agents[0]
             agent.x, agent.y, agent.yaw = rng.uniform(-2, 2, 3)
-            obs = observe_task(world, task)
+            obs = _observe(world, task)
             c, s = math.cos(agent.yaw), math.sin(agent.yaw)
             R = np.array([[c, s], [-s, c]])
             tgt = R @ (task.targets[0] - np.array([agent.x, agent.y]))
@@ -308,11 +334,11 @@ class TestObservations:
 
     def test_coordinate_layout(self):
         world, task = init_coordinate(np.random.default_rng(1))
-        obs = observe_task(world, task)
+        obs = _observe(world, task)
         block = world.blocks[0]
         assert obs[56] == pytest.approx(math.cos(block.yaw))
         assert obs[57] == pytest.approx(math.sin(block.yaw))
-        core0 = agent_core_obs(world.agents[0])
+        core0 = agent_core_obs(Worlds.stack([world]))[0, 0]
         assert np.array_equal(obs[:28], core0)
 
     def test_torso_slots(self):
@@ -325,13 +351,13 @@ class TestLowLevelGoalEnv:
 
     def test_deterministic_episode(self):
         def run(seed):
-            env = TaskEnv(TaskEnvConfig("low_goal", rand=RandomizationConfig()), seed)
+            env = TaskEnv(TaskEnvConfig("low_goal", rand=RandomizationConfig()), [seed])
             rng = np.random.default_rng(0)
-            total, obs = 0.0, env.reset()
+            total, obs = 0.0, env.obs
             for _ in range(env.horizon):
-                obs, r, done, info = env.step(rng.uniform(-1, 1, (1, 12)))
-                total += r
-                if done:
+                obs, r, done = env.step(rng.uniform(-1, 1, (1, 1, 12)))
+                total += r[0]
+                if done[0]:
                     break
             return total, obs
 
@@ -341,83 +367,109 @@ class TestLowLevelGoalEnv:
         assert np.array_equal(o1, o2)
 
     def test_terminates_on_fall(self):
-        env = TaskEnv(TaskEnvConfig("low_goal"), 0)
-        env.world.agents[0].qdot[:] = 0.0
-        env.world.agents[0].q[:] = -1.4
-        env.world.agents[0].qdot[1] = 20.0  # will trip the stability check
-        _, _, done, _ = env.step(np.zeros((1, 12)))
-        assert done and env.world.agents[0].fallen
+        env = TaskEnv(TaskEnvConfig("low_goal"), [0])
+        env.world.qdot[0, 0, :] = 0.0
+        env.world.q[0, 0, :] = -1.4
+        env.world.qdot[0, 0, 1] = 20.0  # will trip the stability check
+        _, _, done = env.step(np.zeros((1, 1, 12)))
+        assert done[0] and env.world.fallen[0, 0]
 
     def test_goal_within_law(self):
-        for seed in range(50):
-            env = TaskEnv(TaskEnvConfig("low_goal", rand=RandomizationConfig()), seed)
-            r = math.hypot(*env.task.targets[0])
-            assert 1.0 <= r <= 2.0
+        env = TaskEnv(TaskEnvConfig("low_goal", rand=RandomizationConfig()), range(50))
+        r = np.hypot(env.targets[:, 0, 0], env.targets[:, 0, 1])
+        assert np.all((1.0 <= r) & (r <= 2.0))
 
     def test_overrides_pin_dynamics(self):
         ov = EnvOverrides(params=DynamicsParams.nominal(),
                           terrain=HeightField.flat(), sticky_prob=0.0)
         env = TaskEnv(TaskEnvConfig("low_goal", rand=RandomizationConfig(),
-                                    overrides=ov), 3)
-        assert env.world.params[0].total_mass == 1.8
-        assert env.world.terrain.amplitude == 0.0
-        assert not env.wrench_on
+                                    overrides=ov), [3])
+        assert env.world.params["total_mass"][0, 0] == 1.8
+        assert not env.world.grid.any()
+        assert not env.wrench.any()
+        assert not env.sticky.any()
 
 
 class TestTaskEnv:
     def test_reset_is_reproducible(self):
         cfg = TaskEnvConfig(kind="push", rand=RandomizationConfig())
-        e1 = TaskEnv(cfg, seed=11)
-        e2 = TaskEnv(cfg, seed=11)
-        assert np.array_equal(observe_task(e1.world, e1.task),
-                              observe_task(e2.world, e2.task))
-        assert e1.world.params[0] == e2.world.params[0]
+        e1 = TaskEnv(cfg, seeds=[11])
+        e2 = TaskEnv(cfg, seeds=[11])
+        assert np.array_equal(e1.obs, e2.obs)
+        assert all(np.array_equal(e1.world.params[k], e2.world.params[k])
+                   for k in e1.world.params)
         rng = np.random.default_rng(0)
-        acts = rng.uniform(-1, 1, (200, 1, 12))
-        tot1 = sum(e1.step(acts[t])[1] for t in range(50))
-        tot2 = sum(e2.step(acts[t])[1] for t in range(50))
+        acts = rng.uniform(-1, 1, (200, 1, 1, 12))
+        tot1 = sum(e1.step(acts[t])[1][0] for t in range(50))
+        tot2 = sum(e2.step(acts[t])[1][0] for t in range(50))
         assert tot1 == tot2
 
     def test_never_terminates_early(self):
         cfg = TaskEnvConfig(kind="push")
-        env = TaskEnv(cfg, seed=0)
+        env = TaskEnv(cfg, seeds=[0])
         done_flags = []
         for t in range(200):
-            _, _, done, _ = env.step(np.zeros((1, 12)))
-            done_flags.append(done)
+            _, _, done = env.step(np.zeros((1, 1, 12)))
+            done_flags.append(done[0])
         assert not any(done_flags[:-1])
         assert done_flags[-1]
 
+    def test_step_after_every_episode_finished_rejected(self):
+        env = TaskEnv(TaskEnvConfig(kind="low_goal"), seeds=[0, 1])
+        for _ in range(env.horizon):
+            env.step(np.zeros((2, 1, 12)))
+        assert env.done.all()
+        with pytest.raises(ConfigurationError):
+            env.step(np.zeros((2, 1, 12)))
+
+    def test_finished_rows_are_not_stepped(self):
+        env = TaskEnv(TaskEnvConfig(kind="low_goal"), seeds=[0, 1])
+        env.world.q[0, 0, :] = -1.4
+        env.world.qdot[0, 0, 1] = 20.0  # row 0 falls on its first step
+        env.step(np.zeros((2, 1, 12)))
+        assert env.done.tolist() == [True, False]
+        frozen = env.world
+        env.step(np.ones((2, 1, 12)))
+        assert env.world.x[0, 0] == frozen.x[0, 0]
+        assert np.array_equal(env.world.q[0], frozen.q[0])
+        assert not np.array_equal(env.world.q[1], frozen.q[1])
+
+    def test_no_seeds_rejected(self):
+        with pytest.raises(ConfigurationError):
+            TaskEnv(TaskEnvConfig(kind="push"), seeds=[])
+
     def test_fixed_init_variant(self):
-        env = TaskEnv(TaskEnvConfig(kind="avoid", fixed_init="-"), seed=0)
-        assert tuple(env.task.targets[0]) == (2.0, -0.5)
-        assert env.world.blocks[0].x == 1.0
+        env = TaskEnv(TaskEnvConfig(kind="avoid", fixed_init="-"), seeds=[0])
+        assert tuple(env.targets[0, 0]) == (2.0, -0.5)
+        assert env.world.bx[0, 0] == 1.0
 
     def test_object_dims_randomized_only_when_enabled(self):
         rand_on = RandomizationConfig()
         rand_off = RandomizationConfig.all_off()
-        e_on = TaskEnv(TaskEnvConfig(kind="coordinate", rand=rand_on), seed=5)
-        e_off = TaskEnv(TaskEnvConfig(kind="coordinate", rand=rand_off), seed=5)
-        assert e_off.world.blocks[0].half_extents == COORD_BLOCK_HALF
-        hx, hy = e_on.world.blocks[0].half_extents
+        e_on = TaskEnv(TaskEnvConfig(kind="coordinate", rand=rand_on), seeds=[5])
+        e_off = TaskEnv(TaskEnvConfig(kind="coordinate", rand=rand_off), seeds=[5])
+        assert tuple(e_off.world.half_extents[0, 0]) == COORD_BLOCK_HALF
+        hx, hy = e_on.world.half_extents[0, 0]
         assert 0.12 <= hx <= 0.18 and 0.56 <= hy <= 0.84
 
     def test_obs_noise_touches_only_torso_slots(self):
         cfg_clean = TaskEnvConfig(kind="push")
         cfg_noisy = TaskEnvConfig(kind="push", torso_obs_noise=0.1)
-        clean = TaskEnv(cfg_clean, seed=9).reset()
-        noisy = TaskEnv(cfg_noisy, seed=9).reset()
+        clean = TaskEnv(cfg_clean, seeds=[9]).obs[0]
+        noisy = TaskEnv(cfg_noisy, seeds=[9]).obs[0]
         diff = np.nonzero(clean != noisy)[0]
         assert set(diff).issubset({24, 25})
         assert np.abs(clean[[24, 25]] - noisy[[24, 25]]).max() <= 0.1
 
     def test_bad_action_shape(self):
-        env = TaskEnv(TaskEnvConfig(kind="coordinate"), seed=0)
+        env = TaskEnv(TaskEnvConfig(kind="coordinate"), seeds=[0])
         with pytest.raises(ConfigurationError):
             env.step(np.zeros((1, 12)))
+        with pytest.raises(ConfigurationError):
+            env.step(np.zeros((2, 2, 12)))  # one row too many
 
     def test_success_via_trace(self):
-        env = TaskEnv(TaskEnvConfig(kind="push", fixed_init="+"), seed=0)
+        env = TaskEnv(TaskEnvConfig(kind="push", fixed_init="+"), seeds=[0])
         for _ in range(200):
-            env.step(np.zeros((1, 12)))
-        assert env.episode_success() is False  # nothing moved the block
+            env.step(np.zeros((1, 1, 12)))
+        assert not env.episode_success()[0]  # nothing moved the block

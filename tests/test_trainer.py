@@ -1,29 +1,38 @@
+import csv
+import math
+from collections import Counter
 from functools import partial
 
 import numpy as np
 import pytest
 
+import legwork.tasks
 from legwork.errors import ConfigurationError
-from legwork.policy import MlpPolicy
+from legwork.policy import GOAL_HORIZON, MlpPolicy, load_checkpoint
 from legwork.randomization import RandomizationConfig
 from legwork.tasks import TaskEnvConfig
 from legwork.trainer import (
     TrainConfig,
     Trajectory,
     TrajectoryBatch,
+    _hier_env_cfg,
+    _traj_streams,
     batch_kl,
     collect_batch,
     compute_advantages,
     conjugate_gradient,
     discounted_returns,
+    fisher_operator,
     fisher_vector_product,
     fit_baseline,
     gae_advantages,
     npg_update,
     policy_gradient,
+    run_hier_task_episode,
     run_task_episode,
     train_flat,
     train_high_level,
+    train_low_level,
 )
 
 
@@ -97,6 +106,18 @@ class TestFisherVectorProduct:
             got = fisher_vector_product(batch, policy, v, damping)
             assert np.allclose(got, fisher @ v, rtol=1e-6, atol=1e-8)
 
+    def test_hoisted_forward_pass_changes_nothing(self):
+        rng = np.random.default_rng(4)
+        policy = MlpPolicy(32, 12, seed=2)
+        policy.log_std[:] = rng.normal(0, 0.3, 12)
+        batch = _batch(rng, policy, n=50)
+        fvp = fisher_operator(batch, policy, 1e-4)
+        for _ in range(3):
+            v = rng.normal(size=policy.n_params)
+            hoisted = fvp(v)
+            per_call = fisher_vector_product(batch, policy, v, 1e-4)
+            assert hoisted.tobytes() == per_call.tobytes()
+
 
 class TestGae:
     def test_lambda_one_is_returns_minus_values(self):
@@ -128,15 +149,101 @@ class TestNpgStep:
             assert batch_kl(batch, policy, new) == pytest.approx(delta, rel=0.05)
 
 
-class TestCollectBatch:
-    def test_worker_count_never_changes_results(self):
+def _rollout(kind):
+    """A rollout callable and horizon per collected kind: low_goal and a
+    flat coordinate policy at the joint level, push under the hierarchy."""
+    if kind == "low_goal":
         policy = MlpPolicy(32, 12, seed=5)
-        one = _low_goal_batch(policy, n_traj=3, workers=1)
-        two = _low_goal_batch(policy, n_traj=3, workers=2)
-        for a, b in zip(one.trajectories, two.trajectories, strict=True):
-            for name in ("obs", "act", "rew", "logp"):
-                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-            assert a.success == b.success
+        policy.log_std[:] = 1.0  # wide actions: some episodes fall
+        cfg = TaskEnvConfig("low_goal", rand=RandomizationConfig())
+        return partial(run_task_episode, policy, cfg), 40
+    if kind == "coordinate":
+        policy = MlpPolicy(70, 24, hidden=(64, 64), seed=3)
+        cfg = TaskEnvConfig("coordinate", rand=RandomizationConfig(),
+                            torso_obs_noise=0.1)
+        return partial(run_task_episode, policy, cfg), 200
+    env_cfg, noise_cfg = _hier_env_cfg("push", True, TrainConfig())
+    return (partial(run_hier_task_episode, MlpPolicy(32, 2, seed=2),
+                    MlpPolicy(32, 12, seed=1), env_cfg, noise_cfg, 0.99),
+            200 // GOAL_HORIZON)
+
+
+def _same_trajectories(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        for name in ("obs", "act", "rew", "logp"):
+            assert getattr(x, name).tobytes() == getattr(y, name).tobytes()
+        assert x.success == y.success
+
+
+class TestCollectBatch:
+    """The determinism contract: batch width and worker count never change
+    results."""
+
+    @pytest.mark.parametrize("kind", ["low_goal", "push", "coordinate"])
+    def test_batch_width_and_worker_count_never_change_results(self, kind):
+        fn, horizon = _rollout(kind)
+        n = 8 if kind == "low_goal" else 3
+        together = collect_batch(fn, n, horizon, seed=2, seed_key=(0,))
+        alone = []
+        for i in range(n):  # trajectory i uses sub-stream seed_key + (i,)
+            env_seed, rng = _traj_streams(2, (0, i))
+            alone += fn([env_seed], [rng])
+        _same_trajectories(together.trajectories, alone)
+        two = collect_batch(fn, n, horizon, seed=2, seed_key=(0,), workers=2)
+        _same_trajectories(together.trajectories, two.trajectories)
+
+    @pytest.mark.parametrize("kind", ["low_goal", "push"])
+    def test_stepped_rows_match_samples(self, kind, monkeypatch):
+        stepped = []
+        step_worlds = legwork.tasks.step_worlds
+
+        def counting(world, actions, wrench, live):
+            stepped.append(int(np.count_nonzero(live)))
+            return step_worlds(world, actions, wrench, live)
+
+        monkeypatch.setattr(legwork.tasks, "step_worlds", counting)
+        fn, horizon = _rollout(kind)
+        batch = collect_batch(fn, 8, horizon, seed=2, seed_key=(0,))
+        per_sample = 1 if kind == "low_goal" else GOAL_HORIZON
+        assert sum(stepped) == batch.n_samples * per_sample
+        if kind == "low_goal":
+            # the count must cover rows that stop early
+            assert min(len(t) for t in batch.trajectories) < horizon
+
+    def test_hierarchical_episode_builds_each_start_once(self, monkeypatch):
+        calls = Counter()
+        substream = legwork.tasks.substream
+
+        def recording(seed, *key):
+            calls[key] += 1
+            return substream(seed, *key)
+
+        monkeypatch.setattr(legwork.tasks, "substream", recording)
+        fn, horizon = _rollout("push")
+        collect_batch(fn, 5, horizon, seed=1, seed_key=(0,))
+        assert calls == {(k,): 5 for k in (0, 10, 20, 30, 40)}
+
+
+def test_training_smoke_run(tmp_path):
+    config = TrainConfig(iterations=3, batch_size=6, seed=3)
+    runs = {
+        "low": lambda out, metrics: train_low_level(
+            config, RandomizationConfig(), out_dir=out, metrics_path=metrics),
+        "high": lambda out, metrics: train_high_level(
+            config, "push", MlpPolicy(32, 12, seed=1), out_dir=out,
+            metrics_path=metrics),
+    }
+    for name, run in runs.items():
+        out = tmp_path / name
+        policy = run(out, out / "metrics.csv")
+        with open(out / "metrics.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert [int(r["iteration"]) for r in rows] == [0, 1, 2]
+        for r in rows:
+            assert all(math.isfinite(float(v)) for v in r.values())
+        back = load_checkpoint(out / "final")
+        assert back.flat_params().tobytes() == policy.flat_params().tobytes()
 
 
 def test_low_goal_is_not_a_high_level_or_flat_task():
