@@ -118,14 +118,23 @@ class MlpPolicy:
 
     # -- forward ---------------------------------------------------------
 
-    def mean_batch(self, X: np.ndarray):
-        """Batched mean forward pass; returns (means, activation cache)."""
+    def mean_batch(self, X: np.ndarray, out=None):
+        """Batched mean forward pass; returns (means, activation cache).
+
+        out, if given, holds one (N, width) buffer per layer output (hidden
+        layers, then the means), which the pass writes into and returns.
+        """
+        if out is None:
+            out = [np.empty((len(X), d)) for d in self.layer_dims[1:]]
         h = X
         cache = [X]
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.tanh(h @ w.T + b)
+        for w, b, buf in zip(self.weights[:-1], self.biases[:-1], out):
+            h = np.matmul(h, w.T, out=buf)
+            h += b
+            np.tanh(h, out=h)
             cache.append(h)
-        means = h @ self.weights[-1].T + self.biases[-1]
+        means = np.matmul(h, self.weights[-1].T, out=out[-1])
+        means += self.biases[-1]
         return means, cache
 
     def mean_rows(self, X: np.ndarray) -> np.ndarray:
@@ -196,51 +205,79 @@ class MlpPolicy:
 
 # -- derivatives ---------------------------------------------------------
 
-def mean_vjp(policy: MlpPolicy, G: np.ndarray, cache) -> np.ndarray:
-    """Backprop upstream gradients G (N, act_dim) on the means into a flat
-    gradient over the network parameters (log_std slots left at zero)."""
-    grads_w = [None] * len(policy.weights)
-    grads_b = [None] * len(policy.biases)
+class ForwardPass:
+    """One forward pass of a policy over a batch X, and the workspace its
+    derivatives reuse.
+
+    Holds the means and activation cache, the tanh derivatives 1 - h**2 of
+    each hidden layer, one (N, width) buffer per layer output and one
+    scratch buffer per layer output after the first.
+    mean_jvp, mean_vjp and a mean_batch given them as ``out`` write into
+    those buffers, so a run of products over one batch allocates no array
+    of N rows after construction. Each call overwrites what the previous
+    one left there.
+    """
+
+    def __init__(self, policy: MlpPolicy, X: np.ndarray):
+        self.X = X
+        self.means, self.cache = policy.mean_batch(X)
+        self.dtanh = [1.0 - h ** 2 for h in self.cache[1:]]
+        self.buffers = [np.empty((len(X), d)) for d in policy.layer_dims[1:]]
+        self.scratch = [np.empty((len(X), d)) for d in policy.layer_dims[2:]]
+
+
+def _layer_slices(policy: MlpPolicy, flat: np.ndarray):
+    """Views (weight, bias) per layer into a flat parameter-shaped vector."""
+    k = 0
+    for w, b in zip(policy.weights, policy.biases):
+        yield flat[k:k + w.size].reshape(w.shape), flat[k + w.size:k + w.size + b.size]
+        k += w.size + b.size
+
+
+def mean_vjp(policy: MlpPolicy, G: np.ndarray, fp: ForwardPass) -> np.ndarray:
+    """Backprop upstream gradients G (N, act_dim) on the means of the pass
+    fp into a new flat gradient over the network parameters (log_std slots
+    left at zero). G may be fp's output buffer; the hidden buffers are
+    overwritten."""
+    out = np.zeros(policy.n_params)
+    grads = list(_layer_slices(policy, out))
     up = G
     for l in range(len(policy.weights) - 1, -1, -1):
-        h_in = cache[l]
-        grads_w[l] = up.T @ h_in
-        grads_b[l] = up.sum(axis=0)
+        gw, gb = grads[l]
+        np.matmul(up.T, fp.cache[l], out=gw)
+        np.sum(up, axis=0, out=gb)
         if l > 0:
-            up = (up @ policy.weights[l]) * (1.0 - cache[l] ** 2)
-    parts = []
-    for gw, gb in zip(grads_w, grads_b):
-        parts.append(gw.ravel())
-        parts.append(gb)
-    parts.append(np.zeros(policy.act_dim))
-    return np.concatenate(parts)
+            up = np.matmul(up, policy.weights[l], out=fp.buffers[l - 1])
+            up *= fp.dtanh[l - 1]
+    return out
 
 
-def mean_jvp(policy: MlpPolicy, v: np.ndarray, cache) -> np.ndarray:
-    """Forward-mode directional derivative of the means along the network
-    slice of the flat tangent v; returns (N, act_dim)."""
-    k = 0
-    dvs_w, dvs_b = [], []
-    for w, b in zip(policy.weights, policy.biases):
-        dvs_w.append(v[k:k + w.size].reshape(w.shape))
-        k += w.size
-        dvs_b.append(v[k:k + b.size])
-        k += b.size
-    dh = cache[0] @ dvs_w[0].T + dvs_b[0]
+def mean_jvp(policy: MlpPolicy, v: np.ndarray, fp: ForwardPass) -> np.ndarray:
+    """Forward-mode directional derivative of the means of the pass fp along
+    the network slice of the flat tangent v; returns (N, act_dim), which is
+    fp's output buffer until the next product over fp."""
+    dvs = list(_layer_slices(policy, v))
+    dh = np.matmul(fp.cache[0], dvs[0][0].T, out=fp.buffers[0])
+    dh += dvs[0][1]
     for l in range(1, len(policy.weights)):
-        dh = dh * (1.0 - cache[l] ** 2)
-        dh = cache[l] @ dvs_w[l].T + dvs_b[l] + dh @ policy.weights[l].T
+        dh *= fp.dtanh[l - 1]
+        nxt = np.matmul(fp.cache[l], dvs[l][0].T, out=fp.buffers[l])
+        nxt += dvs[l][1]
+        nxt += np.matmul(dh, policy.weights[l].T, out=fp.scratch[l - 1])
+        dh = nxt
     return dh
 
 
 def grad_log_prob_sum(policy: MlpPolicy, X: np.ndarray, A: np.ndarray,
-                      weights: np.ndarray) -> np.ndarray:
-    """Flat gradient of sum_i weights_i * log pi(A_i | X_i)."""
-    means, cache = policy.mean_batch(X)
+                      weights: np.ndarray, fp: ForwardPass | None = None) -> np.ndarray:
+    """Flat gradient of sum_i weights_i * log pi(A_i | X_i). fp is the
+    policy's forward pass over X; it is computed when omitted."""
+    if fp is None:
+        fp = ForwardPass(policy, X)
     inv_var = np.exp(-2.0 * policy.log_std)
-    z = (A - means) * inv_var
-    g = mean_vjp(policy, weights[:, None] * z, cache)
-    d_ls = weights @ (z * (A - means) - 1.0)
+    z = (A - fp.means) * inv_var
+    g = mean_vjp(policy, weights[:, None] * z, fp)
+    d_ls = weights @ (z * (A - fp.means) - 1.0)
     g[-policy.act_dim:] = d_ls
     return g
 

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericsError
 from .policy import (
     GOAL_HORIZON,
+    ForwardPass,
     MlpPolicy,
     gaussian_kl,
     grad_log_prob_sum,
@@ -71,6 +72,10 @@ class TrainConfig:
             raise ConfigurationError("kl_step must be positive")
         if self.iterations < 1 or self.batch_size < 1:
             raise ConfigurationError("iterations and batch_size must be >= 1")
+        if self.cg_iters < 1 or self.workers < 1:
+            raise ConfigurationError("cg_iters and workers must be >= 1")
+        if not self.cg_damping >= 0.0 or self.checkpoint_every < 0:
+            raise ConfigurationError("cg_damping and checkpoint_every must be >= 0")
 
 
 @dataclass
@@ -147,15 +152,16 @@ def run_task_episode(policy: MlpPolicy, task_cfg: TaskEnvConfig,
     rew = np.zeros((n_rows, horizon))
     logp = np.zeros((n_rows, horizon))
     steps = np.zeros(n_rows, dtype=int)
+    # A row's rng serves only its action noise: one draw for the whole
+    # horizon gives the same values as one draw per step.
+    draws = np.stack([rng.standard_normal((horizon, policy.act_dim)) for rng in rngs])
     for t in range(horizon):
-        live = np.flatnonzero(~env.done)
-        if not live.size:
+        live = ~env.done
+        if not live.any():
             break
-        noise = np.zeros((n_rows, policy.act_dim))
-        for e in live.tolist():
-            noise[e] = rngs[e].standard_normal(policy.act_dim)
         obs[:, t] = env.obs
-        act[:, t], logp[:, t] = policy.sample_rows(env.obs, noise)
+        act[:, t], logp[:, t] = policy.sample_rows(
+            env.obs, np.where(live[:, None], draws[:, t], 0.0))
         _, rew[:, t], _ = env.step(act[:, t].reshape(n_rows, env.n_agents, 12))  # env clamps
         steps[live] += 1
     ok = env.episode_success()
@@ -298,31 +304,41 @@ def compute_advantages(batch: TrajectoryBatch, baseline: LinearBaseline | None,
 
 # -- NPG machinery -------------------------------------------------------------
 
-def policy_gradient(batch: TrajectoryBatch, policy: MlpPolicy) -> np.ndarray:
-    """Likelihood-ratio gradient: mean over samples of grad log pi * adv."""
+def policy_gradient(batch: TrajectoryBatch, policy: MlpPolicy,
+                    fp: ForwardPass | None = None) -> np.ndarray:
+    """Likelihood-ratio gradient: mean over samples of grad log pi * adv.
+    fp is the policy's forward pass over batch.flat_obs(); it is computed
+    when omitted."""
     if batch.advantages is None:
         raise ConfigurationError("advantages not computed")
+    if fp is None:
+        fp = ForwardPass(policy, batch.flat_obs())
     n = batch.n_samples
-    g = grad_log_prob_sum(policy, batch.flat_obs(), batch.flat_act(),
-                          batch.flat_adv() / n)
+    g = grad_log_prob_sum(policy, fp.X, batch.flat_act(),
+                          batch.flat_adv() / n, fp)
     if not np.all(np.isfinite(g)):
         raise NumericsError("non-finite policy gradient")
     return g
 
 
 def fisher_vector_product(batch: TrajectoryBatch, policy: MlpPolicy,
-                          v: np.ndarray, damping: float, cache=None) -> np.ndarray:
+                          v: np.ndarray, damping: float,
+                          fp: ForwardPass | None = None) -> np.ndarray:
     """F v + damping v, with F the Hessian of the mean KL between the
     collection-time policy and the current one over batch states (for a
     Gaussian policy this is the Gauss-Newton form J' diag(1/var) J plus a
-    constant 2I block for log_std). cache is policy.mean_batch's activation
-    cache over batch.flat_obs(); pass it to reuse one forward pass across
-    the products of a CG solve (it is computed when omitted)."""
-    if cache is None:
-        _, cache = policy.mean_batch(batch.flat_obs())
-    dmu = mean_jvp(policy, v, cache)
-    inv_var = np.exp(-2.0 * policy.log_std)
-    out = mean_vjp(policy, dmu * inv_var, cache) / len(cache[0])
+    constant 2I block for log_std).
+
+    fp is the policy's ForwardPass over batch.flat_obs(): the products of a
+    CG solve share it, and its buffers hold every (N, width) intermediate,
+    so a product allocates only the returned vector, which is new on every
+    call. It is built when omitted."""
+    if fp is None:
+        fp = ForwardPass(policy, batch.flat_obs())
+    dmu = mean_jvp(policy, v, fp)
+    dmu *= np.exp(-2.0 * policy.log_std)
+    out = mean_vjp(policy, dmu, fp)
+    out /= len(fp.X)
     out[-policy.act_dim:] = 2.0 * v[-policy.act_dim:]
     out += damping * v
     if not np.all(np.isfinite(out)):
@@ -330,12 +346,15 @@ def fisher_vector_product(batch: TrajectoryBatch, policy: MlpPolicy,
     return out
 
 
-def fisher_operator(batch: TrajectoryBatch, policy: MlpPolicy, damping: float):
-    """v -> fisher_vector_product(batch, policy, v, damping), with one
-    forward pass over the batch shared by every product; the pass is freed
-    with the operator."""
-    _, cache = policy.mean_batch(batch.flat_obs())
-    return lambda v: fisher_vector_product(batch, policy, v, damping, cache)
+def fisher_operator(batch: TrajectoryBatch, policy: MlpPolicy, damping: float,
+                    fp: ForwardPass | None = None):
+    """v -> fisher_vector_product(batch, policy, v, damping), every product
+    sharing one ForwardPass over the batch: its tanh derivatives and
+    buffers are built once per solve (or taken from fp, the iteration's
+    pass) and freed with the operator."""
+    if fp is None:
+        fp = ForwardPass(policy, batch.flat_obs())
+    return lambda v: fisher_vector_product(batch, policy, v, damping, fp)
 
 
 def conjugate_gradient(fvp, g: np.ndarray, iters: int = 10,
@@ -352,7 +371,10 @@ def conjugate_gradient(fvp, g: np.ndarray, iters: int = 10,
         if math.sqrt(rdotr) < tol:
             break
         z = fvp(p)
-        alpha = rdotr / float(p @ z)
+        curvature = float(p @ z)
+        if not (math.isfinite(curvature) and curvature > 0.0):
+            raise NumericsError(f"conjugate gradient met curvature p.Fp = {curvature}")
+        alpha = rdotr / curvature
         x = x + alpha * p
         r = r - alpha * z
         new = float(r @ r)
@@ -387,12 +409,14 @@ def npg_update(policy: MlpPolicy, g: np.ndarray, d: np.ndarray,
 
 
 def batch_kl(batch: TrajectoryBatch, old_policy: MlpPolicy,
-             new_policy: MlpPolicy) -> float:
-    """Mean KL(old || new) over all batch states."""
-    X = batch.flat_obs()
-    mu_old, _ = old_policy.mean_batch(X)
-    mu_new, _ = new_policy.mean_batch(X)
-    return gaussian_kl(mu_old, old_policy.log_std, mu_new, new_policy.log_std)
+             new_policy: MlpPolicy, fp: ForwardPass | None = None) -> float:
+    """Mean KL(old || new) over all batch states. fp is the old policy's
+    forward pass over batch.flat_obs() (computed when omitted); the new
+    policy's pass is written into its buffers."""
+    if fp is None:
+        fp = ForwardPass(old_policy, batch.flat_obs())
+    mu_new, _ = new_policy.mean_batch(fp.X, out=fp.buffers)
+    return gaussian_kl(fp.means, old_policy.log_std, mu_new, new_policy.log_std)
 
 
 # -- training loops --------------------------------------------------------------
@@ -433,12 +457,13 @@ def train_policy(policy: MlpPolicy, make_rollout_fn, horizon: int,
                               workers=config.workers)
         baseline = fit_baseline(batch, gamma)
         compute_advantages(batch, baseline, gamma, config.lam)
-        g = policy_gradient(batch, policy)
-
-        d, _ = conjugate_gradient(fisher_operator(batch, policy, config.cg_damping),
+        fp = ForwardPass(policy, batch.flat_obs())  # shared by every step below
+        g = policy_gradient(batch, policy, fp)
+        d, _ = conjugate_gradient(fisher_operator(batch, policy, config.cg_damping, fp),
                                   g, config.cg_iters)
         new_policy, upd = npg_update(policy, g, d, config.kl_step)
-        kl = 0.0 if upd["skipped"] else batch_kl(batch, policy, new_policy)
+        kl = 0.0 if upd["skipped"] else batch_kl(batch, policy, new_policy, fp)
+        del fp  # its buffers are not needed while the next batch is collected
         policy = new_policy
         writer.write(iteration=it, mean_return=f"{batch.mean_return():.6f}",
                      std_return=f"{batch.std_return():.6f}",

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from legwork.errors import ConfigurationError
 from legwork.policy import (
     LOW_LEVEL_OBS_DIM,
+    ForwardPass,
     Goal,
     MlpPolicy,
     f_goal_space,
@@ -211,8 +212,7 @@ class TestMlpPolicy:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(5, 4))
         v = rng.normal(size=pol.n_params)
-        _, cache = pol.mean_batch(X)
-        dmu = mean_jvp(pol, v, cache)
+        dmu = mean_jvp(pol, v, ForwardPass(pol, X)).copy()
         theta = pol.flat_params()
         eps = 1e-6
         pol.set_flat_params(theta + eps * v)

@@ -7,8 +7,14 @@ import numpy as np
 import pytest
 
 import legwork.tasks
-from legwork.errors import ConfigurationError
-from legwork.policy import GOAL_HORIZON, MlpPolicy, load_checkpoint
+from legwork.errors import ConfigurationError, NumericsError
+from legwork.policy import (
+    GOAL_HORIZON,
+    ForwardPass,
+    MlpPolicy,
+    gaussian_kl,
+    load_checkpoint,
+)
 from legwork.randomization import RandomizationConfig
 from legwork.tasks import TaskEnvConfig
 from legwork.trainer import (
@@ -50,6 +56,42 @@ def _batch(rng, policy, n=30):
                            horizon=n)
 
 
+def _reference_pass(policy, X):
+    """Means and activation cache, one fresh array per operation."""
+    cache = [X]
+    for w, b in zip(policy.weights[:-1], policy.biases[:-1]):
+        cache.append(np.tanh(cache[-1] @ w.T + b))
+    return cache[-1] @ policy.weights[-1].T + policy.biases[-1], cache
+
+
+def _reference_vjp(policy, G, cache):
+    parts = []
+    up = G
+    for l in range(len(policy.weights) - 1, -1, -1):
+        parts = [(up.T @ cache[l]).ravel(), up.sum(axis=0)] + parts
+        if l > 0:
+            up = (up @ policy.weights[l]) * (1.0 - cache[l] ** 2)
+    return np.concatenate(parts + [np.zeros(policy.act_dim)])
+
+
+def _reference_fvp(policy, X, v, damping):
+    """The Fisher-vector product in the same order of operations as
+    fisher_vector_product, each step allocating its result: the workspace
+    must reproduce it bit for bit."""
+    _, cache = _reference_pass(policy, X)
+    k, dvs = 0, []
+    for w, b in zip(policy.weights, policy.biases):
+        dvs.append((v[k:k + w.size].reshape(w.shape), v[k + w.size:k + w.size + b.size]))
+        k += w.size + b.size
+    dh = cache[0] @ dvs[0][0].T + dvs[0][1]
+    for l in range(1, len(policy.weights)):
+        dh = dh * (1.0 - cache[l] ** 2)
+        dh = cache[l] @ dvs[l][0].T + dvs[l][1] + dh @ policy.weights[l].T
+    out = _reference_vjp(policy, dh * np.exp(-2.0 * policy.log_std), cache) / len(X)
+    out[-policy.act_dim:] = 2.0 * v[-policy.act_dim:]
+    return out + damping * v
+
+
 def _low_goal_batch(policy, n_traj=4, workers=1):
     cfg = TaskEnvConfig("low_goal", rand=RandomizationConfig())
     return collect_batch(partial(run_task_episode, policy, cfg), n_traj,
@@ -74,6 +116,13 @@ class TestConjugateGradient:
         d, res = conjugate_gradient(lambda v: a @ v, g, iters=3)
         assert res <= np.linalg.norm(g)
         assert res == pytest.approx(np.linalg.norm(g - a @ d), rel=1e-6)
+
+    @pytest.mark.parametrize("sign", [0.0, -1.0])
+    def test_curvature_that_is_not_positive_is_rejected(self, sign):
+        # F = 0 used to divide by zero, F = -I to return -g as if solved
+        g = np.random.default_rng(1).normal(size=6)
+        with pytest.raises(NumericsError):
+            conjugate_gradient(lambda v: sign * v, g, iters=6)
 
 
 class TestFisherVectorProduct:
@@ -107,16 +156,46 @@ class TestFisherVectorProduct:
             assert np.allclose(got, fisher @ v, rtol=1e-6, atol=1e-8)
 
     def test_hoisted_forward_pass_changes_nothing(self):
+        # successive products through one workspace equal products with no
+        # shared state and the allocating reference, bit for bit; results
+        # are compared only after the last product, so a returned array
+        # that aliased a reused buffer would show
         rng = np.random.default_rng(4)
-        policy = MlpPolicy(32, 12, seed=2)
-        policy.log_std[:] = rng.normal(0, 0.3, 12)
-        batch = _batch(rng, policy, n=50)
-        fvp = fisher_operator(batch, policy, 1e-4)
-        for _ in range(3):
-            v = rng.normal(size=policy.n_params)
-            hoisted = fvp(v)
-            per_call = fisher_vector_product(batch, policy, v, 1e-4)
-            assert hoisted.tobytes() == per_call.tobytes()
+        for hidden in ((32, 32), (24, 16, 8)):
+            policy = MlpPolicy(32, 12, hidden=hidden, seed=2)
+            policy.log_std[:] = rng.normal(0, 0.3, 12)
+            batch = _batch(rng, policy, n=50)
+            fvp = fisher_operator(batch, policy, 1e-4)
+            vs = [rng.normal(size=policy.n_params) for _ in range(4)]
+            hoisted = [fvp(v) for v in vs]
+            for v, got in zip(vs, hoisted):
+                per_call = fisher_vector_product(batch, policy, v, 1e-4)
+                assert got.tobytes() == per_call.tobytes()
+                ref = _reference_fvp(policy, batch.flat_obs(), v, 1e-4)
+                assert got.tobytes() == ref.tobytes()
+
+    def test_shared_forward_pass_changes_no_gradient_or_kl_bit(self):
+        # train_policy runs the gradient, a CG solve and the KL on one pass
+        policy = MlpPolicy(32, 12, seed=3)
+        batch = _low_goal_batch(policy)
+        compute_advantages(batch, fit_baseline(batch, 0.99), 0.99, 0.97)
+        fp = ForwardPass(policy, batch.flat_obs())
+        g = policy_gradient(batch, policy, fp)
+        d, _ = conjugate_gradient(fisher_operator(batch, policy, 1e-4, fp), g, 10)
+        new, _ = npg_update(policy, g, d, 0.05)
+        kl = batch_kl(batch, policy, new, fp)
+
+        assert g.tobytes() == policy_gradient(batch, policy).tobytes()
+        assert kl == batch_kl(batch, policy, new)
+        X, A = batch.flat_obs(), batch.flat_act()
+        means, cache = _reference_pass(policy, X)
+        z = (A - means) * np.exp(-2.0 * policy.log_std)
+        w = batch.flat_adv() / batch.n_samples
+        ref = _reference_vjp(policy, w[:, None] * z, cache)
+        ref[-policy.act_dim:] = w @ (z * (A - means) - 1.0)
+        assert g.tobytes() == ref.tobytes()
+        mu_new, _ = _reference_pass(new, X)
+        assert kl == gaussian_kl(means, policy.log_std, mu_new, new.log_std)
 
 
 class TestGae:
@@ -211,6 +290,18 @@ class TestCollectBatch:
             # the count must cover rows that stop early
             assert min(len(t) for t in batch.trajectories) < horizon
 
+    def test_action_noise_is_one_draw_per_step_from_the_row_stream(self):
+        fn, horizon = _rollout("low_goal")
+        policy = fn.args[0]
+        batch = collect_batch(fn, 8, horizon, seed=2, seed_key=(0,))
+        assert min(len(t) for t in batch.trajectories) < horizon  # falls covered
+        for i, tr in enumerate(batch.trajectories):
+            _, rng = _traj_streams(2, (0, i))
+            for t in range(len(tr)):
+                act, _ = policy.sample_rows(tr.obs[t:t + 1],
+                                            rng.standard_normal((1, policy.act_dim)))
+                assert act.tobytes() == tr.act[t:t + 1].tobytes()
+
     def test_hierarchical_episode_builds_each_start_once(self, monkeypatch):
         calls = Counter()
         substream = legwork.tasks.substream
@@ -244,6 +335,29 @@ def test_training_smoke_run(tmp_path):
             assert all(math.isfinite(float(v)) for v in r.values())
         back = load_checkpoint(out / "final")
         assert back.flat_params().tobytes() == policy.flat_params().tobytes()
+
+
+def test_one_iteration_makes_two_forward_passes(monkeypatch):
+    # one over the batch for the gradient, the CG solve and the old means
+    # of the KL; one for the KL's new means
+    calls = []
+    mean_batch = MlpPolicy.mean_batch
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return mean_batch(self, *args, **kwargs)
+
+    monkeypatch.setattr(MlpPolicy, "mean_batch", counting)
+    train_low_level(TrainConfig(iterations=1, batch_size=3), RandomizationConfig())
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("cg_iters", 0), ("cg_damping", -1e-4), ("cg_damping", math.nan),
+    ("workers", 0), ("checkpoint_every", -1)])
+def test_bad_solver_and_run_settings_rejected(field, value):
+    with pytest.raises(ConfigurationError):
+        TrainConfig(**{field: value})
 
 
 def test_low_goal_is_not_a_high_level_or_flat_task():
