@@ -22,32 +22,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericsError
 from .randomization import RandomizationConfig, perturb_high_level_action
-from .world import N_JOINTS, AgentState, Worlds
+from .world import N_JOINTS, Worlds
 
 LOW_LEVEL_OBS_DIM = 32  # q(12) + qdot(12) + zeroed torso pose(6) + body goal(2)
 GOAL_HORIZON = 10  # low-level steps per high-level decision
 CHECKPOINT_FORMAT_VERSION = 1
 LOG_2PI = math.log(2.0 * math.pi)
-
-
-@dataclass
-class Goal:
-    """A world-frame target point for the low level."""
-
-    gx: float
-    gy: float
-
-
-def f_goal_space(agent: AgentState) -> tuple:
-    """Project an agent state to the goal space: its planar coordinates."""
-    return (agent.x, agent.y)
 
 
 def h_map(a_hi_pairs) -> tuple:
@@ -161,12 +147,6 @@ class MlpPolicy:
         zz = np.matmul(z[:, None, :], z[:, :, None])[:, 0, 0]  # a dot per row
         logp = -0.5 * zz - self.log_std.sum() - 0.5 * self.act_dim * LOG_2PI
         return act, logp
-
-    def log_prob_batch(self, X: np.ndarray, A: np.ndarray) -> np.ndarray:
-        means, _ = self.mean_batch(X)
-        z = (A - means) * np.exp(-self.log_std)
-        return (-0.5 * np.sum(z * z, axis=1) - self.log_std.sum()
-                - 0.5 * self.act_dim * LOG_2PI)
 
     # -- parameter vector ------------------------------------------------
 
@@ -329,6 +309,7 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy, rngs,
         return out
 
     every_row = np.ones(n_rows, dtype=bool)
+    std_lo = np.exp(pi_lo.log_std)
     hi_obs, hi_act, hi_rew, hi_logp = [], [], [], []
     rewards = []
     obs = env.obs
@@ -348,8 +329,9 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy, rngs,
         world = env.world
         standing = ~world.fallen
         lo_obs = mask_low_level_obs(world, goals).reshape(n_rows * n, -1)
-        a_lo, _ = pi_lo.sample_rows(lo_obs, noise((n_rows, n, n_lo), standing)
-                                    .reshape(n_rows * n, n_lo))
+        # sample_rows' action without its log density, which nothing reads
+        a_lo = pi_lo.mean_rows(lo_obs) + std_lo * noise(
+            (n_rows, n, n_lo), standing).reshape(n_rows * n, n_lo)
         actions = np.where(standing[..., None],
                            np.clip(a_lo, -1.0, 1.0).reshape(n_rows, n, N_JOINTS), 0.0)
         obs, r, _ = env.step(actions)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .policy import LOW_LEVEL_OBS_DIM, Goal, mask_low_level_obs
+from .policy import LOW_LEVEL_OBS_DIM, mask_low_level_obs
 from .randomization import (
     RandomizationConfig,
     sample_dynamics,
@@ -150,13 +150,22 @@ def observe_task(world: Worlds, spec: TaskSpec, targets: np.ndarray) -> np.ndarr
     kind = spec.kind
     if kind == "low_goal":
         return mask_low_level_obs(world, targets)[:, 0]
+    if kind in ("avoid", "push"):
+        # _rel_body's formulas, written into one array with one cos/sin
+        x, y = world.x[:, 0], world.y[:, 0]
+        c, s = np.cos(world.yaw[:, 0]), np.sin(world.yaw[:, 0])
+        obs = np.empty((len(x), TASK_OBS_DIM[kind]))
+        obs[:, 0:12] = world.q[:, 0]
+        obs[:, 12:24] = world.qdot[:, 0]
+        obs[:, 24], obs[:, 25], obs[:, 26], obs[:, 27] = x, y, c, s
+        for col, (px, py) in ((28, (targets[:, 0, 0], targets[:, 0, 1])),
+                              (30, (world.bx[:, 0], world.by[:, 0]))):
+            dx, dy = px - x, py - y
+            obs[:, col] = c * dx + s * dy
+            obs[:, col + 1] = -s * dx + c * dy
+        return obs
     core = agent_core_obs(world)
     n_rows = len(core)
-    if kind in ("avoid", "push"):
-        x, y, yaw = world.x[:, 0], world.y[:, 0], world.yaw[:, 0]
-        tgt = _rel_body(x, y, yaw, targets[:, 0, 0], targets[:, 0, 1])
-        blk = _rel_body(x, y, yaw, world.bx[:, 0], world.by[:, 0])
-        return np.concatenate([core[:, 0], np.stack([*tgt, *blk], axis=-1)], axis=-1)
     if kind == "coordinate":
         byaw = world.byaw[:, 0]
         ends = block_ends(world.bx[:, 0], world.by[:, 0], byaw)  # (E, 2, 2)
@@ -264,12 +273,12 @@ def _nominal_world(agents, blocks):
                       [DynamicsParams.nominal()] * len(agents))
 
 
-def sample_low_level_goal(rng: np.random.Generator) -> Goal:
-    """Goal = (u cos v, u sin v), u ~ U(1, 2), v ~ U(-0.5, 0.5), in the
-    agent's spawn frame. Draw order: u then v."""
+def sample_low_level_goal(rng: np.random.Generator) -> np.ndarray:
+    """Goal point (u cos v, u sin v), u ~ U(1, 2), v ~ U(-0.5, 0.5), in the
+    agent's spawn frame, shape (2,). Draw order: u then v."""
     u = rng.uniform(1.0, 2.0)
     v = rng.uniform(-0.5, 0.5)
-    return Goal(u * math.cos(v), u * math.sin(v))
+    return np.array([u * math.cos(v), u * math.sin(v)])
 
 
 def init_low_goal(rng: np.random.Generator):
@@ -277,7 +286,7 @@ def init_low_goal(rng: np.random.Generator):
     the goal from sample_low_level_goal is the single target."""
     goal = sample_low_level_goal(rng)
     world = _nominal_world([AgentState.at_rest()], [])
-    return world, TaskInstance(TaskSpec("low_goal"), np.array([[goal.gx, goal.gy]]))
+    return world, TaskInstance(TaskSpec("low_goal"), goal[None])
 
 
 def init_avoid(rng: np.random.Generator):
@@ -399,6 +408,10 @@ class EnvOverrides:
     terrain: HeightField
     sticky_prob: float = 0.0
 
+    def __post_init__(self):
+        if not 0.0 <= self.sticky_prob <= 1.0:
+            raise ConfigurationError("sticky_prob must be in [0, 1]")
+
 
 @dataclass
 class TaskEnvConfig:
@@ -411,6 +424,13 @@ class TaskEnvConfig:
     torso_obs_noise: float = 0.0  # uniform +-noise on torso xy observation slots
     fixed_init: str | None = None  # None = random init, else "+" or "-"
     overrides: EnvOverrides | None = None
+
+    def __post_init__(self):
+        if not 0.0 <= self.torso_obs_noise < math.inf:
+            raise ConfigurationError("torso_obs_noise must be finite and >= 0")
+        if self.fixed_init not in (None, "+", "-"):
+            raise ConfigurationError(
+                f"fixed_init must be None, '+' or '-', got {self.fixed_init!r}")
 
 
 class TaskEnv:
@@ -503,7 +523,7 @@ class TaskEnv:
         finished carry no meaning."""
         if self.done.all():
             raise ConfigurationError("every episode already finished")
-        acts = np.asarray(actions, dtype=float).clip(-1.0, 1.0)
+        acts = np.minimum(np.maximum(np.asarray(actions, dtype=float), -1.0), 1.0)
         shape = (len(self.seeds), self.n_agents, N_JOINTS)
         if acts.shape != shape:
             raise ConfigurationError(f"actions must be {shape}, got {acts.shape}")

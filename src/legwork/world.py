@@ -47,13 +47,10 @@ V_REF = 2.0  # m/s
 
 AGENT_RADIUS = 0.3  # m, disc footprint used for pushing
 
-# Joint layout: leg L owns indices 3L..3L+2. Legs are ordered
-# [front-left, front-right, back-left, back-right].
-ABD_IDX = np.array([0, 3, 6, 9])
-FLEX_IDX = np.array([1, 4, 7, 10])
-KNEE_IDX = np.array([2, 5, 8, 11])
-LEFT_LEGS = np.array([0, 2])
-RIGHT_LEGS = np.array([1, 3])
+# Joint layout: leg L owns indices 3L..3L+2, so the abduction, flexion and
+# knee joints are the strided slices 0::3, 1::3 and 2::3. Legs are ordered
+# [front-left, front-right, back-left, back-right]: left legs 0::2, right
+# legs 1::2.
 
 _PUSH_TOL = 1e-9
 _PUSH_MAX_ITERS = 64
@@ -176,7 +173,8 @@ class Worlds:
     Agents: x, y, yaw, z_proxy, fallen (E, A); q, qdot (E, A, 12).
     Blocks: bx, by, byaw, block_mass (E, B); half_extents (E, B, 2).
     params maps each DynamicsParams field name to an (E, A) array; grid
-    holds each row's terrain heights (E, n, n) over a patch of one width.
+    holds each row's terrain heights (E, n, n) over a patch of one width,
+    and flat (E,) marks the rows whose grid is all zeros.
     """
 
     x: np.ndarray
@@ -194,6 +192,7 @@ class Worlds:
     params: dict
     grid: np.ndarray
     width: float
+    flat: np.ndarray
 
     @classmethod
     def stack(cls, worlds) -> "Worlds":
@@ -230,6 +229,7 @@ class Worlds:
                     for f in fields(DynamicsParams)},
             grid=np.stack([w.terrain.grid for w in worlds]),
             width=worlds[0].terrain.width,
+            flat=np.array([not w.terrain.grid.any() for w in worlds]),
         )
 
 
@@ -282,17 +282,24 @@ def step_agents(world: Worlds, actions, wrench, active) -> Worlds:
          wrench torque adds domega = tau*dt/I with I the disc inertia;
       5. pose integration and the stability score that drives z_proxy and
          the absorbing fall flag.
+    When every row's terrain is flat (Worlds.flat), the slope is 0.0
+    everywhere and the terrain lookup is skipped: the friction scale is
+    then surface_friction * 1.0 and the stability loses 0.0, the same bits
+    the lookup gives.
     """
     a = np.asarray(actions, dtype=float)
     if a.shape != world.q.shape:
         raise ConfigurationError(
             f"actions must have shape {world.q.shape}, got {a.shape}")
-    finite = (np.isfinite(a).all(axis=-1) & np.isfinite(world.q).all(axis=-1)
-              & np.isfinite(world.qdot).all(axis=-1) & np.isfinite(world.x)
-              & np.isfinite(world.y) & np.isfinite(world.yaw))
+    pose = (world.x[..., None], world.y[..., None], world.yaw[..., None])
+    finite = np.isfinite(np.concatenate((a, world.q, world.qdot) + pose,
+                                        axis=-1)).all(axis=-1)
     if not finite[active].all():
         raise NumericsError("non-finite action or agent state")
-    a = np.minimum(np.maximum(np.where(active[..., None], a, 0.0), -1.0), 1.0)
+    every = active.all()
+    if not every:
+        a = np.where(active[..., None], a, 0.0)
+    a = np.minimum(np.maximum(a, -1.0), 1.0)
     p = world.params
 
     # 1. joint servo
@@ -308,18 +315,22 @@ def step_agents(world: Worlds, actions, wrench, active) -> Worlds:
     # 2./3. rectified gait model
     # (np.clip and .mean() give the same bits; the ufuncs skip their
     # per-call Python overhead, which dominates on rows this small)
-    stance = (q[..., KNEE_IDX] > 0.0).astype(float)
-    thrust = np.minimum(np.maximum(-qdot[..., FLEX_IDX], 0.0), 1.0) * stance
-    lat = np.minimum(np.maximum(qdot[..., ABD_IDX], -1.0), 1.0) * stance
+    stance = (q[..., 2::3] > 0.0).astype(float)
+    thrust = np.minimum(np.maximum(-qdot[..., 1::3], 0.0), 1.0) * stance
+    lat = np.minimum(np.maximum(qdot[..., 0::3], -1.0), 1.0) * stance
     v_fwd = K_FWD * (thrust.sum(axis=-1) / N_LEGS)
-    omega = K_TURN * (thrust[..., LEFT_LEGS].sum(axis=-1) / 2
-                      - thrust[..., RIGHT_LEGS].sum(axis=-1) / 2)
+    omega = K_TURN * (thrust[..., 0::2].sum(axis=-1) / 2
+                      - thrust[..., 1::2].sum(axis=-1) / 2)
     v_lat = K_LAT * (lat.sum(axis=-1) / N_LEGS)
 
     # 4. terrain/friction scaling and external forces
-    _, sx, sy = terrain_at(world.grid, world.width, world.x, world.y)
-    slope_mag = hypot(sx, sy)
-    scale = p["surface_friction"] * np.maximum(0.0, 1.0 - 2.0 * slope_mag)
+    if world.flat.all():
+        scale, slope_term = p["surface_friction"], 0.0
+    else:
+        _, sx, sy = terrain_at(world.grid, world.width, world.x, world.y)
+        slope_mag = hypot(sx, sy)
+        scale = p["surface_friction"] * np.maximum(0.0, 1.0 - 2.0 * slope_mag)
+        slope_term = 4.0 * slope_mag
     v_fwd = v_fwd * scale
     v_lat = v_lat * scale
     omega = omega * scale
@@ -340,11 +351,15 @@ def step_agents(world: Worlds, actions, wrench, active) -> Worlds:
     y = world.y + vy * DT
     stability = (1.0
                  - 0.5 * np.max(np.abs(qdot), axis=-1) / QDOT_REF
-                 - 4.0 * slope_mag
+                 - slope_term
                  - hypot(fx, fy) / F_REF
                  - hypot(v_fwd, v_lat) / V_REF)
     z_proxy = Z0 * np.minimum(np.maximum(stability, 0.0), 1.0)
+    fallen = stability < 0.0
 
+    if every:
+        return replace(world, x=x, y=y, yaw=yaw, z_proxy=z_proxy, q=q,
+                       qdot=qdot, fallen=fallen)
     moved = active[..., None]
     return replace(
         world,
@@ -354,7 +369,7 @@ def step_agents(world: Worlds, actions, wrench, active) -> Worlds:
         z_proxy=np.where(active, z_proxy, world.z_proxy),
         q=np.where(moved, q, world.q),
         qdot=np.where(moved, qdot, world.qdot),
-        fallen=np.where(active, stability < 0.0, world.fallen),
+        fallen=np.where(active, fallen, world.fallen),
     )
 
 
@@ -377,6 +392,7 @@ def push_block(ax, ay, bx, by, byaw, half_extents, mass, dt: float, active):
         raise ConfigurationError("block half extents must be positive")
 
     active = np.array(active, dtype=bool)
+    neg_hx, neg_hy, inertia = -hx, -hy, 1.0 + mass
     for _ in range(_PUSH_MAX_ITERS):
         if not active.any():
             break
@@ -385,8 +401,8 @@ def push_block(ax, ay, bx, by, byaw, half_extents, mass, dt: float, active):
         ry = ay - by
         lx = c * rx + s * ry
         ly = -s * rx + c * ry
-        qx = np.minimum(np.maximum(lx, -hx), hx)
-        qy = np.minimum(np.maximum(ly, -hy), hy)
+        qx = np.minimum(np.maximum(lx, neg_hx), hx)
+        qy = np.minimum(np.maximum(ly, neg_hy), hy)
         dx = lx - qx
         dy = ly - qy
         d2 = dx * dx + dy * dy
@@ -395,23 +411,28 @@ def push_block(ax, ay, bx, by, byaw, half_extents, mass, dt: float, active):
         active = active & ~(outside & (AGENT_RADIUS - d <= _PUSH_TOL))
         if not active.any():
             break
-        # disc center inside the footprint: exit through the nearest face
-        px = hx - np.abs(lx)
-        py = hy - np.abs(ly)
-        xface = px <= py
-        nx = np.where(outside, dx / d, np.where(xface, np.where(lx >= 0, 1.0, -1.0), 0.0))
-        ny = np.where(outside, dy / d, np.where(xface, 0.0, np.where(ly >= 0, 1.0, -1.0)))
-        depth = np.where(outside, AGENT_RADIUS - d,
-                         AGENT_RADIUS + np.where(xface, px, py))
-        cx = np.where(outside, qx, np.where(xface, np.copysign(hx, lx), lx))
-        cy = np.where(outside, qy, np.where(xface, ly, np.copysign(hy, ly)))
+        if (active & ~outside).any():
+            # disc center inside the footprint: exit through the nearest face
+            px = hx - np.abs(lx)
+            py = hy - np.abs(ly)
+            xface = px <= py
+            nx = np.where(outside, dx / d,
+                          np.where(xface, np.where(lx >= 0, 1.0, -1.0), 0.0))
+            ny = np.where(outside, dy / d,
+                          np.where(xface, 0.0, np.where(ly >= 0, 1.0, -1.0)))
+            depth = np.where(outside, AGENT_RADIUS - d,
+                             AGENT_RADIUS + np.where(xface, px, py))
+            cx = np.where(outside, qx, np.where(xface, np.copysign(hx, lx), lx))
+            cy = np.where(outside, qy, np.where(xface, ly, np.copysign(hy, ly)))
+        else:  # every active disc center is outside its block
+            nx, ny, depth, cx, cy = dx / d, dy / d, AGENT_RADIUS - d, qx, qy
         mvx = -(c * nx - s * ny) * depth
         mvy = -(s * nx + c * ny) * depth
         cwx = c * cx - s * cy
         cwy = s * cx + c * cy
         bx = np.where(active, bx + mvx, bx)
         by = np.where(active, by + mvy, by)
-        byaw = np.where(active, byaw + (cwx * mvy - cwy * mvx) / (1.0 + mass), byaw)
+        byaw = np.where(active, byaw + (cwx * mvy - cwy * mvx) / inertia, byaw)
     return bx, by, byaw
 
 
@@ -433,20 +454,3 @@ def step_worlds(world: Worlds, actions, wrench, live) -> Worlds:
                 world.half_extents[:, k], world.block_mass[:, k], DT, live)
     return replace(world, bx=bx, by=by, byaw=byaw)
 
-
-def scripted_trot_action(step: int, period: int = 16,
-                         knee_lead: int = 0) -> np.ndarray:
-    """Open-loop diagonal-pair trot for calibration and robustness probes.
-
-    Flexion joints follow antiphase sinusoids (diagonal legs in phase); knee
-    commands are square waves leading the flexion phase so the knee is
-    extended while flexion swings backward. Abduction is held at zero.
-    """
-    a = np.zeros(N_JOINTS)
-    for leg in range(N_LEGS):
-        pair_shift = 0.0 if leg in (0, 3) else math.pi
-        phase = 2.0 * math.pi * step / period + pair_shift
-        a[3 * leg + 1] = math.sin(phase)
-        gate_phase = 2.0 * math.pi * (step + knee_lead) / period + pair_shift
-        a[3 * leg + 2] = 1.0 if math.cos(gate_phase) < 0.0 else -1.0
-    return a

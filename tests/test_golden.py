@@ -15,7 +15,8 @@ import pytest
 
 from legwork.randomization import RandomizationConfig
 from legwork.tasks import EnvOverrides, TaskEnv, TaskEnvConfig
-from legwork.world import DynamicsParams, HeightField, scripted_trot_action
+from legwork.world import DynamicsParams, HeightField
+from test_world import scripted_trot_action
 
 _DYNAMICS_FLAGS = ("damping_on", "joint_friction_on", "mass_on",
                    "surface_friction_on", "gain_on", "height_field_on",

@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 from legwork.errors import ConfigurationError
 from legwork.policy import (
     LOW_LEVEL_OBS_DIM,
+    LOG_2PI,
     ForwardPass,
-    Goal,
     MlpPolicy,
-    f_goal_space,
     gaussian_kl,
     goal_from_high_action,
     grad_log_prob_sum,
@@ -39,27 +38,18 @@ def rows(*agents):
 
 
 def masked(agent, goal):
-    """mask_low_level_obs of one agent and its goal."""
-    return mask_low_level_obs(rows(agent), np.array([[[goal.gx, goal.gy]]]))[0, 0]
+    """mask_low_level_obs of one agent and its world-frame goal (x, y)."""
+    return mask_low_level_obs(rows(agent), np.reshape(goal, (1, 1, 2)))[0, 0]
 
 
-class TestGoalSpace:
-    def test_origin(self):
-        assert f_goal_space(AgentState.at_rest()) == (0.0, 0.0)
-
-    def test_projection_ignores_yaw(self):
-        agent = AgentState.at_rest(x=1.5, y=-2.0, yaw=0.73)
-        assert f_goal_space(agent) == (1.5, -2.0)
-
-    def test_translation_equivariance(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            x, y, dx, dy = rng.uniform(-3, 3, 4)
-            a = AgentState.at_rest(x=x, y=y, yaw=1.0)
-            b = AgentState.at_rest(x=x + dx, y=y + dy, yaw=1.0)
-            fa, fb = f_goal_space(a), f_goal_space(b)
-            assert fb[0] == pytest.approx(fa[0] + dx)
-            assert fb[1] == pytest.approx(fa[1] + dy)
+def log_prob_batch(policy, X, A):
+    """Log densities of actions A under the policy at X, through the batched
+    forward pass: the oracle the row-wise and derivative code is checked
+    against."""
+    means, _ = policy.mean_batch(X)
+    z = (A - means) * np.exp(-policy.log_std)
+    return (-0.5 * np.sum(z * z, axis=1) - policy.log_std.sum()
+            - 0.5 * policy.act_dim * LOG_2PI)
 
 
 class TestHMap:
@@ -99,7 +89,7 @@ class TestHMap:
 class TestMaskedObs:
     def test_goal_at_agent_is_zero_offset(self):
         agent = AgentState.at_rest(x=1.0, y=-2.0, yaw=0.5)
-        obs = masked(agent, Goal(1.0, -2.0))
+        obs = masked(agent, (1.0, -2.0))
         assert obs[30] == 0.0 and obs[31] == 0.0
 
     def test_pose_slots_always_zero(self):
@@ -108,7 +98,7 @@ class TestMaskedObs:
             agent = AgentState(rng.uniform(-5, 5), rng.uniform(-5, 5),
                                rng.uniform(-3, 3), 0.3,
                                rng.uniform(-1, 1, 12), rng.uniform(-2, 2, 12))
-            obs = masked(agent, Goal(*rng.uniform(-5, 5, 2)))
+            obs = masked(agent, rng.uniform(-5, 5, 2))
             assert np.all(obs[24:30] == 0.0)
             assert obs.shape == (LOW_LEVEL_OBS_DIM,)
 
@@ -117,14 +107,14 @@ class TestMaskedObs:
         q = rng.uniform(-1, 1, 12)
         qdot = rng.uniform(-2, 2, 12)
         agent = AgentState(0.3, -0.7, 0.2, 0.3, q, qdot)
-        goal = Goal(1.4, 0.3)
+        goal = (1.4, 0.3)
         obs0 = masked(agent, goal)
         # rotate the whole scene by phi and translate by (tx, ty)
         phi, tx, ty = 1.1, 3.0, -2.0
         c, s = math.cos(phi), math.sin(phi)
         agent2 = AgentState(c * 0.3 - s * -0.7 + tx, s * 0.3 + c * -0.7 + ty,
                             0.2 + phi, 0.3, q, qdot)
-        goal2 = Goal(c * 1.4 - s * 0.3 + tx, s * 1.4 + c * 0.3 + ty)
+        goal2 = (c * 1.4 - s * 0.3 + tx, s * 1.4 + c * 0.3 + ty)
         obs1 = masked(agent2, goal2)
         assert np.allclose(obs0, obs1, atol=1e-12)
 
@@ -142,7 +132,7 @@ class TestMlpPolicy:
         expected = -pol.log_std.sum() - 2.0 * math.log(2 * math.pi)
         assert np.array_equal(mu, pol.mean_rows(obs))
         assert logp[0] == pytest.approx(expected, abs=1e-12)
-        assert pol.log_prob_batch(obs, mu)[0] == pytest.approx(expected, abs=1e-12)
+        assert log_prob_batch(pol, obs, mu)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_sample_log_density_matches_log_prob_batch(self):
         pol = MlpPolicy(5, 4, seed=3)
@@ -150,7 +140,7 @@ class TestMlpPolicy:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(7, 5))
         act, logp = pol.sample_rows(X, rng.standard_normal((7, 4)))
-        assert np.allclose(logp, pol.log_prob_batch(X, act), rtol=0, atol=1e-12)
+        assert np.allclose(logp, log_prob_batch(pol, X, act), rtol=0, atol=1e-12)
 
     def test_batch_matches_single(self):
         pol = MlpPolicy(5, 3, seed=4)
@@ -199,9 +189,9 @@ class TestMlpPolicy:
                 tp[i] += eps
                 tm[i] -= eps
                 pol.set_flat_params(tp)
-                up = float(w @ pol.log_prob_batch(X, A))
+                up = float(w @ log_prob_batch(pol, X, A))
                 pol.set_flat_params(tm)
-                dn = float(w @ pol.log_prob_batch(X, A))
+                dn = float(w @ log_prob_batch(pol, X, A))
                 fd[i] = (up - dn) / (2 * eps)
             pol.set_flat_params(theta)
             rel = np.abs(g - fd).max() / max(np.abs(fd).max(), 1e-12)
@@ -304,8 +294,8 @@ class TestHierarchicalEpisode:
         a2 = AgentState(4.0, -2.0, 1.3, 0.3, q, qdot)
         c, s = math.cos(1.3), math.sin(1.3)
         body = (0.6, -0.2)
-        g1 = Goal(0.6, -0.2)
-        g2 = Goal(4.0 + c * body[0] - s * body[1], -2.0 + s * body[0] + c * body[1])
+        g1 = (0.6, -0.2)
+        g2 = (4.0 + c * body[0] - s * body[1], -2.0 + s * body[0] + c * body[1])
         m1 = pi_lo.mean_rows(masked(a1, g1)[None])
         m2 = pi_lo.mean_rows(masked(a2, g2)[None])
         assert np.allclose(m1, m2, atol=1e-12)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from legwork.errors import ConfigurationError
-from legwork.policy import Goal
 from legwork.randomization import RandomizationConfig
 from legwork.tasks import (
     COORD_BLOCK_HALF,
@@ -93,44 +92,43 @@ class TestGoalSampling:
     def test_bounds(self):
         rng = np.random.default_rng(0)
         for _ in range(2000):
-            g = sample_low_level_goal(rng)
-            r = math.hypot(g.gx, g.gy)
-            v = math.atan2(g.gy, g.gx)
+            gx, gy = sample_low_level_goal(rng)
+            r = math.hypot(gx, gy)
+            v = math.atan2(gy, gx)
             assert 1.0 <= r <= 2.0
             assert -0.5 <= v <= 0.5
 
     def test_radius_distribution(self):
         rng = np.random.default_rng(1)
-        radii = [math.hypot(g.gx, g.gy)
-                 for g in (sample_low_level_goal(rng) for _ in range(10_000))]
+        radii = [math.hypot(*sample_low_level_goal(rng)) for _ in range(10_000)]
         assert ks_statistic(radii, lambda r: r - 1.0) < 0.02
 
     def test_forced_draw(self):
         g = sample_low_level_goal(_QueueRng([1.0, 0.0]))
-        assert (g.gx, g.gy) == (1.0, 0.0)
+        assert g.shape == (2,) and tuple(g) == (1.0, 0.0)
 
 
 def _low_goal(agent, goal):
-    """The world and task of a low_goal episode with agent and goal."""
+    """The world and task of a low_goal episode with agent and goal (x, y)."""
     return (_world([agent], []),
-            TaskInstance(TaskSpec("low_goal"), np.array([[goal.gx, goal.gy]])))
+            TaskInstance(TaskSpec("low_goal"), np.array([goal], dtype=float)))
 
 
 class TestLowLevelReward:
     def test_at_goal_upright(self):
         agent = AgentState.at_rest(x=1.0, y=1.0, yaw=0.3)
-        r = _reward(*_low_goal(agent, Goal(1.0, 1.0)))
+        r = _reward(*_low_goal(agent, (1.0, 1.0)))
         assert r == pytest.approx(10.0)
 
     def test_facing_goal_two_meters(self):
         agent = AgentState.at_rest()
-        r = _reward(*_low_goal(agent, Goal(2.0, 0.0)))
+        r = _reward(*_low_goal(agent, (2.0, 0.0)))
         assert r == pytest.approx(-2.0 + 1.0)
 
     def test_fallen_facing_away(self):
         agent = AgentState.at_rest(yaw=math.pi)
         agent.z_proxy = 0.1
-        r = _reward(*_low_goal(agent, Goal(1.0, 0.0)))
+        r = _reward(*_low_goal(agent, (1.0, 0.0)))
         assert r == pytest.approx(-1.0 - 5.0 - 1.0)
 
     def test_terms_sum_to_reward(self):
@@ -139,7 +137,7 @@ class TestLowLevelReward:
             agent = AgentState.at_rest(x=rng.uniform(-2, 2), y=rng.uniform(-2, 2),
                                        yaw=rng.uniform(-3, 3))
             agent.z_proxy = rng.uniform(0, 0.3)
-            world, task = _low_goal(agent, Goal(*rng.uniform(-2, 2, 2)))
+            world, task = _low_goal(agent, rng.uniform(-2, 2, 2))
             terms = _terms(low_level_reward_terms, world, task)
             assert _reward(world, task) == sum(terms.values())
 
@@ -442,6 +440,20 @@ class TestTaskEnv:
         env = TaskEnv(TaskEnvConfig(kind="avoid", fixed_init="-"), seeds=[0])
         assert tuple(env.targets[0, 0]) == (2.0, -0.5)
         assert env.world.bx[0, 0] == 1.0
+
+    @pytest.mark.parametrize("make", [
+        lambda: TaskEnvConfig("push", torso_obs_noise=-0.1),
+        lambda: TaskEnvConfig("push", torso_obs_noise=math.nan),
+        lambda: TaskEnvConfig("push", torso_obs_noise=math.inf),
+        lambda: TaskEnvConfig("avoid", fixed_init="x"),
+        lambda: EnvOverrides(DynamicsParams.nominal(), HeightField.flat(), 1.7),
+        lambda: EnvOverrides(DynamicsParams.nominal(), HeightField.flat(), -0.1),
+        lambda: EnvOverrides(DynamicsParams.nominal(), HeightField.flat(), math.nan),
+    ], ids=["noise_negative", "noise_nan", "noise_inf", "fixed_init_x",
+            "sticky_above_one", "sticky_negative", "sticky_nan"])
+    def test_bad_env_settings_rejected(self, make):
+        with pytest.raises(ConfigurationError):
+            make()
 
     def test_object_dims_randomized_only_when_enabled(self):
         rand_on = RandomizationConfig()

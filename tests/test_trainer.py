@@ -40,6 +40,7 @@ from legwork.trainer import (
     train_high_level,
     train_low_level,
 )
+from test_policy import log_prob_batch
 
 
 def _spd(rng, n):
@@ -52,7 +53,7 @@ def _batch(rng, policy, n=30):
     obs = rng.normal(size=(n, policy.obs_dim))
     act = rng.normal(size=(n, policy.act_dim))
     return TrajectoryBatch([Trajectory(obs, act, rng.normal(size=n),
-                                       policy.log_prob_batch(obs, act))],
+                                       log_prob_batch(policy, obs, act))],
                            horizon=n)
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from legwork.world import (
     K_FWD,
     K_LAT,
     F_REF,
+    N_JOINTS,
+    N_LEGS,
     AgentState,
     BlockState,
     DynamicsParams,
@@ -18,11 +21,29 @@ from legwork.world import (
     Worlds,
     WorldState,
     push_block,
-    scripted_trot_action,
     step_agents,
     step_worlds,
     terrain_at,
 )
+
+
+def scripted_trot_action(step: int, period: int = 16,
+                         knee_lead: int = 0) -> np.ndarray:
+    """Open-loop diagonal-pair trot for calibration and robustness probes.
+
+    Flexion joints follow antiphase sinusoids (diagonal legs in phase); knee
+    commands are square waves leading the flexion phase so the knee is
+    extended while flexion swings backward. Abduction is held at zero.
+    """
+    a = np.zeros(N_JOINTS)
+    for leg in range(N_LEGS):
+        pair_shift = 0.0 if leg in (0, 3) else math.pi
+        phase = 2.0 * math.pi * step / period + pair_shift
+        a[3 * leg + 1] = math.sin(phase)
+        gate_phase = 2.0 * math.pi * (step + knee_lead) / period + pair_shift
+        a[3 * leg + 2] = 1.0 if math.cos(gate_phase) < 0.0 else -1.0
+    return a
+
 
 NOMINAL = DynamicsParams.nominal()
 FLAT = HeightField.flat()
@@ -208,6 +229,23 @@ class TestResolvePush:
             out = push(agent, self.BLOCK)
             assert agent_block_penetration(agent, out) <= 1e-6
 
+    def test_center_inside_exits_through_nearest_face(self):
+        # the disc center lies inside the block, 0.2 m from its +x face and
+        # 0.25 m from the +y face: the block leaves along -x, past the disc
+        inside = AgentState.at_rest(x=0.1, y=0.05)
+        out = push(inside, self.BLOCK)
+        assert out.x < -0.49 and abs(out.y) < 1e-3 and out.yaw > 0.0
+        assert agent_block_penetration(inside, out) <= 1e-6
+        # rows with the center inside and outside their block, pushed
+        # together, give each row's result alone, bit for bit
+        outside = AgentState.at_rest(x=-0.55, y=0.1)
+        both = push_block(np.array([inside.x, outside.x]),
+                          np.array([inside.y, outside.y]), np.zeros(2),
+                          np.zeros(2), np.zeros(2), np.full((2, 2), 0.3),
+                          np.full(2, 4.0), DT, np.ones(2, dtype=bool))
+        for e, alone in enumerate((out, push(outside, self.BLOCK))):
+            assert tuple(v[e] for v in both) == (alone.x, alone.y, alone.yaw)
+
     def test_degenerate_block_rejected(self):
         bad = BlockState(0.0, 0.0, 0.0, (0.0, 0.3), 4.0)
         with pytest.raises(ConfigurationError):
@@ -388,14 +426,18 @@ class TestWorldProperties:
 
 
 @st.composite
-def random_row(draw, n_agents, n_blocks):
+def random_row(draw, n_agents, n_blocks, flat=None):
     """One world description with its actions and wrenches: agents anywhere
-    on and off a 10 m terrain patch, some fallen, blocks within reach of
-    agent 0."""
+    on and off a 10 m terrain patch, flat (all zeros) or rough (flat=None:
+    either), some fallen, blocks within reach of agent 0."""
     seed = draw(st.integers(0, 2**31 - 1))
     rng = np.random.default_rng(seed)
     amp = rng.uniform(0.0, 0.3)
     terrain = HeightField(rng.uniform(0.0, amp, (8, 8)), amplitude=amp)
+    if flat is None:
+        flat = draw(st.booleans())
+    if flat:
+        terrain = HeightField.flat(8)
     agents = []
     for _ in range(n_agents):
         st_ = AgentState(rng.uniform(-5.5, 5.5), rng.uniform(-5.5, 5.5),
@@ -423,7 +465,9 @@ def random_row(draw, n_agents, n_blocks):
 def random_rows(draw):
     n_agents = draw(st.integers(1, 2))
     n_blocks = draw(st.integers(0, 1))
-    return draw(st.lists(random_row(n_agents, n_blocks), min_size=1, max_size=8))
+    flat = draw(st.sampled_from([True, False, None]))  # all, none, or mixed
+    return draw(st.lists(random_row(n_agents, n_blocks, flat), min_size=1,
+                         max_size=8))
 
 
 class TestLockstep:
@@ -438,10 +482,14 @@ class TestLockstep:
         wrench = np.stack([r[2] for r in rows])
         live = np.array([r[3] for r in rows])
         together = world
+        # every row through the terrain lookup, flat or not
+        looked_up = replace(world, flat=np.zeros(len(rows), dtype=bool))
         alone = [Worlds.stack([r[0]]) for r in rows]
         for _ in range(3):
             together = step_worlds(together, acts, wrench, live)
+            looked_up = step_worlds(looked_up, acts, wrench, live)
             alone = [step_worlds(w, r[1][None], r[2][None], np.array([r[3]]))
                      for w, r in zip(alone, rows)]
         for e, w in enumerate(alone):
             assert same_row(together, w, e, 0)
+            assert same_row(together, looked_up, e, e)
