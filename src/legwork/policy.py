@@ -15,7 +15,9 @@ The high level emits one action per c low-level steps. Each per-agent pair
 of that action maps through a polar transform to a goal offset in the
 agent's body frame, re-anchored in the world at every decision; the low
 level sees only joint state plus the goal rotated into its body frame, with
-all six torso pose slots zeroed.
+all six torso pose slots zeroed. Each row draws its episode's noise for
+both levels up front, in a fixed order, so its numbers never depend on
+whether its agents fall (hierarchical_episode).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, NumericsError
-from .randomization import RandomizationConfig, perturb_high_level_action
+from .randomization import RandomizationConfig, highlevel_noise_schedule
 from .world import N_JOINTS, Worlds
 
 LOW_LEVEL_OBS_DIM = 32  # q(12) + qdot(12) + zeroed torso pose(6) + body goal(2)
@@ -282,13 +284,20 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy, rngs,
     from the state the env is in; rngs holds one generator per row.
 
     Every c steps the high level observes the task observation and emits a
-    2n-dim action (optionally polluted with uniform noise) that becomes one
-    goal per agent; the frozen low level then acts for c steps. The
-    high-level reward for a window is sum_i gamma^i r_i over the window's
-    task rewards. Fallen agents emit zero actions. Episodes never end early.
-    Each row draws from its own generator in a fixed order: at a decision
-    the high-level sample, then its noise; every step one low-level sample
-    per standing agent, in agent order.
+    2n-dim action that becomes one goal per agent; with noise_cfg and its
+    highlevel_noise_on, the clamped action gets uniform noise and is
+    clamped again. The frozen low level then acts for c steps; the env
+    clamps its actions, and fallen agents emit zero actions. The high-level
+    reward for a window is sum_i gamma^i r_i over the window's task rewards.
+    Episodes never end early.
+
+    Each row draws its whole episode's noise up front from its own
+    generator, in this order: the high-level sample noise (decisions,
+    n_hi); the high-level perturbation (decisions, n_hi), only when it is
+    on (highlevel_noise_schedule); the low-level sample noise (horizon,
+    n_agents, 12). A fallen agent's noise is drawn and not used, so a row
+    draws the same numbers whether its agents fall or not. deterministic
+    draws nothing: both levels act on their means, unperturbed.
 
     Returns (hi_traj, info): hi_traj holds per-row, per-decision arrays
     (obs, act pre-clamp, rew, logp), each with leading axes (E, decisions);
@@ -299,27 +308,33 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy, rngs,
         raise ConfigurationError("horizon must be divisible by c")
     n_rows, n = len(rngs), env.n_agents
     n_hi, n_lo = pi_hi.act_dim, pi_lo.act_dim
+    decisions = horizon // c
+    perturb = (noise_cfg is not None and noise_cfg.highlevel_noise_on
+               and not deterministic)
+    if deterministic:
+        hi_noise = np.zeros((n_rows, decisions, n_hi))
+        lo_noise = np.zeros((n_rows, horizon, n, n_lo))
+    else:
+        hi_noise, shift, lo_noise = [], [], []
+        for rng in rngs:
+            hi_noise.append(rng.standard_normal((decisions, n_hi)))
+            if perturb:
+                shift.append(highlevel_noise_schedule(noise_cfg, rng, decisions, n_hi))
+            lo_noise.append(rng.standard_normal((horizon, n, n_lo)))
+        hi_noise, lo_noise = np.stack(hi_noise), np.stack(lo_noise)
+        shift = np.stack(shift) if perturb else None
 
-    def noise(shape, draw):
-        """Standard-normal draws where draw is set, in row-major order."""
-        out = np.zeros(shape)
-        if not deterministic:
-            for idx in zip(*(ix.tolist() for ix in np.nonzero(draw))):
-                out[idx] = rngs[idx[0]].standard_normal(shape[-1])
-        return out
-
-    every_row = np.ones(n_rows, dtype=bool)
     std_lo = np.exp(pi_lo.log_std)
     hi_obs, hi_act, hi_rew, hi_logp = [], [], [], []
     rewards = []
     obs = env.obs
     for t in range(horizon):
-        if t % c == 0:
-            a_pre, logp = pi_hi.sample_rows(obs, noise((n_rows, n_hi), every_row))
+        k, i = divmod(t, c)
+        if i == 0:
+            a_pre, logp = pi_hi.sample_rows(obs, hi_noise[:, k])
             a_hi = np.clip(a_pre, -1.0, 1.0)
-            if noise_cfg is not None:
-                a_hi = np.array([perturb_high_level_action(a, rng, noise_cfg)
-                                 for a, rng in zip(a_hi, rngs)])
+            if perturb:
+                a_hi = np.clip(a_hi + shift[:, k], -1.0, 1.0)
             goals = goal_from_high_action(env.world, a_hi)
             hi_obs.append(obs)
             hi_act.append(a_pre)
@@ -327,18 +342,17 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy, rngs,
             window_ret = 0.0
             disc = 1.0
         world = env.world
-        standing = ~world.fallen
         lo_obs = mask_low_level_obs(world, goals).reshape(n_rows * n, -1)
         # sample_rows' action without its log density, which nothing reads
-        a_lo = pi_lo.mean_rows(lo_obs) + std_lo * noise(
-            (n_rows, n, n_lo), standing).reshape(n_rows * n, n_lo)
-        actions = np.where(standing[..., None],
-                           np.clip(a_lo, -1.0, 1.0).reshape(n_rows, n, N_JOINTS), 0.0)
+        a_lo = pi_lo.mean_rows(lo_obs) + std_lo * lo_noise[:, t].reshape(n_rows * n, n_lo)
+        actions = a_lo.reshape(n_rows, n, N_JOINTS)
+        if world.fallen.any():
+            actions = np.where(world.fallen[..., None], 0.0, actions)
         obs, r, _ = env.step(actions)
         rewards.append(r)
         window_ret = window_ret + disc * r
         disc *= gamma
-        if t % c == c - 1:
+        if i == c - 1:
             hi_rew.append(window_ret)
     hi_traj = {
         "obs": np.stack(hi_obs, axis=1),

@@ -4,8 +4,11 @@ Low-level training randomizes joint damping, joint dry friction, total mass,
 surface friction, actuator gain, and the terrain height field, and applies
 sticky actions plus periodic torso wrenches. High-level training perturbs
 high-level actions with uniform noise; the two-agent task also rescales the
-block dimensions. Sticky actions and wrenches are drawn as whole-episode
-schedules up front, from sub-streams that nothing else reads.
+block dimensions. Sticky actions, wrenches and the high-level noise are
+drawn as whole-episode schedules up front: the first two from sub-streams
+that nothing else reads, the high-level noise from the episode's rollout
+generator at a fixed place in its draw order (see
+policy.hierarchical_episode).
 
 Every sampler takes an explicit numpy Generator. Distinct concerns use
 distinct sub-streams derived from the episode seed with fixed spawn keys
@@ -136,14 +139,15 @@ def wrench_schedule(config: RandomizationConfig, rng: np.random.Generator,
     return np.repeat(draws, config.wrench_period, axis=0)[:horizon]
 
 
-def perturb_high_level_action(a_hi, rng: np.random.Generator,
-                              config: RandomizationConfig):
-    """Add iid uniform noise to a high-level action, clamped back to [-1, 1]."""
-    a = np.clip(np.asarray(a_hi, dtype=float), -1.0, 1.0)
+def highlevel_noise_schedule(config: RandomizationConfig, rng: np.random.Generator,
+                             decisions: int, size: int) -> np.ndarray:
+    """Uniform noise added to every high-level action of an episode, shape
+    (decisions, size), drawn in one call in row-major order. Disabled:
+    zeros, no draws."""
     if not config.highlevel_noise_on:
-        return a
+        return np.zeros((decisions, size))
     lo, hi = config.highlevel_noise_range
-    return np.clip(a + rng.uniform(lo, hi, a.shape), -1.0, 1.0)
+    return rng.uniform(lo, hi, (decisions, size))
 
 
 def sample_object_dims(nominal, rng: np.random.Generator,

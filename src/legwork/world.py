@@ -453,4 +453,3 @@ def step_worlds(world: Worlds, actions, wrench, live) -> Worlds:
                 world.x[:, i], world.y[:, i], bx[:, k], by[:, k], byaw[:, k],
                 world.half_extents[:, k], world.block_mass[:, k], DT, live)
     return replace(world, bx=bx, by=by, byaw=byaw)
-

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from legwork.errors import ConfigurationError
+from legwork.randomization import RandomizationConfig
 from legwork.policy import (
     LOW_LEVEL_OBS_DIM,
     LOG_2PI,
@@ -229,17 +230,22 @@ class _ConstRewardEnv:
     n_agents = 1
     obs_dim = 4
 
-    def __init__(self, reward=-1.0, horizon=200, rows=1):
+    def __init__(self, reward=-1.0, horizon=200, rows=1, fallen=()):
         self.reward = reward
         self.horizon = horizon
-        self.world = Worlds.stack([WorldState([AgentState.at_rest()], [],
-                                              HeightField.flat(),
-                                              [DynamicsParams.nominal()])] * rows)
+        agents = [AgentState.at_rest() for _ in range(rows)]
+        for e in fallen:
+            agents[e].fallen = True
+        self.world = Worlds.stack([WorldState([a], [], HeightField.flat(),
+                                              [DynamicsParams.nominal()])
+                                   for a in agents])
         self.obs = np.zeros((rows, self.obs_dim))
         self.t = 0
+        self.actions = []  # what each step was given
 
     def step(self, actions):
         assert actions.shape == (len(self.obs), 1, N_JOINTS)
+        self.actions.append(actions.copy())
         self.t += 1
         return (self.obs, np.full(len(self.obs), self.reward),
                 np.full(len(self.obs), self.t >= self.horizon))
@@ -283,6 +289,50 @@ class TestHierarchicalEpisode:
         with pytest.raises(ConfigurationError):
             hierarchical_episode(_ConstRewardEnv(horizon=7), pi_hi, pi_lo,
                                  _rngs(), c=10)
+
+    @pytest.mark.parametrize("perturbed", [True, False])
+    def test_noise_is_drawn_up_front_from_the_row_stream(self, perturbed):
+        # rows 0 and 2 share a seed, and row 2's agent has fallen
+        pi_hi, pi_lo = self._policies()
+        pi_hi.log_std[:] = -0.3
+        pi_lo.log_std[:] = np.linspace(-1.0, 0.5, 12)
+        cfg = RandomizationConfig() if perturbed else None
+        seeds = (3, 4, 3)
+        env = _ConstRewardEnv(rows=3, fallen=(2,))
+        hi, _ = hierarchical_episode(env, pi_hi, pi_lo,
+                                     [np.random.default_rng(s) for s in seeds],
+                                     noise_cfg=cfg)
+        for e in (0, 1):
+            rng = np.random.default_rng(seeds[e])
+            hi_noise = rng.standard_normal((20, 2))
+            shift = rng.uniform(-1.0, 1.0, (20, 2)) if perturbed else np.zeros((20, 2))
+            lo_noise = rng.standard_normal((200, 1, 12))
+            world = Worlds.stack([WorldState([AgentState.at_rest()], [],
+                                             HeightField.flat(),
+                                             [DynamicsParams.nominal()])])
+            for k in range(20):
+                a_pre, _ = pi_hi.sample_rows(np.zeros((1, 4)), hi_noise[k:k + 1])
+                assert a_pre.tobytes() == hi["act"][e, k:k + 1].tobytes()
+                a_hi = np.clip(np.clip(a_pre, -1.0, 1.0) + shift[k], -1.0, 1.0)
+                obs = mask_low_level_obs(world, goal_from_high_action(world, a_hi))[0]
+                for t in range(10 * k, 10 * k + 10):
+                    a_lo, _ = pi_lo.sample_rows(obs, lo_noise[t])
+                    assert a_lo.tobytes() == env.actions[t][e].tobytes()
+        # the fallen row acts with zeros, yet draws what the standing row does
+        assert not np.any([a[2] for a in env.actions])
+        for key in ("act", "logp"):
+            assert hi[key][2].tobytes() == hi[key][0].tobytes()
+
+    def test_deterministic_draws_nothing(self):
+        pi_hi, pi_lo = self._policies()
+        rngs = _rngs(2)
+        states = [rng.bit_generator.state for rng in rngs]
+        env = _ConstRewardEnv(rows=2)
+        hi, _ = hierarchical_episode(env, pi_hi, pi_lo, rngs,
+                                     noise_cfg=RandomizationConfig(),
+                                     deterministic=True)
+        assert [rng.bit_generator.state for rng in rngs] == states
+        assert np.array_equal(hi["act"][:, 0], pi_hi.mean_rows(np.zeros((2, 4))))
 
     def test_relative_goal_invariance(self):
         # identical body-frame goal and joint state => identical low action

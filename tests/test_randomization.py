@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import legwork.policy
 from legwork.errors import ConfigurationError
+from legwork.policy import MlpPolicy, hierarchical_episode
 from legwork.randomization import (
     RandomizationConfig,
-    perturb_high_level_action,
+    highlevel_noise_schedule,
     sample_dynamics,
     sample_height_field,
     sample_object_dims,
@@ -13,6 +15,7 @@ from legwork.randomization import (
     substream,
     wrench_schedule,
 )
+from test_policy import _ConstRewardEnv
 
 
 def ks_statistic(samples, cdf):
@@ -134,21 +137,36 @@ class TestWrench:
 class TestHighLevelNoise:
     def test_disabled_is_identity(self):
         cfg = RandomizationConfig(highlevel_noise_on=False)
-        a = np.array([0.3, -0.7])
-        out = perturb_high_level_action(a, np.random.default_rng(0), cfg)
-        assert np.array_equal(out, a)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        out = highlevel_noise_schedule(cfg, rng, 20, 2)
+        assert out.shape == (20, 2) and not out.any()
+        assert rng.bit_generator.state == state  # no draws
 
-    def test_clamp_saturation(self):
-        cfg = RandomizationConfig()
-        out = perturb_high_level_action(np.array([1.0, 1.0]),
-                                        _QueueRng([1.0, 1.0]), cfg)
-        assert np.array_equal(out, np.array([1.0, 1.0]))
+    def test_clamp_saturation(self, monkeypatch):
+        # a saturated high-level action pushed further out by its noise stays
+        # at the bound: the executor clamps after adding the schedule
+        seen = []
+        goal_from_high_action = legwork.policy.goal_from_high_action
+
+        def recording(world, a_hi):
+            seen.append(a_hi.copy())
+            return goal_from_high_action(world, a_hi)
+
+        monkeypatch.setattr(legwork.policy, "goal_from_high_action", recording)
+        pi_hi = MlpPolicy(4, 2, seed=0)
+        pi_hi.set_flat_params(np.zeros(pi_hi.n_params))
+        pi_hi.biases[-1][:] = 5.0
+        cfg = RandomizationConfig(highlevel_noise_range=(0.5, 1.0))
+        hierarchical_episode(_ConstRewardEnv(rows=2), pi_hi, MlpPolicy(32, 12, seed=1),
+                             [np.random.default_rng(i) for i in range(2)],
+                             noise_cfg=cfg)
+        assert len(seen) == 20
+        assert all(np.array_equal(a, np.ones((2, 2))) for a in seen)
 
     def test_noise_distribution_uniform(self):
         cfg = RandomizationConfig()
-        rng = np.random.default_rng(23)
-        draws = np.array([perturb_high_level_action(np.zeros(2), rng, cfg)
-                          for _ in range(10_000)])
+        draws = highlevel_noise_schedule(cfg, np.random.default_rng(23), 10_000, 2)
         for axis in range(2):
             d = ks_statistic(draws[:, axis], lambda x: (x + 1) / 2)
             assert d < 0.02
@@ -183,7 +201,7 @@ class TestStreams:
             hf = sample_height_field(RandomizationConfig(), rng)
             w = wrench_schedule(RandomizationConfig(), rng, 20)
             s = sticky_schedule(0.5, rng, 20)
-            n = perturb_high_level_action(np.zeros(2), rng, RandomizationConfig())
+            n = highlevel_noise_schedule(RandomizationConfig(), rng, 3, 2)
             return p, hf.grid.copy(), w, s, n.copy()
 
         a, b = draw_all(123), draw_all(123)
