@@ -1,18 +1,19 @@
 """Natural policy gradient training for low-level, high-level, and flat
 policies.
 
-One iteration: collect a batch of trajectories, fit the value baseline on
+One iteration: collect a batch of episodes, fit the value baseline on
 discounted returns, compute GAE advantages (batch-normalized), take the
 likelihood-ratio gradient, precondition it with conjugate gradient against
 Fisher-vector products, and apply a KL-normalized step
 theta' = theta + sqrt(2 delta / d.g) * d.
 
 Rollout collection steps all episodes of a batch in lockstep, as the rows
-of one TaskEnv. It is deterministic given (policy, seed): trajectory i
-draws from its own sub-streams keyed by (iteration, i), and every formula
-on the rollout path computes each row on its own (row-wise matrix-vector
-products and reductions), so neither the batch width nor the worker count
-changes a bit of the result.
+of one TaskEnv, into one batch of arrays padded to the horizon. It is
+deterministic given (policy, seed): episode i draws from its own
+sub-streams keyed by (iteration, i), and every formula on the rollout path
+computes each row on its own (row-wise matrix-vector products and
+reductions), so neither the batch width nor the worker count changes a bit
+of the result.
 """
 
 from __future__ import annotations
@@ -79,55 +80,55 @@ class TrainConfig:
 
 
 @dataclass
-class Trajectory:
-    obs: np.ndarray  # (T, obs_dim)
-    act: np.ndarray  # (T, act_dim), pre-clamp samples
-    rew: np.ndarray  # (T,)
-    logp: np.ndarray  # (T,) at collection time
-    success: bool = False
-
-    def __len__(self):
-        return len(self.rew)
-
-    @property
-    def total_reward(self) -> float:
-        return float(self.rew.sum())
-
-
-@dataclass
 class TrajectoryBatch:
-    trajectories: list
-    horizon: int
-    advantages: list = field(default=None)  # normalized across the batch
+    """E episodes as arrays padded to T steps: row e holds lengths[e] valid
+    steps. Construction zeroes every step past a row's length, so a scan
+    over T meets zero reward and zero value there."""
+    obs: np.ndarray  # (E, T, obs_dim)
+    act: np.ndarray  # (E, T, act_dim), pre-clamp samples
+    rew: np.ndarray  # (E, T)
+    logp: np.ndarray  # (E, T) at collection time
+    lengths: np.ndarray  # (E,)
+    success: np.ndarray  # (E,) bool
+    advantages: np.ndarray | None = None  # (E, T), normalized across the batch
+    mask: np.ndarray = field(init=False, repr=False)  # (E, T) valid steps
 
     def __post_init__(self):
-        for tr in self.trajectories:
-            if len(tr) > self.horizon:
-                raise ConfigurationError("trajectory longer than horizon")
-            if not np.all(np.isfinite(tr.logp)):
-                raise NumericsError("non-finite log probabilities in batch")
+        self.mask = np.arange(self.rew.shape[1]) < self.lengths[:, None]
+        for x in (self.obs, self.act, self.rew, self.logp):
+            x[~self.mask] = 0.0
+        if not np.all(np.isfinite(self.logp)):
+            raise NumericsError("non-finite log probabilities in batch")
+
+    @property
+    def trajectories(self) -> np.ndarray:
+        """One entry per episode (its length). Read only by the npgbench
+        harness, which counts episodes as len(batch.trajectories)."""
+        return self.lengths
 
     @property
     def n_samples(self) -> int:
-        return sum(len(t) for t in self.trajectories)
+        return int(self.lengths.sum())
 
+    # The flat views take the valid steps in row-major order: episode by
+    # episode, each in time order.
     def flat_obs(self) -> np.ndarray:
-        return np.concatenate([t.obs for t in self.trajectories])
+        return self.obs[self.mask]
 
     def flat_act(self) -> np.ndarray:
-        return np.concatenate([t.act for t in self.trajectories])
+        return self.act[self.mask]
 
     def flat_adv(self) -> np.ndarray:
-        return np.concatenate(self.advantages)
+        return self.advantages[self.mask]
 
     def mean_return(self) -> float:
-        return float(np.mean([t.total_reward for t in self.trajectories]))
+        return float(np.mean(self.rew.sum(axis=1)))
 
     def std_return(self) -> float:
-        return float(np.std([t.total_reward for t in self.trajectories]))
+        return float(np.std(self.rew.sum(axis=1)))
 
     def success_rate(self) -> float:
-        return float(np.mean([t.success for t in self.trajectories]))
+        return float(np.mean(self.success))
 
 
 # -- rollouts (module level: picklable for worker pools) ----------------------
@@ -140,11 +141,11 @@ def _traj_streams(seed: int, key: tuple):
 
 
 def run_task_episode(policy: MlpPolicy, task_cfg: TaskEnvConfig,
-                     env_seeds, rngs) -> list:
+                     env_seeds, rngs) -> TrajectoryBatch:
     """Episodes driven directly at the joint level, one per (env seed, rng)
     row, stepped in lockstep: low-level goal episodes, or a flat policy's
     task episodes. Each row draws one action sample from its rng per step
-    it runs. Returns one Trajectory per row."""
+    it runs."""
     env = TaskEnv(task_cfg, env_seeds)  # constructed at its reset state
     n_rows, horizon = len(env.seeds), env.horizon
     obs = np.zeros((n_rows, horizon, env.obs.shape[1]))
@@ -164,23 +165,21 @@ def run_task_episode(policy: MlpPolicy, task_cfg: TaskEnvConfig,
             env.obs, np.where(live[:, None], draws[:, t], 0.0))
         _, rew[:, t], _ = env.step(act[:, t].reshape(n_rows, env.n_agents, 12))  # env clamps
         steps[live] += 1
-    ok = env.episode_success()
-    return [Trajectory(obs[e, :n], act[e, :n], rew[e, :n], logp[e, :n],
-                       success=bool(ok[e])) for e, n in enumerate(steps.tolist())]
+    return TrajectoryBatch(obs, act, rew, logp, steps, env.episode_success())
 
 
 def run_hier_task_episode(pi_hi: MlpPolicy, pi_lo: MlpPolicy,
                           task_cfg: TaskEnvConfig,
                           noise_cfg: RandomizationConfig | None, gamma: float,
-                          env_seeds, rngs) -> list:
+                          env_seeds, rngs) -> TrajectoryBatch:
     """Task episodes under the hierarchy, one per (env seed, rng) row,
     stepped in lockstep; the high-level view of each."""
     env = TaskEnv(task_cfg, env_seeds)
     hi, _ = hierarchical_episode(env, pi_hi, pi_lo, rngs, c=GOAL_HORIZON,
                                  noise_cfg=noise_cfg, gamma=gamma)
-    ok = env.episode_success()
-    return [Trajectory(hi["obs"][e], hi["act"][e], hi["rew"][e], hi["logp"][e],
-                       success=bool(ok[e])) for e in range(len(env.seeds))]
+    decisions = np.full(len(env.seeds), hi["rew"].shape[1])
+    return TrajectoryBatch(hi["obs"], hi["act"], hi["rew"], hi["logp"], decisions,
+                           env.episode_success())
 
 
 def _run_rows(args):
@@ -189,116 +188,93 @@ def _run_rows(args):
     return rollout_fn([s for s, _ in streams], [rng for _, rng in streams])
 
 
-def collect_batch(rollout_fn, n_traj: int, horizon: int, seed: int,
-                  seed_key: tuple = (), workers: int = 1) -> TrajectoryBatch:
-    """Collect n_traj trajectories; deterministic given (rollout_fn, seed).
+def collect_batch(rollout_fn, n_traj: int, seed: int, seed_key: tuple = (),
+                  workers: int = 1) -> TrajectoryBatch:
+    """Collect n_traj episodes; deterministic given (rollout_fn, seed).
 
-    rollout_fn(env_seeds, rngs) -> [Trajectory] runs one episode per row in
-    lockstep and must be picklable when workers > 1. Trajectory i always
+    rollout_fn(env_seeds, rngs) -> TrajectoryBatch runs one episode per row
+    in lockstep and must be picklable when workers > 1. Episode i always
     uses sub-stream seed_key + (i,); each worker process runs a contiguous
     slice of the rows, and since a row's result does not depend on the
     rows beside it, the batch is identical for any worker count.
     """
+    if n_traj < 1:
+        raise ConfigurationError("a batch needs at least one episode")
     keys = [tuple(seed_key) + (i,) for i in range(n_traj)]
-    if workers > 1:
-        bounds = np.linspace(0, n_traj, min(workers, n_traj) + 1).astype(int)
-        jobs = [(rollout_fn, seed, keys[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            trajectories = [tr for part in pool.map(_run_rows, jobs) for tr in part]
-    else:
-        trajectories = _run_rows((rollout_fn, seed, keys))
-    return TrajectoryBatch(trajectories, horizon=horizon)
+    if workers == 1:
+        return _run_rows((rollout_fn, seed, keys))
+    bounds = np.linspace(0, n_traj, min(workers, n_traj) + 1).astype(int)
+    jobs = [(rollout_fn, seed, keys[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+        parts = list(pool.map(_run_rows, jobs))
+    return TrajectoryBatch(*(np.concatenate([getattr(p, name) for p in parts])
+                             for name in ("obs", "act", "rew", "logp", "lengths", "success")))
 
 
 # -- advantages and baseline -------------------------------------------------
 
 def discounted_returns(rew: np.ndarray, gamma: float) -> np.ndarray:
+    """Discounted return of every step of (E, T) zero-padded rewards: one
+    reverse scan over T, each row running its own recurrence."""
     out = np.zeros_like(rew)
-    acc = 0.0
-    for t in range(len(rew) - 1, -1, -1):
-        acc = rew[t] + gamma * acc
-        out[t] = acc
+    acc = np.zeros(len(rew))
+    for t in range(rew.shape[1] - 1, -1, -1):
+        acc = rew[:, t] + gamma * acc
+        out[:, t] = acc
     return out
 
 
 def gae_advantages(rew: np.ndarray, values: np.ndarray, gamma: float,
                    lam: float) -> np.ndarray:
-    """Raw (pre-normalization) GAE for one trajectory; V past the episode
-    end is zero."""
-    T = len(rew)
-    v_next = np.append(values[1:], 0.0)
-    deltas = rew + gamma * v_next - values
-    adv = np.zeros(T)
-    acc = 0.0
-    for t in range(T - 1, -1, -1):
-        acc = deltas[t] + gamma * lam * acc
-        adv[t] = acc
-    return adv
-
-
-class LinearBaseline:
-    """Ridge-regularized least squares on simple state/time features."""
-
-    def __init__(self, ridge: float = 1e-5):
-        self.ridge = ridge
-        self.coef = None
-
-    @staticmethod
-    def features(obs: np.ndarray, horizon: int) -> np.ndarray:
-        T = len(obs)
-        tau = np.arange(T) / horizon
-        return np.hstack([obs, obs ** 2, tau[:, None], tau[:, None] ** 2,
-                          tau[:, None] ** 3, np.ones((T, 1))])
-
-    def predict(self, obs: np.ndarray, horizon: int) -> np.ndarray:
-        if self.coef is None:
-            return np.zeros(len(obs))
-        return self.features(obs, horizon) @ self.coef
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        ridge = self.ridge
-        gram = X.T @ X
-        rhs = X.T @ y
-        eye = np.eye(X.shape[1])
-        for _ in range(12):
-            try:
-                coef = np.linalg.solve(gram + ridge * eye, rhs)
-            except np.linalg.LinAlgError:
-                ridge *= 10.0
-                continue
-            if np.all(np.isfinite(coef)):
-                self.coef = coef
-                return
-            ridge *= 10.0
-        raise NumericsError("baseline fit failed at maximum ridge")
+    """Raw (pre-normalization) GAE of (E, T) zero-padded rewards and values:
+    the discounted return of the TD residuals with factor gamma * lam. V
+    past the episode end is zero."""
+    v_next = np.zeros_like(values)
+    v_next[:, :-1] = values[:, 1:]
+    return discounted_returns(rew + gamma * v_next - values, gamma * lam)
 
 
 def fit_baseline(batch: TrajectoryBatch, gamma: float,
-                 ridge: float = 1e-5) -> LinearBaseline:
-    """Fit the value baseline on this batch's discounted returns."""
-    if not batch.trajectories:
-        raise ConfigurationError("cannot fit a baseline on an empty batch")
-    X = np.concatenate([LinearBaseline.features(t.obs, batch.horizon)
-                        for t in batch.trajectories])
-    y = np.concatenate([discounted_returns(t.rew, gamma)
-                        for t in batch.trajectories])
-    baseline = LinearBaseline(ridge)
-    baseline.fit(X, y)
-    return baseline
+                 ridge: float = 1e-5) -> np.ndarray:
+    """Fit the value baseline to this batch's discounted returns: ridge-
+    regularized least squares on the features obs, obs^2, the powers 1-3
+    of t / T and a constant. Returns its values on the batch, (E, T) and
+    zero past each row's length."""
+    n_rows, horizon, _ = batch.obs.shape
+    tau = (np.arange(horizon) / horizon)[:, None]
+    time_feats = np.hstack([tau, tau ** 2, tau ** 3, np.ones((horizon, 1))])
+    feats = np.concatenate([batch.obs, batch.obs ** 2,
+                            np.broadcast_to(time_feats, (n_rows, horizon, 4))], axis=2)
+    X = feats[batch.mask]
+    y = discounted_returns(batch.rew, gamma)[batch.mask]
+    gram = X.T @ X
+    rhs = X.T @ y
+    eye = np.eye(X.shape[1])
+    for _ in range(12):
+        try:
+            coef = np.linalg.solve(gram + ridge * eye, rhs)
+        except np.linalg.LinAlgError:
+            ridge *= 10.0
+            continue
+        if np.all(np.isfinite(coef)):
+            break
+        ridge *= 10.0
+    else:
+        raise NumericsError("baseline fit failed at maximum ridge")
+    values = np.zeros_like(batch.rew)
+    # row by row: one product over all rows can round the short rows apart
+    for e, n in enumerate(batch.lengths.tolist()):
+        values[e, :n] = feats[e, :n] @ coef
+    return values
 
 
-def compute_advantages(batch: TrajectoryBatch, baseline: LinearBaseline | None,
+def compute_advantages(batch: TrajectoryBatch, values: np.ndarray,
                        gamma: float, lam: float) -> TrajectoryBatch:
-    """Fill batch.advantages (normalized to mean 0, std 1)."""
-    raw = []
-    for t in batch.trajectories:
-        values = (baseline.predict(t.obs, batch.horizon)
-                  if baseline is not None else np.zeros(len(t)))
-        raw.append(gae_advantages(t.rew, values, gamma, lam))
-    flat = np.concatenate(raw)
-    mu = flat.mean()
-    sd = flat.std()
-    batch.advantages = [(a - mu) / (sd + 1e-8) for a in raw]
+    """Fill batch.advantages (normalized to mean 0, std 1 over the valid
+    steps) from the baseline's (E, T) values."""
+    raw = gae_advantages(batch.rew, values, gamma, lam)
+    flat = raw[batch.mask]
+    batch.advantages = np.where(batch.mask, (raw - flat.mean()) / (flat.std() + 1e-8), 0.0)
     return batch
 
 
@@ -436,14 +412,14 @@ class MetricsWriter:
             csv.writer(f).writerow([row[c] for c in METRICS_COLUMNS])
 
 
-def train_policy(policy: MlpPolicy, make_rollout_fn, horizon: int,
-                 config: TrainConfig, gamma: float | None = None,
-                 out_dir=None, metrics_path=None, meta: dict | None = None,
-                 phase: str = "policy") -> MlpPolicy:
+def train_policy(policy: MlpPolicy, make_rollout_fn, config: TrainConfig,
+                 gamma: float | None = None, out_dir=None, metrics_path=None,
+                 meta: dict | None = None, phase: str = "policy") -> MlpPolicy:
     """Generic NPG loop: collect, fit baseline, GAE, gradient, CG, update.
 
-    make_rollout_fn(policy) must return a picklable rollout callable (see
-    collect_batch).
+    make_rollout_fn(policy) must return a picklable rollout callable,
+    rollout_fn(env_seeds, rngs) -> TrajectoryBatch (see collect_batch); the
+    batch's arrays fix the horizon.
     gamma overrides config.gamma for return/advantage discounting (the
     high level discounts across decisions with gamma^c).
     """
@@ -453,10 +429,8 @@ def train_policy(policy: MlpPolicy, make_rollout_fn, horizon: int,
     start = time.monotonic()
     for it in range(config.iterations):
         batch = collect_batch(make_rollout_fn(policy), config.batch_size,
-                              horizon, config.seed, seed_key=(it,),
-                              workers=config.workers)
-        baseline = fit_baseline(batch, gamma)
-        compute_advantages(batch, baseline, gamma, config.lam)
+                              config.seed, seed_key=(it,), workers=config.workers)
+        compute_advantages(batch, fit_baseline(batch, gamma), gamma, config.lam)
         fp = ForwardPass(policy, batch.flat_obs())  # shared by every step below
         g = policy_gradient(batch, policy, fp)
         d, _ = conjugate_gradient(fisher_operator(batch, policy, config.cg_damping, fp),
@@ -490,9 +464,8 @@ def train_low_level(config: TrainConfig, rand: RandomizationConfig,
     policy = MlpPolicy(spec.obs_dim, 12, hidden=(32, 32), seed=config.seed)
     env_cfg = TaskEnvConfig(kind="low_goal", rand=rand)
     fn = lambda pol: partial(run_task_episode, pol, env_cfg)
-    return train_policy(policy, fn, horizon=spec.horizon, config=config,
-                        out_dir=out_dir, metrics_path=metrics_path,
-                        meta=meta, phase="low")
+    return train_policy(policy, fn, config=config, out_dir=out_dir,
+                        metrics_path=metrics_path, meta=meta, phase="low")
 
 
 def _high_level_spec(task_kind: str) -> TaskSpec:
@@ -526,10 +499,9 @@ def train_high_level(config: TrainConfig, task_kind: str,
     env_cfg, noise_cfg = _hier_env_cfg(task_kind, randomized, config)
     policy = MlpPolicy(spec.obs_dim, 2 * spec.n_agents, hidden=(32, 32),
                        seed=config.seed)
-    horizon = spec.horizon // GOAL_HORIZON  # decisions per episode
     fn = lambda pol: partial(run_hier_task_episode, pol, low_policy, env_cfg,
                              noise_cfg, config.gamma)
-    return train_policy(policy, fn, horizon=horizon, config=config,
+    return train_policy(policy, fn, config=config,
                         gamma=config.gamma ** GOAL_HORIZON, out_dir=out_dir,
                         metrics_path=metrics_path, meta=meta, phase="high")
 
@@ -549,6 +521,5 @@ def train_flat(config: TrainConfig, task_kind: str, randomized: bool,
     policy = MlpPolicy(spec.obs_dim, 12 * spec.n_agents, hidden=(64, 64),
                        seed=config.seed)
     fn = lambda pol: partial(run_task_episode, pol, env_cfg)
-    return train_policy(policy, fn, horizon=spec.horizon, config=config,
-                        out_dir=out_dir, metrics_path=metrics_path,
-                        meta=meta, phase="flat")
+    return train_policy(policy, fn, config=config, out_dir=out_dir,
+                        metrics_path=metrics_path, meta=meta, phase="flat")

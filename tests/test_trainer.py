@@ -19,7 +19,6 @@ from legwork.randomization import RandomizationConfig
 from legwork.tasks import TaskEnvConfig
 from legwork.trainer import (
     TrainConfig,
-    Trajectory,
     TrajectoryBatch,
     _hier_env_cfg,
     _traj_streams,
@@ -49,12 +48,36 @@ def _spd(rng, n):
 
 
 def _batch(rng, policy, n=30):
-    """One synthetic trajectory of n random states and actions."""
+    """One synthetic episode of n random states and actions."""
     obs = rng.normal(size=(n, policy.obs_dim))
     act = rng.normal(size=(n, policy.act_dim))
-    return TrajectoryBatch([Trajectory(obs, act, rng.normal(size=n),
-                                       log_prob_batch(policy, obs, act))],
-                           horizon=n)
+    return TrajectoryBatch(obs[None], act[None], rng.normal(size=(1, n)),
+                           log_prob_batch(policy, obs, act)[None],
+                           lengths=np.array([n]), success=np.zeros(1, dtype=bool))
+
+
+def _reference_returns(rew, gamma):
+    """Discounted returns of one episode, step by step."""
+    out = np.zeros_like(rew)
+    acc = 0.0
+    for t in range(len(rew) - 1, -1, -1):
+        acc = rew[t] + gamma * acc
+        out[t] = acc
+    return out
+
+
+def _reference_gae(rew, values, gamma, lam):
+    """Raw GAE of one episode, step by step; V past the episode end is
+    zero."""
+    T = len(rew)
+    v_next = np.append(values[1:], 0.0)
+    deltas = rew + gamma * v_next - values
+    adv = np.zeros(T)
+    acc = 0.0
+    for t in range(T - 1, -1, -1):
+        acc = deltas[t] + gamma * lam * acc
+        adv[t] = acc
+    return adv
 
 
 def _reference_pass(policy, X):
@@ -96,7 +119,7 @@ def _reference_fvp(policy, X, v, damping):
 def _low_goal_batch(policy, n_traj=4, workers=1):
     cfg = TaskEnvConfig("low_goal", rand=RandomizationConfig())
     return collect_batch(partial(run_task_episode, policy, cfg), n_traj,
-                         horizon=40, seed=3, seed_key=(0,), workers=workers)
+                         seed=3, seed_key=(0,), workers=workers)
 
 
 class TestConjugateGradient:
@@ -202,17 +225,35 @@ class TestFisherVectorProduct:
 class TestGae:
     def test_lambda_one_is_returns_minus_values(self):
         rng = np.random.default_rng(1)
-        rew, values = rng.normal(size=25), rng.normal(size=25)
+        rew, values = rng.normal(size=(3, 25)), rng.normal(size=(3, 25))
         adv = gae_advantages(rew, values, 0.97, 1.0)
         assert np.allclose(adv, discounted_returns(rew, 0.97) - values,
                            rtol=0, atol=1e-12)
 
     def test_lambda_zero_is_td_residuals(self):
         rng = np.random.default_rng(2)
-        rew, values = rng.normal(size=25), rng.normal(size=25)
+        rew, values = rng.normal(size=(3, 25)), rng.normal(size=(3, 25))
         adv = gae_advantages(rew, values, 0.97, 0.0)
-        td = rew + 0.97 * np.append(values[1:], 0.0) - values
+        v_next = np.concatenate([values[:, 1:], np.zeros((3, 1))], axis=1)
+        td = rew + 0.97 * v_next - values
         assert np.allclose(adv, td, rtol=0, atol=1e-12)
+
+    def test_scans_over_padded_rows_equal_the_step_by_step_loops(self):
+        # each row of an (E, T) scan runs the one-episode recurrence in the
+        # same order, and zero padding adds nothing to the steps before it
+        rng = np.random.default_rng(3)
+        T, lengths = 40, [1, 17, 40]
+        rew, values = np.zeros((3, T)), np.zeros((3, T))
+        for e, n in enumerate(lengths):
+            rew[e, :n], values[e, :n] = rng.normal(size=n), rng.normal(size=n)
+        returns = discounted_returns(rew, 0.99)
+        adv = gae_advantages(rew, values, 0.99, 0.97)
+        for e, n in enumerate(lengths):
+            ref = _reference_returns(rew[e, :n], 0.99)
+            assert returns[e, :n].tobytes() == ref.tobytes()
+            ref = _reference_gae(rew[e, :n], values[e, :n], 0.99, 0.97)
+            assert adv[e, :n].tobytes() == ref.tobytes()
+            assert not returns[e, n:].any() and not adv[e, n:].any()
 
 
 class TestNpgStep:
@@ -248,12 +289,19 @@ def _rollout(kind):
             200 // GOAL_HORIZON)
 
 
+def _rows(batch):
+    """Each episode's valid steps: (obs, act, rew, logp, success) per row."""
+    return [(batch.obs[e, :n], batch.act[e, :n], batch.rew[e, :n],
+             batch.logp[e, :n], batch.success[e])
+            for e, n in enumerate(batch.lengths)]
+
+
 def _same_trajectories(a, b):
     assert len(a) == len(b)
     for x, y in zip(a, b):
-        for name in ("obs", "act", "rew", "logp"):
-            assert getattr(x, name).tobytes() == getattr(y, name).tobytes()
-        assert x.success == y.success
+        for u, v in zip(x[:4], y[:4]):
+            assert u.tobytes() == v.tobytes()
+        assert x[4] == y[4]
 
 
 class TestCollectBatch:
@@ -264,14 +312,15 @@ class TestCollectBatch:
     def test_batch_width_and_worker_count_never_change_results(self, kind):
         fn, horizon = _rollout(kind)
         n = 8 if kind == "low_goal" else 3
-        together = collect_batch(fn, n, horizon, seed=2, seed_key=(0,))
+        together = collect_batch(fn, n, seed=2, seed_key=(0,))
+        assert together.rew.shape == (n, horizon)
         alone = []
-        for i in range(n):  # trajectory i uses sub-stream seed_key + (i,)
+        for i in range(n):  # episode i uses sub-stream seed_key + (i,)
             env_seed, rng = _traj_streams(2, (0, i))
-            alone += fn([env_seed], [rng])
-        _same_trajectories(together.trajectories, alone)
-        two = collect_batch(fn, n, horizon, seed=2, seed_key=(0,), workers=2)
-        _same_trajectories(together.trajectories, two.trajectories)
+            alone += _rows(fn([env_seed], [rng]))
+        _same_trajectories(_rows(together), alone)
+        two = collect_batch(fn, n, seed=2, seed_key=(0,), workers=2)
+        _same_trajectories(_rows(together), _rows(two))
 
     @pytest.mark.parametrize("kind", ["low_goal", "push"])
     def test_stepped_rows_match_samples(self, kind, monkeypatch):
@@ -284,24 +333,24 @@ class TestCollectBatch:
 
         monkeypatch.setattr(legwork.tasks, "step_worlds", counting)
         fn, horizon = _rollout(kind)
-        batch = collect_batch(fn, 8, horizon, seed=2, seed_key=(0,))
+        batch = collect_batch(fn, 8, seed=2, seed_key=(0,))
         per_sample = 1 if kind == "low_goal" else GOAL_HORIZON
         assert sum(stepped) == batch.n_samples * per_sample
         if kind == "low_goal":
             # the count must cover rows that stop early
-            assert min(len(t) for t in batch.trajectories) < horizon
+            assert batch.lengths.min() < horizon
 
     def test_action_noise_is_one_draw_per_step_from_the_row_stream(self):
         fn, horizon = _rollout("low_goal")
         policy = fn.args[0]
-        batch = collect_batch(fn, 8, horizon, seed=2, seed_key=(0,))
-        assert min(len(t) for t in batch.trajectories) < horizon  # falls covered
-        for i, tr in enumerate(batch.trajectories):
+        batch = collect_batch(fn, 8, seed=2, seed_key=(0,))
+        assert batch.lengths.min() < horizon  # falls covered
+        for i, (obs, acts, *_) in enumerate(_rows(batch)):
             _, rng = _traj_streams(2, (0, i))
-            for t in range(len(tr)):
-                act, _ = policy.sample_rows(tr.obs[t:t + 1],
+            for t in range(len(obs)):
+                act, _ = policy.sample_rows(obs[t:t + 1],
                                             rng.standard_normal((1, policy.act_dim)))
-                assert act.tobytes() == tr.act[t:t + 1].tobytes()
+                assert act.tobytes() == acts[t:t + 1].tobytes()
 
     def test_hierarchical_episode_builds_each_start_once(self, monkeypatch):
         calls = Counter()
@@ -312,9 +361,44 @@ class TestCollectBatch:
             return substream(seed, *key)
 
         monkeypatch.setattr(legwork.tasks, "substream", recording)
-        fn, horizon = _rollout("push")
-        collect_batch(fn, 5, horizon, seed=1, seed_key=(0,))
+        fn, _ = _rollout("push")
+        collect_batch(fn, 5, seed=1, seed_key=(0,))
         assert calls == {(k,): 5 for k in (0, 10, 20, 30, 40)}
+
+
+class TestTrajectoryBatch:
+    def test_counts_read_by_the_benchmark(self):
+        # npgbench counts episodes as len(batch.trajectories) and samples
+        # as batch.n_samples
+        fn, horizon = _rollout("low_goal")
+        batch = collect_batch(fn, 8, seed=2, seed_key=(0,))
+        assert batch.lengths.min() < horizon
+        assert len(batch.trajectories) == 8
+        assert batch.n_samples == batch.lengths.sum() == len(batch.flat_obs())
+
+    def test_steps_past_a_row_length_are_zero(self):
+        fn, _ = _rollout("low_goal")
+        batch = collect_batch(fn, 8, seed=2, seed_key=(0,))
+        for x in (batch.obs, batch.act, batch.rew, batch.logp):
+            assert not x[~batch.mask].any()
+
+    def test_non_finite_log_probability_at_a_valid_step_is_rejected(self):
+        obs, act = np.zeros((2, 5, 3)), np.zeros((2, 5, 2))
+        logp = np.zeros((2, 5))
+        logp[1, 3] = np.nan
+        with pytest.raises(NumericsError):
+            TrajectoryBatch(obs, act, np.zeros((2, 5)), logp, np.array([5, 4]),
+                            np.zeros(2, dtype=bool))
+        # past row 1's length the value is padding, and is zeroed
+        batch = TrajectoryBatch(obs, act, np.zeros((2, 5)), logp, np.array([5, 3]),
+                                np.zeros(2, dtype=bool))
+        assert batch.logp[1, 3] == 0.0
+
+    @pytest.mark.parametrize("n_traj", [0, -1])
+    def test_empty_batch_is_rejected(self, n_traj):
+        fn, _ = _rollout("low_goal")
+        with pytest.raises(ConfigurationError):
+            collect_batch(fn, n_traj, seed=2)
 
 
 def test_training_smoke_run(tmp_path):
