@@ -3,8 +3,8 @@ hierarchical executor.
 
 The policy is a tanh MLP producing the mean of a diagonal Gaussian with a
 state-independent learned log standard deviation. Sampled actions are
-clamped to [-1, 1] before reaching the environment; gradients always use
-the log-density of the pre-clamp sample. Rollouts evaluate it row by row
+clamped to [-1, 1] by the world they act in; gradients always use the
+log-density of the pre-clamp sample. Rollouts evaluate it row by row
 (mean_rows, sample_rows), so a row's action never depends on the rows
 beside it; the trainer's maths evaluates whole batches (mean_batch).
 
@@ -133,10 +133,14 @@ class MlpPolicy:
         matrix product (mean_batch) round differently with the row count.
         Rollouts use this; the trainer's maths uses mean_batch.
         """
-        h = X
+        h = X[:, :, None]  # a column per row, kept between layers
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.tanh(np.matmul(w, h[:, :, None])[:, :, 0] + b)
-        return np.matmul(self.weights[-1], h[:, :, None])[:, :, 0] + self.biases[-1]
+            h = np.matmul(w, h)
+            h += b[:, None]
+            np.tanh(h, out=h)
+        out = np.matmul(self.weights[-1], h)
+        out += self.biases[-1][:, None]
+        return out[:, :, 0]
 
     def sample_rows(self, X: np.ndarray, noise: np.ndarray):
         """Pre-clamp actions mean + std * noise for the rows of X, and their
@@ -283,11 +287,11 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy, rngs,
     """Run the env's E task episodes in lockstep under the two-level policy,
     from the state the env is in; rngs holds one generator per row.
 
-    Every c steps the high level observes the task observation and emits a
-    2n-dim action that becomes one goal per agent; with noise_cfg and its
-    highlevel_noise_on, the clamped action gets uniform noise and is
-    clamped again. The frozen low level then acts for c steps; the env
-    clamps its actions, and fallen agents emit zero actions. The high-level
+    Every c steps the high level reads the task observation (env.obs) and
+    emits a 2n-dim action that becomes one goal per agent; with noise_cfg
+    and its highlevel_noise_on, the clamped action gets uniform noise and
+    is clamped again. The frozen low level then acts for c steps; the world
+    clamps its actions and gives fallen agents no motion. The high-level
     reward for a window is sum_i gamma^i r_i over the window's task rewards.
     Episodes never end early.
 
@@ -324,31 +328,30 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy, rngs,
         hi_noise, lo_noise = np.stack(hi_noise), np.stack(lo_noise)
         shift = np.stack(shift) if perturb else None
 
-    std_lo = np.exp(pi_lo.log_std)
+    # sample_rows' noise term of every low-level step, (horizon, rows, n_lo)
+    lo_step = (np.exp(pi_lo.log_std) * lo_noise).swapaxes(0, 1).reshape(
+        horizon, n_rows * n, n_lo)
     hi_obs, hi_act, hi_rew, hi_logp = [], [], [], []
     rewards = []
-    obs = env.obs
     for t in range(horizon):
         k, i = divmod(t, c)
+        world = env.world
         if i == 0:
+            obs = env.obs
             a_pre, logp = pi_hi.sample_rows(obs, hi_noise[:, k])
             a_hi = np.clip(a_pre, -1.0, 1.0)
             if perturb:
                 a_hi = np.clip(a_hi + shift[:, k], -1.0, 1.0)
-            goals = goal_from_high_action(env.world, a_hi)
+            goals = goal_from_high_action(world, a_hi)
             hi_obs.append(obs)
             hi_act.append(a_pre)
             hi_logp.append(logp)
             window_ret = 0.0
             disc = 1.0
-        world = env.world
         lo_obs = mask_low_level_obs(world, goals).reshape(n_rows * n, -1)
         # sample_rows' action without its log density, which nothing reads
-        a_lo = pi_lo.mean_rows(lo_obs) + std_lo * lo_noise[:, t].reshape(n_rows * n, n_lo)
-        actions = a_lo.reshape(n_rows, n, N_JOINTS)
-        if world.fallen.any():
-            actions = np.where(world.fallen[..., None], 0.0, actions)
-        obs, r, _ = env.step(actions)
+        a_lo = pi_lo.mean_rows(lo_obs) + lo_step[t]
+        r, _ = env.step(a_lo.reshape(n_rows, n, N_JOINTS))
         rewards.append(r)
         window_ret = window_ret + disc * r
         disc *= gamma

@@ -18,7 +18,13 @@ one seed per row. Row e draws all its randomness from seeds[e], so its
 episode is the same bit for bit whatever rows run beside it. Sub-stream
 keys (see substream): 0 terrain, 10+i agent-i dynamics, 20+i agent-i
 sticky, 30+i agent-i wrench, 40 initialization geometry (the low_goal
-goal), 50 object dimensions, 60 observation noise.
+goal), 50 object dimensions, 60 observation noise. A sub-stream is built
+only when a draw reads it, so switched-off randomizations cost nothing.
+
+A step computes only what is read. The observation is computed when it is
+first read at a step, not on every step: the hierarchical executor reads
+it once per high-level decision. Whether the target was reached at some
+step is tracked for avoid only, the one kind whose success reads it.
 """
 
 from __future__ import annotations
@@ -378,7 +384,8 @@ def target_reached(world: Worlds, spec: TaskSpec, targets: np.ndarray) -> np.nda
 def success(spec: TaskSpec, targets: np.ndarray, start: Worlds, end: Worlds,
             reached: np.ndarray) -> np.ndarray:
     """Success of every row, (E,) bool, from the worlds at the start and at
-    the end of the episodes and whether target_reached held at any step.
+    the end of the episodes and whether target_reached held at any step
+    (read for avoid only; the other kinds accept None).
 
     low_goal: the agent's final position is within 0.5 m of the goal.
     avoid: the agent came within 0.5 m of the target at some step and the
@@ -433,6 +440,20 @@ class TaskEnvConfig:
                 f"fixed_init must be None, '+' or '-', got {self.fixed_init!r}")
 
 
+class _Substream:
+    """substream(seed, *key), built when a sampler first draws from it. A
+    sampler whose switch is off draws nothing, so it builds no generator."""
+
+    def __init__(self, seed: int, *key: int):
+        self._key = (seed, *key)
+        self._rng = None
+
+    def __getattr__(self, name):  # the generator's methods
+        if self._rng is None:
+            self._rng = substream(*self._key)
+        return getattr(self._rng, name)
+
+
 class TaskEnv:
     """E episodes of one task kind, one per seed, stepped in lockstep; joint
     actions are (E, n_agents, 12).
@@ -440,12 +461,16 @@ class TaskEnv:
     A low_goal episode ends early when its agent falls. The 200-step tasks
     never end early; fallen agents freeze in place. done marks the rows
     whose episode has ended: they keep their state and are not stepped
-    again. obs holds the latest observation of every row, world the latest
-    state and start the first, and reached whether target_reached has held
-    at any step; construction leaves every episode at its start. sticky
-    (E, n_agents, horizon) and wrench
-    (E, n_agents, horizon, 3) are each episode's sticky-action and torso
-    wrench schedules.
+    again. world holds the latest state and start the first; construction
+    leaves every episode at its start. obs is the latest observation of
+    every row, computed when it is first read at each step, so a caller
+    that reads it on some steps only (the hierarchical executor reads it
+    once per decision) pays for those alone. reached tells, for avoid,
+    whether target_reached has held at any step; avoid's success is the
+    only one that reads it, so for the other kinds it is None and not
+    tracked. sticky (E, n_agents, horizon) and wrench (E, n_agents,
+    horizon, 3) are each episode's sticky-action and torso wrench
+    schedules.
     """
 
     def __init__(self, config: TaskEnvConfig, seeds):
@@ -463,19 +488,21 @@ class TaskEnv:
             np.stack([s[k] for s in starts]) for k in (1, 2, 3))
         self._obs_noise = (np.stack([s[4] for s in starts])
                            if config.torso_obs_noise > 0.0 else None)
+        self._sticks = bool(self.sticky.any())
         self._prev_actions = None
+        self._obs, self._obs_t = None, None
         self.t = 0
         self.done = np.zeros(len(self.seeds), dtype=bool)
         self.start = self.world
-        self.reached = target_reached(self.world, spec, self.targets)
-        self.obs = self._obs()
+        self.reached = (target_reached(self.world, spec, self.targets)
+                        if spec.kind == "avoid" else None)
 
     def _episode_start(self, seed: int) -> tuple:
         """One episode's start world, targets, sticky and wrench schedules
         and observation noise, each drawn from its own sub-stream of seed."""
         cfg = self.config
         n, horizon = self.n_agents, self.horizon
-        rng_init = substream(seed, 40)
+        rng_init = _Substream(seed, 40)
         if cfg.fixed_init is not None:
             world, task = fixed_eval_init(cfg.kind, cfg.fixed_init)
         elif cfg.kind == "low_goal":
@@ -495,13 +522,13 @@ class TaskEnv:
             params, terrain, sticky_prob = [ov.params] * n, ov.terrain, ov.sticky_prob
             wrench = np.zeros((n, horizon, 3))
         else:
-            params = [sample_dynamics(cfg.rand, substream(seed, 10 + i))
+            params = [sample_dynamics(cfg.rand, _Substream(seed, 10 + i))
                       for i in range(n)]
-            terrain = sample_height_field(cfg.rand, substream(seed, 0))
+            terrain = sample_height_field(cfg.rand, _Substream(seed, 0))
             sticky_prob = cfg.rand.sticky_prob if cfg.rand.sticky_on else 0.0
-            wrench = np.stack([wrench_schedule(cfg.rand, substream(seed, 30 + i), horizon)
+            wrench = np.stack([wrench_schedule(cfg.rand, _Substream(seed, 30 + i), horizon)
                                for i in range(n)])
-        sticky = np.stack([sticky_schedule(sticky_prob, substream(seed, 20 + i), horizon)
+        sticky = np.stack([sticky_schedule(sticky_prob, _Substream(seed, 20 + i), horizon)
                            for i in range(n)])
         noise = None
         if cfg.torso_obs_noise > 0.0:
@@ -511,36 +538,44 @@ class TaskEnv:
         return (WorldState(world.agents, world.blocks, terrain, params),
                 task.targets, sticky, wrench, noise)
 
-    def _obs(self) -> np.ndarray:
-        obs = observe_task(self.world, self.spec, self.targets)
-        if self._obs_noise is not None:
-            obs[:, torso_xy_slots(self.n_agents)] += self._obs_noise[:, self.t]
-        return obs
+    @property
+    def obs(self) -> np.ndarray:
+        """The observation of every row at step t, (E, obs_dim)."""
+        if self._obs_t != self.t:
+            obs = observe_task(self.world, self.spec, self.targets)
+            if self._obs_noise is not None:
+                obs[:, torso_xy_slots(self.n_agents)] += self._obs_noise[:, self.t]
+            self._obs, self._obs_t = obs, self.t
+        return self._obs
 
     def step(self, actions):
-        """Advance every row whose episode is running. Returns (obs, rewards,
+        """Advance every row whose episode is running. Returns (rewards,
         done), one entry per row; the rewards of rows that had already
-        finished carry no meaning."""
+        finished carry no meaning. The world clamps the actions."""
         if self.done.all():
             raise ConfigurationError("every episode already finished")
-        acts = np.minimum(np.maximum(np.asarray(actions, dtype=float), -1.0), 1.0)
+        acts = np.asarray(actions, dtype=float)
         shape = (len(self.seeds), self.n_agents, N_JOINTS)
         if acts.shape != shape:
             raise ConfigurationError(f"actions must be {shape}, got {acts.shape}")
         t = self.t
-        if t > 0:
-            acts = np.where(self.sticky[:, :, t, None], self._prev_actions, acts)
-        self._prev_actions = acts
+        if self._sticks:
+            # step 0 never sticks, so np.where then copies the actions: the
+            # caller may reuse its buffer
+            prev = self._prev_actions if t > 0 else acts
+            acts = np.where(self.sticky[:, :, t, None], prev, acts)
+            self._prev_actions = acts
         self.world = step_worlds(self.world, acts, self.wrench[:, :, t], ~self.done)
         reward = task_reward(self.world, self.spec, self.targets)
-        self.reached = self.reached | target_reached(self.world, self.spec, self.targets)
+        if self.reached is not None:
+            self.reached = self.reached | target_reached(self.world, self.spec,
+                                                         self.targets)
         self.t += 1
         done = self.done | (self.t >= self.horizon)
         if self.spec.kind == "low_goal":
             done = done | self.world.fallen[:, 0]
         self.done = done
-        self.obs = self._obs()
-        return self.obs, reward, self.done
+        return reward, self.done
 
     def episode_success(self) -> np.ndarray:
         return success(self.spec, self.targets, self.start, self.world, self.reached)

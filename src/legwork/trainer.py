@@ -22,7 +22,6 @@ import csv
 import logging
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -69,8 +68,8 @@ class TrainConfig:
             raise ConfigurationError("gamma must be in [0, 1)")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigurationError("lam must be in [0, 1]")
-        if self.kl_step <= 0.0:
-            raise ConfigurationError("kl_step must be positive")
+        if not 0.0 < self.kl_step < math.inf:
+            raise ConfigurationError("kl_step must be positive and finite")
         if self.iterations < 1 or self.batch_size < 1:
             raise ConfigurationError("iterations and batch_size must be >= 1")
         if self.cg_iters < 1 or self.workers < 1:
@@ -163,7 +162,7 @@ def run_task_episode(policy: MlpPolicy, task_cfg: TaskEnvConfig,
         obs[:, t] = env.obs
         act[:, t], logp[:, t] = policy.sample_rows(
             env.obs, np.where(live[:, None], draws[:, t], 0.0))
-        _, rew[:, t], _ = env.step(act[:, t].reshape(n_rows, env.n_agents, 12))  # env clamps
+        rew[:, t], _ = env.step(act[:, t].reshape(n_rows, env.n_agents, 12))  # the world clamps
         steps[live] += 1
     return TrajectoryBatch(obs, act, rew, logp, steps, env.episode_success())
 
@@ -203,6 +202,10 @@ def collect_batch(rollout_fn, n_traj: int, seed: int, seed_key: tuple = (),
     keys = [tuple(seed_key) + (i,) for i in range(n_traj)]
     if workers == 1:
         return _run_rows((rollout_fn, seed, keys))
+    # imported here, not at module level: it pulls in multiprocessing, which
+    # would slow every process start, and one worker never needs it
+    from concurrent.futures import ProcessPoolExecutor
+
     bounds = np.linspace(0, n_traj, min(workers, n_traj) + 1).astype(int)
     jobs = [(rollout_fn, seed, keys[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
     with ProcessPoolExecutor(max_workers=len(jobs)) as pool:

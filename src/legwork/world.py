@@ -23,7 +23,8 @@ row alone, bit for bit, whatever rows are stepped with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -63,9 +64,10 @@ def hypot(a, b) -> np.ndarray:
     thousand; math.hypot keeps the pinned golden episodes exact.
     """
     a = np.asarray(a, dtype=float)
-    out = list(map(math.hypot, a.ravel().tolist(),
-                   np.asarray(b, dtype=float).ravel().tolist()))
-    return np.array(out, dtype=float).reshape(a.shape)
+    out = np.fromiter(map(math.hypot, a.ravel().tolist(),
+                          np.asarray(b, dtype=float).ravel().tolist()),
+                      dtype=float, count=a.size)
+    return out.reshape(a.shape)
 
 
 @dataclass
@@ -121,6 +123,10 @@ class HeightField:
             raise ConfigurationError("height field grid must be square")
         if self.grid.shape[0] < 2:
             raise ConfigurationError("height field grid needs at least 2x2 nodes")
+        if not 0.0 < self.width < math.inf:
+            raise ConfigurationError("height field width must be positive and finite")
+        if not np.isfinite(self.grid).all():
+            raise ConfigurationError("height field heights must be finite")
 
     @classmethod
     def flat(cls, n: int = 32, width: float = 10.0) -> "HeightField":
@@ -175,6 +181,11 @@ class Worlds:
     params maps each DynamicsParams field name to an (E, A) array; grid
     holds each row's terrain heights (E, n, n) over a patch of one width,
     and flat (E,) marks the rows whose grid is all zeros.
+
+    Stepping never changes params, grid or flat, so what step_agents
+    derives from them (constants) is computed once and carried from each
+    state to the next (evolve); a state built by dataclasses.replace
+    computes its own.
     """
 
     x: np.ndarray
@@ -232,6 +243,30 @@ class Worlds:
             flat=np.array([not w.terrain.grid.any() for w in worlds]),
         )
 
+    @cached_property
+    def constants(self) -> dict:
+        """step_agents' per-state constants: the servo gain, damping and
+        friction as (E, A, 1) columns, the disc inertia, dt / mass and
+        whether every row's terrain is flat."""
+        p = self.params
+        return {
+            "gain": p["actuator_gain"][..., None],
+            "damping": p["joint_damping"][..., None],
+            "friction": p["joint_friction"][..., None],
+            "inertia": p["total_mass"] * AGENT_RADIUS ** 2,  # gyration radius = footprint
+            "inv_m": DT / p["total_mass"],
+            "all_flat": bool(self.flat.all()),
+        }
+
+    def evolve(self, changes: dict) -> "Worlds":
+        """A new state with the fields in changes replaced and every other
+        field, constants included, shared with this one. Unlike
+        dataclasses.replace it skips __init__, so only stepping, which
+        leaves params, grid and flat alone, may use it."""
+        new = object.__new__(Worlds)
+        new.__dict__ = self.__dict__ | changes
+        return new
+
 
 def terrain_at(grid: np.ndarray, width: float, x: np.ndarray, y: np.ndarray):
     """Height and analytic slope of the bilinear interpolant at (x, y).
@@ -268,9 +303,9 @@ def step_agents(world: Worlds, actions, wrench, active) -> Worlds:
     """Advance the active agents by dt under the surrogate dynamics; the
     others keep their state.
 
-    actions (E, A, 12); wrench (E, A, 3) holds each torso's world-frame
-    force and torque (fx, fy, torque); active (E, A) is a bool mask. The
-    contract, in order:
+    actions (E, A, 12), clamped to [-1, 1] here; wrench (E, A, 3) holds
+    each torso's world-frame force and torque (fx, fy, torque); active
+    (E, A) is a bool mask. The contract, in order:
       1. semi-implicit Euler joint servo with dry friction, clamped at
          +-Q_MAX (clamping zeroes the joint's velocity);
       2. per-leg thrust = clip(-qdot_flexion, 0, 1) gated by knee extension
@@ -285,27 +320,27 @@ def step_agents(world: Worlds, actions, wrench, active) -> Worlds:
     When every row's terrain is flat (Worlds.flat), the slope is 0.0
     everywhere and the terrain lookup is skipped: the friction scale is
     then surface_friction * 1.0 and the stability loses 0.0, the same bits
-    the lookup gives.
+    the lookup gives. Likewise an all-zero wrench skips its stability term,
+    which would subtract 0.0.
     """
     a = np.asarray(actions, dtype=float)
     if a.shape != world.q.shape:
         raise ConfigurationError(
             f"actions must have shape {world.q.shape}, got {a.shape}")
     pose = (world.x[..., None], world.y[..., None], world.yaw[..., None])
-    finite = np.isfinite(np.concatenate((a, world.q, world.qdot) + pose,
-                                        axis=-1)).all(axis=-1)
-    if not finite[active].all():
+    finite = np.isfinite(np.concatenate((a, world.q, world.qdot) + pose, axis=-1))
+    if not finite.all() and not finite.all(axis=-1)[active].all():
         raise NumericsError("non-finite action or agent state")
     every = active.all()
     if not every:
         a = np.where(active[..., None], a, 0.0)
     a = np.minimum(np.maximum(a, -1.0), 1.0)
-    p = world.params
+    p, k = world.params, world.constants
 
     # 1. joint servo
-    qddot = (p["actuator_gain"][..., None] * (a - world.q)
-             - p["joint_damping"][..., None] * world.qdot
-             - p["joint_friction"][..., None] * np.sign(world.qdot))
+    qddot = (k["gain"] * (a - world.q)
+             - k["damping"] * world.qdot
+             - k["friction"] * np.sign(world.qdot))
     qdot = world.qdot + qddot * DT
     q = world.q + qdot * DT
     clamped = np.abs(q) > Q_MAX
@@ -324,7 +359,7 @@ def step_agents(world: Worlds, actions, wrench, active) -> Worlds:
     v_lat = K_LAT * (lat.sum(axis=-1) / N_LEGS)
 
     # 4. terrain/friction scaling and external forces
-    if world.flat.all():
+    if k["all_flat"]:
         scale, slope_term = p["surface_friction"], 0.0
     else:
         _, sx, sy = terrain_at(world.grid, world.width, world.x, world.y)
@@ -336,11 +371,10 @@ def step_agents(world: Worlds, actions, wrench, active) -> Worlds:
     omega = omega * scale
 
     fx, fy, torque = wrench[..., 0], wrench[..., 1], wrench[..., 2]
-    inertia = p["total_mass"] * AGENT_RADIUS ** 2  # gyration radius = footprint
-    omega = omega + torque * DT / inertia
+    omega = omega + torque * DT / k["inertia"]
     yaw = world.yaw + omega * DT
     c, s = np.cos(yaw), np.sin(yaw)
-    inv_m = DT / p["total_mass"]
+    inv_m = k["inv_m"]
     bias = p["lateral_bias_force"]
     vx = c * v_fwd - s * v_lat + (fx - s * bias) * inv_m
     vy = s * v_fwd + c * v_lat + (fy + c * bias) * inv_m
@@ -349,28 +383,27 @@ def step_agents(world: Worlds, actions, wrench, active) -> Worlds:
     # twist only (the wrench already has its own term)
     x = world.x + vx * DT
     y = world.y + vy * DT
-    stability = (1.0
-                 - 0.5 * np.max(np.abs(qdot), axis=-1) / QDOT_REF
-                 - slope_term
-                 - hypot(fx, fy) / F_REF
-                 - hypot(v_fwd, v_lat) / V_REF)
+    stability = 1.0 - 0.5 * np.maximum.reduce(np.abs(qdot), axis=-1) / QDOT_REF
+    stability = stability - slope_term
+    if wrench.any():
+        stability = stability - hypot(fx, fy) / F_REF
+    stability = stability - hypot(v_fwd, v_lat) / V_REF
     z_proxy = Z0 * np.minimum(np.maximum(stability, 0.0), 1.0)
     fallen = stability < 0.0
 
     if every:
-        return replace(world, x=x, y=y, yaw=yaw, z_proxy=z_proxy, q=q,
-                       qdot=qdot, fallen=fallen)
+        return world.evolve({"x": x, "y": y, "yaw": yaw, "z_proxy": z_proxy,
+                             "q": q, "qdot": qdot, "fallen": fallen})
     moved = active[..., None]
-    return replace(
-        world,
-        x=np.where(active, x, world.x),
-        y=np.where(active, y, world.y),
-        yaw=np.where(active, yaw, world.yaw),
-        z_proxy=np.where(active, z_proxy, world.z_proxy),
-        q=np.where(moved, q, world.q),
-        qdot=np.where(moved, qdot, world.qdot),
-        fallen=np.where(active, fallen, world.fallen),
-    )
+    return world.evolve({
+        "x": np.where(active, x, world.x),
+        "y": np.where(active, y, world.y),
+        "yaw": np.where(active, yaw, world.yaw),
+        "z_proxy": np.where(active, z_proxy, world.z_proxy),
+        "q": np.where(moved, q, world.q),
+        "qdot": np.where(moved, qdot, world.qdot),
+        "fallen": np.where(active, fallen, world.fallen),
+    })
 
 
 def push_block(ax, ay, bx, by, byaw, half_extents, mass, dt: float, active):
@@ -387,9 +420,9 @@ def push_block(ax, ay, bx, by, byaw, half_extents, mass, dt: float, active):
     """
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
-    hx, hy = half_extents[..., 0], half_extents[..., 1]
-    if not (np.all(hx > 0) and np.all(hy > 0)):
+    if not (half_extents > 0).all():
         raise ConfigurationError("block half extents must be positive")
+    hx, hy = half_extents[..., 0], half_extents[..., 1]
 
     active = np.array(active, dtype=bool)
     neg_hx, neg_hy, inertia = -hx, -hy, 1.0 + mass
@@ -446,10 +479,14 @@ def step_worlds(world: Worlds, actions, wrench, live) -> Worlds:
     """
     live = np.asarray(live, dtype=bool)
     world = step_agents(world, actions, wrench, live[:, None] & ~world.fallen)
-    bx, by, byaw = world.bx.copy(), world.by.copy(), world.byaw.copy()
-    for i in range(world.x.shape[1]):
-        for k in range(bx.shape[1]):
-            bx[:, k], by[:, k], byaw[:, k] = push_block(
-                world.x[:, i], world.y[:, i], bx[:, k], by[:, k], byaw[:, k],
-                world.half_extents[:, k], world.block_mass[:, k], DT, live)
-    return replace(world, bx=bx, by=by, byaw=byaw)
+    if world.bx.shape[1]:
+        bx, by, byaw = world.bx.copy(), world.by.copy(), world.byaw.copy()
+        for i in range(world.x.shape[1]):
+            for k in range(bx.shape[1]):
+                bx[:, k], by[:, k], byaw[:, k] = push_block(
+                    world.x[:, i], world.y[:, i], bx[:, k], by[:, k], byaw[:, k],
+                    world.half_extents[:, k], world.block_mass[:, k], DT, live)
+        # step_agents' result is new and not yet returned: set its blocks
+        # in place rather than build a second state
+        world.bx, world.by, world.byaw = bx, by, byaw
+    return world

@@ -31,13 +31,13 @@ def make_env(kind, seed, rand, **options):
 
 def run_episode(env, actions):
     """(rewards, steps taken, final observation, success)."""
-    rewards, obs = [], None
+    rewards = []
     for t in range(env.horizon):
-        obs, r, done = env.step(actions[t][None])
+        r, done = env.step(actions[t][None])
         rewards.append(r[0])
         if done[0]:
             break
-    return rewards, len(rewards), obs[0], bool(env.episode_success()[0])
+    return rewards, len(rewards), env.obs[0], bool(env.episode_success()[0])
 
 
 # -- cases -------------------------------------------------------------------

@@ -247,7 +247,7 @@ class _ConstRewardEnv:
         assert actions.shape == (len(self.obs), 1, N_JOINTS)
         self.actions.append(actions.copy())
         self.t += 1
-        return (self.obs, np.full(len(self.obs), self.reward),
+        return (np.full(len(self.obs), self.reward),
                 np.full(len(self.obs), self.t >= self.horizon))
 
 
@@ -318,8 +318,9 @@ class TestHierarchicalEpisode:
                 for t in range(10 * k, 10 * k + 10):
                     a_lo, _ = pi_lo.sample_rows(obs, lo_noise[t])
                     assert a_lo.tobytes() == env.actions[t][e].tobytes()
-        # the fallen row acts with zeros, yet draws what the standing row does
-        assert not np.any([a[2] for a in env.actions])
+        # the fallen row draws and is handed what the standing row is; the
+        # world, not the executor, keeps a fallen agent still
+        assert all(a[2].tobytes() == a[0].tobytes() for a in env.actions)
         for key in ("act", "logp"):
             assert hi[key][2].tobytes() == hi[key][0].tobytes()
 

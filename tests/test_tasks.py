@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from legwork.errors import ConfigurationError
-from legwork.randomization import RandomizationConfig
+from legwork.errors import ConfigurationError, NumericsError
+from legwork.randomization import RandomizationConfig, substream
 from legwork.tasks import (
     COORD_BLOCK_HALF,
     COORD_BLOCK_MASS,
@@ -351,13 +351,13 @@ class TestLowLevelGoalEnv:
         def run(seed):
             env = TaskEnv(TaskEnvConfig("low_goal", rand=RandomizationConfig()), [seed])
             rng = np.random.default_rng(0)
-            total, obs = 0.0, env.obs
+            total = 0.0
             for _ in range(env.horizon):
-                obs, r, done = env.step(rng.uniform(-1, 1, (1, 1, 12)))
+                r, done = env.step(rng.uniform(-1, 1, (1, 1, 12)))
                 total += r[0]
                 if done[0]:
                     break
-            return total, obs
+            return total, env.obs
 
         t1, o1 = run(7)
         t2, o2 = run(7)
@@ -369,7 +369,7 @@ class TestLowLevelGoalEnv:
         env.world.qdot[0, 0, :] = 0.0
         env.world.q[0, 0, :] = -1.4
         env.world.qdot[0, 0, 1] = 20.0  # will trip the stability check
-        _, _, done = env.step(np.zeros((1, 1, 12)))
+        _, done = env.step(np.zeros((1, 1, 12)))
         assert done[0] and env.world.fallen[0, 0]
 
     def test_goal_within_law(self):
@@ -398,8 +398,8 @@ class TestTaskEnv:
                    for k in e1.world.params)
         rng = np.random.default_rng(0)
         acts = rng.uniform(-1, 1, (200, 1, 1, 12))
-        tot1 = sum(e1.step(acts[t])[1][0] for t in range(50))
-        tot2 = sum(e2.step(acts[t])[1][0] for t in range(50))
+        tot1 = sum(e1.step(acts[t])[0][0] for t in range(50))
+        tot2 = sum(e2.step(acts[t])[0][0] for t in range(50))
         assert tot1 == tot2
 
     def test_never_terminates_early(self):
@@ -407,7 +407,7 @@ class TestTaskEnv:
         env = TaskEnv(cfg, seeds=[0])
         done_flags = []
         for t in range(200):
-            _, _, done = env.step(np.zeros((1, 1, 12)))
+            _, done = env.step(np.zeros((1, 1, 12)))
             done_flags.append(done[0])
         assert not any(done_flags[:-1])
         assert done_flags[-1]
@@ -480,8 +480,54 @@ class TestTaskEnv:
         with pytest.raises(ConfigurationError):
             env.step(np.zeros((2, 2, 12)))  # one row too many
 
+    def test_infinite_action_rejected(self):
+        # the world clamps the actions, after its finiteness check
+        env = TaskEnv(TaskEnvConfig(kind="push"), seeds=[0])
+        with pytest.raises(NumericsError):
+            env.step(np.full((1, 1, 12), np.inf))
+
     def test_success_via_trace(self):
         env = TaskEnv(TaskEnvConfig(kind="push", fixed_init="+"), seeds=[0])
         for _ in range(200):
             env.step(np.zeros((1, 1, 12)))
         assert not env.episode_success()[0]  # nothing moved the block
+
+
+class TestStepWork:
+    """What a step computes: the observation on demand, reached for avoid."""
+
+    def test_avoid_tracks_reached_on_every_step(self):
+        env = TaskEnv(TaskEnvConfig("avoid", fixed_init="+"), seeds=[0, 1])
+        expected = target_reached(env.world, env.spec, env.targets)
+        assert env.reached.tolist() == expected.tolist() == [False, False]
+        for t in range(12):
+            if t == 4:  # row 1's agent onto its target for two steps
+                env.world.x[1, 0], env.world.y[1, 0] = env.targets[1, 0]
+            if t == 6:
+                env.world.x[1, 0], env.world.y[1, 0] = 0.0, 0.0
+            env.step(np.zeros((2, 1, 12)))
+            expected = expected | target_reached(env.world, env.spec, env.targets)
+            assert env.reached.tolist() == expected.tolist()
+        assert env.reached.tolist() == [False, True]
+
+    @pytest.mark.parametrize("kind", ["low_goal", "push", "coordinate"])
+    def test_reached_is_not_tracked_where_success_ignores_it(self, kind):
+        env = TaskEnv(TaskEnvConfig(kind), seeds=[0])
+        env.step(np.zeros((1, env.n_agents, 12)))
+        assert env.reached is None
+
+    def test_on_demand_obs_equals_the_eager_observation(self):
+        seeds, eps = (3, 4), 0.1
+        env = TaskEnv(TaskEnvConfig("coordinate", rand=RandomizationConfig(),
+                                    torso_obs_noise=eps), seeds)
+        # the documented schedule: sub-stream 60, one draw per torso slot
+        # of every observation, reset included
+        noise = np.stack([substream(s, 60).uniform(-eps, eps, (env.horizon + 1, 4))
+                          for s in seeds])
+        rng = np.random.default_rng(0)
+        for t in range(env.horizon + 1):
+            eager = observe_task(env.world, env.spec, env.targets)
+            eager[:, torso_xy_slots(2)] += noise[:, t]
+            assert env.obs.tobytes() == eager.tobytes()
+            if t < env.horizon:
+                env.step(rng.uniform(-1.0, 1.0, (2, 2, 12)))

@@ -363,7 +363,27 @@ class TestCollectBatch:
         monkeypatch.setattr(legwork.tasks, "substream", recording)
         fn, _ = _rollout("push")
         collect_batch(fn, 5, seed=1, seed_key=(0,))
-        assert calls == {(k,): 5 for k in (0, 10, 20, 30, 40)}
+        # with the dynamics switches off only the initialization draws
+        assert calls == {(40,): 5}
+
+    def test_hierarchical_episode_observes_once_per_decision(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name):
+            fn = getattr(legwork.tasks, name)
+
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        for name in ("observe_task", "target_reached"):
+            monkeypatch.setattr(legwork.tasks, name, counting(name))
+        fn, decisions = _rollout("push")
+        collect_batch(fn, 3, seed=1, seed_key=(0,))
+        # one lockstep observation per decision, and reached, which push's
+        # success ignores, never
+        assert calls == {"observe_task": decisions}
 
 
 class TestTrajectoryBatch:
@@ -439,7 +459,8 @@ def test_one_iteration_makes_two_forward_passes(monkeypatch):
 
 @pytest.mark.parametrize("field, value", [
     ("cg_iters", 0), ("cg_damping", -1e-4), ("cg_damping", math.nan),
-    ("workers", 0), ("checkpoint_every", -1)])
+    ("workers", 0), ("checkpoint_every", -1), ("kl_step", 0.0),
+    ("kl_step", math.nan), ("kl_step", math.inf), ("kl_step", -math.inf)])
 def test_bad_solver_and_run_settings_rejected(field, value):
     with pytest.raises(ConfigurationError):
         TrainConfig(**{field: value})

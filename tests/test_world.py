@@ -297,6 +297,19 @@ class TestSampleTerrain:
             assert abs((hyp - hym) / (2 * eps) - sy) < 1e-6
             assert 0.0 <= h <= 0.05
 
+    @pytest.mark.parametrize("width", [0.0, -10.0, math.nan, math.inf])
+    def test_bad_width_rejected(self, width):
+        # width 0 used to reach terrain_at and index the grid at -9.2e18
+        with pytest.raises(ConfigurationError):
+            HeightField(np.zeros((32, 32)), width=width)
+
+    @pytest.mark.parametrize("height", [math.nan, math.inf, -math.inf])
+    def test_non_finite_height_rejected(self, height):
+        grid = np.zeros((32, 32))
+        grid[4, 7] = height
+        with pytest.raises(ConfigurationError):
+            HeightField(grid)
+
     def test_outside_returns_edge_value_zero_slope(self):
         rng = np.random.default_rng(3)
         field = HeightField(rng.uniform(0, 0.05, (32, 32)), amplitude=0.05)
@@ -316,6 +329,14 @@ class TestWorldStep:
         assert nxt.x[0, 0] == ref.x[0, 0]
         assert nxt.yaw[0, 0] == ref.yaw[0, 0]
         assert np.array_equal(nxt.q, ref.q)
+
+    def test_stepping_carries_the_constants_and_replace_rebuilds_them(self):
+        w = one_row([AgentState.at_rest()])
+        nxt = step_rows(w, [[scripted_trot_action(0)]])
+        assert nxt.constants is w.constants
+        heavy = replace(w, params={**w.params, "total_mass": np.full((1, 1), 3.0)})
+        assert heavy.constants["inv_m"][0, 0] == DT / 3.0
+        assert heavy.constants["inertia"][0, 0] == 3.0 * AGENT_RADIUS ** 2
 
     def test_distant_agents_do_not_interact(self):
         a0 = AgentState.at_rest(x=0.0)
