@@ -292,8 +292,9 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy, rngs,
     and its highlevel_noise_on, the clamped action gets uniform noise and
     is clamped again. The frozen low level then acts for c steps; the world
     clamps its actions and gives fallen agents no motion. The high-level
-    reward for a window is sum_i gamma^i r_i over the window's task rewards.
-    Episodes never end early.
+    reward for a window is sum_i gamma^i r_i over the window's task rewards,
+    which the env scores after the last step (env.rewards()). Episodes
+    never end early.
 
     Each row draws its whole episode's noise up front from its own
     generator, in this order: the high-level sample noise (decisions,
@@ -331,8 +332,7 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy, rngs,
     # sample_rows' noise term of every low-level step, (horizon, rows, n_lo)
     lo_step = (np.exp(pi_lo.log_std) * lo_noise).swapaxes(0, 1).reshape(
         horizon, n_rows * n, n_lo)
-    hi_obs, hi_act, hi_rew, hi_logp = [], [], [], []
-    rewards = []
+    hi_obs, hi_act, hi_logp = [], [], []
     for t in range(horizon):
         k, i = divmod(t, c)
         world = env.world
@@ -346,24 +346,25 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy, rngs,
             hi_obs.append(obs)
             hi_act.append(a_pre)
             hi_logp.append(logp)
-            window_ret = 0.0
-            disc = 1.0
         lo_obs = mask_low_level_obs(world, goals).reshape(n_rows * n, -1)
         # sample_rows' action without its log density, which nothing reads
         a_lo = pi_lo.mean_rows(lo_obs) + lo_step[t]
-        r, _ = env.step(a_lo.reshape(n_rows, n, N_JOINTS))
-        rewards.append(r)
-        window_ret = window_ret + disc * r
+        env.step(a_lo.reshape(n_rows, n, N_JOINTS))
+    rewards = env.rewards()
+    # every window's return at once, in the order a step-by-step sum
+    # window_ret + disc * r would take
+    windows = rewards.reshape(n_rows, decisions, c)
+    hi_rew, disc = 0.0, 1.0
+    for i in range(c):
+        hi_rew = hi_rew + disc * windows[:, :, i]
         disc *= gamma
-        if i == c - 1:
-            hi_rew.append(window_ret)
     hi_traj = {
         "obs": np.stack(hi_obs, axis=1),
         "act": np.stack(hi_act, axis=1),
-        "rew": np.stack(hi_rew, axis=1),
+        "rew": hi_rew,
         "logp": np.stack(hi_logp, axis=1),
     }
-    return hi_traj, {"task_rewards": np.stack(rewards, axis=1)}
+    return hi_traj, {"task_rewards": rewards}
 
 
 # -- checkpoints ----------------------------------------------------------

@@ -76,6 +76,12 @@ class RandomizationConfig:
         if self.wrench_period < 1:
             raise ConfigurationError("wrench_period must be >= 1")
 
+    @property
+    def dynamics_on(self) -> bool:
+        """Whether sample_dynamics draws anything."""
+        return (self.damping_on or self.joint_friction_on or self.mass_on
+                or self.surface_friction_on or self.gain_on)
+
     @classmethod
     def all_off(cls) -> "RandomizationConfig":
         flags = {f.name: False for f in fields(cls) if f.name.endswith("_on")}
@@ -90,7 +96,8 @@ def sample_dynamics(config: RandomizationConfig, rng: np.random.Generator) -> Dy
     """One dynamics realization; disabled items take range midpoints.
 
     Draw order is fixed (damping, joint friction, mass, surface friction,
-    gain) and part of the reproducibility contract.
+    gain) and part of the reproducibility contract. Unless
+    config.dynamics_on, rng is never read and may be None.
     """
     damping = _draw(rng, *config.damping_range, config.damping_on)
     friction = _draw(rng, *config.joint_friction_range, config.joint_friction_on)

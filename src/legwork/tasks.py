@@ -9,34 +9,41 @@ disturbing a block), Push (shove a block onto a target), and Coordinate (two
 agents move a long block so both of its ends land on their targets). The
 kind fixes the agent count, the horizon and the observation size.
 
-Initializations describe one episode (a WorldState and a TaskInstance).
-Observations, rewards and success are computed for many episodes at once,
-on the rows of a world.Worlds and the matching rows of targets (E, k, 2).
+Initializations return one episode's numbers: its targets and its block's
+center. Observations, rewards and success are computed for many episodes
+at once, on the rows of a world.Worlds and the matching rows of targets
+(E, k, 2).
 
 One environment class, TaskEnv, runs E episodes of one kind in lockstep,
 one seed per row. Row e draws all its randomness from seeds[e], so its
 episode is the same bit for bit whatever rows run beside it. Sub-stream
 keys (see substream): 0 terrain, 10+i agent-i dynamics, 20+i agent-i
-sticky, 30+i agent-i wrench, 40 initialization geometry (the low_goal
-goal), 50 object dimensions, 60 observation noise. A sub-stream is built
-only when a draw reads it, so switched-off randomizations cost nothing.
+sticky, 30+i agent-i wrench, 40 initialization geometry, 50 object
+dimensions, 60 observation noise. A sub-stream is built only where a
+randomization is switched on, so switched-off ones cost nothing.
 
-A step computes only what is read. The observation is computed when it is
-first read at a step, not on every step: the hierarchical executor reads
-it once per high-level decision. Whether the target was reached at some
-step is tracked for avoid only, the one kind whose success reads it.
+The work sits at the two ends of an episode batch. Construction allocates
+each state column once for all rows, and each row writes its draws into
+its slots. Stepping advances the dynamics only: the observation is
+computed when first read at a step, and the rewards of all steps, and
+avoid's reached, come from one pass after the last (TaskEnv.rewards). Its
+formulas are elementwise per row, so they give the bits that scoring each
+step would.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .policy import LOW_LEVEL_OBS_DIM, mask_low_level_obs
 from .randomization import (
+    HFIELD_N,
+    HFIELD_WIDTH,
     RandomizationConfig,
     sample_dynamics,
     sample_height_field,
@@ -47,12 +54,10 @@ from .randomization import (
 )
 from .world import (
     N_JOINTS,
-    AgentState,
-    BlockState,
+    Z0,
     DynamicsParams,
     HeightField,
     Worlds,
-    WorldState,
     hypot,
     step_worlds,
 )
@@ -108,14 +113,6 @@ class TaskSpec:
     @property
     def obs_dim(self) -> int:
         return TASK_OBS_DIM[self.kind]
-
-
-@dataclass
-class TaskInstance:
-    """One episode's task: the spec plus this episode's target points."""
-
-    spec: TaskSpec
-    targets: np.ndarray  # (1, 2) for low_goal/avoid/push, (2, 2) for coordinate
 
 
 def _rel_body(x, y, yaw, px, py) -> tuple:
@@ -200,7 +197,8 @@ def torso_xy_slots(n_agents: int) -> list:
 
 # -- rewards ------------------------------------------------------------------
 # Each *_reward_terms function returns its terms in a fixed order, each an
-# (E,) array; task_reward sums them in that order.
+# (E,) array; task_reward sums them in that order. world is a Worlds, or
+# any object that holds the kind's SCORED columns (TaskEnv.rewards).
 
 def _upright(z_proxy: np.ndarray, spec: TaskSpec) -> np.ndarray:
     return np.where(z_proxy < UPRIGHT_Z_MIN, -spec.w_upright, 0.0)
@@ -273,11 +271,10 @@ def task_reward(world: Worlds, spec: TaskSpec, targets: np.ndarray) -> np.ndarra
 
 
 # -- initializations ---------------------------------------------------------
-
-def _nominal_world(agents, blocks):
-    return WorldState(agents, blocks, HeightField.flat(),
-                      [DynamicsParams.nominal()] * len(agents))
-
+# Each returns one episode's targets (k, 2) and its block's center (x, y),
+# None for low_goal, which has no block. Agents start at rest: one at the
+# origin facing +x, or for coordinate two side by side at y = +-0.6; the
+# blocks start with yaw 0 (TaskEnv writes these into a batch's rows).
 
 def sample_low_level_goal(rng: np.random.Generator) -> np.ndarray:
     """Goal point (u cos v, u sin v), u ~ U(1, 2), v ~ U(-0.5, 0.5), in the
@@ -288,25 +285,20 @@ def sample_low_level_goal(rng: np.random.Generator) -> np.ndarray:
 
 
 def init_low_goal(rng: np.random.Generator):
-    """low_goal start: one agent at rest at the origin facing +x, no blocks;
-    the goal from sample_low_level_goal is the single target."""
-    goal = sample_low_level_goal(rng)
-    world = _nominal_world([AgentState.at_rest()], [])
-    return world, TaskInstance(TaskSpec("low_goal"), goal[None])
+    """low_goal start: the goal from sample_low_level_goal is the single
+    target; no block."""
+    return sample_low_level_goal(rng)[None], None
 
 
 def init_avoid(rng: np.random.Generator):
-    """Avoid start: agent at the origin facing +x. Draw order: r_T, theta_T,
-    the block radius factor U(0.3, 0.8), then the block angle offset."""
+    """Avoid start. Draw order: r_T, theta_T, the block radius factor
+    U(0.3, 0.8), then the block angle offset."""
     r_t = rng.uniform(1.5, 2.5)
     th_t = rng.uniform(-1.0, 1.0)
     r_b = max(0.6, r_t * rng.uniform(0.3, 0.8))
     th_b = th_t + rng.uniform(-0.5, 0.5)
     target = np.array([[r_t * math.cos(th_t), r_t * math.sin(th_t)]])
-    block = BlockState(r_b * math.cos(th_b), r_b * math.sin(th_b), 0.0,
-                       PUSH_BLOCK_HALF, PUSH_BLOCK_MASS)
-    world = _nominal_world([AgentState.at_rest()], [block])
-    return world, TaskInstance(TaskSpec("avoid"), target)
+    return target, (r_b * math.cos(th_b), r_b * math.sin(th_b))
 
 
 def init_push(rng: np.random.Generator, max_attempts: int = 100):
@@ -322,17 +314,15 @@ def init_push(rng: np.random.Generator, max_attempts: int = 100):
         bx = tx + r_b * math.cos(th_b)
         by = ty + r_b * math.sin(th_b)
         if math.hypot(bx, by) >= 0.5:  # agent spawns at the origin
-            block = BlockState(bx, by, 0.0, PUSH_BLOCK_HALF, PUSH_BLOCK_MASS)
-            world = _nominal_world([AgentState.at_rest()], [block])
-            return world, TaskInstance(TaskSpec("push"),
-                                       np.array([[tx, ty]]))
+            return np.array([[tx, ty]]), (bx, by)
     raise ConfigurationError(
         f"push initialization failed to separate block and agent in {max_attempts} draws")
 
 
-def init_coordinate(rng: np.random.Generator, half_extents=COORD_BLOCK_HALF):
-    """Coordinate start: two agents side by side facing a long block lying
-    across their path. Draw order: r_T, theta_T, theta_B offset."""
+def init_coordinate(rng: np.random.Generator):
+    """Coordinate start: a long block lying across the agents' path,
+    COORD_BLOCK_AHEAD in front of them. Draw order: r_T, theta_T, theta_B
+    offset."""
     r_t = rng.uniform(1.0, 1.5)
     th_t = rng.uniform(-1.0, 1.0)
     th_b = th_t + math.pi / 2 + rng.uniform(-0.5, 0.5)
@@ -342,35 +332,27 @@ def init_coordinate(rng: np.random.Generator, half_extents=COORD_BLOCK_HALF):
         [cx + off * math.cos(th_b), cy + off * math.sin(th_b)],
         [cx - off * math.cos(th_b), cy - off * math.sin(th_b)],
     ])
-    agents = [AgentState.at_rest(y=COORD_AGENT_GAP / 2),
-              AgentState.at_rest(y=-COORD_AGENT_GAP / 2)]
-    block = BlockState(COORD_BLOCK_AHEAD, 0.0, 0.0, half_extents, COORD_BLOCK_MASS)
-    world = _nominal_world(agents, [block])
-    return world, TaskInstance(TaskSpec("coordinate"), targets)
+    return targets, (COORD_BLOCK_AHEAD, 0.0)
 
 
 def fixed_eval_init(kind: str, variant: str = "+"):
     """Fixed evaluation starts mirroring the hardware protocol.
 
-    avoid, push: agent at the origin facing +x, block 1 m ahead, target at
-    (2, +0.5) or (2, -0.5) by variant. coordinate: targets are the 1.5 m
-    forward translation of the block ends.
+    avoid, push: block 1 m ahead of the agent, target at (2, +0.5) or
+    (2, -0.5) by variant. coordinate: targets are the 1.5 m forward
+    translation of the block ends.
     """
     if kind in ("avoid", "push"):
         sign = 1.0 if variant == "+" else -1.0
-        block = BlockState(1.0, 0.0, 0.0, PUSH_BLOCK_HALF, PUSH_BLOCK_MASS)
-        world = _nominal_world([AgentState.at_rest()], [block])
-        targets = np.array([[2.0, sign * 0.5]])
-        return world, TaskInstance(TaskSpec(kind), targets)
+        return np.array([[2.0, sign * 0.5]]), (1.0, 0.0)
     if kind == "coordinate":
-        agents = [AgentState.at_rest(y=COORD_AGENT_GAP / 2),
-                  AgentState.at_rest(y=-COORD_AGENT_GAP / 2)]
-        block = BlockState(COORD_BLOCK_AHEAD, 0.0, 0.0, COORD_BLOCK_HALF,
-                           COORD_BLOCK_MASS)
-        world = _nominal_world(agents, [block])
-        targets = block_ends(block.x, block.y, block.yaw) + np.array([1.5, 0.0])
-        return world, TaskInstance(TaskSpec("coordinate"), targets)
+        targets = block_ends(COORD_BLOCK_AHEAD, 0.0, 0.0) + np.array([1.5, 0.0])
+        return targets, (COORD_BLOCK_AHEAD, 0.0)
     raise ConfigurationError(f"no fixed initialization for kind {kind!r}")
+
+
+INITS = {"low_goal": init_low_goal, "avoid": init_avoid, "push": init_push,
+         "coordinate": init_coordinate}
 
 
 # -- success ------------------------------------------------------------------
@@ -440,18 +422,12 @@ class TaskEnvConfig:
                 f"fixed_init must be None, '+' or '-', got {self.fixed_init!r}")
 
 
-class _Substream:
-    """substream(seed, *key), built when a sampler first draws from it. A
-    sampler whose switch is off draws nothing, so it builds no generator."""
-
-    def __init__(self, seed: int, *key: int):
-        self._key = (seed, *key)
-        self._rng = None
-
-    def __getattr__(self, name):  # the generator's methods
-        if self._rng is None:
-            self._rng = substream(*self._key)
-        return getattr(self._rng, name)
+# The state columns that each kind's reward and success read: all that a
+# TaskEnv keeps of the states its episodes pass through.
+SCORED = {"low_goal": ("x", "y", "yaw", "z_proxy"),
+          "avoid": ("x", "y", "z_proxy", "bx", "by"),
+          "push": ("x", "y", "z_proxy", "bx", "by"),
+          "coordinate": ("z_proxy", "bx", "by", "byaw")}
 
 
 class TaskEnv:
@@ -465,12 +441,16 @@ class TaskEnv:
     leaves every episode at its start. obs is the latest observation of
     every row, computed when it is first read at each step, so a caller
     that reads it on some steps only (the hierarchical executor reads it
-    once per decision) pays for those alone. reached tells, for avoid,
-    whether target_reached has held at any step; avoid's success is the
-    only one that reads it, so for the other kinds it is None and not
-    tracked. sticky (E, n_agents, horizon) and wrench (E, n_agents,
-    horizon, 3) are each episode's sticky-action and torso wrench
-    schedules.
+    once per decision) pays for those alone. sticky (E, n_agents, horizon)
+    and wrench (E, n_agents, horizon, 3) are each episode's sticky-action
+    and torso wrench schedules.
+
+    Stepping computes no reward. The env keeps a reference to each SCORED
+    column of the start and of every later state, and rewards() scores all
+    of them in one task_reward call. reached, which only avoid's success
+    reads, comes from the same columns; it is None for the other kinds.
+    The columns are kept, not copied: writing into env.world's arrays
+    changes what is scored for the step that made them.
     """
 
     def __init__(self, config: TaskEnvConfig, seeds):
@@ -482,61 +462,97 @@ class TaskEnv:
             raise ConfigurationError("a TaskEnv needs at least one seed")
         self.n_agents = spec.n_agents
         self.horizon = spec.horizon
-        starts = [self._episode_start(seed) for seed in self.seeds]
-        self.world = Worlds.stack(s[0] for s in starts)
-        self.targets, self.sticky, self.wrench = (
-            np.stack([s[k] for s in starts]) for k in (1, 2, 3))
-        self._obs_noise = (np.stack([s[4] for s in starts])
-                           if config.torso_obs_noise > 0.0 else None)
+        self._build_starts()
+        self.start = self.world
         self._sticks = bool(self.sticky.any())
+        pushed = self.wrench.any(axis=(0, 1, 3))  # a nonzero wrench, per step
+        self._pushed = pushed.tolist()
+        self._force = (hypot(self.wrench[..., 0], self.wrench[..., 1])
+                       if pushed.any() else None)
         self._prev_actions = None
         self._obs, self._obs_t = None, None
         self.t = 0
         self.done = np.zeros(len(self.seeds), dtype=bool)
-        self.start = self.world
-        self.reached = (target_reached(self.world, spec, self.targets)
-                        if spec.kind == "avoid" else None)
+        self._columns = {name: [getattr(self.world, name)] for name in SCORED[spec.kind]}
+        self._scored, self._scored_t = None, None
 
-    def _episode_start(self, seed: int) -> tuple:
-        """One episode's start world, targets, sticky and wrench schedules
-        and observation noise, each drawn from its own sub-stream of seed."""
-        cfg = self.config
-        n, horizon = self.n_agents, self.horizon
-        rng_init = _Substream(seed, 40)
-        if cfg.fixed_init is not None:
-            world, task = fixed_eval_init(cfg.kind, cfg.fixed_init)
-        elif cfg.kind == "low_goal":
-            world, task = init_low_goal(rng_init)
-        elif cfg.kind == "avoid":
-            world, task = init_avoid(rng_init)
-        elif cfg.kind == "push":
-            world, task = init_push(rng_init)
-        else:
-            half = COORD_BLOCK_HALF
-            if cfg.rand.object_dims_on:
-                half = sample_object_dims(half, substream(seed, 50), cfg.rand)
-            world, task = init_coordinate(rng_init, half_extents=half)
-
-        ov = cfg.overrides
+    def _build_starts(self) -> None:
+        """Set world, targets, sticky, wrench and the observation noise of
+        every row. Each column is allocated once for all rows, holding
+        agents at rest and nominal (or overridden) dynamics over flat (or
+        overridden) terrain; each row then writes what it draws into its
+        slots, from the sub-streams of its seed whose randomization is on."""
+        cfg, rand, ov = self.config, self.config.rand, self.config.overrides
+        kind, n, horizon = cfg.kind, self.n_agents, self.horizon
+        rows = len(self.seeds)
         if ov is not None:
-            params, terrain, sticky_prob = [ov.params] * n, ov.terrain, ov.sticky_prob
-            wrench = np.zeros((n, horizon, 3))
+            base, terrain, sticky_prob = ov.params, ov.terrain, ov.sticky_prob
         else:
-            params = [sample_dynamics(cfg.rand, _Substream(seed, 10 + i))
-                      for i in range(n)]
-            terrain = sample_height_field(cfg.rand, _Substream(seed, 0))
-            sticky_prob = cfg.rand.sticky_prob if cfg.rand.sticky_on else 0.0
-            wrench = np.stack([wrench_schedule(cfg.rand, _Substream(seed, 30 + i), horizon)
-                               for i in range(n)])
-        sticky = np.stack([sticky_schedule(sticky_prob, _Substream(seed, 20 + i), horizon)
-                           for i in range(n)])
-        noise = None
-        if cfg.torso_obs_noise > 0.0:
-            eps = cfg.torso_obs_noise
-            # one draw per torso slot of every observation, reset included
-            noise = substream(seed, 60).uniform(-eps, eps, (horizon + 1, 2 * n))
-        return (WorldState(world.agents, world.blocks, terrain, params),
-                task.targets, sticky, wrench, noise)
+            # switched-off dynamics items read no generator
+            base = None if rand.dynamics_on else sample_dynamics(rand, None)
+            terrain = HeightField.flat(HFIELD_N, HFIELD_WIDTH)
+            sticky_prob = rand.sticky_prob if rand.sticky_on else 0.0
+        fill = DynamicsParams() if base is None else base  # drawn rows overwrite it
+        params = {f.name: np.full((rows, n), getattr(fill, f.name))
+                  for f in fields(DynamicsParams)}
+        grid = np.zeros((rows,) + terrain.grid.shape)
+        grid[:] = terrain.grid
+        draw_terrain = ov is None and rand.height_field_on
+        draw_wrench = ov is None and rand.wrench_on
+        draw_dims = (kind == "coordinate" and cfg.fixed_init is None
+                     and rand.object_dims_on)
+
+        coordinate = kind == "coordinate"
+        targets = np.empty((rows, 2 if coordinate else 1, 2))
+        n_blocks = 0 if kind == "low_goal" else 1
+        bx, by = np.zeros((rows, n_blocks)), np.zeros((rows, n_blocks))
+        half_extents = np.empty((rows, n_blocks, 2))
+        half_extents[:] = COORD_BLOCK_HALF if coordinate else PUSH_BLOCK_HALF
+        self.sticky = np.zeros((rows, n, horizon), dtype=bool)
+        self.wrench = np.zeros((rows, n, horizon, 3))
+        eps = cfg.torso_obs_noise
+        # one draw per torso slot of every observation, reset included
+        self._obs_noise = np.empty((rows, horizon + 1, 2 * n)) if eps > 0.0 else None
+        fixed = None if cfg.fixed_init is None else fixed_eval_init(kind, cfg.fixed_init)
+
+        for e, seed in enumerate(self.seeds):
+            targets[e], block = (INITS[kind](substream(seed, 40)) if fixed is None
+                                 else fixed)
+            if block is not None:
+                bx[e, 0], by[e, 0] = block
+            if draw_dims:
+                half_extents[e, 0] = sample_object_dims(COORD_BLOCK_HALF,
+                                                        substream(seed, 50), rand)
+            for i in range(n):
+                if base is None:
+                    drawn = sample_dynamics(rand, substream(seed, 10 + i))
+                    for name, column in params.items():
+                        column[e, i] = getattr(drawn, name)
+                if sticky_prob > 0.0:
+                    self.sticky[e, i] = sticky_schedule(sticky_prob,
+                                                        substream(seed, 20 + i), horizon)
+                if draw_wrench:
+                    self.wrench[e, i] = wrench_schedule(rand, substream(seed, 30 + i),
+                                                        horizon)
+            if draw_terrain:
+                grid[e] = sample_height_field(rand, substream(seed, 0)).grid
+            if self._obs_noise is not None:
+                self._obs_noise[e] = substream(seed, 60).uniform(
+                    -eps, eps, (horizon + 1, 2 * n))
+        self.targets = targets
+
+        x, y = np.zeros((rows, n)), np.zeros((rows, n))
+        if coordinate:
+            y[:, 0], y[:, 1] = COORD_AGENT_GAP / 2, -COORD_AGENT_GAP / 2
+        mass = COORD_BLOCK_MASS if coordinate else PUSH_BLOCK_MASS
+        self.world = Worlds(
+            x=x, y=y, yaw=np.zeros((rows, n)), z_proxy=np.full((rows, n), Z0),
+            q=np.zeros((rows, n, N_JOINTS)), qdot=np.zeros((rows, n, N_JOINTS)),
+            fallen=np.zeros((rows, n), dtype=bool),
+            bx=bx, by=by, byaw=np.zeros((rows, n_blocks)),
+            half_extents=half_extents, block_mass=np.full((rows, n_blocks), mass),
+            params=params, grid=grid, width=terrain.width,
+            flat=~grid.any(axis=(1, 2)))
 
     @property
     def obs(self) -> np.ndarray:
@@ -548,10 +564,9 @@ class TaskEnv:
             self._obs, self._obs_t = obs, self.t
         return self._obs
 
-    def step(self, actions):
-        """Advance every row whose episode is running. Returns (rewards,
-        done), one entry per row; the rewards of rows that had already
-        finished carry no meaning. The world clamps the actions."""
+    def step(self, actions) -> np.ndarray:
+        """Advance every row whose episode is running; returns done, one
+        entry per row. The world clamps the actions."""
         if self.done.all():
             raise ConfigurationError("every episode already finished")
         acts = np.asarray(actions, dtype=float)
@@ -565,17 +580,46 @@ class TaskEnv:
             prev = self._prev_actions if t > 0 else acts
             acts = np.where(self.sticky[:, :, t, None], prev, acts)
             self._prev_actions = acts
-        self.world = step_worlds(self.world, acts, self.wrench[:, :, t], ~self.done)
-        reward = task_reward(self.world, self.spec, self.targets)
-        if self.reached is not None:
-            self.reached = self.reached | target_reached(self.world, self.spec,
-                                                         self.targets)
+        if self._pushed[t]:
+            wrench, force = self.wrench[:, :, t], self._force[:, :, t]
+        else:
+            wrench = force = None
+        self.world = step_worlds(self.world, acts, wrench, ~self.done, force)
+        for name, column in self._columns.items():
+            column.append(getattr(self.world, name))
         self.t += 1
         done = self.done | (self.t >= self.horizon)
         if self.spec.kind == "low_goal":
             done = done | self.world.fallen[:, 0]
         self.done = done
-        return reward, self.done
+        return self.done
+
+    def _score(self) -> tuple:
+        """(rewards, reached) of the steps so far, from one pass over the
+        kept columns stacked step by step: (t + 1) * E rows."""
+        if self._scored_t != self.t:
+            states = self.t + 1
+            cols = SimpleNamespace(**{name: np.concatenate(column)
+                                      for name, column in self._columns.items()})
+            targets = np.tile(self.targets, (states, 1, 1))
+            rewards = task_reward(cols, self.spec, targets).reshape(states, -1)[1:].T
+            reached = None
+            if self.spec.kind == "avoid":
+                reached = target_reached(cols, self.spec, targets).reshape(
+                    states, -1).any(axis=0)
+            self._scored, self._scored_t = (rewards, reached), self.t
+        return self._scored
+
+    def rewards(self) -> np.ndarray:
+        """The reward of every row at every step so far, (E, t). The
+        rewards of rows that had already finished carry no meaning."""
+        return self._score()[0]
+
+    @property
+    def reached(self):
+        """For avoid, whether target_reached held at the start or after
+        any step so far, per row; None for the other kinds."""
+        return self._score()[1] if self.spec.kind == "avoid" else None
 
     def episode_success(self) -> np.ndarray:
         return success(self.spec, self.targets, self.start, self.world, self.reached)

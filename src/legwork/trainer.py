@@ -149,7 +149,7 @@ def run_task_episode(policy: MlpPolicy, task_cfg: TaskEnvConfig,
     n_rows, horizon = len(env.seeds), env.horizon
     obs = np.zeros((n_rows, horizon, env.obs.shape[1]))
     act = np.zeros((n_rows, horizon, policy.act_dim))
-    rew = np.zeros((n_rows, horizon))
+    rew = np.zeros((n_rows, horizon))  # scored after the last step
     logp = np.zeros((n_rows, horizon))
     steps = np.zeros(n_rows, dtype=int)
     # A row's rng serves only its action noise: one draw for the whole
@@ -162,8 +162,9 @@ def run_task_episode(policy: MlpPolicy, task_cfg: TaskEnvConfig,
         obs[:, t] = env.obs
         act[:, t], logp[:, t] = policy.sample_rows(
             env.obs, np.where(live[:, None], draws[:, t], 0.0))
-        rew[:, t], _ = env.step(act[:, t].reshape(n_rows, env.n_agents, 12))  # the world clamps
+        env.step(act[:, t].reshape(n_rows, env.n_agents, 12))  # the world clamps
         steps[live] += 1
+    rew[:, :env.t] = env.rewards()
     return TrajectoryBatch(obs, act, rew, logp, steps, env.episode_success())
 
 

@@ -11,9 +11,10 @@ rows, each with the same number of agents A and blocks B. Agent pose
 fields are (E, A) arrays, joint vectors (E, A, 12), block fields (E, B),
 terrain grids (E, n, n), and each dynamics parameter an (E, A) array.
 Every formula runs once over all rows; masks select the rows and agents
-that move. AgentState, BlockState, HeightField, DynamicsParams and
-WorldState describe one world; Worlds.stack turns a list of them into
-rows.
+that move. Whoever builds a Worlds allocates its columns once and writes
+each row's values into its slots (tasks.TaskEnv). HeightField and
+DynamicsParams describe one terrain and one agent's dynamics, as drawn by
+the randomization samplers or pinned by evaluation overrides.
 
 Stepping is pure: step_worlds returns a new Worlds and never mutates its
 input, so a trace may hold every state. Each row's result depends on that
@@ -23,7 +24,7 @@ row alone, bit for bit, whatever rows are stepped with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -58,50 +59,20 @@ _PUSH_MAX_ITERS = 64
 
 
 def hypot(a, b) -> np.ndarray:
-    """Elementwise math.hypot of two arrays of one shape.
+    """Elementwise math.hypot of two arrays of one shape; ValueError when
+    the shapes differ.
 
     np.hypot differs from math.hypot in the last bit on a few inputs in a
     thousand; math.hypot keeps the pinned golden episodes exact.
     """
     a = np.asarray(a, dtype=float)
-    out = np.fromiter(map(math.hypot, a.ravel().tolist(),
-                          np.asarray(b, dtype=float).ravel().tolist()),
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"hypot needs two arrays of one shape, got {a.shape} "
+                         f"and {b.shape}")
+    out = np.fromiter(map(math.hypot, a.ravel().tolist(), b.ravel().tolist()),
                       dtype=float, count=a.size)
     return out.reshape(a.shape)
-
-
-@dataclass
-class AgentState:
-    """Pose, torso-height proxy, and joint state of one legged agent."""
-
-    x: float
-    y: float
-    yaw: float
-    z_proxy: float
-    q: np.ndarray
-    qdot: np.ndarray
-    fallen: bool = False
-
-    def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float)
-        self.qdot = np.asarray(self.qdot, dtype=float)
-        if self.q.shape != (N_JOINTS,) or self.qdot.shape != (N_JOINTS,):
-            raise ConfigurationError("agent joint vectors must have 12 entries")
-
-    @classmethod
-    def at_rest(cls, x: float = 0.0, y: float = 0.0, yaw: float = 0.0) -> "AgentState":
-        return cls(x, y, yaw, Z0, np.zeros(N_JOINTS), np.zeros(N_JOINTS))
-
-
-@dataclass
-class BlockState:
-    """Axis-aligned (in its own frame) rectangular block posed in the plane."""
-
-    x: float
-    y: float
-    yaw: float
-    half_extents: tuple[float, float]
-    mass: float
 
 
 @dataclass
@@ -153,24 +124,6 @@ class DynamicsParams:
                self.total_mass, self.surface_friction) < 0:
             raise ConfigurationError("dynamics magnitudes must be nonnegative")
 
-    @classmethod
-    def nominal(cls) -> "DynamicsParams":
-        return cls()
-
-
-@dataclass
-class WorldState:
-    """One world: its agents, blocks, terrain and per-agent dynamics."""
-
-    agents: list
-    blocks: list
-    terrain: HeightField
-    params: list
-
-    def __post_init__(self):
-        if len(self.params) != len(self.agents):
-            raise ConfigurationError("one DynamicsParams per agent required")
-
 
 @dataclass
 class Worlds:
@@ -182,10 +135,10 @@ class Worlds:
     holds each row's terrain heights (E, n, n) over a patch of one width,
     and flat (E,) marks the rows whose grid is all zeros.
 
-    Stepping never changes params, grid or flat, so what step_agents
-    derives from them (constants) is computed once and carried from each
-    state to the next (evolve); a state built by dataclasses.replace
-    computes its own.
+    Stepping never changes params, grid, flat, half_extents or
+    block_mass, so what stepping derives from them (constants) is computed
+    once and carried from each state to the next (evolve); a state built
+    by dataclasses.replace computes its own.
     """
 
     x: np.ndarray
@@ -205,49 +158,13 @@ class Worlds:
     width: float
     flat: np.ndarray
 
-    @classmethod
-    def stack(cls, worlds) -> "Worlds":
-        """Rows from WorldState descriptions that share their agent and
-        block counts and their terrain's grid size and width."""
-        worlds = list(worlds)
-        if not worlds:
-            raise ConfigurationError("need at least one world")
-        layout = {(len(w.agents), len(w.blocks), w.terrain.grid.shape,
-                   w.terrain.width) for w in worlds}
-        if len(layout) != 1:
-            raise ConfigurationError(
-                "stacked worlds must share agent and block counts and terrain layout")
-        e, a, b = len(worlds), len(worlds[0].agents), len(worlds[0].blocks)
-
-        def table(items, value, shape, dtype=float):
-            return np.array([[value(it) for it in getattr(w, items)] for w in worlds],
-                            dtype=dtype).reshape(shape)
-
-        return cls(
-            x=table("agents", lambda s: s.x, (e, a)),
-            y=table("agents", lambda s: s.y, (e, a)),
-            yaw=table("agents", lambda s: s.yaw, (e, a)),
-            z_proxy=table("agents", lambda s: s.z_proxy, (e, a)),
-            q=table("agents", lambda s: s.q, (e, a, N_JOINTS)),
-            qdot=table("agents", lambda s: s.qdot, (e, a, N_JOINTS)),
-            fallen=table("agents", lambda s: s.fallen, (e, a), bool),
-            bx=table("blocks", lambda s: s.x, (e, b)),
-            by=table("blocks", lambda s: s.y, (e, b)),
-            byaw=table("blocks", lambda s: s.yaw, (e, b)),
-            half_extents=table("blocks", lambda s: s.half_extents, (e, b, 2)),
-            block_mass=table("blocks", lambda s: s.mass, (e, b)),
-            params={f.name: table("params", lambda p, n=f.name: getattr(p, n), (e, a))
-                    for f in fields(DynamicsParams)},
-            grid=np.stack([w.terrain.grid for w in worlds]),
-            width=worlds[0].terrain.width,
-            flat=np.array([not w.terrain.grid.any() for w in worlds]),
-        )
-
     @cached_property
     def constants(self) -> dict:
-        """step_agents' per-state constants: the servo gain, damping and
-        friction as (E, A, 1) columns, the disc inertia, dt / mass and
-        whether every row's terrain is flat."""
+        """Stepping's per-state constants: the servo gain, damping and
+        friction as (E, A, 1) columns, the disc inertia, dt / mass, whether
+        every row's terrain is flat and whether no row has a lateral bias
+        force (step_agents), and block_constants of each block (push_block).
+        Raises ConfigurationError for a block without positive extents."""
         p = self.params
         return {
             "gain": p["actuator_gain"][..., None],
@@ -256,6 +173,9 @@ class Worlds:
             "inertia": p["total_mass"] * AGENT_RADIUS ** 2,  # gyration radius = footprint
             "inv_m": DT / p["total_mass"],
             "all_flat": bool(self.flat.all()),
+            "no_bias": not p["lateral_bias_force"].any(),
+            "blocks": [block_constants(self.half_extents[:, k], self.block_mass[:, k])
+                       for k in range(self.bx.shape[1])],
         }
 
     def evolve(self, changes: dict) -> "Worlds":
@@ -266,6 +186,16 @@ class Worlds:
         new = object.__new__(Worlds)
         new.__dict__ = self.__dict__ | changes
         return new
+
+
+def block_constants(half_extents: np.ndarray, mass: np.ndarray) -> tuple:
+    """What push_block reads of blocks with half_extents (E, 2) and mass
+    (E,): (hx, hy, -hx, -hy, 1 + mass), the last the rotational inertia.
+    Raises ConfigurationError unless every half extent is positive."""
+    if not (half_extents > 0).all():
+        raise ConfigurationError("block half extents must be positive")
+    hx, hy = half_extents[:, 0], half_extents[:, 1]
+    return hx, hy, -hx, -hy, 1.0 + mass
 
 
 def terrain_at(grid: np.ndarray, width: float, x: np.ndarray, y: np.ndarray):
@@ -299,13 +229,15 @@ def terrain_at(grid: np.ndarray, width: float, x: np.ndarray, y: np.ndarray):
     return height, dhdx, dhdy
 
 
-def step_agents(world: Worlds, actions, wrench, active) -> Worlds:
+def step_agents(world: Worlds, actions, wrench, active, force=None) -> Worlds:
     """Advance the active agents by dt under the surrogate dynamics; the
     others keep their state.
 
     actions (E, A, 12), clamped to [-1, 1] here; wrench (E, A, 3) holds
-    each torso's world-frame force and torque (fx, fy, torque); active
-    (E, A) is a bool mask. The contract, in order:
+    each torso's world-frame force and torque (fx, fy, torque), or is None
+    when it is zero in every row; force is hypot(fx, fy) of the wrench,
+    (E, A), computed here when omitted; active (E, A) is a bool mask. The
+    contract, in order:
       1. semi-implicit Euler joint servo with dry friction, clamped at
          +-Q_MAX (clamping zeroes the joint's velocity);
       2. per-leg thrust = clip(-qdot_flexion, 0, 1) gated by knee extension
@@ -320,7 +252,7 @@ def step_agents(world: Worlds, actions, wrench, active) -> Worlds:
     When every row's terrain is flat (Worlds.flat), the slope is 0.0
     everywhere and the terrain lookup is skipped: the friction scale is
     then surface_friction * 1.0 and the stability loses 0.0, the same bits
-    the lookup gives. Likewise an all-zero wrench skips its stability term,
+    the lookup gives. Likewise a wrench of None skips its stability term,
     which would subtract 0.0.
     """
     a = np.asarray(actions, dtype=float)
@@ -370,14 +302,25 @@ def step_agents(world: Worlds, actions, wrench, active) -> Worlds:
     v_lat = v_lat * scale
     omega = omega * scale
 
-    fx, fy, torque = wrench[..., 0], wrench[..., 1], wrench[..., 2]
-    omega = omega + torque * DT / k["inertia"]
-    yaw = world.yaw + omega * DT
-    c, s = np.cos(yaw), np.sin(yaw)
-    inv_m = k["inv_m"]
-    bias = p["lateral_bias_force"]
-    vx = c * v_fwd - s * v_lat + (fx - s * bias) * inv_m
-    vy = s * v_fwd + c * v_lat + (fy + c * bias) * inv_m
+    if wrench is None and k["no_bias"]:
+        # No force acts in any row. The force terms would add +0.0, which
+        # can only turn a -0.0 into +0.0, and that changes yaw, x or y only
+        # where they hold -0.0. No start holds -0.0, and a sum is -0.0 only
+        # when both terms are, so they never do: the bits are unchanged.
+        yaw = world.yaw + omega * DT
+        c, s = np.cos(yaw), np.sin(yaw)
+        vx = c * v_fwd - s * v_lat
+        vy = s * v_fwd + c * v_lat
+    else:
+        fx, fy, torque = ((0.0, 0.0, 0.0) if wrench is None else
+                          (wrench[..., 0], wrench[..., 1], wrench[..., 2]))
+        omega = omega + torque * DT / k["inertia"]
+        yaw = world.yaw + omega * DT
+        c, s = np.cos(yaw), np.sin(yaw)
+        inv_m = k["inv_m"]
+        bias = p["lateral_bias_force"]
+        vx = c * v_fwd - s * v_lat + (fx - s * bias) * inv_m
+        vy = s * v_fwd + c * v_lat + (fy + c * bias) * inv_m
 
     # 5. pose integration and stability; the speed term counts the gait
     # twist only (the wrench already has its own term)
@@ -385,8 +328,10 @@ def step_agents(world: Worlds, actions, wrench, active) -> Worlds:
     y = world.y + vy * DT
     stability = 1.0 - 0.5 * np.maximum.reduce(np.abs(qdot), axis=-1) / QDOT_REF
     stability = stability - slope_term
-    if wrench.any():
-        stability = stability - hypot(fx, fy) / F_REF
+    if wrench is not None:
+        if force is None:
+            force = hypot(wrench[..., 0], wrench[..., 1])
+        stability = stability - force / F_REF
     stability = stability - hypot(v_fwd, v_lat) / V_REF
     z_proxy = Z0 * np.minimum(np.maximum(stability, 0.0), 1.0)
     fallen = stability < 0.0
@@ -406,12 +351,12 @@ def step_agents(world: Worlds, actions, wrench, active) -> Worlds:
     })
 
 
-def push_block(ax, ay, bx, by, byaw, half_extents, mass, dt: float, active):
+def push_block(ax, ay, bx, by, byaw, block: tuple, dt: float, active):
     """Quasi-static contact resolution between a disc agent and a block in
     every active row; returns the blocks' new (x, y, yaw), each (E,).
 
-    ax, ay are the agent centers, bx, by, byaw, mass the blocks (E,) and
-    half_extents (E, 2). While a disc penetrates its block footprint, the
+    ax, ay are the agent centers, bx, by, byaw the blocks (E,), and block
+    their block_constants. While a disc penetrates its block footprint, the
     block translates away along the contact normal by the penetration depth
     and rotates about its center by lever x displacement / (1 + mass). The
     block holds no momentum: without contact it never moves. A row repeats
@@ -420,12 +365,8 @@ def push_block(ax, ay, bx, by, byaw, half_extents, mass, dt: float, active):
     """
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
-    if not (half_extents > 0).all():
-        raise ConfigurationError("block half extents must be positive")
-    hx, hy = half_extents[..., 0], half_extents[..., 1]
-
-    active = np.array(active, dtype=bool)
-    neg_hx, neg_hy, inertia = -hx, -hy, 1.0 + mass
+    hx, hy, neg_hx, neg_hy, inertia = block
+    active = np.asarray(active, dtype=bool)  # rebound below, never written
     for _ in range(_PUSH_MAX_ITERS):
         if not active.any():
             break
@@ -469,23 +410,24 @@ def push_block(ax, ay, bx, by, byaw, half_extents, mass, dt: float, active):
     return bx, by, byaw
 
 
-def step_worlds(world: Worlds, actions, wrench, live) -> Worlds:
+def step_worlds(world: Worlds, actions, wrench, live, force=None) -> Worlds:
     """Advance the live rows (bool mask (E,)) by one step; the other rows
     keep their state.
 
     Every standing agent moves; fallen agents receive no motion. Then each
-    agent pushes each block, in agent-index order. actions and wrench are
-    as in step_agents.
+    agent pushes each block, in agent-index order. actions, wrench and
+    force are as in step_agents.
     """
     live = np.asarray(live, dtype=bool)
-    world = step_agents(world, actions, wrench, live[:, None] & ~world.fallen)
+    world = step_agents(world, actions, wrench, live[:, None] & ~world.fallen, force)
     if world.bx.shape[1]:
         bx, by, byaw = world.bx.copy(), world.by.copy(), world.byaw.copy()
+        blocks = world.constants["blocks"]
         for i in range(world.x.shape[1]):
             for k in range(bx.shape[1]):
                 bx[:, k], by[:, k], byaw[:, k] = push_block(
                     world.x[:, i], world.y[:, i], bx[:, k], by[:, k], byaw[:, k],
-                    world.half_extents[:, k], world.block_mass[:, k], DT, live)
+                    blocks[k], DT, live)
         # step_agents' result is new and not yet returned: set its blocks
         # in place rather than build a second state
         world.bx, world.by, world.byaw = bx, by, byaw

@@ -31,12 +31,11 @@ def make_env(kind, seed, rand, **options):
 
 def run_episode(env, actions):
     """(rewards, steps taken, final observation, success)."""
-    rewards = []
     for t in range(env.horizon):
-        r, done = env.step(actions[t][None])
-        rewards.append(r[0])
+        done = env.step(actions[t][None])
         if done[0]:
             break
+    rewards = list(env.rewards()[0])
     return rewards, len(rewards), env.obs[0], bool(env.episode_success()[0])
 
 

@@ -22,20 +22,13 @@ from legwork.policy import (
     mean_jvp,
     save_checkpoint,
 )
-from legwork.world import (
-    N_JOINTS,
-    AgentState,
-    DynamicsParams,
-    HeightField,
-    Worlds,
-    WorldState,
-)
+from legwork.world import N_JOINTS
+from helpers import AgentState, Row, make_worlds
 
 
 def rows(*agents):
     """One world per agent, stacked as rows of one agent each."""
-    return Worlds.stack([WorldState([a], [], HeightField.flat(),
-                                    [DynamicsParams.nominal()]) for a in agents])
+    return make_worlds([Row([a]) for a in agents])
 
 
 def masked(agent, goal):
@@ -236,9 +229,7 @@ class _ConstRewardEnv:
         agents = [AgentState.at_rest() for _ in range(rows)]
         for e in fallen:
             agents[e].fallen = True
-        self.world = Worlds.stack([WorldState([a], [], HeightField.flat(),
-                                              [DynamicsParams.nominal()])
-                                   for a in agents])
+        self.world = make_worlds([Row([a]) for a in agents])
         self.obs = np.zeros((rows, self.obs_dim))
         self.t = 0
         self.actions = []  # what each step was given
@@ -247,8 +238,10 @@ class _ConstRewardEnv:
         assert actions.shape == (len(self.obs), 1, N_JOINTS)
         self.actions.append(actions.copy())
         self.t += 1
-        return (np.full(len(self.obs), self.reward),
-                np.full(len(self.obs), self.t >= self.horizon))
+        return np.full(len(self.obs), self.t >= self.horizon)
+
+    def rewards(self):
+        return np.full((len(self.obs), self.t), self.reward)
 
 
 def _rngs(n=1):
@@ -307,9 +300,7 @@ class TestHierarchicalEpisode:
             hi_noise = rng.standard_normal((20, 2))
             shift = rng.uniform(-1.0, 1.0, (20, 2)) if perturbed else np.zeros((20, 2))
             lo_noise = rng.standard_normal((200, 1, 12))
-            world = Worlds.stack([WorldState([AgentState.at_rest()], [],
-                                             HeightField.flat(),
-                                             [DynamicsParams.nominal()])])
+            world = make_worlds([Row([AgentState.at_rest()])])
             for k in range(20):
                 a_pre, _ = pi_hi.sample_rows(np.zeros((1, 4)), hi_noise[k:k + 1])
                 assert a_pre.tobytes() == hi["act"][e, k:k + 1].tobytes()

@@ -1,18 +1,24 @@
 import math
+from collections import Counter, namedtuple
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import legwork.tasks
 from legwork.errors import ConfigurationError, NumericsError
 from legwork.randomization import RandomizationConfig, substream
 from legwork.tasks import (
+    COORD_AGENT_GAP,
     COORD_BLOCK_HALF,
     COORD_BLOCK_MASS,
+    PUSH_BLOCK_HALF,
+    PUSH_BLOCK_MASS,
+    TASK_KINDS,
     EnvOverrides,
     TaskEnv,
     TaskEnvConfig,
-    TaskInstance,
     TaskSpec,
     agent_core_obs,
     avoid_reward_terms,
@@ -31,14 +37,12 @@ from legwork.tasks import (
     task_reward,
     torso_xy_slots,
 )
-from legwork.world import (
-    AgentState,
-    BlockState,
-    DynamicsParams,
-    HeightField,
-    Worlds,
-    WorldState,
-)
+from legwork.world import DynamicsParams, HeightField
+from helpers import AgentState, BlockState, Row, make_worlds
+
+# One episode's task: the spec plus its target points, (1, 2) for
+# low_goal/avoid/push and (2, 2) for coordinate.
+TaskInstance = namedtuple("TaskInstance", "spec targets")
 
 
 def ks_statistic(samples, cdf):
@@ -58,14 +62,28 @@ class _QueueRng:
 
 
 def _world(agents, blocks):
-    return WorldState(list(agents), list(blocks), HeightField.flat(),
-                      [DynamicsParams.nominal()] * len(agents))
+    return Row(list(agents), list(blocks))
+
+
+def _start(kind, start):
+    """An init_* or fixed_eval_init result, (targets, block center), as the
+    world and task of its episode: agents at rest, the block at yaw 0."""
+    targets, block = start
+    if kind == "coordinate":
+        agents = [AgentState.at_rest(y=COORD_AGENT_GAP / 2),
+                  AgentState.at_rest(y=-COORD_AGENT_GAP / 2)]
+        blocks = [BlockState(*block, 0.0, COORD_BLOCK_HALF, COORD_BLOCK_MASS)]
+    else:
+        agents = [AgentState.at_rest()]
+        blocks = ([] if block is None else
+                  [BlockState(*block, 0.0, PUSH_BLOCK_HALF, PUSH_BLOCK_MASS)])
+    return _world(agents, blocks), TaskInstance(TaskSpec(kind), targets)
 
 
 def _row(world, task):
     """One episode as the one-row arguments of the batched task functions:
     (Worlds, spec, targets)."""
-    return Worlds.stack([world]), task.spec, task.targets[None]
+    return make_worlds([world]), task.spec, task.targets[None]
 
 
 def _reward(world, task) -> float:
@@ -145,7 +163,7 @@ class TestLowLevelReward:
 class TestInitializations:
     def test_avoid_forced_block_radius_floor(self):
         # draws: r_T=1.5, theta_T=0, block factor 0.3, angle offset 0
-        world, task = init_avoid(_QueueRng([1.5, 0.0, 0.3, 0.0]))
+        world, task = _start("avoid", init_avoid(_QueueRng([1.5, 0.0, 0.3, 0.0])))
         assert math.hypot(world.blocks[0].x, world.blocks[0].y) == pytest.approx(0.6)
         assert task.targets[0][0] == pytest.approx(1.5)
         assert task.targets[0][1] == pytest.approx(0.0)
@@ -154,7 +172,7 @@ class TestInitializations:
         rng = np.random.default_rng(2)
         r_ts, th_ts, offs = [], [], []
         for _ in range(10_000):
-            world, task = init_avoid(rng)
+            world, task = _start("avoid", init_avoid(rng))
             tx, ty = task.targets[0]
             r_ts.append(math.hypot(tx, ty))
             th_ts.append(math.atan2(ty, tx))
@@ -171,7 +189,7 @@ class TestInitializations:
     def test_push_never_starts_in_contact_margin(self):
         rng = np.random.default_rng(3)
         for _ in range(10_000):
-            world, _ = init_push(rng)
+            world, _ = _start("push", init_push(rng))
             b = world.blocks[0]
             assert math.hypot(b.x, b.y) >= 0.5
 
@@ -179,7 +197,7 @@ class TestInitializations:
         rng = np.random.default_rng(4)
         r_bs, th_bs = [], []
         for _ in range(10_000):
-            world, task = init_push(rng)
+            world, task = _start("push", init_push(rng))
             tx, ty = task.targets[0]
             b = world.blocks[0]
             r_bs.append(math.hypot(b.x - tx, b.y - ty))
@@ -192,16 +210,16 @@ class TestInitializations:
     def test_coordinate_targets_apart(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
-            _, task = init_coordinate(rng)
+            _, task = _start("coordinate", init_coordinate(rng))
             gap = math.hypot(*(task.targets[0] - task.targets[1]))
             assert gap == pytest.approx(1.1, abs=1e-12)
 
     def test_coordinate_geometry(self):
-        _, task = init_coordinate(np.random.default_rng(0))
-        assert task.spec.n_agents == 2
-        world, _ = init_coordinate(np.random.default_rng(0))
-        assert world.agents[0].y - world.agents[1].y == pytest.approx(1.2)
-        assert world.blocks[0].x == pytest.approx(0.8)
+        env = TaskEnv(TaskEnvConfig("coordinate"), [0])
+        assert env.spec.n_agents == 2
+        world = env.world
+        assert world.y[0, 0] - world.y[0, 1] == pytest.approx(1.2)
+        assert world.bx[0, 0] == pytest.approx(0.8)
 
 
 class TestTaskRewards:
@@ -228,13 +246,13 @@ class TestTaskRewards:
     def test_terms_sum_to_rewards(self):
         rng = np.random.default_rng(8)
         for _ in range(30):
-            world, task = init_push(rng)
+            world, task = _start("push", init_push(rng))
             terms = _terms(push_reward_terms, world, task)
             assert _reward(world, task) == sum(terms.values())
-            world, task = init_avoid(rng)
+            world, task = _start("avoid", init_avoid(rng))
             terms = _terms(avoid_reward_terms, world, task)
             assert _reward(world, task) == sum(terms.values())
-            world, task = init_coordinate(rng)
+            world, task = _start("coordinate", init_coordinate(rng))
             terms = _terms(coordinate_reward_terms, world, task)
             assert _reward(world, task) == sum(terms.values())
 
@@ -286,17 +304,17 @@ class TestSuccess:
 
 class TestFixedEvalInit:
     def test_avoid_variants(self):
-        _, task_p = fixed_eval_init("avoid", "+")
-        _, task_m = fixed_eval_init("avoid", "-")
+        _, task_p = _start("avoid", fixed_eval_init("avoid", "+"))
+        _, task_m = _start("avoid", fixed_eval_init("avoid", "-"))
         assert tuple(task_p.targets[0]) == (2.0, 0.5)
         assert tuple(task_m.targets[0]) == (2.0, -0.5)
 
     def test_push_block_one_meter_ahead(self):
-        world, _ = fixed_eval_init("push", "+")
+        world, _ = _start("push", fixed_eval_init("push", "+"))
         assert (world.blocks[0].x, world.blocks[0].y) == (1.0, 0.0)
 
     def test_coordinate_targets_are_translated_ends(self):
-        world, task = fixed_eval_init("coordinate")
+        world, task = _start("coordinate", fixed_eval_init("coordinate"))
         b = world.blocks[0]
         ends = block_ends(b.x, b.y, b.yaw)
         assert np.allclose(task.targets, ends + np.array([1.5, 0.0]))
@@ -306,17 +324,17 @@ class TestFixedEvalInit:
 
 class TestObservations:
     def test_dimensions(self):
-        w, t = init_push(np.random.default_rng(0))
+        w, t = _start("push", init_push(np.random.default_rng(0)))
         assert _observe(w, t).shape == (32,)
-        w, t = init_avoid(np.random.default_rng(0))
+        w, t = _start("avoid", init_avoid(np.random.default_rng(0)))
         assert _observe(w, t).shape == (32,)
-        w, t = init_coordinate(np.random.default_rng(0))
+        w, t = _start("coordinate", init_coordinate(np.random.default_rng(0)))
         assert _observe(w, t).shape == (70,)
 
     def test_relative_slots_match_independent_recomputation(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            world, task = init_push(rng)
+            world, task = _start("push", init_push(rng))
             agent = world.agents[0]
             agent.x, agent.y, agent.yaw = rng.uniform(-2, 2, 3)
             obs = _observe(world, task)
@@ -331,12 +349,12 @@ class TestObservations:
             assert obs[24] == agent.x and obs[25] == agent.y
 
     def test_coordinate_layout(self):
-        world, task = init_coordinate(np.random.default_rng(1))
+        world, task = _start("coordinate", init_coordinate(np.random.default_rng(1)))
         obs = _observe(world, task)
         block = world.blocks[0]
         assert obs[56] == pytest.approx(math.cos(block.yaw))
         assert obs[57] == pytest.approx(math.sin(block.yaw))
-        core0 = agent_core_obs(Worlds.stack([world]))[0, 0]
+        core0 = agent_core_obs(make_worlds([world]))[0, 0]
         assert np.array_equal(obs[:28], core0)
 
     def test_torso_slots(self):
@@ -353,10 +371,11 @@ class TestLowLevelGoalEnv:
             rng = np.random.default_rng(0)
             total = 0.0
             for _ in range(env.horizon):
-                r, done = env.step(rng.uniform(-1, 1, (1, 1, 12)))
-                total += r[0]
+                done = env.step(rng.uniform(-1, 1, (1, 1, 12)))
                 if done[0]:
                     break
+            for r in env.rewards()[0]:
+                total += r
             return total, env.obs
 
         t1, o1 = run(7)
@@ -369,7 +388,7 @@ class TestLowLevelGoalEnv:
         env.world.qdot[0, 0, :] = 0.0
         env.world.q[0, 0, :] = -1.4
         env.world.qdot[0, 0, 1] = 20.0  # will trip the stability check
-        _, done = env.step(np.zeros((1, 1, 12)))
+        done = env.step(np.zeros((1, 1, 12)))
         assert done[0] and env.world.fallen[0, 0]
 
     def test_goal_within_law(self):
@@ -378,7 +397,7 @@ class TestLowLevelGoalEnv:
         assert np.all((1.0 <= r) & (r <= 2.0))
 
     def test_overrides_pin_dynamics(self):
-        ov = EnvOverrides(params=DynamicsParams.nominal(),
+        ov = EnvOverrides(params=DynamicsParams(),
                           terrain=HeightField.flat(), sticky_prob=0.0)
         env = TaskEnv(TaskEnvConfig("low_goal", rand=RandomizationConfig(),
                                     overrides=ov), [3])
@@ -398,8 +417,10 @@ class TestTaskEnv:
                    for k in e1.world.params)
         rng = np.random.default_rng(0)
         acts = rng.uniform(-1, 1, (200, 1, 1, 12))
-        tot1 = sum(e1.step(acts[t])[0][0] for t in range(50))
-        tot2 = sum(e2.step(acts[t])[0][0] for t in range(50))
+        for t in range(50):
+            e1.step(acts[t])
+            e2.step(acts[t])
+        tot1, tot2 = sum(e1.rewards()[0]), sum(e2.rewards()[0])
         assert tot1 == tot2
 
     def test_never_terminates_early(self):
@@ -407,7 +428,7 @@ class TestTaskEnv:
         env = TaskEnv(cfg, seeds=[0])
         done_flags = []
         for t in range(200):
-            _, done = env.step(np.zeros((1, 1, 12)))
+            done = env.step(np.zeros((1, 1, 12)))
             done_flags.append(done[0])
         assert not any(done_flags[:-1])
         assert done_flags[-1]
@@ -446,9 +467,9 @@ class TestTaskEnv:
         lambda: TaskEnvConfig("push", torso_obs_noise=math.nan),
         lambda: TaskEnvConfig("push", torso_obs_noise=math.inf),
         lambda: TaskEnvConfig("avoid", fixed_init="x"),
-        lambda: EnvOverrides(DynamicsParams.nominal(), HeightField.flat(), 1.7),
-        lambda: EnvOverrides(DynamicsParams.nominal(), HeightField.flat(), -0.1),
-        lambda: EnvOverrides(DynamicsParams.nominal(), HeightField.flat(), math.nan),
+        lambda: EnvOverrides(DynamicsParams(), HeightField.flat(), 1.7),
+        lambda: EnvOverrides(DynamicsParams(), HeightField.flat(), -0.1),
+        lambda: EnvOverrides(DynamicsParams(), HeightField.flat(), math.nan),
     ], ids=["noise_negative", "noise_nan", "noise_inf", "fixed_init_x",
             "sticky_above_one", "sticky_negative", "sticky_nan"])
     def test_bad_env_settings_rejected(self, make):
@@ -531,3 +552,94 @@ class TestStepWork:
             assert env.obs.tobytes() == eager.tobytes()
             if t < env.horizon:
                 env.step(rng.uniform(-1.0, 1.0, (2, 2, 12)))
+
+
+# Setups whose per-step rewards the scoring pass must reproduce: every
+# kind, randomized starts, object dimensions with observation noise, a
+# fixed start, and overrides with rough terrain and a lateral bias force.
+_ROUGH = EnvOverrides(
+    DynamicsParams(total_mass=2.1, lateral_bias_force=0.8),
+    HeightField(np.random.default_rng(3).uniform(0.0, 0.1, (32, 32)), amplitude=0.1),
+    sticky_prob=0.3)
+SCORED_SETUPS = {
+    "low_goal/rand": TaskEnvConfig("low_goal", rand=RandomizationConfig()),
+    "avoid/rand": TaskEnvConfig("avoid", rand=RandomizationConfig()),
+    "push/rand": TaskEnvConfig("push", rand=RandomizationConfig()),
+    "coordinate/dims/noise": TaskEnvConfig("coordinate", rand=RandomizationConfig(),
+                                           torso_obs_noise=0.1),
+    "avoid/fixed": TaskEnvConfig("avoid", fixed_init="+"),
+    "push/overrides": TaskEnvConfig("push", rand=RandomizationConfig(), overrides=_ROUGH),
+    "low_goal/overrides": TaskEnvConfig("low_goal", overrides=_ROUGH),
+}
+
+
+class TestScoringPass:
+    """Rewards and avoid's reached come from one pass after the last step,
+    bit for bit what scoring each step's world would give."""
+
+    @pytest.mark.parametrize("name", sorted(SCORED_SETUPS))
+    def test_one_pass_equals_scoring_every_step(self, name):
+        env = TaskEnv(SCORED_SETUPS[name], seeds=[3, 4, 5, 6])
+        rng = np.random.default_rng(1)
+        per_step = []
+        reached = target_reached(env.world, env.spec, env.targets)
+        while not env.done.all():
+            env.step(rng.uniform(-1.0, 1.0, (4, env.n_agents, 12)))
+            per_step.append(task_reward(env.world, env.spec, env.targets))
+            reached = reached | target_reached(env.world, env.spec, env.targets)
+        assert env.rewards().shape == (4, env.t)
+        assert env.rewards().tobytes() == np.stack(per_step, axis=1).tobytes()
+        if env.spec.kind == "avoid":
+            assert env.reached.tolist() == reached.tolist()
+        else:
+            assert env.reached is None
+
+    def test_rewards_so_far(self):
+        env = TaskEnv(TaskEnvConfig("push"), seeds=[0, 1])
+        assert env.rewards().shape == (2, 0)
+        for _ in range(3):
+            env.step(np.ones((2, 1, 12)))
+        first = env.rewards()
+        env.step(np.ones((2, 1, 12)))
+        assert env.rewards().shape == (2, 4)
+        assert env.rewards()[:, :3].tobytes() == first.tobytes()
+
+    def test_task_reward_runs_once_per_read(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return task_reward(*args)
+
+        monkeypatch.setattr(legwork.tasks, "task_reward", counting)
+        env = TaskEnv(TaskEnvConfig("avoid"), seeds=[0, 1])
+        for _ in range(env.horizon):
+            env.step(np.zeros((2, 1, 12)))
+        assert calls == []  # stepping scores nothing
+        env.rewards()
+        env.episode_success()  # reached comes from the same pass
+        assert len(calls) == 1
+
+
+class TestArrayStarts:
+    @pytest.mark.parametrize("kind", TASK_KINDS)
+    def test_switched_off_randomization_leaves_rows_nominal(self, kind, monkeypatch):
+        keys = Counter()
+
+        def recording(seed, *key):
+            keys[key] += 1
+            return substream(seed, *key)
+
+        monkeypatch.setattr(legwork.tasks, "substream", recording)
+        env = TaskEnv(TaskEnvConfig(kind, rand=RandomizationConfig.all_off()),
+                      seeds=[0, 1, 2])
+        nominal = DynamicsParams()
+        for f in fields(DynamicsParams):
+            column = env.world.params[f.name]
+            assert column.shape == (3, env.n_agents)
+            assert (column == getattr(nominal, f.name)).all()
+        assert env.world.grid.shape == (3, 32, 32)
+        assert not env.world.grid.any() and env.world.flat.all()
+        assert not env.sticky.any() and not env.wrench.any()
+        # only the initialization draws
+        assert keys == {(40,): 3}

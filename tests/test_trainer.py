@@ -327,9 +327,9 @@ class TestCollectBatch:
         stepped = []
         step_worlds = legwork.tasks.step_worlds
 
-        def counting(world, actions, wrench, live):
+        def counting(world, actions, wrench, live, force=None):
             stepped.append(int(np.count_nonzero(live)))
-            return step_worlds(world, actions, wrench, live)
+            return step_worlds(world, actions, wrench, live, force)
 
         monkeypatch.setattr(legwork.tasks, "step_worlds", counting)
         fn, horizon = _rollout(kind)
@@ -365,6 +365,20 @@ class TestCollectBatch:
         collect_batch(fn, 5, seed=1, seed_key=(0,))
         # with the dynamics switches off only the initialization draws
         assert calls == {(40,): 5}
+
+    @pytest.mark.parametrize("kind", ["low_goal", "push", "coordinate"])
+    def test_task_reward_runs_once_per_batch(self, kind, monkeypatch):
+        calls = []
+        task_reward = legwork.tasks.task_reward
+
+        def counting(*args):
+            calls.append(1)
+            return task_reward(*args)
+
+        monkeypatch.setattr(legwork.tasks, "task_reward", counting)
+        fn, _ = _rollout(kind)
+        collect_batch(fn, 3, seed=1, seed_key=(0,))
+        assert len(calls) == 1
 
     def test_hierarchical_episode_observes_once_per_decision(self, monkeypatch):
         calls = Counter()

@@ -7,10 +7,12 @@ anywhere on the training path shows here.
 The low-level run's third batch holds an episode that falls at step 19,
 so the padded rows of a batch are covered.
 
-The pinned values were produced by this file's own runner; regenerate them
-only for an intended change of behaviour:
+The pins hold for one BLAS thread (tests/conftest.py sets it): the
+Coordinate run's final parameters differ in the last bits under one BLAS
+thread and under several, as a matrix product's rounding may. They were produced by this file's own runner;
+regenerate them only for an intended change of behaviour:
 
-    PYTHONPATH=src python tests/test_trainer_golden.py
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_trainer_golden.py
 """
 
 import hashlib
@@ -38,7 +40,7 @@ def params_sha256(name) -> str:
 
 
 GOLDEN = {
-    "coordinate": "cd6d75893dce13bdbc030db6ce29029457d35fda19156688b1d768a1add2b86c",
+    "coordinate": "620baa5c3f32da20a03aa6c81f91a90d7ad6fe8bf76b615570af29093fd67a3c",
     "low": "16f28cf1ccd67a4dff67dc0aa8b7c913f33d430d3867cab86069efb0583b58e0",
     "push": "aaa551274581ce566023cca35b13bc7f53c0ea3d034f271b639133ac74829b38",
 }

@@ -14,17 +14,16 @@ from legwork.world import (
     F_REF,
     N_JOINTS,
     N_LEGS,
-    AgentState,
-    BlockState,
     DynamicsParams,
     HeightField,
-    Worlds,
-    WorldState,
+    block_constants,
+    hypot,
     push_block,
     step_agents,
     step_worlds,
     terrain_at,
 )
+from helpers import AgentState, BlockState, Row, make_worlds
 
 
 def scripted_trot_action(step: int, period: int = 16,
@@ -45,7 +44,7 @@ def scripted_trot_action(step: int, period: int = 16,
     return a
 
 
-NOMINAL = DynamicsParams.nominal()
+NOMINAL = DynamicsParams()
 FLAT = HeightField.flat()
 ZERO_W = np.zeros(3)  # (fx, fy, torque)
 
@@ -56,8 +55,8 @@ TROT_DISPLACEMENT_40 = 1.9280410995027948
 
 def one_row(agents, blocks=(), terrain=FLAT, params=NOMINAL):
     """A one-row Worlds of the given agents and blocks."""
-    return Worlds.stack([WorldState(list(agents), list(blocks), terrain,
-                                    [params] * len(agents))])
+    return make_worlds([Row(list(agents), list(blocks), terrain,
+                            [params] * len(agents))])
 
 
 def step_rows(world, actions, wrenches=None):
@@ -102,8 +101,8 @@ def push(agent_state, blk, dt=DT):
     """The block after push resolution against one agent."""
     out = push_block(np.array([agent_state.x]), np.array([agent_state.y]),
                      np.array([blk.x]), np.array([blk.y]), np.array([blk.yaw]),
-                     np.array([blk.half_extents], dtype=float),
-                     np.array([blk.mass]), dt, np.array([True]))
+                     block_constants(np.array([blk.half_extents], dtype=float),
+                                     np.array([blk.mass])), dt, np.array([True]))
     return BlockState(float(out[0][0]), float(out[1][0]), float(out[2][0]),
                       blk.half_extents, blk.mass)
 
@@ -241,8 +240,9 @@ class TestResolvePush:
         outside = AgentState.at_rest(x=-0.55, y=0.1)
         both = push_block(np.array([inside.x, outside.x]),
                           np.array([inside.y, outside.y]), np.zeros(2),
-                          np.zeros(2), np.zeros(2), np.full((2, 2), 0.3),
-                          np.full(2, 4.0), DT, np.ones(2, dtype=bool))
+                          np.zeros(2), np.zeros(2),
+                          block_constants(np.full((2, 2), 0.3), np.full(2, 4.0)),
+                          DT, np.ones(2, dtype=bool))
         for e, alone in enumerate((out, push(outside, self.BLOCK))):
             assert tuple(v[e] for v in both) == (alone.x, alone.y, alone.yaw)
 
@@ -257,6 +257,23 @@ class TestResolvePush:
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(ConfigurationError):
             push(AgentState.at_rest(), self.BLOCK, 0.0)
+
+
+class TestHypot:
+    def test_matches_math_hypot(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
+        out = hypot(a, b)
+        assert out.shape == (3, 5)
+        assert all(out[i, j] == math.hypot(a[i, j], b[i, j])
+                   for i in range(3) for j in range(5))
+
+    def test_unequal_shapes_rejected(self):
+        # map would stop at the shorter input, and the result took a's shape
+        with pytest.raises(ValueError):
+            hypot([[3.0], [6.0]], [[4.0, 100.0], [8.0, 100.0]])
+        with pytest.raises(ValueError):
+            hypot(np.ones((1, 2)), np.ones((2, 1)))
 
 
 class TestSampleTerrain:
@@ -370,10 +387,25 @@ class TestWorldStep:
         nxt = step_rows(w, [[np.ones(12)]])
         assert same_row(nxt, w)
 
+    @pytest.mark.parametrize("bias", [0.0, 0.8])
+    def test_no_wrench_equals_a_zero_wrench(self, bias):
+        # None skips the force terms, or with a lateral bias adds zeros in
+        # their place: the same bits as a zero wrench
+        w = one_row([AgentState.at_rest(), AgentState.at_rest(x=2.0, yaw=0.4)],
+                    params=DynamicsParams(lateral_bias_force=bias))
+        zero, none = w, w
+        live = np.ones(1, dtype=bool)
+        for t in range(30):
+            acts = np.array([[scripted_trot_action(t), scripted_trot_action(t + 5)]])
+            zero = step_worlds(zero, acts, np.zeros((1, 2, 3)), live)
+            none = step_worlds(none, acts, None, live)
+        assert same_row(zero, none)
+        assert zero.x[0, 0] > 0.5
+
     def test_rows_not_live_keep_their_state(self):
-        w = Worlds.stack([WorldState([AgentState.at_rest(x=0.4)],
-                                     [BlockState(1.0, 0.0, 0.0, (0.3, 0.3), 4.0)],
-                                     FLAT, [NOMINAL])] * 2)
+        w = make_worlds([Row([AgentState.at_rest(x=0.4)],
+                             [BlockState(1.0, 0.0, 0.0, (0.3, 0.3), 4.0)],
+                             FLAT, [NOMINAL])] * 2)
         acts = np.stack([[scripted_trot_action(1)]] * 2)
         nxt = step_worlds(w, acts, np.zeros((2, 1, 3)), np.array([True, False]))
         assert nxt.x[0, 0] != w.x[0, 0]
@@ -477,7 +509,7 @@ def random_row(draw, n_agents, n_blocks, flat=None):
                              surface_friction=rng.uniform(0.5, 1.5),
                              lateral_bias_force=rng.uniform(-1, 1))
               for _ in range(n_agents)]
-    return (WorldState(agents, blocks, terrain, params),
+    return (Row(agents, blocks, terrain, params),
             rng.uniform(-1.5, 1.5, (n_agents, 12)), rng.uniform(-8, 8, (n_agents, 3)),
             draw(st.booleans()))
 
@@ -498,14 +530,14 @@ class TestLockstep:
     @settings(max_examples=60, deadline=None)
     @given(rows=random_rows())
     def test_stepping_rows_together_equals_each_alone(self, rows):
-        world = Worlds.stack(r[0] for r in rows)
+        world = make_worlds(r[0] for r in rows)
         acts = np.stack([r[1] for r in rows])
         wrench = np.stack([r[2] for r in rows])
         live = np.array([r[3] for r in rows])
         together = world
         # every row through the terrain lookup, flat or not
         looked_up = replace(world, flat=np.zeros(len(rows), dtype=bool))
-        alone = [Worlds.stack([r[0]]) for r in rows]
+        alone = [make_worlds([r[0]]) for r in rows]
         for _ in range(3):
             together = step_worlds(together, acts, wrench, live)
             looked_up = step_worlds(looked_up, acts, wrench, live)
