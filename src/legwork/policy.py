@@ -17,7 +17,9 @@ agent's body frame, re-anchored in the world at every decision; the low
 level sees only joint state plus the goal rotated into its body frame, with
 all six torso pose slots zeroed. Each row draws its episode's noise for
 both levels up front, in a fixed order, so its numbers never depend on
-whether its agents fall (hierarchical_episode).
+whether its agents fall (hierarchical_episode). The high-level actions
+are perturbed exactly when the env randomizes the task (rand.task), the
+level whose randomization the perturbation is.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, NumericsError
-from .randomization import RandomizationConfig, highlevel_noise_schedule
+from .randomization import highlevel_noise_schedule
 from .world import N_JOINTS, Worlds
 
 LOW_LEVEL_OBS_DIM = 32  # q(12) + qdot(12) + zeroed torso pose(6) + body goal(2)
@@ -281,26 +283,25 @@ def gaussian_kl(mu_old: np.ndarray, log_std_old: np.ndarray,
 # -- hierarchical execution ----------------------------------------------
 
 def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy, rngs,
-                         c: int = GOAL_HORIZON,
-                         noise_cfg: RandomizationConfig | None = None,
-                         gamma: float = 0.99, deterministic: bool = False):
+                         c: int = GOAL_HORIZON, gamma: float = 0.99,
+                         deterministic: bool = False):
     """Run the env's E task episodes in lockstep under the two-level policy,
     from the state the env is in; rngs holds one generator per row.
 
     Every c steps the high level reads the task observation (env.obs) and
-    emits a 2n-dim action that becomes one goal per agent; with noise_cfg
-    and its highlevel_noise_on, the clamped action gets uniform noise and
-    is clamped again. The frozen low level then acts for c steps; the world
-    clamps its actions and gives fallen agents no motion. The high-level
-    reward for a window is sum_i gamma^i r_i over the window's task rewards,
-    which the env scores after the last step (env.rewards()). Episodes
-    never end early.
+    emits a 2n-dim action that becomes one goal per agent; when the env
+    randomizes the task (env.config.rand.task), the clamped action gets
+    uniform noise and is clamped again. The frozen low level then acts for
+    c steps; the world clamps its actions and gives fallen agents no
+    motion. The high-level reward for a window is sum_i gamma^i r_i over
+    the window's task rewards, which the env scores after the last step
+    (env.rewards()). Episodes never end early.
 
     Each row draws its whole episode's noise up front from its own
     generator, in this order: the high-level sample noise (decisions,
-    n_hi); the high-level perturbation (decisions, n_hi), only when it is
-    on (highlevel_noise_schedule); the low-level sample noise (horizon,
-    n_agents, 12). A fallen agent's noise is drawn and not used, so a row
+    n_hi); the high-level perturbation (decisions, n_hi), only when
+    rand.task holds (highlevel_noise_schedule); the low-level sample noise
+    (horizon, n_agents, 12). A fallen agent's noise is drawn and not used, so a row
     draws the same numbers whether its agents fall or not. deterministic
     draws nothing: both levels act on their means, unperturbed.
 
@@ -314,8 +315,7 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy, rngs,
     n_rows, n = len(rngs), env.n_agents
     n_hi, n_lo = pi_hi.act_dim, pi_lo.act_dim
     decisions = horizon // c
-    perturb = (noise_cfg is not None and noise_cfg.highlevel_noise_on
-               and not deterministic)
+    perturb = env.config.rand.task and not deterministic
     if deterministic:
         hi_noise = np.zeros((n_rows, decisions, n_hi))
         lo_noise = np.zeros((n_rows, horizon, n, n_lo))
@@ -324,7 +324,7 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy, rngs,
         for rng in rngs:
             hi_noise.append(rng.standard_normal((decisions, n_hi)))
             if perturb:
-                shift.append(highlevel_noise_schedule(noise_cfg, rng, decisions, n_hi))
+                shift.append(highlevel_noise_schedule(rng, decisions, n_hi))
             lo_noise.append(rng.standard_normal((horizon, n, n_lo)))
         hi_noise, lo_noise = np.stack(hi_noise), np.stack(lo_noise)
         shift = np.stack(shift) if perturb else None

@@ -1,12 +1,17 @@
-"""Declarative domain-randomization ranges and seeded per-episode sampling.
+"""Domain-randomization ranges and seeded per-episode sampling.
 
-Low-level training randomizes joint damping, joint dry friction, total mass,
-surface friction, actuator gain, and the terrain height field, and applies
-sticky actions plus periodic torso wrenches. High-level training perturbs
-high-level actions with uniform noise; the two-agent task also rescales the
-block dimensions. Sticky actions, wrenches and the high-level noise are
-drawn as whole-episode schedules up front: the first two from sub-streams
-that nothing else reads, the high-level noise from the episode's rollout
+Randomization is switched on or off per level, never per item
+(RandomizationConfig). The low level's randomizations (dynamics) are joint
+damping, joint dry friction, total mass, surface friction, actuator gain,
+the terrain height field, sticky actions and periodic torso wrenches. The
+high level's (task) are uniform noise on its actions and, on the
+two-agent task, rescaled block dimensions. The ranges are module
+constants. Each range's midpoint is the DynamicsParams default, so a row
+with dynamics off takes DynamicsParams() and draws nothing.
+
+Sticky actions, wrenches and the high-level noise are drawn as
+whole-episode schedules up front: the first two from sub-streams that
+nothing else reads, the high-level noise from the episode's rollout
 generator at a fixed place in its draw order (see
 policy.hierarchical_episode).
 
@@ -17,7 +22,7 @@ distinct sub-streams derived from the episode seed with fixed spawn keys
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +32,23 @@ from .world import DynamicsParams, HeightField
 HFIELD_N = 32
 HFIELD_WIDTH = 10.0
 
+DAMPING_RANGE = (0.9, 1.1)
+JOINT_FRICTION_RANGE = (0.001, 0.005)
+MASS_RANGE = (1.6, 2.0)
+SURFACE_FRICTION_RANGE = (0.8, 1.2)
+GAIN_RANGE = (4.0, 6.0)
+HFIELD_AMPLITUDE_RANGE = (0.0, 0.050)
+STICKY_PROB = 0.2
+WRENCH_PERIOD = 10
+# Shove forces are calibrated against the ~0.6 m/s top walking speed: a
+# 3 N force deflects the nominal agent by ~0.17 m/s (a quarter of top
+# speed). Much larger ranges overpower locomotion entirely and no gait
+# signal survives training.
+WRENCH_FORCE_RANGE = (-3.0, 3.0)
+WRENCH_TORQUE_RANGE = (-0.3, 0.3)
+HIGHLEVEL_NOISE_RANGE = (-1.0, 1.0)
+OBJECT_DIM_SCALE_RANGE = (0.8, 1.2)
+
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for (seed, key); fixed keys give fixed streams."""
@@ -35,88 +57,32 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass
 class RandomizationConfig:
-    """Ranges and per-item switches for all randomized quantities."""
+    """Which levels' randomizations are on: dynamics (the low level's) and
+    task (the high level's)."""
 
-    damping_range: tuple = (0.9, 1.1)
-    joint_friction_range: tuple = (0.001, 0.005)
-    mass_range: tuple = (1.6, 2.0)
-    surface_friction_range: tuple = (0.8, 1.2)
-    gain_range: tuple = (4.0, 6.0)
-    hfield_amplitude_range: tuple = (0.0, 0.050)
-    sticky_prob: float = 0.2
-    wrench_period: int = 10
-    # Shove forces are calibrated against the ~0.6 m/s top walking speed: a
-    # 3 N force deflects the nominal agent by ~0.17 m/s (a quarter of top
-    # speed). Much larger ranges overpower locomotion entirely and no gait
-    # signal survives training.
-    wrench_force_range: tuple = (-3.0, 3.0)
-    wrench_torque_range: tuple = (-0.3, 0.3)
-    highlevel_noise_range: tuple = (-1.0, 1.0)
-    object_dim_scale_range: tuple = (0.8, 1.2)
-
-    damping_on: bool = True
-    joint_friction_on: bool = True
-    mass_on: bool = True
-    surface_friction_on: bool = True
-    gain_on: bool = True
-    height_field_on: bool = True
-    sticky_on: bool = True
-    wrench_on: bool = True
-    highlevel_noise_on: bool = True
-    object_dims_on: bool = True
-
-    def __post_init__(self):
-        for f in fields(self):
-            if f.name.endswith("_range"):
-                lo, hi = getattr(self, f.name)
-                if not lo <= hi:
-                    raise ConfigurationError(f"{f.name}: low {lo} > high {hi}")
-        if not 0.0 <= self.sticky_prob <= 1.0:
-            raise ConfigurationError("sticky_prob must be in [0, 1]")
-        if self.wrench_period < 1:
-            raise ConfigurationError("wrench_period must be >= 1")
-
-    @property
-    def dynamics_on(self) -> bool:
-        """Whether sample_dynamics draws anything."""
-        return (self.damping_on or self.joint_friction_on or self.mass_on
-                or self.surface_friction_on or self.gain_on)
-
-    @classmethod
-    def all_off(cls) -> "RandomizationConfig":
-        flags = {f.name: False for f in fields(cls) if f.name.endswith("_on")}
-        return cls(**flags)
+    dynamics: bool = True
+    task: bool = True
 
 
-def _draw(rng, lo, hi, on):
-    return float(rng.uniform(lo, hi)) if on else (lo + hi) / 2.0
-
-
-def sample_dynamics(config: RandomizationConfig, rng: np.random.Generator) -> DynamicsParams:
-    """One dynamics realization; disabled items take range midpoints.
-
-    Draw order is fixed (damping, joint friction, mass, surface friction,
-    gain) and part of the reproducibility contract. Unless
-    config.dynamics_on, rng is never read and may be None.
-    """
-    damping = _draw(rng, *config.damping_range, config.damping_on)
-    friction = _draw(rng, *config.joint_friction_range, config.joint_friction_on)
-    mass = _draw(rng, *config.mass_range, config.mass_on)
-    surface = _draw(rng, *config.surface_friction_range, config.surface_friction_on)
-    gain = _draw(rng, *config.gain_range, config.gain_on)
+def sample_dynamics(rng: np.random.Generator) -> DynamicsParams:
+    """One dynamics realization. Draw order is fixed (damping, joint
+    friction, mass, surface friction, gain) and part of the
+    reproducibility contract."""
+    damping = float(rng.uniform(*DAMPING_RANGE))
+    friction = float(rng.uniform(*JOINT_FRICTION_RANGE))
+    mass = float(rng.uniform(*MASS_RANGE))
+    surface = float(rng.uniform(*SURFACE_FRICTION_RANGE))
+    gain = float(rng.uniform(*GAIN_RANGE))
     return DynamicsParams(joint_damping=damping, joint_friction=friction,
                           actuator_gain=gain, total_mass=mass, surface_friction=surface)
 
 
-def sample_height_field(config: RandomizationConfig, rng: np.random.Generator) -> HeightField:
+def sample_height_field(rng: np.random.Generator) -> HeightField:
     """Random terrain: amplitude drawn from its range, node heights iid
-    uniform(0, amplitude). Disabled: flat."""
-    if not config.height_field_on:
-        return HeightField.flat(HFIELD_N, HFIELD_WIDTH)
-    lo, hi = config.hfield_amplitude_range
-    amplitude = float(rng.uniform(lo, hi))
+    uniform(0, amplitude)."""
+    amplitude = float(rng.uniform(*HFIELD_AMPLITUDE_RANGE))
     grid = rng.uniform(0.0, amplitude, (HFIELD_N, HFIELD_N))
-    return HeightField(grid, width=HFIELD_WIDTH, amplitude=amplitude)
+    return HeightField(grid, width=HFIELD_WIDTH)
 
 
 def sticky_schedule(prob: float, rng: np.random.Generator, horizon: int) -> np.ndarray:
@@ -132,38 +98,28 @@ def sticky_schedule(prob: float, rng: np.random.Generator, horizon: int) -> np.n
     return out
 
 
-def wrench_schedule(config: RandomizationConfig, rng: np.random.Generator,
-                    horizon: int) -> np.ndarray:
+def wrench_schedule(rng: np.random.Generator, horizon: int) -> np.ndarray:
     """Torso wrench (fx, fy, torque) of every step, shape (horizon, 3): a
-    fresh draw every wrench_period steps from step 0, held constant in
-    between. Each draw takes fx, fy, then torque. Disabled: zeros, no draws."""
-    if not config.wrench_on:
-        return np.zeros((horizon, 3))
-    n_draws = -(-horizon // config.wrench_period)
-    flo, fhi = config.wrench_force_range
-    tlo, thi = config.wrench_torque_range
+    fresh draw every WRENCH_PERIOD steps from step 0, held constant in
+    between. Each draw takes fx, fy, then torque."""
+    n_draws = -(-horizon // WRENCH_PERIOD)
+    flo, fhi = WRENCH_FORCE_RANGE
+    tlo, thi = WRENCH_TORQUE_RANGE
     draws = rng.uniform((flo, flo, tlo), (fhi, fhi, thi), (n_draws, 3))
-    return np.repeat(draws, config.wrench_period, axis=0)[:horizon]
+    return np.repeat(draws, WRENCH_PERIOD, axis=0)[:horizon]
 
 
-def highlevel_noise_schedule(config: RandomizationConfig, rng: np.random.Generator,
-                             decisions: int, size: int) -> np.ndarray:
+def highlevel_noise_schedule(rng: np.random.Generator, decisions: int,
+                             size: int) -> np.ndarray:
     """Uniform noise added to every high-level action of an episode, shape
-    (decisions, size), drawn in one call in row-major order. Disabled:
-    zeros, no draws."""
-    if not config.highlevel_noise_on:
-        return np.zeros((decisions, size))
-    lo, hi = config.highlevel_noise_range
-    return rng.uniform(lo, hi, (decisions, size))
+    (decisions, size), drawn in one call in row-major order."""
+    return rng.uniform(*HIGHLEVEL_NOISE_RANGE, (decisions, size))
 
 
-def sample_object_dims(nominal, rng: np.random.Generator,
-                       config: RandomizationConfig):
+def sample_object_dims(nominal, rng: np.random.Generator):
     """Scale each block half extent by an independent uniform draw."""
     hx, hy = nominal
     if hx <= 0 or hy <= 0:
         raise ConfigurationError("nominal half extents must be positive")
-    if not config.object_dims_on:
-        return (hx, hy)
-    lo, hi = config.object_dim_scale_range
+    lo, hi = OBJECT_DIM_SCALE_RANGE
     return (hx * float(rng.uniform(lo, hi)), hy * float(rng.uniform(lo, hi)))

@@ -7,7 +7,9 @@ towards a goal drawn in its spawn frame, sees only its joints and the goal
 three run 200 steps and never end early: Avoid (reach a target without
 disturbing a block), Push (shove a block onto a target), and Coordinate (two
 agents move a long block so both of its ends land on their targets). The
-kind fixes the agent count, the horizon and the observation size.
+kind fixes the agent count, the horizon and the observation size (the
+tables N_AGENTS, HORIZON and TASK_OBS_DIM); the reward weights and success
+thresholds are module constants, the same for every kind.
 
 Initializations return one episode's numbers: its targets and its block's
 center. Observations, rewards and success are computed for many episodes
@@ -20,7 +22,9 @@ episode is the same bit for bit whatever rows run beside it. Sub-stream
 keys (see substream): 0 terrain, 10+i agent-i dynamics, 20+i agent-i
 sticky, 30+i agent-i wrench, 40 initialization geometry, 50 object
 dimensions, 60 observation noise. A sub-stream is built only where a
-randomization is switched on, so switched-off ones cost nothing.
+randomization is switched on, so switched-off ones cost nothing: with
+rand.dynamics off no row builds 0, 10+i, 20+i or 30+i, and with rand.task
+off none builds 50.
 
 The work sits at the two ends of an episode batch. Construction allocates
 each state column once for all rows, and each row writes its draws into
@@ -34,6 +38,7 @@ step would.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
@@ -44,6 +49,7 @@ from .policy import LOW_LEVEL_OBS_DIM, mask_low_level_obs
 from .randomization import (
     HFIELD_N,
     HFIELD_WIDTH,
+    STICKY_PROB,
     RandomizationConfig,
     sample_dynamics,
     sample_height_field,
@@ -78,41 +84,21 @@ COORD_BLOCK_AHEAD = 0.8  # m from the spawn line to the block center
 # cutoffs penalize every step of ordinary walking and poison training.
 UPRIGHT_Z_MIN = 0.12
 
+# reward weights and success thresholds
+BONUS = 10.0
+AVOID_PENALTY = 10.0
+W_UPRIGHT = 5.0
+W_HEADING = 1.0
+BONUS_RADIUS = 0.5  # target/goal bonus distance
+AVOID_BLOCK_RADIUS = 0.5
+AVOID_MAX_BLOCK_MOVE = 0.05
+COORD_RADIUS = 0.3
+
 AGENT_CORE_DIM = 28  # q(12) + qdot(12) + x, y, cos yaw, sin yaw
+N_AGENTS = {"low_goal": 1, "avoid": 1, "push": 1, "coordinate": 2}
+HORIZON = {"low_goal": 40, "avoid": 200, "push": 200, "coordinate": 200}
 TASK_OBS_DIM = {"low_goal": LOW_LEVEL_OBS_DIM, "avoid": 32, "push": 32,
                 "coordinate": 70}
-
-
-@dataclass
-class TaskSpec:
-    """Task kind plus the reward weights and success thresholds. The kind
-    fixes the agent count, the horizon and the observation size."""
-
-    kind: str
-    bonus: float = 10.0
-    avoid_penalty: float = 10.0
-    w_upright: float = 5.0
-    w_heading: float = 1.0
-    bonus_radius: float = 0.5  # target/goal bonus distance
-    avoid_block_radius: float = 0.5
-    avoid_max_block_move: float = 0.05
-    coord_radius: float = 0.3
-
-    def __post_init__(self):
-        if self.kind not in TASK_KINDS:
-            raise ConfigurationError(f"unknown task kind {self.kind!r}")
-
-    @property
-    def n_agents(self) -> int:
-        return 2 if self.kind == "coordinate" else 1
-
-    @property
-    def horizon(self) -> int:
-        return 40 if self.kind == "low_goal" else 200
-
-    @property
-    def obs_dim(self) -> int:
-        return TASK_OBS_DIM[self.kind]
 
 
 def _rel_body(x, y, yaw, px, py) -> tuple:
@@ -140,7 +126,7 @@ def agent_core_obs(world: Worlds) -> np.ndarray:
     return np.concatenate([world.q, world.qdot, pose], axis=-1)
 
 
-def observe_task(world: Worlds, spec: TaskSpec, targets: np.ndarray) -> np.ndarray:
+def observe_task(world: Worlds, kind: str, targets: np.ndarray) -> np.ndarray:
     """The observation of every row, (E, obs_dim), by task kind.
 
     low_goal (32): mask_low_level_obs of the agent and its goal.
@@ -150,7 +136,6 @@ def observe_task(world: Worlds, spec: TaskSpec, targets: np.ndarray) -> np.ndarr
     each target rel. its block end, block frame (4), each block end rel.
     each agent body (8)].
     """
-    kind = spec.kind
     if kind == "low_goal":
         return mask_low_level_obs(world, targets)[:, 0]
     if kind in ("avoid", "push"):
@@ -200,47 +185,46 @@ def torso_xy_slots(n_agents: int) -> list:
 # (E,) array; task_reward sums them in that order. world is a Worlds, or
 # any object that holds the kind's SCORED columns (TaskEnv.rewards).
 
-def _upright(z_proxy: np.ndarray, spec: TaskSpec) -> np.ndarray:
-    return np.where(z_proxy < UPRIGHT_Z_MIN, -spec.w_upright, 0.0)
+def _upright(z_proxy: np.ndarray) -> np.ndarray:
+    return np.where(z_proxy < UPRIGHT_Z_MIN, -W_UPRIGHT, 0.0)
 
 
-def low_level_reward_terms(world: Worlds, spec: TaskSpec, targets: np.ndarray) -> dict:
+def low_level_reward_terms(world: Worlds, targets: np.ndarray) -> dict:
     x, y, yaw = world.x[:, 0], world.y[:, 0], world.yaw[:, 0]
     dx = targets[:, 0, 0] - x
     dy = targets[:, 0, 1] - y
     d = hypot(dx, dy)
     away = d > 0.0  # direction undefined exactly at the goal
-    heading = spec.w_heading * (dx * np.cos(yaw) + dy * np.sin(yaw)) / np.where(away, d, 1.0)
+    heading = W_HEADING * (dx * np.cos(yaw) + dy * np.sin(yaw)) / np.where(away, d, 1.0)
     return {
         "distance": -d,
-        "upright": _upright(world.z_proxy[:, 0], spec),
+        "upright": _upright(world.z_proxy[:, 0]),
         "heading": np.where(away, heading, 0.0),
-        "bonus": np.where(d < spec.bonus_radius, spec.bonus, 0.0),
+        "bonus": np.where(d < BONUS_RADIUS, BONUS, 0.0),
     }
 
 
-def avoid_reward_terms(world: Worlds, spec: TaskSpec, targets: np.ndarray) -> dict:
+def avoid_reward_terms(world: Worlds, targets: np.ndarray) -> dict:
     x, y = world.x[:, 0], world.y[:, 0]
     d_target = hypot(targets[:, 0, 0] - x, targets[:, 0, 1] - y)
     d_block = hypot(world.bx[:, 0] - x, world.by[:, 0] - y)
     return {
         "distance": -d_target,
-        "bonus": np.where(d_target < spec.bonus_radius, spec.bonus, 0.0),
-        "block_penalty": np.where(d_block < spec.avoid_block_radius,
-                                  -spec.avoid_penalty, 0.0),
-        "upright": _upright(world.z_proxy[:, 0], spec),
+        "bonus": np.where(d_target < BONUS_RADIUS, BONUS, 0.0),
+        "block_penalty": np.where(d_block < AVOID_BLOCK_RADIUS, -AVOID_PENALTY, 0.0),
+        "upright": _upright(world.z_proxy[:, 0]),
     }
 
 
-def push_reward_terms(world: Worlds, spec: TaskSpec, targets: np.ndarray) -> dict:
+def push_reward_terms(world: Worlds, targets: np.ndarray) -> dict:
     bx, by = world.bx[:, 0], world.by[:, 0]
     d_ab = hypot(bx - world.x[:, 0], by - world.y[:, 0])
     d_bt = hypot(targets[:, 0, 0] - bx, targets[:, 0, 1] - by)
     return {
         "agent_block": -d_ab,
         "block_target": -d_bt,
-        "bonus": np.where(d_bt < spec.bonus_radius, spec.bonus, 0.0),
-        "upright": _upright(world.z_proxy[:, 0], spec),
+        "bonus": np.where(d_bt < BONUS_RADIUS, BONUS, 0.0),
+        "upright": _upright(world.z_proxy[:, 0]),
     }
 
 
@@ -250,14 +234,14 @@ def _end_distances(world: Worlds, targets: np.ndarray) -> tuple:
     return (hypot(diff[:, 0, 0], diff[:, 0, 1]), hypot(diff[:, 1, 0], diff[:, 1, 1]))
 
 
-def coordinate_reward_terms(world: Worlds, spec: TaskSpec, targets: np.ndarray) -> dict:
+def coordinate_reward_terms(world: Worlds, targets: np.ndarray) -> dict:
     d0, d1 = _end_distances(world, targets)
-    both = (d0 < spec.coord_radius) & (d1 < spec.coord_radius)
+    both = (d0 < COORD_RADIUS) & (d1 < COORD_RADIUS)
     return {
         "end_0": -d0,
         "end_1": -d1,
-        "bonus": np.where(both, spec.bonus, 0.0),
-        "upright": _upright(world.z_proxy, spec).sum(axis=1),
+        "bonus": np.where(both, BONUS, 0.0),
+        "upright": _upright(world.z_proxy).sum(axis=1),
     }
 
 
@@ -265,9 +249,9 @@ REWARD_TERMS = {"low_goal": low_level_reward_terms, "avoid": avoid_reward_terms,
                 "push": push_reward_terms, "coordinate": coordinate_reward_terms}
 
 
-def task_reward(world: Worlds, spec: TaskSpec, targets: np.ndarray) -> np.ndarray:
+def task_reward(world: Worlds, kind: str, targets: np.ndarray) -> np.ndarray:
     """The sum of the kind's reward terms, in their listed order, per row."""
-    return sum(REWARD_TERMS[spec.kind](world, spec, targets).values())
+    return sum(REWARD_TERMS[kind](world, targets).values())
 
 
 # -- initializations ---------------------------------------------------------
@@ -357,13 +341,13 @@ INITS = {"low_goal": init_low_goal, "avoid": init_avoid, "push": init_push,
 
 # -- success ------------------------------------------------------------------
 
-def target_reached(world: Worlds, spec: TaskSpec, targets: np.ndarray) -> np.ndarray:
-    """Whether agent 0 is within bonus_radius of the first target, per row."""
+def target_reached(world: Worlds, targets: np.ndarray) -> np.ndarray:
+    """Whether agent 0 is within BONUS_RADIUS of the first target, per row."""
     return hypot(world.x[:, 0] - targets[:, 0, 0],
-                 world.y[:, 0] - targets[:, 0, 1]) < spec.bonus_radius
+                 world.y[:, 0] - targets[:, 0, 1]) < BONUS_RADIUS
 
 
-def success(spec: TaskSpec, targets: np.ndarray, start: Worlds, end: Worlds,
+def success(kind: str, targets: np.ndarray, start: Worlds, end: Worlds,
             reached: np.ndarray) -> np.ndarray:
     """Success of every row, (E,) bool, from the worlds at the start and at
     the end of the episodes and whether target_reached held at any step
@@ -376,15 +360,15 @@ def success(spec: TaskSpec, targets: np.ndarray, start: Worlds, end: Worlds,
     are within 0.3 m of their targets.
     """
     tx, ty = targets[:, 0, 0], targets[:, 0, 1]
-    if spec.kind == "low_goal":
-        return hypot(tx - end.x[:, 0], ty - end.y[:, 0]) < spec.bonus_radius
-    if spec.kind == "avoid":
+    if kind == "low_goal":
+        return hypot(tx - end.x[:, 0], ty - end.y[:, 0]) < BONUS_RADIUS
+    if kind == "avoid":
         moved = hypot(end.bx[:, 0] - start.bx[:, 0], end.by[:, 0] - start.by[:, 0])
-        return reached & (moved < spec.avoid_max_block_move)
-    if spec.kind == "push":
-        return hypot(end.bx[:, 0] - tx, end.by[:, 0] - ty) < spec.bonus_radius
+        return reached & (moved < AVOID_MAX_BLOCK_MOVE)
+    if kind == "push":
+        return hypot(end.bx[:, 0] - tx, end.by[:, 0] - ty) < BONUS_RADIUS
     d0, d1 = _end_distances(end, targets)
-    return (d0 < spec.coord_radius) & (d1 < spec.coord_radius)
+    return (d0 < COORD_RADIUS) & (d1 < COORD_RADIUS)
 
 
 # -- environment ----------------------------------------------------------------
@@ -405,16 +389,20 @@ class EnvOverrides:
 @dataclass
 class TaskEnvConfig:
     """How a task episode is randomized and initialized. Dynamics, terrain,
-    sticky actions and wrenches are drawn under rand's switches (nominal
-    when switched off) unless overrides pin them."""
+    sticky actions and wrenches are drawn when rand.dynamics holds (nominal
+    otherwise) unless overrides pin them; coordinate's block dimensions are
+    drawn for random starts when rand.task holds."""
 
     kind: str
-    rand: RandomizationConfig = field(default_factory=RandomizationConfig.all_off)
+    rand: RandomizationConfig = field(
+        default_factory=lambda: RandomizationConfig(dynamics=False, task=False))
     torso_obs_noise: float = 0.0  # uniform +-noise on torso xy observation slots
     fixed_init: str | None = None  # None = random init, else "+" or "-"
     overrides: EnvOverrides | None = None
 
     def __post_init__(self):
+        if self.kind not in TASK_KINDS:
+            raise ConfigurationError(f"unknown task kind {self.kind!r}")
         if not 0.0 <= self.torso_obs_noise < math.inf:
             raise ConfigurationError("torso_obs_noise must be finite and >= 0")
         if self.fixed_init not in (None, "+", "-"):
@@ -454,14 +442,16 @@ class TaskEnv:
     """
 
     def __init__(self, config: TaskEnvConfig, seeds):
-        spec = TaskSpec(config.kind)
         self.config = config
-        self.spec = spec
+        self.kind = config.kind
         self.seeds = list(seeds)
         if not self.seeds:
             raise ConfigurationError("a TaskEnv needs at least one seed")
-        self.n_agents = spec.n_agents
-        self.horizon = spec.horizon
+        bad = [s for s in self.seeds if not (isinstance(s, numbers.Integral) and s >= 0)]
+        if bad:
+            raise ConfigurationError(f"seeds must be non-negative integers, got {bad[0]!r}")
+        self.n_agents = N_AGENTS[self.kind]
+        self.horizon = HORIZON[self.kind]
         self._build_starts()
         self.start = self.world
         self._sticks = bool(self.sticky.any())
@@ -473,7 +463,7 @@ class TaskEnv:
         self._obs, self._obs_t = None, None
         self.t = 0
         self.done = np.zeros(len(self.seeds), dtype=bool)
-        self._columns = {name: [getattr(self.world, name)] for name in SCORED[spec.kind]}
+        self._columns = {name: [getattr(self.world, name)] for name in SCORED[self.kind]}
         self._scored, self._scored_t = None, None
 
     def _build_starts(self) -> None:
@@ -482,25 +472,20 @@ class TaskEnv:
         agents at rest and nominal (or overridden) dynamics over flat (or
         overridden) terrain; each row then writes what it draws into its
         slots, from the sub-streams of its seed whose randomization is on."""
-        cfg, rand, ov = self.config, self.config.rand, self.config.overrides
-        kind, n, horizon = cfg.kind, self.n_agents, self.horizon
+        cfg, ov = self.config, self.config.overrides
+        kind, n, horizon = self.kind, self.n_agents, self.horizon
         rows = len(self.seeds)
+        draw = ov is None and cfg.rand.dynamics  # dynamics, terrain, sticky, wrench
         if ov is not None:
             base, terrain, sticky_prob = ov.params, ov.terrain, ov.sticky_prob
-        else:
-            # switched-off dynamics items read no generator
-            base = None if rand.dynamics_on else sample_dynamics(rand, None)
-            terrain = HeightField.flat(HFIELD_N, HFIELD_WIDTH)
-            sticky_prob = rand.sticky_prob if rand.sticky_on else 0.0
-        fill = DynamicsParams() if base is None else base  # drawn rows overwrite it
-        params = {f.name: np.full((rows, n), getattr(fill, f.name))
+        else:  # drawn rows overwrite the nominal values
+            base, terrain = DynamicsParams(), HeightField.flat(HFIELD_N, HFIELD_WIDTH)
+            sticky_prob = STICKY_PROB if draw else 0.0
+        params = {f.name: np.full((rows, n), getattr(base, f.name))
                   for f in fields(DynamicsParams)}
         grid = np.zeros((rows,) + terrain.grid.shape)
         grid[:] = terrain.grid
-        draw_terrain = ov is None and rand.height_field_on
-        draw_wrench = ov is None and rand.wrench_on
-        draw_dims = (kind == "coordinate" and cfg.fixed_init is None
-                     and rand.object_dims_on)
+        draw_dims = kind == "coordinate" and cfg.fixed_init is None and cfg.rand.task
 
         coordinate = kind == "coordinate"
         targets = np.empty((rows, 2 if coordinate else 1, 2))
@@ -522,20 +507,18 @@ class TaskEnv:
                 bx[e, 0], by[e, 0] = block
             if draw_dims:
                 half_extents[e, 0] = sample_object_dims(COORD_BLOCK_HALF,
-                                                        substream(seed, 50), rand)
+                                                        substream(seed, 50))
             for i in range(n):
-                if base is None:
-                    drawn = sample_dynamics(rand, substream(seed, 10 + i))
+                if draw:
+                    drawn = sample_dynamics(substream(seed, 10 + i))
                     for name, column in params.items():
                         column[e, i] = getattr(drawn, name)
+                    self.wrench[e, i] = wrench_schedule(substream(seed, 30 + i), horizon)
                 if sticky_prob > 0.0:
                     self.sticky[e, i] = sticky_schedule(sticky_prob,
                                                         substream(seed, 20 + i), horizon)
-                if draw_wrench:
-                    self.wrench[e, i] = wrench_schedule(rand, substream(seed, 30 + i),
-                                                        horizon)
-            if draw_terrain:
-                grid[e] = sample_height_field(rand, substream(seed, 0)).grid
+            if draw:
+                grid[e] = sample_height_field(substream(seed, 0)).grid
             if self._obs_noise is not None:
                 self._obs_noise[e] = substream(seed, 60).uniform(
                     -eps, eps, (horizon + 1, 2 * n))
@@ -558,7 +541,7 @@ class TaskEnv:
     def obs(self) -> np.ndarray:
         """The observation of every row at step t, (E, obs_dim)."""
         if self._obs_t != self.t:
-            obs = observe_task(self.world, self.spec, self.targets)
+            obs = observe_task(self.world, self.kind, self.targets)
             if self._obs_noise is not None:
                 obs[:, torso_xy_slots(self.n_agents)] += self._obs_noise[:, self.t]
             self._obs, self._obs_t = obs, self.t
@@ -589,7 +572,7 @@ class TaskEnv:
             column.append(getattr(self.world, name))
         self.t += 1
         done = self.done | (self.t >= self.horizon)
-        if self.spec.kind == "low_goal":
+        if self.kind == "low_goal":
             done = done | self.world.fallen[:, 0]
         self.done = done
         return self.done
@@ -602,10 +585,10 @@ class TaskEnv:
             cols = SimpleNamespace(**{name: np.concatenate(column)
                                       for name, column in self._columns.items()})
             targets = np.tile(self.targets, (states, 1, 1))
-            rewards = task_reward(cols, self.spec, targets).reshape(states, -1)[1:].T
+            rewards = task_reward(cols, self.kind, targets).reshape(states, -1)[1:].T
             reached = None
-            if self.spec.kind == "avoid":
-                reached = target_reached(cols, self.spec, targets).reshape(
+            if self.kind == "avoid":
+                reached = target_reached(cols, targets).reshape(
                     states, -1).any(axis=0)
             self._scored, self._scored_t = (rewards, reached), self.t
         return self._scored
@@ -619,7 +602,7 @@ class TaskEnv:
     def reached(self):
         """For avoid, whether target_reached held at the start or after
         any step so far, per row; None for the other kinds."""
-        return self._score()[1] if self.spec.kind == "avoid" else None
+        return self._score()[1] if self.kind == "avoid" else None
 
     def episode_success(self) -> np.ndarray:
-        return success(self.spec, self.targets, self.start, self.world, self.reached)
+        return success(self.kind, self.targets, self.start, self.world, self.reached)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -41,7 +42,7 @@ from .policy import (
     save_checkpoint,
 )
 from .randomization import RandomizationConfig
-from .tasks import TaskEnv, TaskEnvConfig, TaskSpec
+from .tasks import N_AGENTS, TASK_OBS_DIM, TaskEnv, TaskEnvConfig
 
 log = logging.getLogger(__name__)
 
@@ -61,21 +62,22 @@ class TrainConfig:
     seed: int = 0
     workers: int = 1
     checkpoint_every: int = 0  # 0: final checkpoint only
-    hl_full_dynamics: bool = False  # also randomize dynamics in high-level training
 
     def __post_init__(self):
+        for name, low in (("iterations", 1), ("batch_size", 1), ("cg_iters", 1),
+                          ("workers", 1), ("checkpoint_every", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= low):
+                raise ConfigurationError(f"{name} must be an integer >= {low}, "
+                                         f"got {value!r}")
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigurationError("gamma must be in [0, 1)")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigurationError("lam must be in [0, 1]")
         if not 0.0 < self.kl_step < math.inf:
             raise ConfigurationError("kl_step must be positive and finite")
-        if self.iterations < 1 or self.batch_size < 1:
-            raise ConfigurationError("iterations and batch_size must be >= 1")
-        if self.cg_iters < 1 or self.workers < 1:
-            raise ConfigurationError("cg_iters and workers must be >= 1")
-        if not self.cg_damping >= 0.0 or self.checkpoint_every < 0:
-            raise ConfigurationError("cg_damping and checkpoint_every must be >= 0")
+        if not self.cg_damping >= 0.0:
+            raise ConfigurationError("cg_damping must be >= 0")
 
 
 @dataclass
@@ -169,14 +171,12 @@ def run_task_episode(policy: MlpPolicy, task_cfg: TaskEnvConfig,
 
 
 def run_hier_task_episode(pi_hi: MlpPolicy, pi_lo: MlpPolicy,
-                          task_cfg: TaskEnvConfig,
-                          noise_cfg: RandomizationConfig | None, gamma: float,
+                          task_cfg: TaskEnvConfig, gamma: float,
                           env_seeds, rngs) -> TrajectoryBatch:
     """Task episodes under the hierarchy, one per (env seed, rng) row,
     stepped in lockstep; the high-level view of each."""
     env = TaskEnv(task_cfg, env_seeds)
-    hi, _ = hierarchical_episode(env, pi_hi, pi_lo, rngs, c=GOAL_HORIZON,
-                                 noise_cfg=noise_cfg, gamma=gamma)
+    hi, _ = hierarchical_episode(env, pi_hi, pi_lo, rngs, c=GOAL_HORIZON, gamma=gamma)
     decisions = np.full(len(env.seeds), hi["rew"].shape[1])
     return TrajectoryBatch(hi["obs"], hi["act"], hi["rew"], hi["logp"], decisions,
                            env.episode_success())
@@ -464,34 +464,25 @@ def train_low_level(config: TrainConfig, rand: RandomizationConfig,
                     out_dir=None, metrics_path=None,
                     meta: dict | None = None) -> MlpPolicy:
     """Goal-reaching pre-training under the configured randomizations."""
-    spec = TaskSpec("low_goal")
-    policy = MlpPolicy(spec.obs_dim, 12, hidden=(32, 32), seed=config.seed)
+    policy = MlpPolicy(TASK_OBS_DIM["low_goal"], 12, hidden=(32, 32), seed=config.seed)
     env_cfg = TaskEnvConfig(kind="low_goal", rand=rand)
     fn = lambda pol: partial(run_task_episode, pol, env_cfg)
     return train_policy(policy, fn, config=config, out_dir=out_dir,
                         metrics_path=metrics_path, meta=meta, phase="low")
 
 
-def _high_level_spec(task_kind: str) -> TaskSpec:
+def _not_low_goal(task_kind: str) -> None:
     if task_kind == "low_goal":
         raise ConfigurationError("low_goal is trained by train_low_level")
-    return TaskSpec(task_kind)
 
 
-def _hier_env_cfg(task_kind: str, randomized: bool,
-                  config: TrainConfig) -> tuple:
-    """Env config + noise config for high-level training. The high level's
-    own randomizations are action noise and (Coordinate) object dimensions;
-    dynamics stay nominal unless hl_full_dynamics is set."""
-    dyn = config.hl_full_dynamics
-    rand = RandomizationConfig(
-        damping_on=dyn, joint_friction_on=dyn, mass_on=dyn,
-        surface_friction_on=dyn, gain_on=dyn, height_field_on=dyn,
-        sticky_on=dyn, wrench_on=dyn,
-        highlevel_noise_on=randomized, object_dims_on=randomized)
-    noise_cfg = rand if randomized else None
-    env_cfg = TaskEnvConfig(kind=task_kind, rand=rand)
-    return env_cfg, noise_cfg
+def _hier_env_cfg(task_kind: str, randomized: bool) -> TaskEnvConfig:
+    """The env of high-level training: dynamics nominal, and the high
+    level's own randomizations (action noise and, for Coordinate, object
+    dimensions) on when randomized."""
+    _not_low_goal(task_kind)
+    return TaskEnvConfig(kind=task_kind,
+                         rand=RandomizationConfig(dynamics=False, task=randomized))
 
 
 def train_high_level(config: TrainConfig, task_kind: str,
@@ -499,12 +490,11 @@ def train_high_level(config: TrainConfig, task_kind: str,
                      out_dir=None, metrics_path=None,
                      meta: dict | None = None) -> MlpPolicy:
     """Goal-proposing training on a frozen low-level policy."""
-    spec = _high_level_spec(task_kind)
-    env_cfg, noise_cfg = _hier_env_cfg(task_kind, randomized, config)
-    policy = MlpPolicy(spec.obs_dim, 2 * spec.n_agents, hidden=(32, 32),
-                       seed=config.seed)
+    env_cfg = _hier_env_cfg(task_kind, randomized)
+    policy = MlpPolicy(TASK_OBS_DIM[task_kind], 2 * N_AGENTS[task_kind],
+                       hidden=(32, 32), seed=config.seed)
     fn = lambda pol: partial(run_hier_task_episode, pol, low_policy, env_cfg,
-                             noise_cfg, config.gamma)
+                             config.gamma)
     return train_policy(policy, fn, config=config,
                         gamma=config.gamma ** GOAL_HORIZON, out_dir=out_dir,
                         metrics_path=metrics_path, meta=meta, phase="high")
@@ -516,14 +506,14 @@ def train_flat(config: TrainConfig, task_kind: str, randomized: bool,
     """Non-hierarchical baseline: width-64 policy on raw joint actions over
     the full task horizon. The randomized variant applies every low-level
     randomization plus uniform(-0.1, 0.1) torso xy observation noise."""
-    spec = _high_level_spec(task_kind)
+    _not_low_goal(task_kind)
     if randomized:
         env_cfg = TaskEnvConfig(kind=task_kind, rand=RandomizationConfig(),
                                 torso_obs_noise=0.1)
     else:
         env_cfg = TaskEnvConfig(kind=task_kind)
-    policy = MlpPolicy(spec.obs_dim, 12 * spec.n_agents, hidden=(64, 64),
-                       seed=config.seed)
+    policy = MlpPolicy(TASK_OBS_DIM[task_kind], 12 * N_AGENTS[task_kind],
+                       hidden=(64, 64), seed=config.seed)
     fn = lambda pol: partial(run_task_episode, pol, env_cfg)
     return train_policy(policy, fn, config=config, out_dir=out_dir,
                         metrics_path=metrics_path, meta=meta, phase="flat")

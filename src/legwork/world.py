@@ -86,7 +86,6 @@ class HeightField:
 
     grid: np.ndarray
     width: float = 10.0
-    amplitude: float = 0.0
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -101,7 +100,7 @@ class HeightField:
 
     @classmethod
     def flat(cls, n: int = 32, width: float = 10.0) -> "HeightField":
-        return cls(np.zeros((n, n)), width=width, amplitude=0.0)
+        return cls(np.zeros((n, n)), width=width)
 
 
 @dataclass
@@ -199,11 +198,11 @@ def block_constants(half_extents: np.ndarray, mass: np.ndarray) -> tuple:
 
 
 def terrain_at(grid: np.ndarray, width: float, x: np.ndarray, y: np.ndarray):
-    """Height and analytic slope of the bilinear interpolant at (x, y).
+    """Analytic slope of the bilinear height interpolant at (x, y).
 
     grid (E, n, n) holds one terrain per row; x and y are (E, k), k query
-    points per row. Returns (height, dh/dx, dh/dy), each (E, k). Outside
-    the patch the edge height is returned with zero slope.
+    points per row. Returns (dh/dx, dh/dy), each (E, k). Outside the patch
+    the slope is zero.
     """
     n = grid.shape[1]
     half = width / 2.0
@@ -222,11 +221,9 @@ def terrain_at(grid: np.ndarray, width: float, x: np.ndarray, y: np.ndarray):
     h10 = grid[rows, i + 1, j]
     h01 = grid[rows, i, j + 1]
     h11 = grid[rows, i + 1, j + 1]
-    height = (h00 * (1 - fx) * (1 - fy) + h10 * fx * (1 - fy)
-              + h01 * (1 - fx) * fy + h11 * fx * fy)
     dhdx = np.where(inside, ((h10 - h00) * (1 - fy) + (h11 - h01) * fy) / cell, 0.0)
     dhdy = np.where(inside, ((h01 - h00) * (1 - fx) + (h11 - h10) * fx) / cell, 0.0)
-    return height, dhdx, dhdy
+    return dhdx, dhdy
 
 
 def step_agents(world: Worlds, actions, wrench, active, force=None) -> Worlds:
@@ -294,7 +291,7 @@ def step_agents(world: Worlds, actions, wrench, active, force=None) -> Worlds:
     if k["all_flat"]:
         scale, slope_term = p["surface_friction"], 0.0
     else:
-        _, sx, sy = terrain_at(world.grid, world.width, world.x, world.y)
+        sx, sy = terrain_at(world.grid, world.width, world.x, world.y)
         slope_mag = hypot(sx, sy)
         scale = p["surface_friction"] * np.maximum(0.0, 1.0 - 2.0 * slope_mag)
         slope_term = 4.0 * slope_mag

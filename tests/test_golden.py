@@ -18,10 +18,6 @@ from legwork.tasks import EnvOverrides, TaskEnv, TaskEnvConfig
 from legwork.world import DynamicsParams, HeightField
 from test_world import scripted_trot_action
 
-_DYNAMICS_FLAGS = ("damping_on", "joint_friction_on", "mass_on",
-                   "surface_friction_on", "gain_on", "height_field_on",
-                   "sticky_on", "wrench_on")
-
 
 def make_env(kind, seed, rand, **options):
     """The environment under test, one episode wide; this and run_episode
@@ -47,13 +43,14 @@ _ROUGH = EnvOverrides(
     params=DynamicsParams(joint_damping=1.3, total_mass=2.4,
                           surface_friction=0.7, lateral_bias_force=0.8),
     terrain=HeightField(np.random.default_rng(3).uniform(0.0, 0.25, (32, 32)),
-                        width=10.0, amplitude=0.25),
+                        width=10.0),
     sticky_prob=0.5)
 _MILD = EnvOverrides(params=DynamicsParams(total_mass=2.1),
                      terrain=HeightField.flat(), sticky_prob=0.3)
 # What high-level training uses: dynamics nominal, the high level's own
 # randomizations on.
-_HIGH_LEVEL = RandomizationConfig(**{f: False for f in _DYNAMICS_FLAGS})
+_HIGH_LEVEL = RandomizationConfig(dynamics=False)
+_OFF = RandomizationConfig(dynamics=False, task=False)
 
 
 def _actions(pattern, seed, n_agents, horizon):
@@ -73,22 +70,22 @@ CASES = {
     "low_goal/rand/trot": ("low_goal", 0, RandomizationConfig(), "trot", {}),
     "low_goal/rand/random": ("low_goal", 1, RandomizationConfig(), "random", {}),
     "low_goal/rand/bang": ("low_goal", 2, RandomizationConfig(), "bang", {}),
-    "low_goal/off/trot": ("low_goal", 3, RandomizationConfig.all_off(), "trot", {}),
+    "low_goal/off/trot": ("low_goal", 3, _OFF, "trot", {}),
     "low_goal/rough/trot": ("low_goal", 4, RandomizationConfig(), "trot",
                             {"overrides": _ROUGH}),
     "low_goal/mild/random": ("low_goal", 5, RandomizationConfig(), "random",
                              {"overrides": _MILD}),
     "avoid/rand/trot": ("avoid", 0, RandomizationConfig(), "trot", {}),
-    "avoid/off/random": ("avoid", 1, RandomizationConfig.all_off(), "random", {}),
+    "avoid/off/random": ("avoid", 1, _OFF, "random", {}),
     "avoid/mild/fixed/trot": ("avoid", 2, RandomizationConfig(), "trot",
                               {"overrides": _MILD, "fixed_init": "-"}),
     "push/rand/random": ("push", 0, RandomizationConfig(), "random", {}),
-    "push/off/fixed/trot": ("push", 1, RandomizationConfig.all_off(), "trot",
+    "push/off/fixed/trot": ("push", 1, _OFF, "trot",
                             {"fixed_init": "+"}),
     "push/high_level/trot": ("push", 2, _HIGH_LEVEL, "trot", {}),
     "coordinate/rand/noise/trot": ("coordinate", 0, RandomizationConfig(), "trot",
                                    {"torso_obs_noise": 0.1}),
-    "coordinate/off/random": ("coordinate", 1, RandomizationConfig.all_off(),
+    "coordinate/off/random": ("coordinate", 1, _OFF,
                               "random", {}),
     "coordinate/high_level/bang": ("coordinate", 2, _HIGH_LEVEL, "bang", {}),
 }

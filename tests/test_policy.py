@@ -22,6 +22,7 @@ from legwork.policy import (
     mean_jvp,
     save_checkpoint,
 )
+from legwork.tasks import TaskEnvConfig
 from legwork.world import N_JOINTS
 from helpers import AgentState, Row, make_worlds
 
@@ -218,12 +219,16 @@ class TestMlpPolicy:
 
 
 class _ConstRewardEnv:
-    """Stub task env of E rows paying a constant reward each step."""
+    """Stub task env of E rows paying a constant reward each step; its
+    config randomizes the task (the high level's perturbation) when
+    perturbed."""
 
     n_agents = 1
     obs_dim = 4
 
-    def __init__(self, reward=-1.0, horizon=200, rows=1, fallen=()):
+    def __init__(self, reward=-1.0, horizon=200, rows=1, fallen=(), perturbed=False):
+        self.config = TaskEnvConfig(
+            "push", rand=RandomizationConfig(dynamics=False, task=perturbed))
         self.reward = reward
         self.horizon = horizon
         agents = [AgentState.at_rest() for _ in range(rows)]
@@ -289,12 +294,10 @@ class TestHierarchicalEpisode:
         pi_hi, pi_lo = self._policies()
         pi_hi.log_std[:] = -0.3
         pi_lo.log_std[:] = np.linspace(-1.0, 0.5, 12)
-        cfg = RandomizationConfig() if perturbed else None
         seeds = (3, 4, 3)
-        env = _ConstRewardEnv(rows=3, fallen=(2,))
+        env = _ConstRewardEnv(rows=3, fallen=(2,), perturbed=perturbed)
         hi, _ = hierarchical_episode(env, pi_hi, pi_lo,
-                                     [np.random.default_rng(s) for s in seeds],
-                                     noise_cfg=cfg)
+                                     [np.random.default_rng(s) for s in seeds])
         for e in (0, 1):
             rng = np.random.default_rng(seeds[e])
             hi_noise = rng.standard_normal((20, 2))
@@ -319,10 +322,8 @@ class TestHierarchicalEpisode:
         pi_hi, pi_lo = self._policies()
         rngs = _rngs(2)
         states = [rng.bit_generator.state for rng in rngs]
-        env = _ConstRewardEnv(rows=2)
-        hi, _ = hierarchical_episode(env, pi_hi, pi_lo, rngs,
-                                     noise_cfg=RandomizationConfig(),
-                                     deterministic=True)
+        env = _ConstRewardEnv(rows=2, perturbed=True)
+        hi, _ = hierarchical_episode(env, pi_hi, pi_lo, rngs, deterministic=True)
         assert [rng.bit_generator.state for rng in rngs] == states
         assert np.array_equal(hi["act"][:, 0], pi_hi.mean_rows(np.zeros((2, 4))))
 

@@ -1,11 +1,22 @@
+import copy
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import legwork.policy
-from legwork.errors import ConfigurationError
+import legwork.randomization
 from legwork.policy import MlpPolicy, hierarchical_episode
 from legwork.randomization import (
+    DAMPING_RANGE,
+    GAIN_RANGE,
+    HFIELD_AMPLITUDE_RANGE,
+    JOINT_FRICTION_RANGE,
+    MASS_RANGE,
+    SURFACE_FRICTION_RANGE,
+    WRENCH_FORCE_RANGE,
+    WRENCH_TORQUE_RANGE,
     RandomizationConfig,
     highlevel_noise_schedule,
     sample_dynamics,
@@ -15,7 +26,10 @@ from legwork.randomization import (
     substream,
     wrench_schedule,
 )
+from legwork.tasks import COORD_BLOCK_HALF, TaskEnv, TaskEnvConfig
+from legwork.world import DynamicsParams
 from test_policy import _ConstRewardEnv
+from test_tasks import _recording_substreams
 
 
 def ks_statistic(samples, cdf):
@@ -42,21 +56,20 @@ class _QueueRng:
 
 class TestEpisodeParams:
     def test_disabled_items_take_midpoints(self):
-        rng = np.random.default_rng(0)
-        params = sample_dynamics(RandomizationConfig.all_off(), rng)
-        terrain = sample_height_field(RandomizationConfig.all_off(), rng)
-        assert params.joint_damping == 1.0
-        assert params.joint_friction == 0.003
-        assert params.total_mass == 1.8
-        assert params.surface_friction == 1.0
-        assert params.actuator_gain == 5.0
-        assert terrain.amplitude == 0.0
-        assert np.all(terrain.grid == 0.0)
+        # a row with dynamics off takes DynamicsParams(): each default is
+        # its range's midpoint, bit for bit
+        ranges = {"joint_damping": DAMPING_RANGE,
+                  "joint_friction": JOINT_FRICTION_RANGE, "total_mass": MASS_RANGE,
+                  "surface_friction": SURFACE_FRICTION_RANGE, "actuator_gain": GAIN_RANGE}
+        nominal = DynamicsParams()
+        drawn = {f.name for f in fields(DynamicsParams)} - {"lateral_bias_force"}
+        assert set(ranges) == drawn
+        for name, (lo, hi) in ranges.items():
+            assert getattr(nominal, name) == (lo + hi) / 2.0
 
     def test_mass_distribution(self):
         rng = np.random.default_rng(42)
-        cfg = RandomizationConfig()
-        masses = np.array([sample_dynamics(cfg, rng).total_mass for _ in range(10_000)])
+        masses = np.array([sample_dynamics(rng).total_mass for _ in range(10_000)])
         assert masses.min() >= 1.6
         assert masses.max() <= 2.0
         assert abs(masses.mean() - 1.8) < 0.01
@@ -64,18 +77,12 @@ class TestEpisodeParams:
     def test_height_field_entries_within_amplitude(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            hf = sample_height_field(RandomizationConfig(), rng)
-            assert 0.0 <= hf.amplitude <= 0.050
+            # the amplitude is the sampler's first draw
+            amplitude = copy.deepcopy(rng).uniform(*HFIELD_AMPLITUDE_RANGE)
+            hf = sample_height_field(rng)
+            assert 0.0 <= amplitude <= 0.050
             assert hf.grid.min() >= 0.0
-            assert hf.grid.max() <= hf.amplitude
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RandomizationConfig(mass_range=(2.0, 1.6))
-        with pytest.raises(ConfigurationError):
-            RandomizationConfig(sticky_prob=1.5)
-        with pytest.raises(ConfigurationError):
-            RandomizationConfig(wrench_period=0)
+            assert hf.grid.max() <= amplitude
 
 
 class TestSticky:
@@ -102,93 +109,119 @@ class TestSticky:
 
 class TestWrench:
     def test_hold_then_refresh(self):
-        cfg = RandomizationConfig()
-        w = wrench_schedule(cfg, np.random.default_rng(3), 25)
+        w = wrench_schedule(np.random.default_rng(3), 25)
         assert w.shape == (25, 3)
         assert (w[:10] == w[0]).all() and (w[10:20] == w[10]).all()
         assert (w[20:] == w[20]).all()
         assert not (w[10] == w[0]).any() and not (w[20] == w[10]).any()
 
-    def test_disabled_always_zero(self):
-        cfg = RandomizationConfig(wrench_on=False)
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
-        assert np.array_equal(wrench_schedule(cfg, rng, 50), np.zeros((50, 3)))
-        assert rng.bit_generator.state == state
+    def test_disabled_always_zero(self, monkeypatch):
+        # wrenches are a dynamics randomization: off, every schedule is
+        # zero and no wrench sub-stream is built
+        keys = _recording_substreams(monkeypatch)
+        env = TaskEnv(TaskEnvConfig("coordinate", rand=RandomizationConfig(dynamics=False)),
+                      seeds=[0, 1, 2])
+        assert env.wrench.shape == (3, 2, 200, 3) and not env.wrench.any()
+        assert not keys.keys() & {(30,), (31,)}
 
     def test_draws_within_ranges(self):
-        cfg = RandomizationConfig()
-        flo, fhi = cfg.wrench_force_range
-        tlo, thi = cfg.wrench_torque_range
-        w = wrench_schedule(cfg, np.random.default_rng(17), 10_000)
+        flo, fhi = WRENCH_FORCE_RANGE
+        tlo, thi = WRENCH_TORQUE_RANGE
+        w = wrench_schedule(np.random.default_rng(17), 10_000)
         assert ((flo <= w[:, :2]) & (w[:, :2] <= fhi)).all()
         assert ((tlo <= w[:, 2]) & (w[:, 2] <= thi)).all()
 
     def test_draw_order_fx_fy_torque(self):
-        cfg = RandomizationConfig()
-        w = wrench_schedule(cfg, np.random.default_rng(8), 20)
+        w = wrench_schedule(np.random.default_rng(8), 20)
         rng = np.random.default_rng(8)
         for t in (0, 10):
-            assert tuple(w[t]) == (rng.uniform(*cfg.wrench_force_range),
-                                   rng.uniform(*cfg.wrench_force_range),
-                                   rng.uniform(*cfg.wrench_torque_range))
+            assert tuple(w[t]) == (rng.uniform(*WRENCH_FORCE_RANGE),
+                                   rng.uniform(*WRENCH_FORCE_RANGE),
+                                   rng.uniform(*WRENCH_TORQUE_RANGE))
+
+
+def _recorded_high_actions(monkeypatch, env, pi_hi, rngs):
+    """The clamped high-level actions of a hierarchical episode, as handed
+    to goal_from_high_action."""
+    seen = []
+    goal_from_high_action = legwork.policy.goal_from_high_action
+
+    def recording(world, a_hi):
+        seen.append(a_hi.copy())
+        return goal_from_high_action(world, a_hi)
+
+    monkeypatch.setattr(legwork.policy, "goal_from_high_action", recording)
+    hierarchical_episode(env, pi_hi, MlpPolicy(32, 12, seed=1), rngs)
+    return seen
 
 
 class TestHighLevelNoise:
-    def test_disabled_is_identity(self):
-        cfg = RandomizationConfig(highlevel_noise_on=False)
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
-        out = highlevel_noise_schedule(cfg, rng, 20, 2)
-        assert out.shape == (20, 2) and not out.any()
-        assert rng.bit_generator.state == state  # no draws
+    def test_disabled_is_identity(self, monkeypatch):
+        # with the task randomization off the executor adds nothing to the
+        # clamped action and draws no perturbation
+        pi_hi = MlpPolicy(4, 2, seed=0)
+        rngs = [np.random.default_rng(i) for i in range(2)]
+        seen = _recorded_high_actions(monkeypatch, _ConstRewardEnv(rows=2), pi_hi, rngs)
+        hi_noise = np.stack([np.random.default_rng(i).standard_normal((20, 2))
+                             for i in range(2)])
+        for k, a_hi in enumerate(seen):
+            a_pre, _ = pi_hi.sample_rows(np.zeros((2, 4)), hi_noise[:, k])
+            assert a_hi.tobytes() == np.clip(a_pre, -1.0, 1.0).tobytes()
+
+    @pytest.mark.parametrize("task", [True, False])
+    def test_drawn_exactly_when_the_env_randomizes_the_task(self, task, monkeypatch):
+        calls = []
+
+        def counting(rng, decisions, size):
+            calls.append((decisions, size))
+            return highlevel_noise_schedule(rng, decisions, size)
+
+        monkeypatch.setattr(legwork.policy, "highlevel_noise_schedule", counting)
+        hierarchical_episode(_ConstRewardEnv(rows=3, perturbed=task),
+                             MlpPolicy(4, 2, seed=0), MlpPolicy(32, 12, seed=1),
+                             [np.random.default_rng(i) for i in range(3)])
+        assert calls == ([(20, 2)] * 3 if task else [])
 
     def test_clamp_saturation(self, monkeypatch):
         # a saturated high-level action pushed further out by its noise stays
         # at the bound: the executor clamps after adding the schedule
-        seen = []
-        goal_from_high_action = legwork.policy.goal_from_high_action
-
-        def recording(world, a_hi):
-            seen.append(a_hi.copy())
-            return goal_from_high_action(world, a_hi)
-
-        monkeypatch.setattr(legwork.policy, "goal_from_high_action", recording)
+        monkeypatch.setattr(legwork.randomization, "HIGHLEVEL_NOISE_RANGE", (0.5, 1.0))
         pi_hi = MlpPolicy(4, 2, seed=0)
         pi_hi.set_flat_params(np.zeros(pi_hi.n_params))
         pi_hi.biases[-1][:] = 5.0
-        cfg = RandomizationConfig(highlevel_noise_range=(0.5, 1.0))
-        hierarchical_episode(_ConstRewardEnv(rows=2), pi_hi, MlpPolicy(32, 12, seed=1),
-                             [np.random.default_rng(i) for i in range(2)],
-                             noise_cfg=cfg)
+        env = _ConstRewardEnv(rows=2, perturbed=True)
+        seen = _recorded_high_actions(monkeypatch, env, pi_hi,
+                                      [np.random.default_rng(i) for i in range(2)])
         assert len(seen) == 20
         assert all(np.array_equal(a, np.ones((2, 2))) for a in seen)
 
     def test_noise_distribution_uniform(self):
-        cfg = RandomizationConfig()
-        draws = highlevel_noise_schedule(cfg, np.random.default_rng(23), 10_000, 2)
+        draws = highlevel_noise_schedule(np.random.default_rng(23), 10_000, 2)
         for axis in range(2):
             d = ks_statistic(draws[:, axis], lambda x: (x + 1) / 2)
             assert d < 0.02
 
 
 class TestObjectDims:
-    def test_disabled_returns_nominal(self):
-        cfg = RandomizationConfig(object_dims_on=False)
-        assert sample_object_dims((0.15, 0.7), np.random.default_rng(0), cfg) == (0.15, 0.7)
+    def test_disabled_returns_nominal(self, monkeypatch):
+        # object dimensions are a task randomization: off, every block keeps
+        # its nominal half extents and no dimension sub-stream is built
+        keys = _recording_substreams(monkeypatch)
+        env = TaskEnv(TaskEnvConfig("coordinate", rand=RandomizationConfig(task=False)),
+                      seeds=[0, 1, 2])
+        assert (env.world.half_extents == COORD_BLOCK_HALF).all()
+        assert (50,) not in keys
 
     def test_scaled_within_range(self):
-        cfg = RandomizationConfig()
         rng = np.random.default_rng(2)
         for _ in range(1000):
-            hx, hy = sample_object_dims((0.15, 0.7), rng, cfg)
+            hx, hy = sample_object_dims((0.15, 0.7), rng)
             assert 0.12 <= hx <= 0.18
             assert 0.56 <= hy <= 0.84
 
     def test_scale_mean(self):
-        cfg = RandomizationConfig()
         rng = np.random.default_rng(4)
-        scales = np.array([sample_object_dims((1.0, 1.0), rng, cfg)[0]
+        scales = np.array([sample_object_dims((1.0, 1.0), rng)[0]
                            for _ in range(10_000)])
         assert abs(scales.mean() - 1.0) < 0.01
 
@@ -197,11 +230,11 @@ class TestStreams:
     def test_same_seed_reproduces_everything(self):
         def draw_all(seed):
             rng = substream(seed, 0)
-            p = sample_dynamics(RandomizationConfig(), rng)
-            hf = sample_height_field(RandomizationConfig(), rng)
-            w = wrench_schedule(RandomizationConfig(), rng, 20)
+            p = sample_dynamics(rng)
+            hf = sample_height_field(rng)
+            w = wrench_schedule(rng, 20)
             s = sticky_schedule(0.5, rng, 20)
-            n = highlevel_noise_schedule(RandomizationConfig(), rng, 3, 2)
+            n = highlevel_noise_schedule(rng, 3, 2)
             return p, hf.grid.copy(), w, s, n.copy()
 
         a, b = draw_all(123), draw_all(123)
@@ -221,10 +254,9 @@ class TestStreams:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
     def test_range_containment(self, seed):
-        cfg = RandomizationConfig()
         rng = np.random.default_rng(seed)
         for _ in range(500):
-            p = sample_dynamics(cfg, rng)
+            p = sample_dynamics(rng)
             assert 0.9 <= p.joint_damping <= 1.1
             assert 0.001 <= p.joint_friction <= 0.005
             assert 1.6 <= p.total_mass <= 2.0

@@ -19,7 +19,6 @@ from legwork.tasks import (
     EnvOverrides,
     TaskEnv,
     TaskEnvConfig,
-    TaskSpec,
     agent_core_obs,
     avoid_reward_terms,
     block_ends,
@@ -40,9 +39,9 @@ from legwork.tasks import (
 from legwork.world import DynamicsParams, HeightField
 from helpers import AgentState, BlockState, Row, make_worlds
 
-# One episode's task: the spec plus its target points, (1, 2) for
+# One episode's task: its kind plus its target points, (1, 2) for
 # low_goal/avoid/push and (2, 2) for coordinate.
-TaskInstance = namedtuple("TaskInstance", "spec targets")
+TaskInstance = namedtuple("TaskInstance", "kind targets")
 
 
 def ks_statistic(samples, cdf):
@@ -77,13 +76,13 @@ def _start(kind, start):
         agents = [AgentState.at_rest()]
         blocks = ([] if block is None else
                   [BlockState(*block, 0.0, PUSH_BLOCK_HALF, PUSH_BLOCK_MASS)])
-    return _world(agents, blocks), TaskInstance(TaskSpec(kind), targets)
+    return _world(agents, blocks), TaskInstance(kind, targets)
 
 
 def _row(world, task):
     """One episode as the one-row arguments of the batched task functions:
-    (Worlds, spec, targets)."""
-    return make_worlds([world]), task.spec, task.targets[None]
+    (Worlds, kind, targets)."""
+    return make_worlds([world]), task.kind, task.targets[None]
 
 
 def _reward(world, task) -> float:
@@ -91,7 +90,8 @@ def _reward(world, task) -> float:
 
 
 def _terms(terms_fn, world, task) -> dict:
-    return {k: float(v[0]) for k, v in terms_fn(*_row(world, task)).items()}
+    terms = terms_fn(make_worlds([world]), task.targets[None])
+    return {k: float(v[0]) for k, v in terms.items()}
 
 
 def _observe(world, task) -> np.ndarray:
@@ -100,10 +100,10 @@ def _observe(world, task) -> np.ndarray:
 
 def _succeeds(task, worlds) -> bool:
     """success of a one-row episode that passed through the given worlds."""
-    rows = [_row(w, task) for w in worlds]
-    reached = np.any([target_reached(*r) for r in rows], axis=0)
-    return bool(success(task.spec, task.targets[None], rows[0][0], rows[-1][0],
-                        reached)[0])
+    rows = [make_worlds([w]) for w in worlds]
+    targets = task.targets[None]
+    reached = np.any([target_reached(r, targets) for r in rows], axis=0)
+    return bool(success(task.kind, targets, rows[0], rows[-1], reached)[0])
 
 
 class TestGoalSampling:
@@ -129,7 +129,7 @@ class TestGoalSampling:
 def _low_goal(agent, goal):
     """The world and task of a low_goal episode with agent and goal (x, y)."""
     return (_world([agent], []),
-            TaskInstance(TaskSpec("low_goal"), np.array([goal], dtype=float)))
+            TaskInstance("low_goal", np.array([goal], dtype=float)))
 
 
 class TestLowLevelReward:
@@ -216,7 +216,7 @@ class TestInitializations:
 
     def test_coordinate_geometry(self):
         env = TaskEnv(TaskEnvConfig("coordinate"), [0])
-        assert env.spec.n_agents == 2
+        assert env.n_agents == 2
         world = env.world
         assert world.y[0, 0] - world.y[0, 1] == pytest.approx(1.2)
         assert world.bx[0, 0] == pytest.approx(0.8)
@@ -226,7 +226,7 @@ class TestTaskRewards:
     def test_avoid_at_target_far_from_block(self):
         world = _world([AgentState.at_rest(x=2.0, y=0.5)],
                        [BlockState(-3.0, 0.0, 0.0, (0.3, 0.3), 4.0)])
-        task = TaskInstance(TaskSpec("avoid"), np.array([[2.0, 0.5]]))
+        task = TaskInstance("avoid", np.array([[2.0, 0.5]]))
         assert _reward(world, task) == pytest.approx(10.0)
 
     def test_push_contact_at_target(self):
@@ -234,13 +234,13 @@ class TestTaskRewards:
         # center distance = agent radius + half extent = 0.6
         world = _world([AgentState.at_rest(x=0.4)],
                        [BlockState(1.0, 0.0, 0.0, (0.3, 0.3), 4.0)])
-        task = TaskInstance(TaskSpec("push"), np.array([[1.0, 0.0]]))
+        task = TaskInstance("push", np.array([[1.0, 0.0]]))
         assert _reward(world, task) == pytest.approx(-0.6 + 0.0 + 10.0 + 0.0)
 
     def test_coordinate_both_ends_at_targets(self):
         block = BlockState(0.0, 0.0, 0.0, COORD_BLOCK_HALF, COORD_BLOCK_MASS)
         world = _world([AgentState.at_rest(), AgentState.at_rest(y=-1.2)], [block])
-        task = TaskInstance(TaskSpec("coordinate"), block_ends(block.x, block.y, block.yaw))
+        task = TaskInstance("coordinate", block_ends(block.x, block.y, block.yaw))
         assert _reward(world, task) == pytest.approx(10.0)
 
     def test_terms_sum_to_rewards(self):
@@ -259,7 +259,7 @@ class TestTaskRewards:
 
 class TestSuccess:
     def test_avoid_fails_when_block_moves(self):
-        task = TaskInstance(TaskSpec("avoid"), np.array([[2.0, 0.5]]))
+        task = TaskInstance("avoid", np.array([[2.0, 0.5]]))
         w0 = _world([AgentState.at_rest()], [BlockState(1.0, 0.0, 0.0, (0.3, 0.3), 4.0)])
         w1 = _world([AgentState.at_rest(x=2.0, y=0.5)],
                     [BlockState(1.2, 0.0, 0.0, (0.3, 0.3), 4.0)])  # moved 0.2 m
@@ -269,7 +269,7 @@ class TestSuccess:
         assert _succeeds(task, [w0, w1_clean])
 
     def test_push_boundary(self):
-        task = TaskInstance(TaskSpec("push"), np.array([[2.0, 0.0]]))
+        task = TaskInstance("push", np.array([[2.0, 0.0]]))
         w0 = _world([AgentState.at_rest()], [BlockState(1.0, 0.0, 0.0, (0.3, 0.3), 4.0)])
         w_049 = _world([AgentState.at_rest()],
                        [BlockState(1.51, 0.0, 0.0, (0.3, 0.3), 4.0)])
@@ -282,11 +282,11 @@ class TestSuccess:
         block = BlockState(0.0, 0.0, 0.0, COORD_BLOCK_HALF, COORD_BLOCK_MASS)
         ends = block_ends(block.x, block.y, block.yaw)
         targets = ends + np.array([[0.29, 0.0], [0.31, 0.0]])  # 0.29 and 0.31 away
-        task = TaskInstance(TaskSpec("coordinate"), targets)
+        task = TaskInstance("coordinate", targets)
         w = _world([AgentState.at_rest(), AgentState.at_rest(y=-1.2)], [block])
         assert not _succeeds(task, [w, w])
         targets_ok = ends + np.array([[0.29, 0.0], [0.29, 0.0]])
-        task_ok = TaskInstance(TaskSpec("coordinate"), targets_ok)
+        task_ok = TaskInstance("coordinate", targets_ok)
         assert _succeeds(task_ok, [w, w])
 
     @settings(max_examples=50)
@@ -294,7 +294,7 @@ class TestSuccess:
     def test_push_success_monotone(self, d_succ, d_less):
         # any final distance strictly below a succeeding one also succeeds
         d2 = min(d_succ, d_less)
-        task = TaskInstance(TaskSpec("push"), np.array([[0.0, 0.0]]))
+        task = TaskInstance("push", np.array([[0.0, 0.0]]))
         w0 = _world([AgentState.at_rest()], [BlockState(3.0, 0.0, 0.0, (0.3, 0.3), 4.0)])
         w_a = _world([AgentState.at_rest()], [BlockState(d_succ, 0.0, 0.0, (0.3, 0.3), 4.0)])
         w_b = _world([AgentState.at_rest()], [BlockState(d2, 0.0, 0.0, (0.3, 0.3), 4.0)])
@@ -457,6 +457,17 @@ class TestTaskEnv:
         with pytest.raises(ConfigurationError):
             TaskEnv(TaskEnvConfig(kind="push"), seeds=[])
 
+    @pytest.mark.parametrize("seed", [-3, 1.5, "7", None, np.float64(2.0)])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ConfigurationError):
+            TaskEnv(TaskEnvConfig(kind="push"), seeds=[0, seed])
+
+    def test_numpy_integer_seeds_accepted(self):
+        a = TaskEnv(TaskEnvConfig("push", rand=RandomizationConfig()), seeds=[0, 5])
+        b = TaskEnv(TaskEnvConfig("push", rand=RandomizationConfig()),
+                    seeds=np.array([0, 5], dtype=np.uint32))
+        assert a.obs.tobytes() == b.obs.tobytes()
+
     def test_fixed_init_variant(self):
         env = TaskEnv(TaskEnvConfig(kind="avoid", fixed_init="-"), seeds=[0])
         assert tuple(env.targets[0, 0]) == (2.0, -0.5)
@@ -467,10 +478,11 @@ class TestTaskEnv:
         lambda: TaskEnvConfig("push", torso_obs_noise=math.nan),
         lambda: TaskEnvConfig("push", torso_obs_noise=math.inf),
         lambda: TaskEnvConfig("avoid", fixed_init="x"),
+        lambda: TaskEnvConfig("bogus"),
         lambda: EnvOverrides(DynamicsParams(), HeightField.flat(), 1.7),
         lambda: EnvOverrides(DynamicsParams(), HeightField.flat(), -0.1),
         lambda: EnvOverrides(DynamicsParams(), HeightField.flat(), math.nan),
-    ], ids=["noise_negative", "noise_nan", "noise_inf", "fixed_init_x",
+    ], ids=["noise_negative", "noise_nan", "noise_inf", "fixed_init_x", "kind_unknown",
             "sticky_above_one", "sticky_negative", "sticky_nan"])
     def test_bad_env_settings_rejected(self, make):
         with pytest.raises(ConfigurationError):
@@ -478,7 +490,7 @@ class TestTaskEnv:
 
     def test_object_dims_randomized_only_when_enabled(self):
         rand_on = RandomizationConfig()
-        rand_off = RandomizationConfig.all_off()
+        rand_off = RandomizationConfig(dynamics=False, task=False)
         e_on = TaskEnv(TaskEnvConfig(kind="coordinate", rand=rand_on), seeds=[5])
         e_off = TaskEnv(TaskEnvConfig(kind="coordinate", rand=rand_off), seeds=[5])
         assert tuple(e_off.world.half_extents[0, 0]) == COORD_BLOCK_HALF
@@ -519,7 +531,7 @@ class TestStepWork:
 
     def test_avoid_tracks_reached_on_every_step(self):
         env = TaskEnv(TaskEnvConfig("avoid", fixed_init="+"), seeds=[0, 1])
-        expected = target_reached(env.world, env.spec, env.targets)
+        expected = target_reached(env.world, env.targets)
         assert env.reached.tolist() == expected.tolist() == [False, False]
         for t in range(12):
             if t == 4:  # row 1's agent onto its target for two steps
@@ -527,7 +539,7 @@ class TestStepWork:
             if t == 6:
                 env.world.x[1, 0], env.world.y[1, 0] = 0.0, 0.0
             env.step(np.zeros((2, 1, 12)))
-            expected = expected | target_reached(env.world, env.spec, env.targets)
+            expected = expected | target_reached(env.world, env.targets)
             assert env.reached.tolist() == expected.tolist()
         assert env.reached.tolist() == [False, True]
 
@@ -547,7 +559,7 @@ class TestStepWork:
                           for s in seeds])
         rng = np.random.default_rng(0)
         for t in range(env.horizon + 1):
-            eager = observe_task(env.world, env.spec, env.targets)
+            eager = observe_task(env.world, env.kind, env.targets)
             eager[:, torso_xy_slots(2)] += noise[:, t]
             assert env.obs.tobytes() == eager.tobytes()
             if t < env.horizon:
@@ -559,7 +571,7 @@ class TestStepWork:
 # fixed start, and overrides with rough terrain and a lateral bias force.
 _ROUGH = EnvOverrides(
     DynamicsParams(total_mass=2.1, lateral_bias_force=0.8),
-    HeightField(np.random.default_rng(3).uniform(0.0, 0.1, (32, 32)), amplitude=0.1),
+    HeightField(np.random.default_rng(3).uniform(0.0, 0.1, (32, 32))),
     sticky_prob=0.3)
 SCORED_SETUPS = {
     "low_goal/rand": TaskEnvConfig("low_goal", rand=RandomizationConfig()),
@@ -582,14 +594,14 @@ class TestScoringPass:
         env = TaskEnv(SCORED_SETUPS[name], seeds=[3, 4, 5, 6])
         rng = np.random.default_rng(1)
         per_step = []
-        reached = target_reached(env.world, env.spec, env.targets)
+        reached = target_reached(env.world, env.targets)
         while not env.done.all():
             env.step(rng.uniform(-1.0, 1.0, (4, env.n_agents, 12)))
-            per_step.append(task_reward(env.world, env.spec, env.targets))
-            reached = reached | target_reached(env.world, env.spec, env.targets)
+            per_step.append(task_reward(env.world, env.kind, env.targets))
+            reached = reached | target_reached(env.world, env.targets)
         assert env.rewards().shape == (4, env.t)
         assert env.rewards().tobytes() == np.stack(per_step, axis=1).tobytes()
-        if env.spec.kind == "avoid":
+        if env.kind == "avoid":
             assert env.reached.tolist() == reached.tolist()
         else:
             assert env.reached is None
@@ -621,18 +633,24 @@ class TestScoringPass:
         assert len(calls) == 1
 
 
+def _recording_substreams(monkeypatch) -> Counter:
+    """Count the sub-stream keys that TaskEnv builds from here on."""
+    keys = Counter()
+
+    def recording(seed, *key):
+        keys[key] += 1
+        return substream(seed, *key)
+
+    monkeypatch.setattr(legwork.tasks, "substream", recording)
+    return keys
+
+
 class TestArrayStarts:
     @pytest.mark.parametrize("kind", TASK_KINDS)
     def test_switched_off_randomization_leaves_rows_nominal(self, kind, monkeypatch):
-        keys = Counter()
-
-        def recording(seed, *key):
-            keys[key] += 1
-            return substream(seed, *key)
-
-        monkeypatch.setattr(legwork.tasks, "substream", recording)
-        env = TaskEnv(TaskEnvConfig(kind, rand=RandomizationConfig.all_off()),
-                      seeds=[0, 1, 2])
+        keys = _recording_substreams(monkeypatch)
+        off = RandomizationConfig(dynamics=False, task=False)
+        env = TaskEnv(TaskEnvConfig(kind, rand=off), seeds=[0, 1, 2])
         nominal = DynamicsParams()
         for f in fields(DynamicsParams):
             column = env.world.params[f.name]
@@ -643,3 +661,18 @@ class TestArrayStarts:
         assert not env.sticky.any() and not env.wrench.any()
         # only the initialization draws
         assert keys == {(40,): 3}
+
+    @pytest.mark.parametrize("kind", TASK_KINDS)
+    def test_each_switch_builds_only_its_own_substreams(self, kind, monkeypatch):
+        keys = _recording_substreams(monkeypatch)
+        n = 2 if kind == "coordinate" else 1
+        dynamics = {(0,)} | {(k + i,) for k in (10, 20, 30) for i in range(n)}
+        task = {(50,)} if kind == "coordinate" else set()
+        for rand, expected in [
+                (RandomizationConfig(), dynamics | task),
+                (RandomizationConfig(dynamics=False), task),
+                (RandomizationConfig(task=False), dynamics)]:
+            keys.clear()
+            TaskEnv(TaskEnvConfig(kind, rand=rand), seeds=[0, 1, 2])
+            # 40 is the initialization, drawn whatever the switches say
+            assert keys == {key: 3 for key in expected | {(40,)}}

@@ -283,9 +283,8 @@ def _rollout(kind):
         cfg = TaskEnvConfig("coordinate", rand=RandomizationConfig(),
                             torso_obs_noise=0.1)
         return partial(run_task_episode, policy, cfg), 200
-    env_cfg, noise_cfg = _hier_env_cfg("push", True, TrainConfig())
     return (partial(run_hier_task_episode, MlpPolicy(32, 2, seed=2),
-                    MlpPolicy(32, 12, seed=1), env_cfg, noise_cfg, 0.99),
+                    MlpPolicy(32, 12, seed=1), _hier_env_cfg("push", True), 0.99),
             200 // GOAL_HORIZON)
 
 
@@ -478,6 +477,21 @@ def test_one_iteration_makes_two_forward_passes(monkeypatch):
 def test_bad_solver_and_run_settings_rejected(field, value):
     with pytest.raises(ConfigurationError):
         TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", -1), ("seed", 1.5), ("seed", "3"), ("iterations", 2.0),
+    ("iterations", 0), ("batch_size", 2.5), ("batch_size", None),
+    ("cg_iters", 10.0), ("checkpoint_every", 0.5)])
+def test_counts_and_seed_must_be_integers_in_range(field, value):
+    with pytest.raises(ConfigurationError):
+        TrainConfig(**{field: value})
+
+
+def test_numpy_integer_counts_and_seed_accepted():
+    config = TrainConfig(iterations=np.int64(3), batch_size=np.int32(4),
+                         seed=np.uint8(7))
+    assert (config.iterations, config.batch_size, config.seed) == (3, 4, 7)
 
 
 def test_low_goal_is_not_a_high_level_or_flat_task():

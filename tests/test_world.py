@@ -107,11 +107,27 @@ def push(agent_state, blk, dt=DT):
                       blk.half_extents, blk.mass)
 
 
+def bilinear_height(field, x, y):
+    """Reference height of one terrain at one point: the bilinear
+    interpolant of the four surrounding nodes, the query clamped to the
+    patch."""
+    n, half = field.grid.shape[0], field.width / 2.0
+    cell = field.width / (n - 1)
+    gx = (min(max(x, -half), half) + half) / cell
+    gy = (min(max(y, -half), half) + half) / cell
+    i, j = min(int(gx), n - 2), min(int(gy), n - 2)
+    fx, fy = gx - i, gy - j
+    g = field.grid
+    return (g[i, j] * (1 - fx) * (1 - fy) + g[i + 1, j] * fx * (1 - fy)
+            + g[i, j + 1] * (1 - fx) * fy + g[i + 1, j + 1] * fx * fy)
+
+
 def sample_terrain(field, x, y):
-    """(height, (dh/dx, dh/dy)) of one terrain at one point."""
-    h, sx, sy = terrain_at(field.grid[None], field.width, np.array([[x]]),
-                           np.array([[y]]))
-    return float(h[0, 0]), (float(sx[0, 0]), float(sy[0, 0]))
+    """(height, (dh/dx, dh/dy)) of one terrain at one point: the reference
+    height and terrain_at's slope."""
+    sx, sy = terrain_at(field.grid[None], field.width, np.array([[x]]),
+                        np.array([[y]]))
+    return float(bilinear_height(field, x, y)), (float(sx[0, 0]), float(sy[0, 0]))
 
 
 def agent_block_penetration(agent, block):
@@ -284,7 +300,7 @@ class TestSampleTerrain:
 
     def test_grid_node_identity(self):
         rng = np.random.default_rng(7)
-        field = HeightField(rng.uniform(0, 0.05, (32, 32)), amplitude=0.05)
+        field = HeightField(rng.uniform(0, 0.05, (32, 32)))
         cell = field.width / 31
         for i, j in [(0, 0), (5, 17), (31, 31), (16, 3)]:
             x = -field.width / 2 + i * cell
@@ -294,7 +310,7 @@ class TestSampleTerrain:
 
     def test_slope_matches_central_differences(self):
         rng = np.random.default_rng(11)
-        field = HeightField(rng.uniform(0, 0.05, (32, 32)), amplitude=0.05)
+        field = HeightField(rng.uniform(0, 0.05, (32, 32)))
         eps = 1e-6
         for _ in range(200):
             # keep the stencil inside one cell: stay away from node lines
@@ -329,7 +345,7 @@ class TestSampleTerrain:
 
     def test_outside_returns_edge_value_zero_slope(self):
         rng = np.random.default_rng(3)
-        field = HeightField(rng.uniform(0, 0.05, (32, 32)), amplitude=0.05)
+        field = HeightField(rng.uniform(0, 0.05, (32, 32)))
         h_out, (sx, sy) = sample_terrain(field, 50.0, 1.25)
         h_edge, _ = sample_terrain(field, 5.0, 1.25)
         assert h_out == pytest.approx(h_edge, abs=1e-12)
@@ -441,7 +457,7 @@ class TestWorldProperties:
     def test_determinism_and_speed_bound(self, q, qdot, act, params, wrench, seed):
         rng = np.random.default_rng(seed)
         amp = rng.uniform(0, 0.05)
-        terrain = HeightField(rng.uniform(0, amp, (16, 16)), amplitude=amp)
+        terrain = HeightField(rng.uniform(0, amp, (16, 16)))
         state = AgentState(0.0, 0.0, float(rng.uniform(-3, 3)), 0.3, q, qdot)
         out1 = step_one(state, act, params, terrain, wrench)
         out2 = step_one(state, act, params, terrain, wrench)
@@ -486,7 +502,7 @@ def random_row(draw, n_agents, n_blocks, flat=None):
     seed = draw(st.integers(0, 2**31 - 1))
     rng = np.random.default_rng(seed)
     amp = rng.uniform(0.0, 0.3)
-    terrain = HeightField(rng.uniform(0.0, amp, (8, 8)), amplitude=amp)
+    terrain = HeightField(rng.uniform(0.0, amp, (8, 8)))
     if flat is None:
         flat = draw(st.booleans())
     if flat:
