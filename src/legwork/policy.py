@@ -256,12 +256,10 @@ def mean_jvp(policy: MlpPolicy, v: np.ndarray, fp: ForwardPass) -> np.ndarray:
     return dh
 
 
-def grad_log_prob_sum(policy: MlpPolicy, X: np.ndarray, A: np.ndarray,
-                      weights: np.ndarray, fp: ForwardPass | None = None) -> np.ndarray:
-    """Flat gradient of sum_i weights_i * log pi(A_i | X_i). fp is the
-    policy's forward pass over X; it is computed when omitted."""
-    if fp is None:
-        fp = ForwardPass(policy, X)
+def grad_log_prob_sum(policy: MlpPolicy, A: np.ndarray, weights: np.ndarray,
+                      fp: ForwardPass) -> np.ndarray:
+    """Flat gradient of sum_i weights_i * log pi(A_i | X_i), with X = fp.X
+    the states of the policy's forward pass fp."""
     inv_var = np.exp(-2.0 * policy.log_std)
     z = (A - fp.means) * inv_var
     g = mean_vjp(policy, weights[:, None] * z, fp)

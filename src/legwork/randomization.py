@@ -67,12 +67,12 @@ class RandomizationConfig:
 def sample_dynamics(rng: np.random.Generator) -> DynamicsParams:
     """One dynamics realization. Draw order is fixed (damping, joint
     friction, mass, surface friction, gain) and part of the
-    reproducibility contract."""
-    damping = float(rng.uniform(*DAMPING_RANGE))
-    friction = float(rng.uniform(*JOINT_FRICTION_RANGE))
-    mass = float(rng.uniform(*MASS_RANGE))
-    surface = float(rng.uniform(*SURFACE_FRICTION_RANGE))
-    gain = float(rng.uniform(*GAIN_RANGE))
+    reproducibility contract. One rng.random call gives the values that one
+    rng.uniform call per item would: uniform is low + (high - low) * u."""
+    ranges = (DAMPING_RANGE, JOINT_FRICTION_RANGE, MASS_RANGE,
+              SURFACE_FRICTION_RANGE, GAIN_RANGE)
+    damping, friction, mass, surface, gain = (
+        lo + (hi - lo) * u for (lo, hi), u in zip(ranges, rng.random(5).tolist()))
     return DynamicsParams(joint_damping=damping, joint_friction=friction,
                           actuator_gain=gain, total_mass=mass, surface_friction=surface)
 
@@ -101,11 +101,13 @@ def sticky_schedule(prob: float, rng: np.random.Generator, horizon: int) -> np.n
 def wrench_schedule(rng: np.random.Generator, horizon: int) -> np.ndarray:
     """Torso wrench (fx, fy, torque) of every step, shape (horizon, 3): a
     fresh draw every WRENCH_PERIOD steps from step 0, held constant in
-    between. Each draw takes fx, fy, then torque."""
+    between. Each draw takes fx, fy, then torque, as rng.uniform with the
+    three ranges as bounds would, without its broadcasting overhead."""
     n_draws = -(-horizon // WRENCH_PERIOD)
     flo, fhi = WRENCH_FORCE_RANGE
     tlo, thi = WRENCH_TORQUE_RANGE
-    draws = rng.uniform((flo, flo, tlo), (fhi, fhi, thi), (n_draws, 3))
+    low, high = np.array((flo, flo, tlo)), np.array((fhi, fhi, thi))
+    draws = low + (high - low) * rng.random((n_draws, 3))
     return np.repeat(draws, WRENCH_PERIOD, axis=0)[:horizon]
 
 

@@ -12,8 +12,7 @@ of one TaskEnv, into one batch of arrays padded to the horizon. It is
 deterministic given (policy, seed): episode i draws from its own
 sub-streams keyed by (iteration, i), and every formula on the rollout path
 computes each row on its own (row-wise matrix-vector products and
-reductions), so neither the batch width nor the worker count changes a bit
-of the result.
+reductions), so the batch width never changes a bit of the result.
 """
 
 from __future__ import annotations
@@ -60,12 +59,16 @@ class TrainConfig:
     cg_iters: int = 10
     cg_damping: float = 1e-4
     seed: int = 0
+    # Only 1 (collection runs in one process); kept while the npgbench
+    # workloads pass workers=1, it goes with the next benchmark change.
     workers: int = 1
     checkpoint_every: int = 0  # 0: final checkpoint only
 
     def __post_init__(self):
+        if not (isinstance(self.workers, numbers.Integral) and self.workers == 1):
+            raise ConfigurationError(f"workers must be 1, got {self.workers!r}")
         for name, low in (("iterations", 1), ("batch_size", 1), ("cg_iters", 1),
-                          ("workers", 1), ("checkpoint_every", 0), ("seed", 0)):
+                          ("checkpoint_every", 0), ("seed", 0)):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and value >= low):
                 raise ConfigurationError(f"{name} must be an integer >= {low}, "
@@ -76,8 +79,8 @@ class TrainConfig:
             raise ConfigurationError("lam must be in [0, 1]")
         if not 0.0 < self.kl_step < math.inf:
             raise ConfigurationError("kl_step must be positive and finite")
-        if not self.cg_damping >= 0.0:
-            raise ConfigurationError("cg_damping must be >= 0")
+        if not 0.0 <= self.cg_damping < math.inf:
+            raise ConfigurationError("cg_damping must be >= 0 and finite")
 
 
 @dataclass
@@ -132,7 +135,7 @@ class TrajectoryBatch:
         return float(np.mean(self.success))
 
 
-# -- rollouts (module level: picklable for worker pools) ----------------------
+# -- rollouts ----------------------------------------------------------------
 
 def _traj_streams(seed: int, key: tuple):
     ss = np.random.SeedSequence(seed, spawn_key=key)
@@ -182,37 +185,17 @@ def run_hier_task_episode(pi_hi: MlpPolicy, pi_lo: MlpPolicy,
                            env.episode_success())
 
 
-def _run_rows(args):
-    rollout_fn, seed, keys = args
-    streams = [_traj_streams(seed, key) for key in keys]
-    return rollout_fn([s for s, _ in streams], [rng for _, rng in streams])
-
-
-def collect_batch(rollout_fn, n_traj: int, seed: int, seed_key: tuple = (),
-                  workers: int = 1) -> TrajectoryBatch:
+def collect_batch(rollout_fn, n_traj: int, seed: int,
+                  seed_key: tuple = ()) -> TrajectoryBatch:
     """Collect n_traj episodes; deterministic given (rollout_fn, seed).
 
     rollout_fn(env_seeds, rngs) -> TrajectoryBatch runs one episode per row
-    in lockstep and must be picklable when workers > 1. Episode i always
-    uses sub-stream seed_key + (i,); each worker process runs a contiguous
-    slice of the rows, and since a row's result does not depend on the
-    rows beside it, the batch is identical for any worker count.
+    in lockstep. Episode i always uses sub-stream seed_key + (i,).
     """
     if n_traj < 1:
         raise ConfigurationError("a batch needs at least one episode")
-    keys = [tuple(seed_key) + (i,) for i in range(n_traj)]
-    if workers == 1:
-        return _run_rows((rollout_fn, seed, keys))
-    # imported here, not at module level: it pulls in multiprocessing, which
-    # would slow every process start, and one worker never needs it
-    from concurrent.futures import ProcessPoolExecutor
-
-    bounds = np.linspace(0, n_traj, min(workers, n_traj) + 1).astype(int)
-    jobs = [(rollout_fn, seed, keys[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-        parts = list(pool.map(_run_rows, jobs))
-    return TrajectoryBatch(*(np.concatenate([getattr(p, name) for p in parts])
-                             for name in ("obs", "act", "rew", "logp", "lengths", "success")))
+    streams = [_traj_streams(seed, tuple(seed_key) + (i,)) for i in range(n_traj)]
+    return rollout_fn([s for s, _ in streams], [rng for _, rng in streams])
 
 
 # -- advantages and baseline -------------------------------------------------
@@ -285,17 +268,13 @@ def compute_advantages(batch: TrajectoryBatch, values: np.ndarray,
 # -- NPG machinery -------------------------------------------------------------
 
 def policy_gradient(batch: TrajectoryBatch, policy: MlpPolicy,
-                    fp: ForwardPass | None = None) -> np.ndarray:
+                    fp: ForwardPass) -> np.ndarray:
     """Likelihood-ratio gradient: mean over samples of grad log pi * adv.
-    fp is the policy's forward pass over batch.flat_obs(); it is computed
-    when omitted."""
+    fp is the policy's forward pass over batch.flat_obs()."""
     if batch.advantages is None:
         raise ConfigurationError("advantages not computed")
-    if fp is None:
-        fp = ForwardPass(policy, batch.flat_obs())
-    n = batch.n_samples
-    g = grad_log_prob_sum(policy, fp.X, batch.flat_act(),
-                          batch.flat_adv() / n, fp)
+    g = grad_log_prob_sum(policy, batch.flat_act(),
+                          batch.flat_adv() / batch.n_samples, fp)
     if not np.all(np.isfinite(g)):
         raise NumericsError("non-finite policy gradient")
     return g
@@ -303,7 +282,7 @@ def policy_gradient(batch: TrajectoryBatch, policy: MlpPolicy,
 
 def fisher_vector_product(batch: TrajectoryBatch, policy: MlpPolicy,
                           v: np.ndarray, damping: float,
-                          fp: ForwardPass | None = None) -> np.ndarray:
+                          fp: ForwardPass) -> np.ndarray:
     """F v + damping v, with F the Hessian of the mean KL between the
     collection-time policy and the current one over batch states (for a
     Gaussian policy this is the Gauss-Newton form J' diag(1/var) J plus a
@@ -312,9 +291,7 @@ def fisher_vector_product(batch: TrajectoryBatch, policy: MlpPolicy,
     fp is the policy's ForwardPass over batch.flat_obs(): the products of a
     CG solve share it, and its buffers hold every (N, width) intermediate,
     so a product allocates only the returned vector, which is new on every
-    call. It is built when omitted."""
-    if fp is None:
-        fp = ForwardPass(policy, batch.flat_obs())
+    call."""
     dmu = mean_jvp(policy, v, fp)
     dmu *= np.exp(-2.0 * policy.log_std)
     out = mean_vjp(policy, dmu, fp)
@@ -324,17 +301,6 @@ def fisher_vector_product(batch: TrajectoryBatch, policy: MlpPolicy,
     if not np.all(np.isfinite(out)):
         raise NumericsError("non-finite Fisher-vector product")
     return out
-
-
-def fisher_operator(batch: TrajectoryBatch, policy: MlpPolicy, damping: float,
-                    fp: ForwardPass | None = None):
-    """v -> fisher_vector_product(batch, policy, v, damping), every product
-    sharing one ForwardPass over the batch: its tanh derivatives and
-    buffers are built once per solve (or taken from fp, the iteration's
-    pass) and freed with the operator."""
-    if fp is None:
-        fp = ForwardPass(policy, batch.flat_obs())
-    return lambda v: fisher_vector_product(batch, policy, v, damping, fp)
 
 
 def conjugate_gradient(fvp, g: np.ndarray, iters: int = 10,
@@ -389,12 +355,10 @@ def npg_update(policy: MlpPolicy, g: np.ndarray, d: np.ndarray,
 
 
 def batch_kl(batch: TrajectoryBatch, old_policy: MlpPolicy,
-             new_policy: MlpPolicy, fp: ForwardPass | None = None) -> float:
+             new_policy: MlpPolicy, fp: ForwardPass) -> float:
     """Mean KL(old || new) over all batch states. fp is the old policy's
-    forward pass over batch.flat_obs() (computed when omitted); the new
-    policy's pass is written into its buffers."""
-    if fp is None:
-        fp = ForwardPass(old_policy, batch.flat_obs())
+    forward pass over batch.flat_obs(); the new policy's pass is written
+    into its buffers."""
     mu_new, _ = new_policy.mean_batch(fp.X, out=fp.buffers)
     return gaussian_kl(fp.means, old_policy.log_std, mu_new, new_policy.log_std)
 
@@ -421,7 +385,7 @@ def train_policy(policy: MlpPolicy, make_rollout_fn, config: TrainConfig,
                  meta: dict | None = None, phase: str = "policy") -> MlpPolicy:
     """Generic NPG loop: collect, fit baseline, GAE, gradient, CG, update.
 
-    make_rollout_fn(policy) must return a picklable rollout callable,
+    make_rollout_fn(policy) must return a rollout callable,
     rollout_fn(env_seeds, rngs) -> TrajectoryBatch (see collect_batch); the
     batch's arrays fix the horizon.
     gamma overrides config.gamma for return/advantage discounting (the
@@ -433,12 +397,13 @@ def train_policy(policy: MlpPolicy, make_rollout_fn, config: TrainConfig,
     start = time.monotonic()
     for it in range(config.iterations):
         batch = collect_batch(make_rollout_fn(policy), config.batch_size,
-                              config.seed, seed_key=(it,), workers=config.workers)
+                              config.seed, seed_key=(it,))
         compute_advantages(batch, fit_baseline(batch, gamma), gamma, config.lam)
         fp = ForwardPass(policy, batch.flat_obs())  # shared by every step below
         g = policy_gradient(batch, policy, fp)
-        d, _ = conjugate_gradient(fisher_operator(batch, policy, config.cg_damping, fp),
-                                  g, config.cg_iters)
+        d, _ = conjugate_gradient(
+            lambda v: fisher_vector_product(batch, policy, v, config.cg_damping, fp),
+            g, config.cg_iters)
         new_policy, upd = npg_update(policy, g, d, config.kl_step)
         kl = 0.0 if upd["skipped"] else batch_kl(batch, policy, new_policy, fp)
         del fp  # its buffers are not needed while the next batch is collected

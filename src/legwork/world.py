@@ -348,7 +348,7 @@ def step_agents(world: Worlds, actions, wrench, active, force=None) -> Worlds:
     })
 
 
-def push_block(ax, ay, bx, by, byaw, block: tuple, dt: float, active):
+def push_block(ax, ay, bx, by, byaw, block: tuple, active):
     """Quasi-static contact resolution between a disc agent and a block in
     every active row; returns the blocks' new (x, y, yaw), each (E,).
 
@@ -360,8 +360,6 @@ def push_block(ax, ay, bx, by, byaw, block: tuple, dt: float, active):
     this until its contact is resolved, at most 64 times; resolved and
     inactive rows are masked out of later iterations.
     """
-    if dt <= 0:
-        raise ConfigurationError("dt must be positive")
     hx, hy, neg_hx, neg_hy, inertia = block
     active = np.asarray(active, dtype=bool)  # rebound below, never written
     for _ in range(_PUSH_MAX_ITERS):
@@ -424,7 +422,7 @@ def step_worlds(world: Worlds, actions, wrench, live, force=None) -> Worlds:
             for k in range(bx.shape[1]):
                 bx[:, k], by[:, k], byaw[:, k] = push_block(
                     world.x[:, i], world.y[:, i], bx[:, k], by[:, k], byaw[:, k],
-                    blocks[k], DT, live)
+                    blocks[k], live)
         # step_agents' result is new and not yet returned: set its blocks
         # in place rather than build a second state
         world.bx, world.by, world.byaw = bx, by, byaw

@@ -4,7 +4,8 @@ training calls through names it looks up in legwork:
   train_high_level(config, "push", low_policy) and
   train_flat(config, "coordinate", randomized=True);
 - RandomizationConfig() with no arguments (legwork.randomization);
-- TrainConfig(workers=1), TrajectoryBatch.trajectories and .n_samples,
+- TrainConfig(workers=1), the one value workers accepts, and
+  TrajectoryBatch.trajectories and .n_samples,
   npg_update's info["skipped"] and batch_kl's float (legwork.trainer).
 If one of them goes, the benchmark's set-up crashes and its run exits
 nonzero; this runs the harness in-process, one call per workload and no

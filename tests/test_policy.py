@@ -176,7 +176,7 @@ class TestMlpPolicy:
             X = rng.normal(size=(5, 3))
             A = rng.normal(size=(5, 2))
             w = rng.normal(size=5)
-            g = grad_log_prob_sum(pol, X, A, w)
+            g = grad_log_prob_sum(pol, A, w, ForwardPass(pol, X))
             theta = pol.flat_params()
             fd = np.zeros_like(theta)
             for i in range(len(theta)):

@@ -16,6 +16,7 @@ from legwork.randomization import (
     MASS_RANGE,
     SURFACE_FRICTION_RANGE,
     WRENCH_FORCE_RANGE,
+    WRENCH_PERIOD,
     WRENCH_TORQUE_RANGE,
     RandomizationConfig,
     highlevel_noise_schedule,
@@ -40,20 +41,6 @@ def ks_statistic(samples, cdf):
                np.max(f - np.arange(0, n) / n))
 
 
-class _QueueRng:
-    """Stand-in generator returning queued values from uniform()."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def uniform(self, lo=0.0, hi=1.0, size=None):
-        if size is None:
-            return self.values.pop(0)
-        k = int(np.prod(size))
-        out = np.array([self.values.pop(0) for _ in range(k)]).reshape(size)
-        return out
-
-
 class TestEpisodeParams:
     def test_disabled_items_take_midpoints(self):
         # a row with dynamics off takes DynamicsParams(): each default is
@@ -66,6 +53,19 @@ class TestEpisodeParams:
         assert set(ranges) == drawn
         for name, (lo, hi) in ranges.items():
             assert getattr(nominal, name) == (lo + hi) / 2.0
+
+    def test_draws_equal_one_uniform_draw_per_item(self):
+        # the reference is the sampler's old spelling: one rng.uniform call
+        # per item, in draw order; values and the stream left must match
+        ranges = (DAMPING_RANGE, JOINT_FRICTION_RANGE, MASS_RANGE,
+                  SURFACE_FRICTION_RANGE, GAIN_RANGE)
+        for seed in range(300):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            p = sample_dynamics(rng)
+            ref = [float(ref_rng.uniform(*r)) for r in ranges]
+            assert [p.joint_damping, p.joint_friction, p.total_mass,
+                    p.surface_friction, p.actuator_gain] == ref
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_mass_distribution(self):
         rng = np.random.default_rng(42)
@@ -130,6 +130,19 @@ class TestWrench:
         w = wrench_schedule(np.random.default_rng(17), 10_000)
         assert ((flo <= w[:, :2]) & (w[:, :2] <= fhi)).all()
         assert ((tlo <= w[:, 2]) & (w[:, 2] <= thi)).all()
+
+    def test_schedule_equals_one_uniform_call_with_tuple_bounds(self):
+        # the reference is the sampler's old spelling, bit for bit
+        flo, fhi = WRENCH_FORCE_RANGE
+        tlo, thi = WRENCH_TORQUE_RANGE
+        for seed in range(100):
+            for horizon in (7, 40, 200):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                draws = ref_rng.uniform((flo, flo, tlo), (fhi, fhi, thi),
+                                        (-(-horizon // WRENCH_PERIOD), 3))
+                ref = np.repeat(draws, WRENCH_PERIOD, axis=0)[:horizon]
+                assert wrench_schedule(rng, horizon).tobytes() == ref.tobytes()
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_draw_order_fx_fy_torque(self):
         w = wrench_schedule(np.random.default_rng(8), 20)

@@ -27,7 +27,6 @@ from legwork.trainer import (
     compute_advantages,
     conjugate_gradient,
     discounted_returns,
-    fisher_operator,
     fisher_vector_product,
     fit_baseline,
     gae_advantages,
@@ -116,10 +115,10 @@ def _reference_fvp(policy, X, v, damping):
     return out + damping * v
 
 
-def _low_goal_batch(policy, n_traj=4, workers=1):
+def _low_goal_batch(policy, n_traj=4):
     cfg = TaskEnvConfig("low_goal", rand=RandomizationConfig())
     return collect_batch(partial(run_task_episode, policy, cfg), n_traj,
-                         seed=3, seed_key=(0,), workers=workers)
+                         seed=3, seed_key=(0,))
 
 
 class TestConjugateGradient:
@@ -174,14 +173,15 @@ class TestFisherVectorProduct:
         fisher[-2:, -2:] = 2.0 * np.eye(2)  # log_std block
         fisher += damping * np.eye(theta.size)
 
+        fp = ForwardPass(policy, X)
         for _ in range(3):
             v = rng.normal(size=theta.size)
-            got = fisher_vector_product(batch, policy, v, damping)
+            got = fisher_vector_product(batch, policy, v, damping, fp)
             assert np.allclose(got, fisher @ v, rtol=1e-6, atol=1e-8)
 
     def test_hoisted_forward_pass_changes_nothing(self):
-        # successive products through one workspace equal products with no
-        # shared state and the allocating reference, bit for bit; results
+        # successive products through one workspace equal products through
+        # a fresh pass each and the allocating reference, bit for bit; results
         # are compared only after the last product, so a returned array
         # that aliased a reused buffer would show
         rng = np.random.default_rng(4)
@@ -189,11 +189,12 @@ class TestFisherVectorProduct:
             policy = MlpPolicy(32, 12, hidden=hidden, seed=2)
             policy.log_std[:] = rng.normal(0, 0.3, 12)
             batch = _batch(rng, policy, n=50)
-            fvp = fisher_operator(batch, policy, 1e-4)
+            fp = ForwardPass(policy, batch.flat_obs())
             vs = [rng.normal(size=policy.n_params) for _ in range(4)]
-            hoisted = [fvp(v) for v in vs]
+            hoisted = [fisher_vector_product(batch, policy, v, 1e-4, fp) for v in vs]
             for v, got in zip(vs, hoisted):
-                per_call = fisher_vector_product(batch, policy, v, 1e-4)
+                per_call = fisher_vector_product(batch, policy, v, 1e-4,
+                                                 ForwardPass(policy, batch.flat_obs()))
                 assert got.tobytes() == per_call.tobytes()
                 ref = _reference_fvp(policy, batch.flat_obs(), v, 1e-4)
                 assert got.tobytes() == ref.tobytes()
@@ -205,12 +206,14 @@ class TestFisherVectorProduct:
         compute_advantages(batch, fit_baseline(batch, 0.99), 0.99, 0.97)
         fp = ForwardPass(policy, batch.flat_obs())
         g = policy_gradient(batch, policy, fp)
-        d, _ = conjugate_gradient(fisher_operator(batch, policy, 1e-4, fp), g, 10)
+        d, _ = conjugate_gradient(
+            lambda v: fisher_vector_product(batch, policy, v, 1e-4, fp), g, 10)
         new, _ = npg_update(policy, g, d, 0.05)
         kl = batch_kl(batch, policy, new, fp)
 
-        assert g.tobytes() == policy_gradient(batch, policy).tobytes()
-        assert kl == batch_kl(batch, policy, new)
+        fresh = lambda: ForwardPass(policy, batch.flat_obs())
+        assert g.tobytes() == policy_gradient(batch, policy, fresh()).tobytes()
+        assert kl == batch_kl(batch, policy, new, fresh())
         X, A = batch.flat_obs(), batch.flat_act()
         means, cache = _reference_pass(policy, X)
         z = (A - means) * np.exp(-2.0 * policy.log_std)
@@ -261,13 +264,14 @@ class TestNpgStep:
         policy = MlpPolicy(32, 12, seed=4)
         batch = _low_goal_batch(policy)
         compute_advantages(batch, fit_baseline(batch, 0.99), 0.99, 0.97)
-        g = policy_gradient(batch, policy)
+        fp = ForwardPass(policy, batch.flat_obs())
+        g = policy_gradient(batch, policy, fp)
         d, _ = conjugate_gradient(
-            lambda v: fisher_vector_product(batch, policy, v, 1e-4), g, 10)
+            lambda v: fisher_vector_product(batch, policy, v, 1e-4, fp), g, 10)
         for delta in (0.01, 0.05):
             new, info = npg_update(policy, g, d, delta)
             assert not info["skipped"]
-            assert batch_kl(batch, policy, new) == pytest.approx(delta, rel=0.05)
+            assert batch_kl(batch, policy, new, fp) == pytest.approx(delta, rel=0.05)
 
 
 def _rollout(kind):
@@ -304,8 +308,7 @@ def _same_trajectories(a, b):
 
 
 class TestCollectBatch:
-    """The determinism contract: batch width and worker count never change
-    results."""
+    """The determinism contract: batch width never changes results."""
 
     @pytest.mark.parametrize("kind", ["low_goal", "push", "coordinate"])
     def test_batch_width_and_worker_count_never_change_results(self, kind):
@@ -318,8 +321,6 @@ class TestCollectBatch:
             env_seed, rng = _traj_streams(2, (0, i))
             alone += _rows(fn([env_seed], [rng]))
         _same_trajectories(_rows(together), alone)
-        two = collect_batch(fn, n, seed=2, seed_key=(0,), workers=2)
-        _same_trajectories(_rows(together), _rows(two))
 
     @pytest.mark.parametrize("kind", ["low_goal", "push"])
     def test_stepped_rows_match_samples(self, kind, monkeypatch):
@@ -472,7 +473,8 @@ def test_one_iteration_makes_two_forward_passes(monkeypatch):
 
 @pytest.mark.parametrize("field, value", [
     ("cg_iters", 0), ("cg_damping", -1e-4), ("cg_damping", math.nan),
-    ("workers", 0), ("checkpoint_every", -1), ("kl_step", 0.0),
+    ("cg_damping", math.inf), ("workers", 0), ("workers", 2), ("workers", 1.0),
+    ("checkpoint_every", -1), ("kl_step", 0.0),
     ("kl_step", math.nan), ("kl_step", math.inf), ("kl_step", -math.inf)])
 def test_bad_solver_and_run_settings_rejected(field, value):
     with pytest.raises(ConfigurationError):

@@ -97,12 +97,12 @@ def step_one(state, action, params=NOMINAL, terrain=FLAT, wrench=ZERO_W):
     return agent(step_rows(world, [[action]], [[wrench]]))
 
 
-def push(agent_state, blk, dt=DT):
+def push(agent_state, blk):
     """The block after push resolution against one agent."""
     out = push_block(np.array([agent_state.x]), np.array([agent_state.y]),
                      np.array([blk.x]), np.array([blk.y]), np.array([blk.yaw]),
                      block_constants(np.array([blk.half_extents], dtype=float),
-                                     np.array([blk.mass])), dt, np.array([True]))
+                                     np.array([blk.mass])), np.array([True]))
     return BlockState(float(out[0][0]), float(out[1][0]), float(out[2][0]),
                       blk.half_extents, blk.mass)
 
@@ -233,7 +233,7 @@ class TestResolvePush:
             t = k / n
             ag = AgentState.at_rest(x=start[0] + (end[0] - start[0]) * t,
                                     y=start[1] + (end[1] - start[1]) * t)
-            oracle = push(ag, oracle, DT / n)
+            oracle = push(ag, oracle)
         assert abs(one_shot.x - oracle.x) < 1e-3
         assert abs(one_shot.y - oracle.y) < 1e-3
         assert abs(one_shot.yaw - oracle.yaw) < 1e-3
@@ -258,7 +258,7 @@ class TestResolvePush:
                           np.array([inside.y, outside.y]), np.zeros(2),
                           np.zeros(2), np.zeros(2),
                           block_constants(np.full((2, 2), 0.3), np.full(2, 4.0)),
-                          DT, np.ones(2, dtype=bool))
+                          np.ones(2, dtype=bool))
         for e, alone in enumerate((out, push(outside, self.BLOCK))):
             assert tuple(v[e] for v in both) == (alone.x, alone.y, alone.yaw)
 
@@ -269,10 +269,6 @@ class TestResolvePush:
         # the same through a world step
         with pytest.raises(ConfigurationError):
             step_rows(one_row([AgentState.at_rest(x=-2.0)], [bad]), np.zeros((1, 1, 12)))
-
-    def test_nonpositive_dt_rejected(self):
-        with pytest.raises(ConfigurationError):
-            push(AgentState.at_rest(), self.BLOCK, 0.0)
 
 
 class TestHypot:
