@@ -11,13 +11,14 @@ beside it; the trainer's maths evaluates whole batches (mean_batch).
 Goal mappings, observation masking and the hierarchical executor work on
 all rows of a world.Worlds at once.
 
-The high level emits one action per c low-level steps. Each per-agent pair
-of that action maps through a polar transform to a goal offset in the
-agent's body frame, re-anchored in the world at every decision; the low
-level sees only joint state plus the goal rotated into its body frame, with
-all six torso pose slots zeroed. Each row draws its episode's noise for
-both levels up front, in a fixed order, so its numbers never depend on
-whether its agents fall (hierarchical_episode). The high-level actions
+The high level emits one action per GOAL_HORIZON low-level steps. Each
+per-agent pair of that action maps through a polar transform to a goal
+offset in the agent's body frame, re-anchored in the world at every
+decision; the low level sees only joint state plus the goal rotated into
+its body frame (world.body_frame), with all six torso pose slots zeroed.
+Each row draws its episode's noise for both levels up front, in a fixed
+order, so its numbers never depend on whether its agents fall
+(hierarchical_episode). The high-level actions
 are perturbed exactly when the env randomizes the task (rand.task), the
 level whose randomization the perturbation is.
 """
@@ -26,13 +27,14 @@ from __future__ import annotations
 
 import json
 import math
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericsError
 from .randomization import highlevel_noise_schedule
-from .world import N_JOINTS, Worlds
+from .world import N_JOINTS, Worlds, body_frame
 
 LOW_LEVEL_OBS_DIM = 32  # q(12) + qdot(12) + zeroed torso pose(6) + body goal(2)
 GOAL_HORIZON = 10  # low-level steps per high-level decision
@@ -70,14 +72,12 @@ def mask_low_level_obs(world: Worlds, goals: np.ndarray) -> np.ndarray:
     The six zeros stand for the torso positional/rotational slots, so the
     policy is blind to where in the world it stands.
     """
-    c, s = np.cos(world.yaw), np.sin(world.yaw)
-    dx = goals[..., 0] - world.x
-    dy = goals[..., 1] - world.y
     obs = np.zeros(world.x.shape + (LOW_LEVEL_OBS_DIM,))
     obs[..., 0:12] = world.q
     obs[..., 12:24] = world.qdot
-    obs[..., 30] = c * dx + s * dy
-    obs[..., 31] = -s * dx + c * dy
+    obs[..., 30], obs[..., 31] = body_frame(
+        np.cos(world.yaw), np.sin(world.yaw),
+        goals[..., 0] - world.x, goals[..., 1] - world.y)
     return obs
 
 
@@ -198,8 +198,9 @@ class ForwardPass:
     derivatives reuse.
 
     Holds the means and activation cache, the tanh derivatives 1 - h**2 of
-    each hidden layer, one (N, width) buffer per layer output and one
-    scratch buffer per layer output after the first.
+    each hidden layer (dtanh, computed on first read), one (N, width)
+    buffer per layer output and one scratch buffer per layer output after
+    the first.
     mean_jvp, mean_vjp and a mean_batch given them as ``out`` write into
     those buffers, so a run of products over one batch allocates no array
     of N rows after construction. Each call overwrites what the previous
@@ -209,9 +210,16 @@ class ForwardPass:
     def __init__(self, policy: MlpPolicy, X: np.ndarray):
         self.X = X
         self.means, self.cache = policy.mean_batch(X)
-        self.dtanh = [1.0 - h ** 2 for h in self.cache[1:]]
         self.buffers = [np.empty((len(X), d)) for d in policy.layer_dims[1:]]
         self.scratch = [np.empty((len(X), d)) for d in policy.layer_dims[2:]]
+
+    @cached_property
+    def dtanh(self) -> list:
+        # 1 - h**2 written over h**2: the same bits without a temporary
+        dtanh = [h * h for h in self.cache[1:]]
+        for d in dtanh:
+            np.subtract(1.0, d, out=d)
+        return dtanh
 
 
 def _layer_slices(policy: MlpPolicy, flat: np.ndarray):
@@ -281,19 +289,18 @@ def gaussian_kl(mu_old: np.ndarray, log_std_old: np.ndarray,
 # -- hierarchical execution ----------------------------------------------
 
 def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy, rngs,
-                         c: int = GOAL_HORIZON, gamma: float = 0.99,
-                         deterministic: bool = False):
+                         gamma: float = 0.99, deterministic: bool = False) -> dict:
     """Run the env's E task episodes in lockstep under the two-level policy,
     from the state the env is in; rngs holds one generator per row.
 
-    Every c steps the high level reads the task observation (env.obs) and
-    emits a 2n-dim action that becomes one goal per agent; when the env
-    randomizes the task (env.config.rand.task), the clamped action gets
-    uniform noise and is clamped again. The frozen low level then acts for
-    c steps; the world clamps its actions and gives fallen agents no
-    motion. The high-level reward for a window is sum_i gamma^i r_i over
-    the window's task rewards, which the env scores after the last step
-    (env.rewards()). Episodes never end early.
+    Every GOAL_HORIZON (c) steps the high level reads the task observation
+    (env.obs) and emits a 2n-dim action that becomes one goal per agent;
+    when the env randomizes the task (env.config.rand.task), the clamped
+    action gets uniform noise and is clamped again. The frozen low level
+    then acts for c steps; the world clamps its actions and gives fallen
+    agents no motion. The high-level reward for a window is sum_i gamma^i
+    r_i over the window's task rewards, which the env scores after the
+    last step (env.rewards()). Episodes never end early.
 
     Each row draws its whole episode's noise up front from its own
     generator, in this order: the high-level sample noise (decisions,
@@ -303,13 +310,14 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy, rngs,
     draws the same numbers whether its agents fall or not. deterministic
     draws nothing: both levels act on their means, unperturbed.
 
-    Returns (hi_traj, info): hi_traj holds per-row, per-decision arrays
-    (obs, act pre-clamp, rew, logp), each with leading axes (E, decisions);
-    info carries the per-step task rewards (E, horizon).
+    Returns the high-level trajectory of every row: per-decision arrays
+    (obs, act pre-clamp, rew, logp), each with leading axes (E, decisions).
+    The per-step task rewards (E, horizon) stay with the env
+    (env.rewards()).
     """
-    horizon = env.horizon
+    horizon, c = env.horizon, GOAL_HORIZON
     if horizon % c != 0:
-        raise ConfigurationError("horizon must be divisible by c")
+        raise ConfigurationError(f"horizon must be divisible by {c}")
     n_rows, n = len(rngs), env.n_agents
     n_hi, n_lo = pi_hi.act_dim, pi_lo.act_dim
     decisions = horizon // c
@@ -356,13 +364,12 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy, rngs,
     for i in range(c):
         hi_rew = hi_rew + disc * windows[:, :, i]
         disc *= gamma
-    hi_traj = {
+    return {
         "obs": np.stack(hi_obs, axis=1),
         "act": np.stack(hi_act, axis=1),
         "rew": hi_rew,
         "logp": np.stack(hi_logp, axis=1),
     }
-    return hi_traj, {"task_rewards": rewards}
 
 
 # -- checkpoints ----------------------------------------------------------

@@ -14,7 +14,10 @@ thresholds are module constants, the same for every kind.
 Initializations return one episode's numbers: its targets and its block's
 center. Observations, rewards and success are computed for many episodes
 at once, on the rows of a world.Worlds and the matching rows of targets
-(E, k, 2).
+(E, k, 2). observe_task is one writer for avoid, push and coordinate: it
+fills one (E, obs_dim) array, computes each agent's cos and sin of yaw
+once, and turns every point into a body frame with world.body_frame, the
+rotation the low level's goal (mask_low_level_obs) goes through too.
 
 One environment class, TaskEnv, runs E episodes of one kind in lockstep,
 one seed per row. Row e draws all its randomness from seeds[e], so its
@@ -64,6 +67,7 @@ from .world import (
     DynamicsParams,
     HeightField,
     Worlds,
+    body_frame,
     hypot,
     step_worlds,
 )
@@ -101,16 +105,10 @@ TASK_OBS_DIM = {"low_goal": LOW_LEVEL_OBS_DIM, "avoid": 32, "push": 32,
                 "coordinate": 70}
 
 
-def _rel_body(x, y, yaw, px, py) -> tuple:
-    """(px, py) in the body frame of the agent posed at (x, y, yaw)."""
-    c, s = np.cos(yaw), np.sin(yaw)
-    dx, dy = px - x, py - y
-    return (c * dx + s * dy, -s * dx + c * dy)
-
-
-def block_ends(x, y, yaw, offset: float = COORD_END_OFFSET) -> np.ndarray:
+def block_ends(x, y, yaw) -> np.ndarray:
     """The two tracked end points of blocks posed at (x, y, yaw), at
-    +-offset along the long axis: shape (..., 2 ends, 2)."""
+    +-COORD_END_OFFSET along the long axis: shape (..., 2 ends, 2)."""
+    offset = COORD_END_OFFSET
     ux, uy = -np.sin(yaw), np.cos(yaw)
     return np.stack([np.stack([x + offset * ux, y + offset * uy], axis=-1),
                      np.stack([x - offset * ux, y - offset * uy], axis=-1)],
@@ -119,56 +117,48 @@ def block_ends(x, y, yaw, offset: float = COORD_END_OFFSET) -> np.ndarray:
 
 # -- observations ----------------------------------------------------------
 
-def agent_core_obs(world: Worlds) -> np.ndarray:
-    """(E, A, 28): q, qdot, x, y, cos yaw, sin yaw of every agent."""
-    pose = np.stack([world.x, world.y, np.cos(world.yaw), np.sin(world.yaw)],
-                    axis=-1)
-    return np.concatenate([world.q, world.qdot, pose], axis=-1)
-
-
 def observe_task(world: Worlds, kind: str, targets: np.ndarray) -> np.ndarray:
     """The observation of every row, (E, obs_dim), by task kind.
 
     low_goal (32): mask_low_level_obs of the agent and its goal.
-    avoid, push (32): [agent core (28), target rel. agent body (2),
-    block center rel. agent body (2)].
-    coordinate (70): [both agent cores (56), block orientation cos/sin (2),
-    each target rel. its block end, block frame (4), each block end rel.
-    each agent body (8)].
+    The others start with each agent's core (28): q (12), qdot (12), x, y,
+    cos yaw, sin yaw. Then:
+    avoid, push (32): the target and the block center, each in the agent's
+    body frame (2 + 2).
+    coordinate (70): the block's cos yaw, sin yaw (2); each target rel.
+    its block end, in the block frame (4); each block end in each agent's
+    body frame, agent by agent (8).
     """
     if kind == "low_goal":
         return mask_low_level_obs(world, targets)[:, 0]
-    if kind in ("avoid", "push"):
-        # _rel_body's formulas, written into one array with one cos/sin
-        x, y = world.x[:, 0], world.y[:, 0]
-        c, s = np.cos(world.yaw[:, 0]), np.sin(world.yaw[:, 0])
-        obs = np.empty((len(x), TASK_OBS_DIM[kind]))
-        obs[:, 0:12] = world.q[:, 0]
-        obs[:, 12:24] = world.qdot[:, 0]
-        obs[:, 24], obs[:, 25], obs[:, 26], obs[:, 27] = x, y, c, s
-        for col, (px, py) in ((28, (targets[:, 0, 0], targets[:, 0, 1])),
-                              (30, (world.bx[:, 0], world.by[:, 0]))):
-            dx, dy = px - x, py - y
-            obs[:, col] = c * dx + s * dy
-            obs[:, col + 1] = -s * dx + c * dy
-        return obs
-    core = agent_core_obs(world)
-    n_rows = len(core)
+    if kind not in ("avoid", "push", "coordinate"):
+        raise ConfigurationError(f"no task observation for kind {kind!r}")
+    n_rows, n = world.x.shape
+    c, s = np.cos(world.yaw), np.sin(world.yaw)
+    obs = np.empty((n_rows, TASK_OBS_DIM[kind]))
+    col = AGENT_CORE_DIM * n
+    core = obs[:, :col].reshape(n_rows, n, AGENT_CORE_DIM)
+    core[..., 0:12] = world.q
+    core[..., 12:24] = world.qdot
+    core[..., 24], core[..., 25], core[..., 26], core[..., 27] = world.x, world.y, c, s
     if kind == "coordinate":
         byaw = world.byaw[:, 0]
         ends = block_ends(world.bx[:, 0], world.by[:, 0], byaw)  # (E, 2, 2)
-        c, s = np.cos(byaw)[:, None], np.sin(byaw)[:, None]
-        dx = targets[..., 0] - ends[..., 0]
-        dy = targets[..., 1] - ends[..., 1]
-        rel_block = np.stack([c * dx + s * dy, -s * dx + c * dy], axis=-1)
-        # each agent (axis 1) against each end (axis 2)
-        rel_agents = np.stack(_rel_body(world.x[:, :, None], world.y[:, :, None],
-                                        world.yaw[:, :, None], ends[:, None, :, 0],
-                                        ends[:, None, :, 1]), axis=-1)
-        return np.concatenate([core.reshape(n_rows, -1), c, s,
-                               rel_block.reshape(n_rows, -1),
-                               rel_agents.reshape(n_rows, -1)], axis=-1)
-    raise ConfigurationError(f"no task observation for kind {kind!r}")
+        bc, bs = np.cos(byaw), np.sin(byaw)
+        obs[:, col], obs[:, col + 1] = bc, bs
+        rel_block = obs[:, col + 2:col + 6].reshape(n_rows, 2, 2)
+        rel_block[..., 0], rel_block[..., 1] = body_frame(
+            bc[:, None], bs[:, None],
+            targets[..., 0] - ends[..., 0], targets[..., 1] - ends[..., 1])
+        col += 6
+        points = [(ends[:, None, j, 0], ends[:, None, j, 1]) for j in range(2)]
+    else:  # the target, then the block center
+        points = [(targets[..., 0], targets[..., 1]), (world.bx, world.by)]
+    # each point (E, 1) against every agent (E, A)
+    rel = obs[:, col:].reshape(n_rows, n, len(points), 2)
+    for j, (px, py) in enumerate(points):
+        rel[:, :, j, 0], rel[:, :, j, 1] = body_frame(c, s, px - world.x, py - world.y)
+    return obs
 
 
 def torso_xy_slots(n_agents: int) -> list:
@@ -260,18 +250,13 @@ def task_reward(world: Worlds, kind: str, targets: np.ndarray) -> np.ndarray:
 # origin facing +x, or for coordinate two side by side at y = +-0.6; the
 # blocks start with yaw 0 (TaskEnv writes these into a batch's rows).
 
-def sample_low_level_goal(rng: np.random.Generator) -> np.ndarray:
-    """Goal point (u cos v, u sin v), u ~ U(1, 2), v ~ U(-0.5, 0.5), in the
-    agent's spawn frame, shape (2,). Draw order: u then v."""
+def init_low_goal(rng: np.random.Generator):
+    """low_goal start: the single target is the goal point (u cos v,
+    u sin v), u ~ U(1, 2), v ~ U(-0.5, 0.5), in the agent's spawn frame; no
+    block. Draw order: u then v."""
     u = rng.uniform(1.0, 2.0)
     v = rng.uniform(-0.5, 0.5)
-    return np.array([u * math.cos(v), u * math.sin(v)])
-
-
-def init_low_goal(rng: np.random.Generator):
-    """low_goal start: the goal from sample_low_level_goal is the single
-    target; no block."""
-    return sample_low_level_goal(rng)[None], None
+    return np.array([[u * math.cos(v), u * math.sin(v)]]), None
 
 
 def init_avoid(rng: np.random.Generator):
@@ -405,6 +390,9 @@ class TaskEnvConfig:
             raise ConfigurationError(f"unknown task kind {self.kind!r}")
         if not 0.0 <= self.torso_obs_noise < math.inf:
             raise ConfigurationError("torso_obs_noise must be finite and >= 0")
+        if self.kind == "low_goal" and self.torso_obs_noise > 0.0:
+            raise ConfigurationError(
+                "low_goal observations hold no torso pose to add noise to")
         if self.fixed_init not in (None, "+", "-"):
             raise ConfigurationError(
                 f"fixed_init must be None, '+' or '-', got {self.fixed_init!r}")
@@ -534,8 +522,7 @@ class TaskEnv:
             fallen=np.zeros((rows, n), dtype=bool),
             bx=bx, by=by, byaw=np.zeros((rows, n_blocks)),
             half_extents=half_extents, block_mass=np.full((rows, n_blocks), mass),
-            params=params, grid=grid, width=terrain.width,
-            flat=~grid.any(axis=(1, 2)))
+            params=params, grid=grid, width=terrain.width)
 
     @property
     def obs(self) -> np.ndarray:

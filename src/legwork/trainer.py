@@ -179,7 +179,7 @@ def run_hier_task_episode(pi_hi: MlpPolicy, pi_lo: MlpPolicy,
     """Task episodes under the hierarchy, one per (env seed, rng) row,
     stepped in lockstep; the high-level view of each."""
     env = TaskEnv(task_cfg, env_seeds)
-    hi, _ = hierarchical_episode(env, pi_hi, pi_lo, rngs, c=GOAL_HORIZON, gamma=gamma)
+    hi = hierarchical_episode(env, pi_hi, pi_lo, rngs, gamma=gamma)
     decisions = np.full(len(env.seeds), hi["rew"].shape[1])
     return TrajectoryBatch(hi["obs"], hi["act"], hi["rew"], hi["logp"], decisions,
                            env.episode_success())
@@ -221,8 +221,10 @@ def gae_advantages(rew: np.ndarray, values: np.ndarray, gamma: float,
     return discounted_returns(rew + gamma * v_next - values, gamma * lam)
 
 
-def fit_baseline(batch: TrajectoryBatch, gamma: float,
-                 ridge: float = 1e-5) -> np.ndarray:
+BASELINE_RIDGE = 1e-5  # first ridge; raised tenfold while the solve fails
+
+
+def fit_baseline(batch: TrajectoryBatch, gamma: float) -> np.ndarray:
     """Fit the value baseline to this batch's discounted returns: ridge-
     regularized least squares on the features obs, obs^2, the powers 1-3
     of t / T and a constant. Returns its values on the batch, (E, T) and
@@ -237,6 +239,7 @@ def fit_baseline(batch: TrajectoryBatch, gamma: float,
     gram = X.T @ X
     rhs = X.T @ y
     eye = np.eye(X.shape[1])
+    ridge = BASELINE_RIDGE
     for _ in range(12):
         try:
             coef = np.linalg.solve(gram + ridge * eye, rhs)
@@ -303,8 +306,10 @@ def fisher_vector_product(batch: TrajectoryBatch, policy: MlpPolicy,
     return out
 
 
-def conjugate_gradient(fvp, g: np.ndarray, iters: int = 10,
-                       tol: float = 1e-10):
+CG_TOL = 1e-10  # residual norm at which conjugate_gradient stops early
+
+
+def conjugate_gradient(fvp, g: np.ndarray, iters: int = 10):
     """Approximately solve F d = g; returns (d, residual_norm) for the best
     iterate seen."""
     x = np.zeros_like(g)
@@ -314,7 +319,7 @@ def conjugate_gradient(fvp, g: np.ndarray, iters: int = 10,
     best_x = x.copy()
     best_res = math.sqrt(rdotr)
     for _ in range(iters):
-        if math.sqrt(rdotr) < tol:
+        if math.sqrt(rdotr) < CG_TOL:
             break
         z = fvp(p)
         curvature = float(p @ z)
@@ -367,32 +372,30 @@ def batch_kl(batch: TrajectoryBatch, old_policy: MlpPolicy,
 
 class MetricsWriter:
     def __init__(self, path):
-        self.path = Path(path) if path is not None else None
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "w", newline="") as f:
-                csv.writer(f).writerow(METRICS_COLUMNS)
+        self.path = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with open(self.path, "w", newline="") as f:
+            csv.writer(f).writerow(METRICS_COLUMNS)
 
     def write(self, **row):
-        if self.path is None:
-            return
         with open(self.path, "a", newline="") as f:
             csv.writer(f).writerow([row[c] for c in METRICS_COLUMNS])
 
 
 def train_policy(policy: MlpPolicy, make_rollout_fn, config: TrainConfig,
                  gamma: float | None = None, out_dir=None, metrics_path=None,
-                 meta: dict | None = None, phase: str = "policy") -> MlpPolicy:
+                 phase: str = "policy") -> MlpPolicy:
     """Generic NPG loop: collect, fit baseline, GAE, gradient, CG, update.
 
     make_rollout_fn(policy) must return a rollout callable,
     rollout_fn(env_seeds, rngs) -> TrajectoryBatch (see collect_batch); the
     batch's arrays fix the horizon.
     gamma overrides config.gamma for return/advantage discounting (the
-    high level discounts across decisions with gamma^c).
+    high level discounts across decisions with gamma^c). A metrics row is
+    built only when metrics_path names a file to write it to.
     """
     gamma = config.gamma if gamma is None else gamma
-    writer = MetricsWriter(metrics_path)
+    writer = MetricsWriter(metrics_path) if metrics_path is not None else None
     out = Path(out_dir) if out_dir is not None else None
     start = time.monotonic()
     for it in range(config.iterations):
@@ -408,32 +411,30 @@ def train_policy(policy: MlpPolicy, make_rollout_fn, config: TrainConfig,
         kl = 0.0 if upd["skipped"] else batch_kl(batch, policy, new_policy, fp)
         del fp  # its buffers are not needed while the next batch is collected
         policy = new_policy
-        writer.write(iteration=it, mean_return=f"{batch.mean_return():.6f}",
-                     std_return=f"{batch.std_return():.6f}",
-                     mean_kl=f"{kl:.8f}",
-                     success_rate=f"{batch.success_rate():.4f}",
-                     wall_time=f"{time.monotonic() - start:.3f}")
+        if writer is not None:
+            writer.write(iteration=it, mean_return=f"{batch.mean_return():.6f}",
+                         std_return=f"{batch.std_return():.6f}",
+                         mean_kl=f"{kl:.8f}",
+                         success_rate=f"{batch.success_rate():.4f}",
+                         wall_time=f"{time.monotonic() - start:.3f}")
         if out is not None and config.checkpoint_every > 0 \
                 and (it + 1) % config.checkpoint_every == 0:
             save_checkpoint(policy, out / f"ckpt_{it + 1:06d}",
-                            meta={**(meta or {}), "phase": phase,
-                                  "iteration": it + 1})
+                            meta={"phase": phase, "iteration": it + 1})
     if out is not None:
         save_checkpoint(policy, out / "final",
-                        meta={**(meta or {}), "phase": phase,
-                              "iteration": config.iterations})
+                        meta={"phase": phase, "iteration": config.iterations})
     return policy
 
 
 def train_low_level(config: TrainConfig, rand: RandomizationConfig,
-                    out_dir=None, metrics_path=None,
-                    meta: dict | None = None) -> MlpPolicy:
+                    out_dir=None, metrics_path=None) -> MlpPolicy:
     """Goal-reaching pre-training under the configured randomizations."""
     policy = MlpPolicy(TASK_OBS_DIM["low_goal"], 12, hidden=(32, 32), seed=config.seed)
     env_cfg = TaskEnvConfig(kind="low_goal", rand=rand)
     fn = lambda pol: partial(run_task_episode, pol, env_cfg)
     return train_policy(policy, fn, config=config, out_dir=out_dir,
-                        metrics_path=metrics_path, meta=meta, phase="low")
+                        metrics_path=metrics_path, phase="low")
 
 
 def _not_low_goal(task_kind: str) -> None:
@@ -452,8 +453,7 @@ def _hier_env_cfg(task_kind: str, randomized: bool) -> TaskEnvConfig:
 
 def train_high_level(config: TrainConfig, task_kind: str,
                      low_policy: MlpPolicy, randomized: bool = True,
-                     out_dir=None, metrics_path=None,
-                     meta: dict | None = None) -> MlpPolicy:
+                     out_dir=None, metrics_path=None) -> MlpPolicy:
     """Goal-proposing training on a frozen low-level policy."""
     env_cfg = _hier_env_cfg(task_kind, randomized)
     policy = MlpPolicy(TASK_OBS_DIM[task_kind], 2 * N_AGENTS[task_kind],
@@ -462,12 +462,11 @@ def train_high_level(config: TrainConfig, task_kind: str,
                              config.gamma)
     return train_policy(policy, fn, config=config,
                         gamma=config.gamma ** GOAL_HORIZON, out_dir=out_dir,
-                        metrics_path=metrics_path, meta=meta, phase="high")
+                        metrics_path=metrics_path, phase="high")
 
 
 def train_flat(config: TrainConfig, task_kind: str, randomized: bool,
-               out_dir=None, metrics_path=None,
-               meta: dict | None = None) -> MlpPolicy:
+               out_dir=None, metrics_path=None) -> MlpPolicy:
     """Non-hierarchical baseline: width-64 policy on raw joint actions over
     the full task horizon. The randomized variant applies every low-level
     randomization plus uniform(-0.1, 0.1) torso xy observation noise."""
@@ -481,4 +480,4 @@ def train_flat(config: TrainConfig, task_kind: str, randomized: bool,
                        hidden=(64, 64), seed=config.seed)
     fn = lambda pol: partial(run_task_episode, pol, env_cfg)
     return train_policy(policy, fn, config=config, out_dir=out_dir,
-                        metrics_path=metrics_path, meta=meta, phase="flat")
+                        metrics_path=metrics_path, phase="flat")

@@ -75,6 +75,13 @@ def hypot(a, b) -> np.ndarray:
     return out.reshape(a.shape)
 
 
+def body_frame(c, s, dx, dy) -> tuple:
+    """The world-frame offset (dx, dy) in the frame of a body whose yaw has
+    cosine c and sine s: (c dx + s dy, -s dx + c dy), elementwise. The one
+    rotation into a body frame: observations, goals and block contact."""
+    return c * dx + s * dy, -s * dx + c * dy
+
+
 @dataclass
 class HeightField:
     """Square terrain patch of width x width meters sampled on an n x n grid.
@@ -131,11 +138,10 @@ class Worlds:
     Agents: x, y, yaw, z_proxy, fallen (E, A); q, qdot (E, A, 12).
     Blocks: bx, by, byaw, block_mass (E, B); half_extents (E, B, 2).
     params maps each DynamicsParams field name to an (E, A) array; grid
-    holds each row's terrain heights (E, n, n) over a patch of one width,
-    and flat (E,) marks the rows whose grid is all zeros.
+    holds each row's terrain heights (E, n, n) over a patch of one width.
 
-    Stepping never changes params, grid, flat, half_extents or
-    block_mass, so what stepping derives from them (constants) is computed
+    Stepping never changes params, grid, half_extents or block_mass, so
+    what stepping derives from them (constants) is computed
     once and carried from each state to the next (evolve); a state built
     by dataclasses.replace computes its own.
     """
@@ -155,14 +161,14 @@ class Worlds:
     params: dict
     grid: np.ndarray
     width: float
-    flat: np.ndarray
 
     @cached_property
     def constants(self) -> dict:
         """Stepping's per-state constants: the servo gain, damping and
         friction as (E, A, 1) columns, the disc inertia, dt / mass, whether
-        every row's terrain is flat and whether no row has a lateral bias
-        force (step_agents), and block_constants of each block (push_block).
+        every row's grid is all zeros (all_flat) and whether no row has a
+        lateral bias force (step_agents), and block_constants of each
+        block (push_block).
         Raises ConfigurationError for a block without positive extents."""
         p = self.params
         return {
@@ -171,7 +177,7 @@ class Worlds:
             "friction": p["joint_friction"][..., None],
             "inertia": p["total_mass"] * AGENT_RADIUS ** 2,  # gyration radius = footprint
             "inv_m": DT / p["total_mass"],
-            "all_flat": bool(self.flat.all()),
+            "all_flat": not self.grid.any(),
             "no_bias": not p["lateral_bias_force"].any(),
             "blocks": [block_constants(self.half_extents[:, k], self.block_mass[:, k])
                        for k in range(self.bx.shape[1])],
@@ -181,7 +187,7 @@ class Worlds:
         """A new state with the fields in changes replaced and every other
         field, constants included, shared with this one. Unlike
         dataclasses.replace it skips __init__, so only stepping, which
-        leaves params, grid and flat alone, may use it."""
+        leaves params and grid alone, may use it."""
         new = object.__new__(Worlds)
         new.__dict__ = self.__dict__ | changes
         return new
@@ -246,10 +252,10 @@ def step_agents(world: Worlds, actions, wrench, active, force=None) -> Worlds:
          wrench torque adds domega = tau*dt/I with I the disc inertia;
       5. pose integration and the stability score that drives z_proxy and
          the absorbing fall flag.
-    When every row's terrain is flat (Worlds.flat), the slope is 0.0
-    everywhere and the terrain lookup is skipped: the friction scale is
-    then surface_friction * 1.0 and the stability loses 0.0, the same bits
-    the lookup gives. Likewise a wrench of None skips its stability term,
+    When every row's grid is all zeros (constants["all_flat"]), the slope
+    is 0.0 everywhere and the terrain lookup is skipped: the friction scale
+    is then surface_friction * 1.0 and the stability loses 0.0, the same
+    bits the lookup gives. Likewise a wrench of None skips its stability term,
     which would subtract 0.0.
     """
     a = np.asarray(actions, dtype=float)
@@ -366,10 +372,7 @@ def push_block(ax, ay, bx, by, byaw, block: tuple, active):
         if not active.any():
             break
         c, s = np.cos(byaw), np.sin(byaw)
-        rx = ax - bx
-        ry = ay - by
-        lx = c * rx + s * ry
-        ly = -s * rx + c * ry
+        lx, ly = body_frame(c, s, ax - bx, ay - by)
         qx = np.minimum(np.maximum(lx, neg_hx), hx)
         qy = np.minimum(np.maximum(ly, neg_hy), hy)
         dx = lx - qx

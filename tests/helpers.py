@@ -85,5 +85,4 @@ def make_worlds(rows) -> Worlds:
                 for f in fields(DynamicsParams)},
         grid=np.stack([r.terrain.grid for r in rows]),
         width=rows[0].terrain.width,
-        flat=np.array([not r.terrain.grid.any() for r in rows]),
     )

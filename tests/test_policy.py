@@ -259,34 +259,35 @@ class TestHierarchicalEpisode:
 
     def test_decision_count(self):
         pi_hi, pi_lo = self._policies()
-        hi, info = hierarchical_episode(_ConstRewardEnv(rows=3), pi_hi, pi_lo, _rngs(3))
+        env = _ConstRewardEnv(rows=3)
+        hi = hierarchical_episode(env, pi_hi, pi_lo, _rngs(3))
         assert hi["obs"].shape[:2] == (3, 20)
         assert hi["rew"].shape == (3, 20)
-        assert info["task_rewards"].shape == (3, 200)
+        assert env.rewards().shape == (3, 200)
 
     def test_window_reward_geometric_series(self):
         pi_hi, pi_lo = self._policies()
-        hi, info = hierarchical_episode(_ConstRewardEnv(reward=-1.0), pi_hi,
-                                        pi_lo, _rngs(), gamma=0.99)
+        env = _ConstRewardEnv(reward=-1.0)
+        hi = hierarchical_episode(env, pi_hi, pi_lo, _rngs(), gamma=0.99)
         expected = -(1 - 0.99 ** 10) / 0.01
         assert np.allclose(hi["rew"], expected, atol=1e-12)
-        # independent oracle: accumulate the logged per-step rewards
-        r = info["task_rewards"][0]
+        # independent oracle: accumulate the env's per-step rewards
+        r = env.rewards()[0]
         for j in range(20):
             oracle = sum(0.99 ** i * r[10 * j + i] for i in range(10))
             assert abs(hi["rew"][0, j] - oracle) <= 1e-9
 
     def test_gamma_zero_keeps_first_step_only(self):
         pi_hi, pi_lo = self._policies()
-        hi, info = hierarchical_episode(_ConstRewardEnv(reward=-3.0), pi_hi,
-                                        pi_lo, _rngs(), gamma=0.0)
+        hi = hierarchical_episode(_ConstRewardEnv(reward=-3.0), pi_hi,
+                                  pi_lo, _rngs(), gamma=0.0)
         assert np.allclose(hi["rew"], -3.0)
 
     def test_indivisible_horizon_rejected(self):
         pi_hi, pi_lo = self._policies()
         with pytest.raises(ConfigurationError):
             hierarchical_episode(_ConstRewardEnv(horizon=7), pi_hi, pi_lo,
-                                 _rngs(), c=10)
+                                 _rngs())
 
     @pytest.mark.parametrize("perturbed", [True, False])
     def test_noise_is_drawn_up_front_from_the_row_stream(self, perturbed):
@@ -296,8 +297,8 @@ class TestHierarchicalEpisode:
         pi_lo.log_std[:] = np.linspace(-1.0, 0.5, 12)
         seeds = (3, 4, 3)
         env = _ConstRewardEnv(rows=3, fallen=(2,), perturbed=perturbed)
-        hi, _ = hierarchical_episode(env, pi_hi, pi_lo,
-                                     [np.random.default_rng(s) for s in seeds])
+        hi = hierarchical_episode(env, pi_hi, pi_lo,
+                                  [np.random.default_rng(s) for s in seeds])
         for e in (0, 1):
             rng = np.random.default_rng(seeds[e])
             hi_noise = rng.standard_normal((20, 2))
@@ -323,7 +324,7 @@ class TestHierarchicalEpisode:
         rngs = _rngs(2)
         states = [rng.bit_generator.state for rng in rngs]
         env = _ConstRewardEnv(rows=2, perturbed=True)
-        hi, _ = hierarchical_episode(env, pi_hi, pi_lo, rngs, deterministic=True)
+        hi = hierarchical_episode(env, pi_hi, pi_lo, rngs, deterministic=True)
         assert [rng.bit_generator.state for rng in rngs] == states
         assert np.array_equal(hi["act"][:, 0], pi_hi.mean_rows(np.zeros((2, 4))))
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import legwork.tasks
 from legwork.errors import ConfigurationError, NumericsError
+from legwork.policy import mask_low_level_obs
 from legwork.randomization import RandomizationConfig, substream
 from legwork.tasks import (
     COORD_AGENT_GAP,
@@ -19,18 +20,17 @@ from legwork.tasks import (
     EnvOverrides,
     TaskEnv,
     TaskEnvConfig,
-    agent_core_obs,
     avoid_reward_terms,
     block_ends,
     coordinate_reward_terms,
     fixed_eval_init,
     init_avoid,
     init_coordinate,
+    init_low_goal,
     init_push,
     low_level_reward_terms,
     observe_task,
     push_reward_terms,
-    sample_low_level_goal,
     success,
     target_reached,
     task_reward,
@@ -106,11 +106,18 @@ def _succeeds(task, worlds) -> bool:
     return bool(success(task.kind, targets, rows[0], rows[-1], reached)[0])
 
 
+def _low_level_goal(rng) -> np.ndarray:
+    """The single target of an init_low_goal start, (2,); it has no block."""
+    targets, block = init_low_goal(rng)
+    assert targets.shape == (1, 2) and block is None
+    return targets[0]
+
+
 class TestGoalSampling:
     def test_bounds(self):
         rng = np.random.default_rng(0)
         for _ in range(2000):
-            gx, gy = sample_low_level_goal(rng)
+            gx, gy = _low_level_goal(rng)
             r = math.hypot(gx, gy)
             v = math.atan2(gy, gx)
             assert 1.0 <= r <= 2.0
@@ -118,11 +125,11 @@ class TestGoalSampling:
 
     def test_radius_distribution(self):
         rng = np.random.default_rng(1)
-        radii = [math.hypot(*sample_low_level_goal(rng)) for _ in range(10_000)]
+        radii = [math.hypot(*_low_level_goal(rng)) for _ in range(10_000)]
         assert ks_statistic(radii, lambda r: r - 1.0) < 0.02
 
     def test_forced_draw(self):
-        g = sample_low_level_goal(_QueueRng([1.0, 0.0]))
+        g = _low_level_goal(_QueueRng([1.0, 0.0]))
         assert g.shape == (2,) and tuple(g) == (1.0, 0.0)
 
 
@@ -322,6 +329,109 @@ class TestFixedEvalInit:
         assert abs(task.targets[0][1]) == pytest.approx(0.55)
 
 
+# The per-kind observation formulas that observe_task and
+# mask_low_level_obs replaced with one writer and one body-frame rotation
+# (world.body_frame), kept as the reference they match bit for bit.
+
+def _ref_rel_body(x, y, yaw, px, py) -> tuple:
+    c, s = np.cos(yaw), np.sin(yaw)
+    dx, dy = px - x, py - y
+    return (c * dx + s * dy, -s * dx + c * dy)
+
+
+def _ref_agent_core_obs(world):
+    pose = np.stack([world.x, world.y, np.cos(world.yaw), np.sin(world.yaw)],
+                    axis=-1)
+    return np.concatenate([world.q, world.qdot, pose], axis=-1)
+
+
+def _ref_mask_low_level_obs(world, goals):
+    c, s = np.cos(world.yaw), np.sin(world.yaw)
+    dx = goals[..., 0] - world.x
+    dy = goals[..., 1] - world.y
+    obs = np.zeros(world.x.shape + (32,))
+    obs[..., 0:12] = world.q
+    obs[..., 12:24] = world.qdot
+    obs[..., 30] = c * dx + s * dy
+    obs[..., 31] = -s * dx + c * dy
+    return obs
+
+
+def _ref_observe_task(world, kind, targets):
+    if kind == "low_goal":
+        return _ref_mask_low_level_obs(world, targets)[:, 0]
+    if kind in ("avoid", "push"):
+        x, y = world.x[:, 0], world.y[:, 0]
+        c, s = np.cos(world.yaw[:, 0]), np.sin(world.yaw[:, 0])
+        obs = np.empty((len(x), 32))
+        obs[:, 0:12] = world.q[:, 0]
+        obs[:, 12:24] = world.qdot[:, 0]
+        obs[:, 24], obs[:, 25], obs[:, 26], obs[:, 27] = x, y, c, s
+        for col, (px, py) in ((28, (targets[:, 0, 0], targets[:, 0, 1])),
+                              (30, (world.bx[:, 0], world.by[:, 0]))):
+            dx, dy = px - x, py - y
+            obs[:, col] = c * dx + s * dy
+            obs[:, col + 1] = -s * dx + c * dy
+        return obs
+    core = _ref_agent_core_obs(world)
+    n_rows = len(core)
+    byaw = world.byaw[:, 0]
+    ends = block_ends(world.bx[:, 0], world.by[:, 0], byaw)
+    c, s = np.cos(byaw)[:, None], np.sin(byaw)[:, None]
+    dx = targets[..., 0] - ends[..., 0]
+    dy = targets[..., 1] - ends[..., 1]
+    rel_block = np.stack([c * dx + s * dy, -s * dx + c * dy], axis=-1)
+    rel_agents = np.stack(_ref_rel_body(world.x[:, :, None], world.y[:, :, None],
+                                        world.yaw[:, :, None], ends[:, None, :, 0],
+                                        ends[:, None, :, 1]), axis=-1)
+    return np.concatenate([core.reshape(n_rows, -1), c, s,
+                           rel_block.reshape(n_rows, -1),
+                           rel_agents.reshape(n_rows, -1)], axis=-1)
+
+
+@st.composite
+def observed_rows(draw):
+    """A task kind and 1-5 rows of it: agents and blocks posed anywhere,
+    blocks at any yaw, targets anywhere, joint states at random."""
+    kind = draw(st.sampled_from(TASK_KINDS))
+    n_rows = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_agents = 2 if kind == "coordinate" else 1
+    half = COORD_BLOCK_HALF if kind == "coordinate" else PUSH_BLOCK_HALF
+    rows = []
+    for _ in range(n_rows):
+        agents = [AgentState(*rng.uniform(-8.0, 8.0, 2), rng.uniform(-7.0, 7.0), 0.3,
+                             rng.uniform(-1.5, 1.5, 12), rng.uniform(-12.0, 12.0, 12))
+                  for _ in range(n_agents)]
+        blocks = ([] if kind == "low_goal" else
+                  [BlockState(*rng.uniform(-8.0, 8.0, 2), rng.uniform(-7.0, 7.0),
+                              half, 4.0)])
+        rows.append(Row(agents, blocks))
+    targets = rng.uniform(-20.0, 20.0, (n_rows, 2 if kind == "coordinate" else 1, 2))
+    return make_worlds(rows), kind, targets
+
+
+class TestOneObservationWriter:
+    @settings(max_examples=80, deadline=None)
+    @given(case=observed_rows())
+    def test_equals_the_per_kind_formulas(self, case):
+        world, kind, targets = case
+        got = observe_task(world, kind, targets)
+        ref = _ref_observe_task(world, kind, targets)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=observed_rows(), seed=st.integers(0, 2**32 - 1))
+    def test_mask_low_level_obs_equals_its_formula(self, case, seed):
+        # every agent, one or two per row, against goals anywhere
+        world, _, _ = case
+        goals = np.random.default_rng(seed).uniform(-20.0, 20.0,
+                                                    world.x.shape + (2,))
+        got = mask_low_level_obs(world, goals)
+        assert got.tobytes() == _ref_mask_low_level_obs(world, goals).tobytes()
+
+
 class TestObservations:
     def test_dimensions(self):
         w, t = _start("push", init_push(np.random.default_rng(0)))
@@ -350,12 +460,16 @@ class TestObservations:
 
     def test_coordinate_layout(self):
         world, task = _start("coordinate", init_coordinate(np.random.default_rng(1)))
+        world.agents[0].yaw, world.agents[1].yaw = 0.4, -1.1
         obs = _observe(world, task)
         block = world.blocks[0]
         assert obs[56] == pytest.approx(math.cos(block.yaw))
         assert obs[57] == pytest.approx(math.sin(block.yaw))
-        core0 = agent_core_obs(make_worlds([world]))[0, 0]
-        assert np.array_equal(obs[:28], core0)
+        # each agent's core: q, qdot, x, y, cos yaw, sin yaw
+        for i, agent in enumerate(world.agents):
+            core = np.concatenate([agent.q, agent.qdot, [agent.x, agent.y],
+                                   np.cos([agent.yaw]), np.sin([agent.yaw])])
+            assert np.array_equal(obs[28 * i:28 * (i + 1)], core)
 
     def test_torso_slots(self):
         assert torso_xy_slots(1) == [24, 25]
@@ -477,12 +591,14 @@ class TestTaskEnv:
         lambda: TaskEnvConfig("push", torso_obs_noise=-0.1),
         lambda: TaskEnvConfig("push", torso_obs_noise=math.nan),
         lambda: TaskEnvConfig("push", torso_obs_noise=math.inf),
+        lambda: TaskEnvConfig("low_goal", torso_obs_noise=0.1),
         lambda: TaskEnvConfig("avoid", fixed_init="x"),
         lambda: TaskEnvConfig("bogus"),
         lambda: EnvOverrides(DynamicsParams(), HeightField.flat(), 1.7),
         lambda: EnvOverrides(DynamicsParams(), HeightField.flat(), -0.1),
         lambda: EnvOverrides(DynamicsParams(), HeightField.flat(), math.nan),
-    ], ids=["noise_negative", "noise_nan", "noise_inf", "fixed_init_x", "kind_unknown",
+    ], ids=["noise_negative", "noise_nan", "noise_inf", "noise_low_goal",
+            "fixed_init_x", "kind_unknown",
             "sticky_above_one", "sticky_negative", "sticky_nan"])
     def test_bad_env_settings_rejected(self, make):
         with pytest.raises(ConfigurationError):
@@ -657,7 +773,7 @@ class TestArrayStarts:
             assert column.shape == (3, env.n_agents)
             assert (column == getattr(nominal, f.name)).all()
         assert env.world.grid.shape == (3, 32, 32)
-        assert not env.world.grid.any() and env.world.flat.all()
+        assert not env.world.grid.any() and env.world.constants["all_flat"]
         assert not env.sticky.any() and not env.wrench.any()
         # only the initialization draws
         assert keys == {(40,): 3}

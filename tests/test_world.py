@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import legwork.world
 from legwork.errors import ConfigurationError, NumericsError
 from legwork.world import (
     AGENT_RADIUS,
@@ -547,8 +548,10 @@ class TestLockstep:
         wrench = np.stack([r[2] for r in rows])
         live = np.array([r[3] for r in rows])
         together = world
-        # every row through the terrain lookup, flat or not
-        looked_up = replace(world, flat=np.zeros(len(rows), dtype=bool))
+        # every row through the terrain lookup, flat or not: the cached
+        # constant is carried to every later state
+        looked_up = replace(world)
+        looked_up.constants["all_flat"] = False
         alone = [make_worlds([r[0]]) for r in rows]
         for _ in range(3):
             together = step_worlds(together, acts, wrench, live)
@@ -558,3 +561,28 @@ class TestLockstep:
         for e, w in enumerate(alone):
             assert same_row(together, w, e, 0)
             assert same_row(together, looked_up, e, e)
+
+    def test_one_nonzero_grid_node_turns_the_terrain_lookup_on(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return terrain_at(*args)
+
+        monkeypatch.setattr(legwork.world, "terrain_at", counting)
+        bump = np.zeros((8, 8))
+        bump[3, 4] = 0.05
+        walker = AgentState(0.2, -0.4, 0.3, 0.3, np.full(12, 0.5), np.full(12, -2.0))
+        rows = [Row([walker], terrain=HeightField.flat(8)),
+                Row([walker], terrain=HeightField(bump))]
+        acts, live = np.full((2, 1, 12), 0.7), np.array([True, True])
+        flat = make_worlds(rows[:1])
+        assert flat.constants["all_flat"]
+        flat = step_worlds(flat, acts[:1], None, live[:1])
+        assert calls == []
+        rough = make_worlds(rows)
+        assert not rough.constants["all_flat"]
+        rough = step_worlds(rough, acts, None, live)
+        assert calls == [1]
+        # the lookup gives the flat row the bits the skipped lookup does
+        assert same_row(rough, flat, 0, 0)
