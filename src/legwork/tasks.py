@@ -1,5 +1,5 @@
 """Task definitions: goal sampling, rewards, initializations, observations,
-success predicates, and the episode environment built on the planar world.
+and the episode environment built on the planar world.
 
 Four task kinds. low_goal trains the low level: one agent walks for 40 steps
 towards a goal drawn in its spawn frame, sees only its joints and the goal
@@ -8,16 +8,16 @@ three run 200 steps and never end early: Avoid (reach a target without
 disturbing a block), Push (shove a block onto a target), and Coordinate (two
 agents move a long block so both of its ends land on their targets). The
 kind fixes the agent count, the horizon and the observation size (the
-tables N_AGENTS, HORIZON and TASK_OBS_DIM); the reward weights and success
-thresholds are module constants, the same for every kind.
+tables N_AGENTS, HORIZON and TASK_OBS_DIM); the reward weights and goal
+radii are module constants, the same for every kind.
 
 Initializations return one episode's numbers: its targets and its block's
-center. Observations, rewards and success are computed for many episodes
-at once, on the rows of a world.Worlds and the matching rows of targets
-(E, k, 2). observe_task is one writer for avoid, push and coordinate: it
-fills one (E, obs_dim) array, computes each agent's cos and sin of yaw
-once, and turns every point into a body frame with world.body_frame, the
-rotation the low level's goal (mask_low_level_obs) goes through too.
+center. Observations and rewards are computed for many episodes at once,
+on the rows of a world.Worlds and the matching rows of targets (E, k, 2).
+observe_task is one writer for avoid, push and coordinate: it fills one
+(E, obs_dim) array, computes each agent's cos and sin of yaw once, and
+turns every point into a body frame with world.body_frame, the rotation
+the low level's goal (mask_low_level_obs) goes through too.
 
 One environment class, TaskEnv, runs E episodes of one kind in lockstep,
 one seed per row. Row e draws all its randomness from seeds[e], so its
@@ -32,10 +32,12 @@ off none builds 50.
 The work sits at the two ends of an episode batch. Construction allocates
 each state column once for all rows, and each row writes its draws into
 its slots. Stepping advances the dynamics only: the observation is
-computed when first read at a step, and the rewards of all steps, and
-avoid's reached, come from one pass after the last (TaskEnv.rewards). Its
-formulas are elementwise per row, so they give the bits that scoring each
-step would.
+computed when first read at a step, and the rewards of all steps come
+from one pass after the last (TaskEnv.rewards). Its formulas are
+elementwise per row, so they give the bits that scoring each step would.
+Success is derived from the same pass: each kind's goal test is written
+once, as the condition of its reward's bonus term, and task_reward
+returns it beside the reward (TaskEnv.episode_success).
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ COORD_BLOCK_AHEAD = 0.8  # m from the spawn line to the block center
 # cutoffs penalize every step of ordinary walking and poison training.
 UPRIGHT_Z_MIN = 0.12
 
-# reward weights and success thresholds
+# reward weights and goal radii (a goal is met where its bonus is paid)
 BONUS = 10.0
 AVOID_PENALTY = 10.0
 W_UPRIGHT = 5.0
@@ -172,7 +174,8 @@ def torso_xy_slots(n_agents: int) -> list:
 
 # -- rewards ------------------------------------------------------------------
 # Each *_reward_terms function returns its terms in a fixed order, each an
-# (E,) array; task_reward sums them in that order. world is a Worlds, or
+# (E,) array; task_reward sums them in that order, and the bonus term is
+# paid exactly where the kind's goal is met. world is a Worlds, or
 # any object that holds the kind's SCORED columns (TaskEnv.rewards).
 
 def _upright(z_proxy: np.ndarray) -> np.ndarray:
@@ -218,14 +221,10 @@ def push_reward_terms(world: Worlds, targets: np.ndarray) -> dict:
     }
 
 
-def _end_distances(world: Worlds, targets: np.ndarray) -> tuple:
-    ends = block_ends(world.bx[:, 0], world.by[:, 0], world.byaw[:, 0])
-    diff = targets - ends
-    return (hypot(diff[:, 0, 0], diff[:, 0, 1]), hypot(diff[:, 1, 0], diff[:, 1, 1]))
-
-
 def coordinate_reward_terms(world: Worlds, targets: np.ndarray) -> dict:
-    d0, d1 = _end_distances(world, targets)
+    diff = targets - block_ends(world.bx[:, 0], world.by[:, 0], world.byaw[:, 0])
+    d0 = hypot(diff[:, 0, 0], diff[:, 0, 1])
+    d1 = hypot(diff[:, 1, 0], diff[:, 1, 1])
     both = (d0 < COORD_RADIUS) & (d1 < COORD_RADIUS)
     return {
         "end_0": -d0,
@@ -239,9 +238,12 @@ REWARD_TERMS = {"low_goal": low_level_reward_terms, "avoid": avoid_reward_terms,
                 "push": push_reward_terms, "coordinate": coordinate_reward_terms}
 
 
-def task_reward(world: Worlds, kind: str, targets: np.ndarray) -> np.ndarray:
-    """The sum of the kind's reward terms, in their listed order, per row."""
-    return sum(REWARD_TERMS[kind](world, targets).values())
+def task_reward(world: Worlds, kind: str, targets: np.ndarray) -> tuple:
+    """(reward, goal_met) per row: the sum of the kind's reward terms, in
+    their listed order, and whether the row's state meets the kind's goal
+    (its bonus term is paid), (E,) each."""
+    terms = REWARD_TERMS[kind](world, targets)
+    return sum(terms.values()), terms["bonus"] > 0.0
 
 
 # -- initializations ---------------------------------------------------------
@@ -270,14 +272,17 @@ def init_avoid(rng: np.random.Generator):
     return target, (r_b * math.cos(th_b), r_b * math.sin(th_b))
 
 
-def init_push(rng: np.random.Generator, max_attempts: int = 100):
+PUSH_INIT_ATTEMPTS = 100  # block draws before init_push gives up
+
+
+def init_push(rng: np.random.Generator):
     """Push start: block placed around the target, re-drawn while it sits
     within 0.5 m of the agent. Draw order: r_T, theta_T, then (r_B, theta_B)
-    pairs until accepted."""
+    pairs until accepted, at most PUSH_INIT_ATTEMPTS of them."""
     r_t = rng.uniform(1.5, 2.5)
     th_t = rng.uniform(-1.0, 1.0)
     tx, ty = r_t * math.cos(th_t), r_t * math.sin(th_t)
-    for _ in range(max_attempts):
+    for _ in range(PUSH_INIT_ATTEMPTS):
         r_b = rng.uniform(0.6, 1.2)
         th_b = rng.uniform(math.pi / 3, 5 * math.pi / 3)
         bx = tx + r_b * math.cos(th_b)
@@ -285,7 +290,8 @@ def init_push(rng: np.random.Generator, max_attempts: int = 100):
         if math.hypot(bx, by) >= 0.5:  # agent spawns at the origin
             return np.array([[tx, ty]]), (bx, by)
     raise ConfigurationError(
-        f"push initialization failed to separate block and agent in {max_attempts} draws")
+        "push initialization failed to separate block and agent in "
+        f"{PUSH_INIT_ATTEMPTS} draws")
 
 
 def init_coordinate(rng: np.random.Generator):
@@ -322,38 +328,6 @@ def fixed_eval_init(kind: str, variant: str = "+"):
 
 INITS = {"low_goal": init_low_goal, "avoid": init_avoid, "push": init_push,
          "coordinate": init_coordinate}
-
-
-# -- success ------------------------------------------------------------------
-
-def target_reached(world: Worlds, targets: np.ndarray) -> np.ndarray:
-    """Whether agent 0 is within BONUS_RADIUS of the first target, per row."""
-    return hypot(world.x[:, 0] - targets[:, 0, 0],
-                 world.y[:, 0] - targets[:, 0, 1]) < BONUS_RADIUS
-
-
-def success(kind: str, targets: np.ndarray, start: Worlds, end: Worlds,
-            reached: np.ndarray) -> np.ndarray:
-    """Success of every row, (E,) bool, from the worlds at the start and at
-    the end of the episodes and whether target_reached held at any step
-    (read for avoid only; the other kinds accept None).
-
-    low_goal: the agent's final position is within 0.5 m of the goal.
-    avoid: the agent came within 0.5 m of the target at some step and the
-    block's net displacement stayed below 0.05 m. push: the block's final
-    center is within 0.5 m of the target. coordinate: both final block ends
-    are within 0.3 m of their targets.
-    """
-    tx, ty = targets[:, 0, 0], targets[:, 0, 1]
-    if kind == "low_goal":
-        return hypot(tx - end.x[:, 0], ty - end.y[:, 0]) < BONUS_RADIUS
-    if kind == "avoid":
-        moved = hypot(end.bx[:, 0] - start.bx[:, 0], end.by[:, 0] - start.by[:, 0])
-        return reached & (moved < AVOID_MAX_BLOCK_MOVE)
-    if kind == "push":
-        return hypot(end.bx[:, 0] - tx, end.by[:, 0] - ty) < BONUS_RADIUS
-    d0, d1 = _end_distances(end, targets)
-    return (d0 < COORD_RADIUS) & (d1 < COORD_RADIUS)
 
 
 # -- environment ----------------------------------------------------------------
@@ -396,6 +370,8 @@ class TaskEnvConfig:
         if self.fixed_init not in (None, "+", "-"):
             raise ConfigurationError(
                 f"fixed_init must be None, '+' or '-', got {self.fixed_init!r}")
+        if self.kind == "low_goal" and self.fixed_init is not None:
+            raise ConfigurationError("low_goal has no fixed initialization")
 
 
 # The state columns that each kind's reward and success read: all that a
@@ -413,20 +389,19 @@ class TaskEnv:
     A low_goal episode ends early when its agent falls. The 200-step tasks
     never end early; fallen agents freeze in place. done marks the rows
     whose episode has ended: they keep their state and are not stepped
-    again. world holds the latest state and start the first; construction
-    leaves every episode at its start. obs is the latest observation of
-    every row, computed when it is first read at each step, so a caller
-    that reads it on some steps only (the hierarchical executor reads it
-    once per decision) pays for those alone. sticky (E, n_agents, horizon)
-    and wrench (E, n_agents, horizon, 3) are each episode's sticky-action
-    and torso wrench schedules.
+    again. world holds the latest state; construction leaves every episode
+    at its start. obs is the latest observation of every row, computed
+    when it is first read at each step, so a caller that reads it on some
+    steps only (the hierarchical executor reads it once per decision) pays
+    for those alone. sticky (E, n_agents, horizon) and wrench (E, n_agents,
+    horizon, 3) are each episode's sticky-action and torso wrench
+    schedules.
 
     Stepping computes no reward. The env keeps a reference to each SCORED
-    column of the start and of every later state, and rewards() scores all
-    of them in one task_reward call. reached, which only avoid's success
-    reads, comes from the same columns; it is None for the other kinds.
-    The columns are kept, not copied: writing into env.world's arrays
-    changes what is scored for the step that made them.
+    column of the start and of every later state, and rewards() and
+    episode_success() read one task_reward call over all of them. The
+    columns are kept, not copied: writing into env.world's arrays changes
+    what is scored for the step that made them.
     """
 
     def __init__(self, config: TaskEnvConfig, seeds):
@@ -441,7 +416,6 @@ class TaskEnv:
         self.n_agents = N_AGENTS[self.kind]
         self.horizon = HORIZON[self.kind]
         self._build_starts()
-        self.start = self.world
         self._sticks = bool(self.sticky.any())
         pushed = self.wrench.any(axis=(0, 1, 3))  # a nonzero wrench, per step
         self._pushed = pushed.tolist()
@@ -565,19 +539,23 @@ class TaskEnv:
         return self.done
 
     def _score(self) -> tuple:
-        """(rewards, reached) of the steps so far, from one pass over the
+        """(rewards, success) of the steps so far, from one pass over the
         kept columns stacked step by step: (t + 1) * E rows."""
         if self._scored_t != self.t:
             states = self.t + 1
             cols = SimpleNamespace(**{name: np.concatenate(column)
                                       for name, column in self._columns.items()})
             targets = np.tile(self.targets, (states, 1, 1))
-            rewards = task_reward(cols, self.kind, targets).reshape(states, -1)[1:].T
-            reached = None
+            rewards, goal_met = task_reward(cols, self.kind, targets)
+            goal_met = goal_met.reshape(states, -1)
             if self.kind == "avoid":
-                reached = target_reached(cols, targets).reshape(
-                    states, -1).any(axis=0)
-            self._scored, self._scored_t = (rewards, reached), self.t
+                bx, by = self._columns["bx"], self._columns["by"]
+                moved = hypot(bx[-1][:, 0] - bx[0][:, 0], by[-1][:, 0] - by[0][:, 0])
+                success = goal_met.any(axis=0) & (moved < AVOID_MAX_BLOCK_MOVE)
+            else:
+                success = goal_met[-1]
+            self._scored = rewards.reshape(states, -1)[1:].T, success
+            self._scored_t = self.t
         return self._scored
 
     def rewards(self) -> np.ndarray:
@@ -585,11 +563,15 @@ class TaskEnv:
         rewards of rows that had already finished carry no meaning."""
         return self._score()[0]
 
-    @property
-    def reached(self):
-        """For avoid, whether target_reached held at the start or after
-        any step so far, per row; None for the other kinds."""
-        return self._score()[1] if self.kind == "avoid" else None
-
     def episode_success(self) -> np.ndarray:
-        return success(self.kind, self.targets, self.start, self.world, self.reached)
+        """Success of every row so far, (E,) bool: whether the kind's goal
+        test, the one that pays the reward's bonus term, holds.
+
+        low_goal: the agent's latest position is within BONUS_RADIUS of
+        the goal. avoid: the agent was within BONUS_RADIUS of the target
+        at the start or after some step, and the block's center has moved
+        less than AVOID_MAX_BLOCK_MOVE from its start. push: the block's
+        latest center is within BONUS_RADIUS of the target. coordinate:
+        both latest block ends are within COORD_RADIUS of their targets.
+        """
+        return self._score()[1]

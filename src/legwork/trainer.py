@@ -5,7 +5,9 @@ One iteration: collect a batch of episodes, fit the value baseline on
 discounted returns, compute GAE advantages (batch-normalized), take the
 likelihood-ratio gradient, precondition it with conjugate gradient against
 Fisher-vector products, and apply a KL-normalized step
-theta' = theta + sqrt(2 delta / d.g) * d.
+theta' = theta + sqrt(2 delta / d.g) * d. Each phase takes only what it
+reads: the advantages pass from compute_advantages to the gradient, and
+the Fisher-vector products and the KL read only the forward pass.
 
 Rollout collection steps all episodes of a batch in lockstep, as the rows
 of one TaskEnv, into one batch of arrays padded to the horizon. It is
@@ -87,14 +89,15 @@ class TrainConfig:
 class TrajectoryBatch:
     """E episodes as arrays padded to T steps: row e holds lengths[e] valid
     steps. Construction zeroes every step past a row's length, so a scan
-    over T meets zero reward and zero value there."""
+    over T meets zero reward and zero value there. It holds only what
+    collection produced; the NPG phases pass what they derive to each
+    other."""
     obs: np.ndarray  # (E, T, obs_dim)
     act: np.ndarray  # (E, T, act_dim), pre-clamp samples
     rew: np.ndarray  # (E, T)
     logp: np.ndarray  # (E, T) at collection time
     lengths: np.ndarray  # (E,)
     success: np.ndarray  # (E,) bool
-    advantages: np.ndarray | None = None  # (E, T), normalized across the batch
     mask: np.ndarray = field(init=False, repr=False)  # (E, T) valid steps
 
     def __post_init__(self):
@@ -121,9 +124,6 @@ class TrajectoryBatch:
 
     def flat_act(self) -> np.ndarray:
         return self.act[self.mask]
-
-    def flat_adv(self) -> np.ndarray:
-        return self.advantages[self.mask]
 
     def mean_return(self) -> float:
         return float(np.mean(self.rew.sum(axis=1)))
@@ -259,35 +259,31 @@ def fit_baseline(batch: TrajectoryBatch, gamma: float) -> np.ndarray:
 
 
 def compute_advantages(batch: TrajectoryBatch, values: np.ndarray,
-                       gamma: float, lam: float) -> TrajectoryBatch:
-    """Fill batch.advantages (normalized to mean 0, std 1 over the valid
-    steps) from the baseline's (E, T) values."""
-    raw = gae_advantages(batch.rew, values, gamma, lam)
-    flat = raw[batch.mask]
-    batch.advantages = np.where(batch.mask, (raw - flat.mean()) / (flat.std() + 1e-8), 0.0)
-    return batch
+                       gamma: float, lam: float) -> np.ndarray:
+    """The GAE advantages of the valid steps from the baseline's (E, T)
+    values, normalized to mean 0, std 1: (n_samples,), in the order of
+    batch.flat_obs()."""
+    flat = gae_advantages(batch.rew, values, gamma, lam)[batch.mask]
+    return (flat - flat.mean()) / (flat.std() + 1e-8)
 
 
 # -- NPG machinery -------------------------------------------------------------
 
 def policy_gradient(batch: TrajectoryBatch, policy: MlpPolicy,
-                    fp: ForwardPass) -> np.ndarray:
+                    adv: np.ndarray, fp: ForwardPass) -> np.ndarray:
     """Likelihood-ratio gradient: mean over samples of grad log pi * adv.
-    fp is the policy's forward pass over batch.flat_obs()."""
-    if batch.advantages is None:
-        raise ConfigurationError("advantages not computed")
-    g = grad_log_prob_sum(policy, batch.flat_act(),
-                          batch.flat_adv() / batch.n_samples, fp)
+    adv is compute_advantages' flat array and fp is the policy's forward
+    pass over batch.flat_obs()."""
+    g = grad_log_prob_sum(policy, batch.flat_act(), adv / batch.n_samples, fp)
     if not np.all(np.isfinite(g)):
         raise NumericsError("non-finite policy gradient")
     return g
 
 
-def fisher_vector_product(batch: TrajectoryBatch, policy: MlpPolicy,
-                          v: np.ndarray, damping: float,
+def fisher_vector_product(policy: MlpPolicy, v: np.ndarray, damping: float,
                           fp: ForwardPass) -> np.ndarray:
     """F v + damping v, with F the Hessian of the mean KL between the
-    collection-time policy and the current one over batch states (for a
+    collection-time policy and the current one over the batch states (for a
     Gaussian policy this is the Gauss-Newton form J' diag(1/var) J plus a
     constant 2I block for log_std).
 
@@ -359,8 +355,8 @@ def npg_update(policy: MlpPolicy, g: np.ndarray, d: np.ndarray,
     return new_policy, {"skipped": False, "step_scale": scale}
 
 
-def batch_kl(batch: TrajectoryBatch, old_policy: MlpPolicy,
-             new_policy: MlpPolicy, fp: ForwardPass) -> float:
+def batch_kl(old_policy: MlpPolicy, new_policy: MlpPolicy,
+             fp: ForwardPass) -> float:
     """Mean KL(old || new) over all batch states. fp is the old policy's
     forward pass over batch.flat_obs(); the new policy's pass is written
     into its buffers."""
@@ -401,14 +397,14 @@ def train_policy(policy: MlpPolicy, make_rollout_fn, config: TrainConfig,
     for it in range(config.iterations):
         batch = collect_batch(make_rollout_fn(policy), config.batch_size,
                               config.seed, seed_key=(it,))
-        compute_advantages(batch, fit_baseline(batch, gamma), gamma, config.lam)
+        adv = compute_advantages(batch, fit_baseline(batch, gamma), gamma, config.lam)
         fp = ForwardPass(policy, batch.flat_obs())  # shared by every step below
-        g = policy_gradient(batch, policy, fp)
+        g = policy_gradient(batch, policy, adv, fp)
         d, _ = conjugate_gradient(
-            lambda v: fisher_vector_product(batch, policy, v, config.cg_damping, fp),
+            lambda v: fisher_vector_product(policy, v, config.cg_damping, fp),
             g, config.cg_iters)
         new_policy, upd = npg_update(policy, g, d, config.kl_step)
-        kl = 0.0 if upd["skipped"] else batch_kl(batch, policy, new_policy, fp)
+        kl = 0.0 if upd["skipped"] else batch_kl(policy, new_policy, fp)
         del fp  # its buffers are not needed while the next batch is collected
         policy = new_policy
         if writer is not None:

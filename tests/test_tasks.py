@@ -11,11 +11,16 @@ from legwork.errors import ConfigurationError, NumericsError
 from legwork.policy import mask_low_level_obs
 from legwork.randomization import RandomizationConfig, substream
 from legwork.tasks import (
+    AVOID_MAX_BLOCK_MOVE,
+    BONUS_RADIUS,
     COORD_AGENT_GAP,
     COORD_BLOCK_HALF,
     COORD_BLOCK_MASS,
+    COORD_RADIUS,
     PUSH_BLOCK_HALF,
     PUSH_BLOCK_MASS,
+    PUSH_INIT_ATTEMPTS,
+    SCORED,
     TASK_KINDS,
     EnvOverrides,
     TaskEnv,
@@ -31,12 +36,10 @@ from legwork.tasks import (
     low_level_reward_terms,
     observe_task,
     push_reward_terms,
-    success,
-    target_reached,
     task_reward,
     torso_xy_slots,
 )
-from legwork.world import DynamicsParams, HeightField
+from legwork.world import DynamicsParams, HeightField, hypot
 from helpers import AgentState, BlockState, Row, make_worlds
 
 # One episode's task: its kind plus its target points, (1, 2) for
@@ -86,7 +89,8 @@ def _row(world, task):
 
 
 def _reward(world, task) -> float:
-    return float(task_reward(*_row(world, task))[0])
+    reward, _ = task_reward(*_row(world, task))
+    return float(reward[0])
 
 
 def _terms(terms_fn, world, task) -> dict:
@@ -98,12 +102,51 @@ def _observe(world, task) -> np.ndarray:
     return observe_task(*_row(world, task))[0]
 
 
+# The reference for TaskEnv.episode_success: each kind's success predicate
+# written on its own, apart from the reward's bonus terms that the
+# environment derives success from.
+
+def _reference_target_reached(world, targets):
+    """Whether agent 0 is within BONUS_RADIUS of the first target, per row."""
+    return hypot(world.x[:, 0] - targets[:, 0, 0],
+                 world.y[:, 0] - targets[:, 0, 1]) < BONUS_RADIUS
+
+
+def _reference_success(kind, targets, start, end, reached):
+    """Success of every row, (E,) bool, from the worlds at the start and at
+    the end of the episodes and whether _reference_target_reached held at
+    any state (read for avoid only; the other kinds accept None)."""
+    tx, ty = targets[:, 0, 0], targets[:, 0, 1]
+    if kind == "low_goal":
+        return hypot(tx - end.x[:, 0], ty - end.y[:, 0]) < BONUS_RADIUS
+    if kind == "avoid":
+        moved = hypot(end.bx[:, 0] - start.bx[:, 0], end.by[:, 0] - start.by[:, 0])
+        return reached & (moved < AVOID_MAX_BLOCK_MOVE)
+    if kind == "push":
+        return hypot(end.bx[:, 0] - tx, end.by[:, 0] - ty) < BONUS_RADIUS
+    diff = targets - block_ends(end.bx[:, 0], end.by[:, 0], end.byaw[:, 0])
+    d0 = hypot(diff[:, 0, 0], diff[:, 0, 1])
+    d1 = hypot(diff[:, 1, 0], diff[:, 1, 1])
+    return (d0 < COORD_RADIUS) & (d1 < COORD_RADIUS)
+
+
 def _succeeds(task, worlds) -> bool:
-    """success of a one-row episode that passed through the given worlds."""
+    """episode_success of a one-row episode whose kept states are the given
+    worlds, written into a TaskEnv's state step by step; it must equal the
+    reference's."""
+    env = TaskEnv(TaskEnvConfig(task.kind), seeds=[0])
+    env.targets[:] = task.targets
     rows = [make_worlds([w]) for w in worlds]
+    for t, row in enumerate(rows):
+        if t > 0:
+            env.step(np.zeros((1, env.n_agents, 12)))
+        for name in SCORED[task.kind]:  # the kept columns of this state
+            getattr(env.world, name)[:] = getattr(row, name)
     targets = task.targets[None]
-    reached = np.any([target_reached(r, targets) for r in rows], axis=0)
-    return bool(success(task.kind, targets, rows[0], rows[-1], reached)[0])
+    reached = np.any([_reference_target_reached(r, targets) for r in rows], axis=0)
+    expected = _reference_success(task.kind, targets, rows[0], rows[-1], reached)
+    assert env.episode_success().tolist() == expected.tolist()
+    return bool(expected[0])
 
 
 def _low_level_goal(rng) -> np.ndarray:
@@ -190,8 +233,12 @@ class TestInitializations:
         assert ks_statistic(offs, lambda t: (t + 0.5) / 1.0) < 0.02
 
     def test_push_gives_up_after_max_attempts(self):
+        # r_T = 1.5, theta_T = 0, then every block draw r_B = 1.2,
+        # theta_B = pi puts the block at (0.3, 0), within 0.5 m of the agent
+        rng = _QueueRng([1.5, 0.0] + [1.2, math.pi] * PUSH_INIT_ATTEMPTS)
         with pytest.raises(ConfigurationError):
-            init_push(np.random.default_rng(0), max_attempts=0)
+            init_push(rng)
+        assert rng.values == []  # it gave up after the last allowed draw
 
     def test_push_never_starts_in_contact_margin(self):
         rng = np.random.default_rng(3)
@@ -593,12 +640,13 @@ class TestTaskEnv:
         lambda: TaskEnvConfig("push", torso_obs_noise=math.inf),
         lambda: TaskEnvConfig("low_goal", torso_obs_noise=0.1),
         lambda: TaskEnvConfig("avoid", fixed_init="x"),
+        lambda: TaskEnvConfig("low_goal", fixed_init="+"),
         lambda: TaskEnvConfig("bogus"),
         lambda: EnvOverrides(DynamicsParams(), HeightField.flat(), 1.7),
         lambda: EnvOverrides(DynamicsParams(), HeightField.flat(), -0.1),
         lambda: EnvOverrides(DynamicsParams(), HeightField.flat(), math.nan),
     ], ids=["noise_negative", "noise_nan", "noise_inf", "noise_low_goal",
-            "fixed_init_x", "kind_unknown",
+            "fixed_init_x", "fixed_init_low_goal", "kind_unknown",
             "sticky_above_one", "sticky_negative", "sticky_nan"])
     def test_bad_env_settings_rejected(self, make):
         with pytest.raises(ConfigurationError):
@@ -642,28 +690,59 @@ class TestTaskEnv:
         assert not env.episode_success()[0]  # nothing moved the block
 
 
+def _meet_goal(env, rows) -> None:
+    """Write a state that meets the kind's goal into the given rows of
+    env.world, the kept latest state: the agent onto its target (low_goal,
+    avoid), the block onto it (push), or the block ends onto theirs
+    (coordinate)."""
+    w, tg = env.world, env.targets[rows]
+    if env.kind in ("low_goal", "avoid"):
+        w.x[rows, 0], w.y[rows, 0] = tg[:, 0, 0], tg[:, 0, 1]
+    elif env.kind == "push":
+        w.bx[rows, 0], w.by[rows, 0] = tg[:, 0, 0], tg[:, 0, 1]
+    else:  # targets 2 * COORD_END_OFFSET apart, like the block's ends
+        d = tg[:, 0] - tg[:, 1]
+        w.bx[rows, 0], w.by[rows, 0] = tg[:, :, 0].mean(axis=1), tg[:, :, 1].mean(axis=1)
+        w.byaw[rows, 0] = np.arctan2(-d[:, 0], d[:, 1])
+
+
 class TestStepWork:
-    """What a step computes: the observation on demand, reached for avoid."""
+    """What a step computes: the observation on demand. Success, like the
+    rewards, comes from the scoring pass."""
 
     def test_avoid_tracks_reached_on_every_step(self):
         env = TaskEnv(TaskEnvConfig("avoid", fixed_init="+"), seeds=[0, 1])
-        expected = target_reached(env.world, env.targets)
-        assert env.reached.tolist() == expected.tolist() == [False, False]
+        start = env.world
+        expected = _reference_target_reached(env.world, env.targets)
+        assert expected.tolist() == [False, False]
+        assert env.episode_success().tolist() == _reference_success(
+            "avoid", env.targets, start, env.world, expected).tolist() == [False, False]
         for t in range(12):
             if t == 4:  # row 1's agent onto its target for two steps
                 env.world.x[1, 0], env.world.y[1, 0] = env.targets[1, 0]
             if t == 6:
                 env.world.x[1, 0], env.world.y[1, 0] = 0.0, 0.0
             env.step(np.zeros((2, 1, 12)))
-            expected = expected | target_reached(env.world, env.targets)
-            assert env.reached.tolist() == expected.tolist()
-        assert env.reached.tolist() == [False, True]
+            expected = expected | _reference_target_reached(env.world, env.targets)
+            assert env.episode_success().tolist() == _reference_success(
+                "avoid", env.targets, start, env.world, expected).tolist()
+        assert env.episode_success().tolist() == [False, True]
 
     @pytest.mark.parametrize("kind", ["low_goal", "push", "coordinate"])
     def test_reached_is_not_tracked_where_success_ignores_it(self, kind):
+        # the goal is met at the start, not at the end: only the latest
+        # state counts, as the reference says without any reached
         env = TaskEnv(TaskEnvConfig(kind), seeds=[0])
+        start = env.world
+        _meet_goal(env, [0])
+        assert env.episode_success().tolist() == [True]
         env.step(np.zeros((1, env.n_agents, 12)))
-        assert env.reached is None
+        if kind == "low_goal":
+            env.world.x[0, 0] += 5.0
+        else:
+            env.world.bx[0, 0] += 5.0
+        expected = _reference_success(kind, env.targets, start, env.world, None)
+        assert env.episode_success().tolist() == expected.tolist() == [False]
 
     def test_on_demand_obs_equals_the_eager_observation(self):
         seeds, eps = (3, 4), 0.1
@@ -702,25 +781,48 @@ SCORED_SETUPS = {
 
 
 class TestScoringPass:
-    """Rewards and avoid's reached come from one pass after the last step,
-    bit for bit what scoring each step's world would give."""
+    """Rewards and success come from one pass after the last step, bit for
+    bit what scoring each step's world would give."""
 
     @pytest.mark.parametrize("name", sorted(SCORED_SETUPS))
     def test_one_pass_equals_scoring_every_step(self, name):
         env = TaskEnv(SCORED_SETUPS[name], seeds=[3, 4, 5, 6])
+        start = env.world
         rng = np.random.default_rng(1)
         per_step = []
-        reached = target_reached(env.world, env.targets)
+        reached = _reference_target_reached(env.world, env.targets)
         while not env.done.all():
             env.step(rng.uniform(-1.0, 1.0, (4, env.n_agents, 12)))
-            per_step.append(task_reward(env.world, env.kind, env.targets))
-            reached = reached | target_reached(env.world, env.targets)
+            per_step.append(task_reward(env.world, env.kind, env.targets)[0])
+            reached = reached | _reference_target_reached(env.world, env.targets)
         assert env.rewards().shape == (4, env.t)
         assert env.rewards().tobytes() == np.stack(per_step, axis=1).tobytes()
-        if env.kind == "avoid":
-            assert env.reached.tolist() == reached.tolist()
-        else:
-            assert env.reached is None
+        # avoid reads reached; the reference ignores it for the other kinds
+        expected = _reference_success(env.kind, env.targets, start, env.world,
+                                      reached if env.kind == "avoid" else None)
+        assert env.episode_success().tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("name", sorted(SCORED_SETUPS))
+    def test_success_equals_the_reference_after_every_step(self, name):
+        # rows 1 and 2 are put on their goals at step 3 and row 3 at the
+        # start, so both answers of every kind's test are met
+        env = TaskEnv(SCORED_SETUPS[name], seeds=[3, 4, 5, 6])
+        start = env.world
+        rng = np.random.default_rng(2)
+        reached = np.zeros(4, dtype=bool)
+        seen = np.zeros(4, dtype=bool)
+        while True:
+            if env.t in (0, 3):
+                _meet_goal(env, [3] if env.t == 0 else [1, 2])
+            reached = reached | _reference_target_reached(env.world, env.targets)
+            expected = _reference_success(env.kind, env.targets, start, env.world,
+                                          reached)
+            assert env.episode_success().tolist() == expected.tolist()
+            seen |= expected
+            if env.done.all():
+                break
+            env.step(rng.uniform(-1.0, 1.0, (4, env.n_agents, 12)))
+        assert seen.any() and not seen.all()
 
     def test_rewards_so_far(self):
         env = TaskEnv(TaskEnvConfig("push"), seeds=[0, 1])
@@ -745,7 +847,7 @@ class TestScoringPass:
             env.step(np.zeros((2, 1, 12)))
         assert calls == []  # stepping scores nothing
         env.rewards()
-        env.episode_success()  # reached comes from the same pass
+        env.episode_success()  # success comes from the same pass
         assert len(calls) == 1
 
 

@@ -176,7 +176,7 @@ class TestFisherVectorProduct:
         fp = ForwardPass(policy, X)
         for _ in range(3):
             v = rng.normal(size=theta.size)
-            got = fisher_vector_product(batch, policy, v, damping, fp)
+            got = fisher_vector_product(policy, v, damping, fp)
             assert np.allclose(got, fisher @ v, rtol=1e-6, atol=1e-8)
 
     def test_hoisted_forward_pass_changes_nothing(self):
@@ -191,9 +191,9 @@ class TestFisherVectorProduct:
             batch = _batch(rng, policy, n=50)
             fp = ForwardPass(policy, batch.flat_obs())
             vs = [rng.normal(size=policy.n_params) for _ in range(4)]
-            hoisted = [fisher_vector_product(batch, policy, v, 1e-4, fp) for v in vs]
+            hoisted = [fisher_vector_product(policy, v, 1e-4, fp) for v in vs]
             for v, got in zip(vs, hoisted):
-                per_call = fisher_vector_product(batch, policy, v, 1e-4,
+                per_call = fisher_vector_product(policy, v, 1e-4,
                                                  ForwardPass(policy, batch.flat_obs()))
                 assert got.tobytes() == per_call.tobytes()
                 ref = _reference_fvp(policy, batch.flat_obs(), v, 1e-4)
@@ -203,21 +203,21 @@ class TestFisherVectorProduct:
         # train_policy runs the gradient, a CG solve and the KL on one pass
         policy = MlpPolicy(32, 12, seed=3)
         batch = _low_goal_batch(policy)
-        compute_advantages(batch, fit_baseline(batch, 0.99), 0.99, 0.97)
+        adv = compute_advantages(batch, fit_baseline(batch, 0.99), 0.99, 0.97)
         fp = ForwardPass(policy, batch.flat_obs())
-        g = policy_gradient(batch, policy, fp)
+        g = policy_gradient(batch, policy, adv, fp)
         d, _ = conjugate_gradient(
-            lambda v: fisher_vector_product(batch, policy, v, 1e-4, fp), g, 10)
+            lambda v: fisher_vector_product(policy, v, 1e-4, fp), g, 10)
         new, _ = npg_update(policy, g, d, 0.05)
-        kl = batch_kl(batch, policy, new, fp)
+        kl = batch_kl(policy, new, fp)
 
         fresh = lambda: ForwardPass(policy, batch.flat_obs())
-        assert g.tobytes() == policy_gradient(batch, policy, fresh()).tobytes()
-        assert kl == batch_kl(batch, policy, new, fresh())
+        assert g.tobytes() == policy_gradient(batch, policy, adv, fresh()).tobytes()
+        assert kl == batch_kl(policy, new, fresh())
         X, A = batch.flat_obs(), batch.flat_act()
         means, cache = _reference_pass(policy, X)
         z = (A - means) * np.exp(-2.0 * policy.log_std)
-        w = batch.flat_adv() / batch.n_samples
+        w = adv / batch.n_samples
         ref = _reference_vjp(policy, w[:, None] * z, cache)
         ref[-policy.act_dim:] = w @ (z * (A - means) - 1.0)
         assert g.tobytes() == ref.tobytes()
@@ -263,15 +263,15 @@ class TestNpgStep:
     def test_realized_kl_is_about_kl_step(self):
         policy = MlpPolicy(32, 12, seed=4)
         batch = _low_goal_batch(policy)
-        compute_advantages(batch, fit_baseline(batch, 0.99), 0.99, 0.97)
+        adv = compute_advantages(batch, fit_baseline(batch, 0.99), 0.99, 0.97)
         fp = ForwardPass(policy, batch.flat_obs())
-        g = policy_gradient(batch, policy, fp)
+        g = policy_gradient(batch, policy, adv, fp)
         d, _ = conjugate_gradient(
-            lambda v: fisher_vector_product(batch, policy, v, 1e-4, fp), g, 10)
+            lambda v: fisher_vector_product(policy, v, 1e-4, fp), g, 10)
         for delta in (0.01, 0.05):
             new, info = npg_update(policy, g, d, delta)
             assert not info["skipped"]
-            assert batch_kl(batch, policy, new, fp) == pytest.approx(delta, rel=0.05)
+            assert batch_kl(policy, new, fp) == pytest.approx(delta, rel=0.05)
 
 
 def _rollout(kind):
@@ -391,13 +391,13 @@ class TestCollectBatch:
                 return fn(*args)
             return wrapped
 
-        for name in ("observe_task", "target_reached"):
+        for name in ("observe_task", "task_reward"):
             monkeypatch.setattr(legwork.tasks, name, counting(name))
         fn, decisions = _rollout("push")
         collect_batch(fn, 3, seed=1, seed_key=(0,))
-        # one lockstep observation per decision, and reached, which push's
-        # success ignores, never
-        assert calls == {"observe_task": decisions}
+        # one lockstep observation per decision, and rewards and success
+        # from one scoring pass
+        assert calls == {"observe_task": decisions, "task_reward": 1}
 
 
 class TestTrajectoryBatch:
