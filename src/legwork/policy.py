@@ -25,6 +25,7 @@ level whose randomization the perturbation is.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from functools import cached_property
@@ -149,12 +150,17 @@ class MlpPolicy:
         log densities. noise holds one standard-normal draw per row and
         action dimension; zero noise gives the mean."""
         mu = self.mean_rows(X)
-        std = np.exp(self.log_std)
-        act = mu + std * noise
-        z = (act - mu) / std
-        zz = np.matmul(z[:, None, :], z[:, :, None])[:, 0, 0]  # a dot per row
-        logp = -0.5 * zz - self.log_std.sum() - 0.5 * self.act_dim * LOG_2PI
-        return act, logp
+        act = mu + np.exp(self.log_std) * noise
+        return act, self.log_density(act, mu)
+
+    def log_density(self, act: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        """Log densities of pre-clamp actions act (..., act_dim) whose means
+        are mu, one per action: a dot product each, so an action's value
+        never depends on the others in the call."""
+        z = act - mu
+        z /= np.exp(self.log_std)
+        zz = np.matmul(z[..., None, :], z[..., :, None])[..., 0, 0]
+        return -0.5 * zz - self.log_std.sum() - 0.5 * self.act_dim * LOG_2PI
 
     # -- parameter vector ------------------------------------------------
 
@@ -172,22 +178,27 @@ class MlpPolicy:
         return np.concatenate(parts)
 
     def set_flat_params(self, theta: np.ndarray) -> None:
+        """Write theta into the parameter arrays, which stay the same
+        objects; a copy (copy()) has arrays of its own."""
         if theta.shape != (self.n_params,):
             raise ConfigurationError("parameter vector has wrong length")
         if not np.all(np.isfinite(theta)):
             raise NumericsError("non-finite policy parameters")
         k = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = theta[k:k + w.size].reshape(w.shape).copy()
+        for w, b in zip(self.weights, self.biases):
+            w[...] = theta[k:k + w.size].reshape(w.shape)
             k += w.size
-            self.biases[i] = theta[k:k + b.size].copy()
+            b[...] = theta[k:k + b.size]
             k += b.size
-        self.log_std = theta[k:].copy()
+        self.log_std[...] = theta[k:]
 
     def copy(self) -> "MlpPolicy":
-        out = MlpPolicy(self.obs_dim, self.act_dim,
-                        tuple(self.layer_dims[1:-1]), seed=self.seed)
-        out.set_flat_params(self.flat_params())
+        """A policy with the same parameters in arrays of its own."""
+        out = copy.copy(self)
+        out.layer_dims = list(self.layer_dims)
+        out.weights = [w.copy() for w in self.weights]
+        out.biases = [b.copy() for b in self.biases]
+        out.log_std = self.log_std.copy()
         return out
 
 

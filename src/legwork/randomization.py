@@ -16,12 +16,25 @@ generator at a fixed place in its draw order (see
 policy.hierarchical_episode).
 
 Every sampler takes an explicit numpy Generator. Distinct concerns use
-distinct sub-streams derived from the episode seed with fixed spawn keys
-(see substream), so no consumer can disturb another's draws.
+distinct sub-streams derived from the episode seed with fixed spawn keys,
+so no consumer can disturb another's draws, and switching one
+randomization off changes no other stream's draws. Sub-stream (seed, key)
+is the generator np.random.default_rng(np.random.SeedSequence(seed,
+spawn_key=key)), for a seed in [0, 2**64) and key words in [0, 2**32).
+
+substreams builds every generator that an episode batch needs in one pass
+over an array of (seed, key) pairs. Building each through SeedSequence
+costs about 20 us, most of it in SeedSequence's hash, which runs word by
+word; a batch needs about five per row. So seed_state mirrors that hash
+(numpy's bit_generator.pyx, whose constants it copies) in uint32 array
+arithmetic, which wraps as the hash does, and each pair's state words go to
+PCG64 through a seed sequence that returns them. Every stream then draws
+exactly what the SeedSequence-built one draws, at about 2 us a generator.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,18 +63,103 @@ HIGHLEVEL_NOISE_RANGE = (-1.0, 1.0)
 OBJECT_DIM_SCALE_RANGE = (0.8, 1.2)
 
 
-def substream(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for (seed, key); fixed keys give fixed streams."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
+# numpy's SeedSequence hash: a pool of four uint32 words, mixed by
+# multiplier chains that start at INIT and step by MULT.
+POOL_SIZE = 4
+HASH_INIT_A, HASH_MULT_A = 0x43B0D7E5, 0x931E8875  # mixing the entropy in
+HASH_INIT_B, HASH_MULT_B = 0x8B51F9DD, 0x58F38DED  # drawing the state out
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _multipliers(init: int, mult: int, n: int) -> np.ndarray:
+    """The n + 1 values a multiplier chain takes, (n + 1,) uint32: the hash's
+    k-th step xors with entry k and multiplies by entry k + 1. They depend
+    on no data."""
+    chain = [init]
+    for _ in range(n):
+        chain.append(chain[-1] * mult & 0xFFFFFFFF)
+    return np.array(chain, dtype=np.uint32)
+
+
+def _hash(words: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    """One hash step per column: column k takes the chain's entries k and
+    k + 1 (len(chain) is one more than the column count)."""
+    out = words ^ chain[:-1]
+    out *= chain[1:]
+    out ^= out >> 16
+    return out
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = np.uint32(MIX_MULT_L) * x - np.uint32(MIX_MULT_R) * y
+    out ^= out >> 16
+    return out
+
+
+def seed_state(seeds, keys, n_words: int) -> np.ndarray:
+    """np.random.SeedSequence(seeds[p], spawn_key=keys[p]).generate_state(
+    n_words) of every pair p, (pairs, n_words) uint32.
+
+    seeds: (pairs,) or one seed for every pair, each in [0, 2**64); keys:
+    (pairs, key words), at least one word, each in [0, 2**32). The entropy
+    is the seed's two little-endian words, zero-padded to the pool size (a
+    spawn key is given), then the key words.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    keys = np.asarray(keys, dtype=np.uint32)
+    n_pairs, n_key = keys.shape
+    chain = _multipliers(HASH_INIT_A, HASH_MULT_A, POOL_SIZE * (POOL_SIZE + n_key))
+    pool = np.zeros((n_pairs, POOL_SIZE), dtype=np.uint32)
+    pool[:, 0] = seeds & 0xFFFFFFFF
+    pool[:, 1] = seeds >> 32
+    pool = _hash(pool, chain[:POOL_SIZE + 1])
+    k = POOL_SIZE  # hash steps taken
+    for src in range(POOL_SIZE):  # every entry into every other one
+        dst = [d for d in range(POOL_SIZE) if d != src]
+        pool[:, dst] = _mix(pool[:, dst],
+                            _hash(pool[:, src:src + 1], chain[k:k + POOL_SIZE]))
+        k += POOL_SIZE - 1
+    for w in range(n_key):  # each key word into every entry
+        pool = _mix(pool, _hash(keys[:, w:w + 1], chain[k:k + POOL_SIZE + 1]))
+        k += POOL_SIZE
+    return _hash(pool[:, np.arange(n_words) % POOL_SIZE],
+                 _multipliers(HASH_INIT_B, HASH_MULT_B, n_words))
+
+
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose state is given: PCG64 reads its four uint64
+    words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def substreams(seeds, keys) -> Iterator[np.random.Generator]:
+    """The generator np.random.default_rng(np.random.SeedSequence(seeds[p],
+    spawn_key=keys[p])) of every pair p, in pair order (seed_state takes the
+    same seeds and keys). The state words of all pairs come from one pass;
+    each generator is built when the iterator reaches it, so a caller that
+    drops each one after use keeps few alive."""
+    words = np.ascontiguousarray(seed_state(seeds, keys, 8), dtype="<u4").view("<u8")
+    return (np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words)
 
 
 @dataclass
 class RandomizationConfig:
     """Which levels' randomizations are on: dynamics (the low level's) and
-    task (the high level's)."""
+    task (the high level's). Each switch is a bool."""
 
     dynamics: bool = True
     task: bool = True
+
+    def __post_init__(self):
+        for name in ("dynamics", "task"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ConfigurationError(f"{name} must be a bool, got {value!r}")
 
 
 def sample_dynamics(rng: np.random.Generator) -> DynamicsParams:

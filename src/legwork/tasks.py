@@ -22,12 +22,13 @@ the low level's goal (mask_low_level_obs) goes through too.
 One environment class, TaskEnv, runs E episodes of one kind in lockstep,
 one seed per row. Row e draws all its randomness from seeds[e], so its
 episode is the same bit for bit whatever rows run beside it. Sub-stream
-keys (see substream): 0 terrain, 10+i agent-i dynamics, 20+i agent-i
+keys (see substreams): 0 terrain, 10+i agent-i dynamics, 20+i agent-i
 sticky, 30+i agent-i wrench, 40 initialization geometry, 50 object
 dimensions, 60 observation noise. A sub-stream is built only where a
 randomization is switched on, so switched-off ones cost nothing: with
 rand.dynamics off no row builds 0, 10+i, 20+i or 30+i, and with rand.task
-off none builds 50.
+off none builds 50. Construction builds every row's sub-streams in one
+substreams call.
 
 The work sits at the two ends of an episode batch. Construction allocates
 each state column once for all rows, and each row writes its draws into
@@ -60,7 +61,7 @@ from .randomization import (
     sample_height_field,
     sample_object_dims,
     sticky_schedule,
-    substream,
+    substreams,
     wrench_schedule,
 )
 from .world import (
@@ -410,9 +411,10 @@ class TaskEnv:
         self.seeds = list(seeds)
         if not self.seeds:
             raise ConfigurationError("a TaskEnv needs at least one seed")
-        bad = [s for s in self.seeds if not (isinstance(s, numbers.Integral) and s >= 0)]
+        bad = [s for s in self.seeds if isinstance(s, bool)
+               or not (isinstance(s, numbers.Integral) and 0 <= s < 2**64)]
         if bad:
-            raise ConfigurationError(f"seeds must be non-negative integers, got {bad[0]!r}")
+            raise ConfigurationError(f"seeds must be integers in [0, 2**64), got {bad[0]!r}")
         self.n_agents = N_AGENTS[self.kind]
         self.horizon = HORIZON[self.kind]
         self._build_starts()
@@ -433,7 +435,8 @@ class TaskEnv:
         every row. Each column is allocated once for all rows, holding
         agents at rest and nominal (or overridden) dynamics over flat (or
         overridden) terrain; each row then writes what it draws into its
-        slots, from the sub-streams of its seed whose randomization is on."""
+        slots, from the sub-streams of its seed whose randomization is on,
+        all built in one substreams call."""
         cfg, ov = self.config, self.config.overrides
         kind, n, horizon = self.kind, self.n_agents, self.horizon
         rows = len(self.seeds)
@@ -462,28 +465,38 @@ class TaskEnv:
         self._obs_noise = np.empty((rows, horizon + 1, 2 * n)) if eps > 0.0 else None
         fixed = None if cfg.fixed_init is None else fixed_eval_init(kind, cfg.fixed_init)
 
-        for e, seed in enumerate(self.seeds):
-            targets[e], block = (INITS[kind](substream(seed, 40)) if fixed is None
-                                 else fixed)
+        keys = []  # the sub-streams of every row, in build order
+        if fixed is None:
+            keys.append(40)
+        if draw_dims:
+            keys.append(50)
+        if draw:
+            keys += [10 + i for i in range(n)] + [30 + i for i in range(n)] + [0]
+        if sticky_prob > 0.0:
+            keys += [20 + i for i in range(n)]
+        if self._obs_noise is not None:
+            keys.append(60)
+        built = substreams(np.repeat(np.asarray(self.seeds, dtype=np.uint64), len(keys)),
+                           np.tile(keys, rows)[:, None])
+        for e in range(rows):
+            rng = {key: next(built) for key in keys}
+            targets[e], block = INITS[kind](rng[40]) if fixed is None else fixed
             if block is not None:
                 bx[e, 0], by[e, 0] = block
             if draw_dims:
-                half_extents[e, 0] = sample_object_dims(COORD_BLOCK_HALF,
-                                                        substream(seed, 50))
+                half_extents[e, 0] = sample_object_dims(COORD_BLOCK_HALF, rng[50])
             for i in range(n):
                 if draw:
-                    drawn = sample_dynamics(substream(seed, 10 + i))
+                    drawn = sample_dynamics(rng[10 + i])
                     for name, column in params.items():
                         column[e, i] = getattr(drawn, name)
-                    self.wrench[e, i] = wrench_schedule(substream(seed, 30 + i), horizon)
+                    self.wrench[e, i] = wrench_schedule(rng[30 + i], horizon)
                 if sticky_prob > 0.0:
-                    self.sticky[e, i] = sticky_schedule(sticky_prob,
-                                                        substream(seed, 20 + i), horizon)
+                    self.sticky[e, i] = sticky_schedule(sticky_prob, rng[20 + i], horizon)
             if draw:
-                grid[e] = sample_height_field(substream(seed, 0)).grid
+                grid[e] = sample_height_field(rng[0]).grid
             if self._obs_noise is not None:
-                self._obs_noise[e] = substream(seed, 60).uniform(
-                    -eps, eps, (horizon + 1, 2 * n))
+                self._obs_noise[e] = rng[60].uniform(-eps, eps, (horizon + 1, 2 * n))
         self.targets = targets
 
         x, y = np.zeros((rows, n)), np.zeros((rows, n))

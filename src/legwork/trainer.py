@@ -14,7 +14,10 @@ of one TaskEnv, into one batch of arrays padded to the horizon. It is
 deterministic given (policy, seed): episode i draws from its own
 sub-streams keyed by (iteration, i), and every formula on the rollout path
 computes each row on its own (row-wise matrix-vector products and
-reductions), so the batch width never changes a bit of the result.
+reductions), so the batch width never changes a bit of the result. The
+generators of a whole batch are built in one pass (randomization.substreams).
+Like the rewards, the log-densities of a joint-level batch are scored in one
+pass after the last step, from the action means that the steps keep.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .policy import (
     mean_vjp,
     save_checkpoint,
 )
-from .randomization import RandomizationConfig
+from .randomization import RandomizationConfig, seed_state, substreams
 from .tasks import N_AGENTS, TASK_OBS_DIM, TaskEnv, TaskEnvConfig
 
 log = logging.getLogger(__name__)
@@ -72,9 +75,12 @@ class TrainConfig:
         for name, low in (("iterations", 1), ("batch_size", 1), ("cg_iters", 1),
                           ("checkpoint_every", 0), ("seed", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= low):
+            if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                               and value >= low):
                 raise ConfigurationError(f"{name} must be an integer >= {low}, "
                                          f"got {value!r}")
+        if self.seed >= 2**64:  # sub-streams take 64-bit seeds
+            raise ConfigurationError(f"seed must be below 2**64, got {self.seed!r}")
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigurationError("gamma must be in [0, 1)")
         if not 0.0 <= self.lam <= 1.0:
@@ -137,40 +143,38 @@ class TrajectoryBatch:
 
 # -- rollouts ----------------------------------------------------------------
 
-def _traj_streams(seed: int, key: tuple):
-    ss = np.random.SeedSequence(seed, spawn_key=key)
-    env_seed = int(ss.generate_state(1)[0])
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key + (1,)))
-    return env_seed, rng
-
-
 def run_task_episode(policy: MlpPolicy, task_cfg: TaskEnvConfig,
                      env_seeds, rngs) -> TrajectoryBatch:
     """Episodes driven directly at the joint level, one per (env seed, rng)
     row, stepped in lockstep: low-level goal episodes, or a flat policy's
     task episodes. Each row draws one action sample from its rng per step
-    it runs."""
+    it runs. Steps keep each action's mean; the log-densities of all steps
+    come from one pass after the last (MlpPolicy.log_density), as the
+    rewards do (TaskEnv.rewards)."""
     env = TaskEnv(task_cfg, env_seeds)  # constructed at its reset state
     n_rows, horizon = len(env.seeds), env.horizon
     obs = np.zeros((n_rows, horizon, env.obs.shape[1]))
     act = np.zeros((n_rows, horizon, policy.act_dim))
+    means = np.zeros((n_rows, horizon, policy.act_dim))
     rew = np.zeros((n_rows, horizon))  # scored after the last step
-    logp = np.zeros((n_rows, horizon))
     steps = np.zeros(n_rows, dtype=int)
     # A row's rng serves only its action noise: one draw for the whole
-    # horizon gives the same values as one draw per step.
-    draws = np.stack([rng.standard_normal((horizon, policy.act_dim)) for rng in rngs])
+    # horizon gives the same values as one draw per step. A finished row's
+    # actions are padding, which the batch zeroes.
+    noise = np.stack([rng.standard_normal((horizon, policy.act_dim)) for rng in rngs])
+    noise *= np.exp(policy.log_std)
     for t in range(horizon):
         live = ~env.done
         if not live.any():
             break
         obs[:, t] = env.obs
-        act[:, t], logp[:, t] = policy.sample_rows(
-            env.obs, np.where(live[:, None], draws[:, t], 0.0))
+        means[:, t] = policy.mean_rows(env.obs)
+        act[:, t] = means[:, t] + noise[:, t]
         env.step(act[:, t].reshape(n_rows, env.n_agents, 12))  # the world clamps
         steps[live] += 1
     rew[:, :env.t] = env.rewards()
-    return TrajectoryBatch(obs, act, rew, logp, steps, env.episode_success())
+    return TrajectoryBatch(obs, act, rew, policy.log_density(act, means), steps,
+                           env.episode_success())
 
 
 def run_hier_task_episode(pi_hi: MlpPolicy, pi_lo: MlpPolicy,
@@ -190,12 +194,16 @@ def collect_batch(rollout_fn, n_traj: int, seed: int,
     """Collect n_traj episodes; deterministic given (rollout_fn, seed).
 
     rollout_fn(env_seeds, rngs) -> TrajectoryBatch runs one episode per row
-    in lockstep. Episode i always uses sub-stream seed_key + (i,).
+    in lockstep. Episode i's env seed is the first state word of
+    SeedSequence(seed, spawn_key=seed_key + (i,)), and its rng is sub-stream
+    (seed, seed_key + (i, 1)).
     """
     if n_traj < 1:
         raise ConfigurationError("a batch needs at least one episode")
-    streams = [_traj_streams(seed, tuple(seed_key) + (i,)) for i in range(n_traj)]
-    return rollout_fn([s for s, _ in streams], [rng for _, rng in streams])
+    keys = np.empty((n_traj, len(seed_key) + 2), dtype=np.uint32)
+    keys[:, :-2], keys[:, -2], keys[:, -1] = seed_key, np.arange(n_traj), 1
+    env_seeds = seed_state(seed, keys[:, :-1], 1)[:, 0].tolist()
+    return rollout_fn(env_seeds, list(substreams(seed, keys)))
 
 
 # -- advantages and baseline -------------------------------------------------

@@ -55,6 +55,12 @@ class Row:
     params: list | None = None
 
 
+def reference_stream(seed: int, *key: int) -> np.random.Generator:
+    """Sub-stream (seed, key) as numpy builds it; randomization.substreams
+    must give the same generator."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
 def make_worlds(rows) -> Worlds:
     """The rows as one Worlds; they share their agent and block counts and
     their terrain's grid size and width."""

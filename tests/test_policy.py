@@ -165,6 +165,24 @@ class TestMlpPolicy:
             assert a_i.tobytes() == act[i:i + 1].tobytes()
             assert l_i.tobytes() == logp[i:i + 1].tobytes()
 
+    def test_copy_equals_the_original_and_owns_its_arrays(self):
+        pol = MlpPolicy(5, 3, hidden=(4, 6), seed=8)
+        pol.log_std[:] = [-0.2, 0.1, 0.4]
+        twin = pol.copy()
+        assert (twin.obs_dim, twin.act_dim, twin.layer_dims, twin.seed) == \
+            (pol.obs_dim, pol.act_dim, pol.layer_dims, pol.seed)
+        assert twin.flat_params().tobytes() == pol.flat_params().tobytes()
+        before = pol.flat_params()
+        twin.weights[0][0, 0] += 1.0
+        twin.biases[1][0] += 1.0
+        twin.log_std[0] += 1.0
+        twin.layer_dims.append(7)
+        assert pol.flat_params().tobytes() == before.tobytes()
+        assert pol.layer_dims == [5, 4, 6, 3]
+        twin = pol.copy()
+        pol.set_flat_params(np.zeros(pol.n_params))
+        assert twin.flat_params().tobytes() == before.tobytes()
+
     def test_grad_matches_finite_differences(self):
         # central differences with eps=1e-5, relative error < 1e-4,
         # over 10 random small configurations

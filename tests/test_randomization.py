@@ -23,12 +23,15 @@ from legwork.randomization import (
     sample_dynamics,
     sample_height_field,
     sample_object_dims,
+    seed_state,
     sticky_schedule,
-    substream,
+    substreams,
     wrench_schedule,
 )
+from legwork.errors import ConfigurationError
 from legwork.tasks import COORD_BLOCK_HALF, TaskEnv, TaskEnvConfig
 from legwork.world import DynamicsParams
+from helpers import reference_stream
 from test_policy import _ConstRewardEnv
 from test_tasks import _recording_substreams
 
@@ -39,6 +42,19 @@ def ks_statistic(samples, cdf):
     f = cdf(x)
     return max(np.max(np.arange(1, n + 1) / n - f),
                np.max(f - np.arange(0, n) / n))
+
+
+class TestConfig:
+    @pytest.mark.parametrize("value", ["no", "", 1, 0, None, 1.0])
+    @pytest.mark.parametrize("switch", ["dynamics", "task"])
+    def test_switch_must_be_a_bool(self, switch, value):
+        # "no" is truthy: taken as given it would switch the level on
+        with pytest.raises(ConfigurationError):
+            RandomizationConfig(**{switch: value})
+
+    def test_numpy_bools_accepted(self):
+        rand = RandomizationConfig(dynamics=np.bool_(False), task=np.bool_(True))
+        assert not rand.dynamics and rand.task
 
 
 class TestEpisodeParams:
@@ -242,7 +258,7 @@ class TestObjectDims:
 class TestStreams:
     def test_same_seed_reproduces_everything(self):
         def draw_all(seed):
-            rng = substream(seed, 0)
+            rng = next(substreams([seed], [[0]]))
             p = sample_dynamics(rng)
             hf = sample_height_field(rng)
             w = wrench_schedule(rng, 20)
@@ -258,11 +274,35 @@ class TestStreams:
         assert np.array_equal(a[4], b[4])
 
     def test_substreams_are_independent(self):
-        r1 = substream(7, 1)
-        r2 = substream(7, 2)
-        seq2_before = substream(7, 2).uniform(size=10)
+        r1, r2 = substreams(7, [[1], [2]])
+        seq2_before = next(substreams([7], [[2]])).uniform(size=10)
         r1.uniform(size=1000)  # burn stream 1
         assert np.array_equal(r2.uniform(size=10), seq2_before)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_batched_builder_equals_numpy(self, seed):
+        keys = [(0,), (2**32 - 1,), (7, 0), (0, 2**32 - 1), (2**32 - 1, 3, 0),
+                (0, 0, 0), (5, 2**32 - 1, 1)]
+        for width in (1, 2, 3):
+            same = [k for k in keys if len(k) == width]
+            states = seed_state(seed, same, 8)
+            rngs = substreams(np.full(len(same), seed, dtype=np.uint64), same)
+            for key, state, rng in zip(same, states, rngs):
+                ss = np.random.SeedSequence(seed, spawn_key=key)
+                assert state.tobytes() == ss.generate_state(8).tobytes()
+                assert seed_state([seed], [key], 1)[0, 0] == ss.generate_state(1)[0]
+                ref = reference_stream(seed, *key)
+                assert rng.bit_generator.state == ref.bit_generator.state
+                assert rng.random(4).tobytes() == ref.random(4).tobytes()
+                assert rng.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
+
+    def test_each_pair_takes_its_own_seed(self):
+        # one call over mixed seeds and keys, against one pair per call
+        seeds = [3, 2**40 + 1, 3, 0]
+        keys = [[10], [10], [40], [60]]
+        rngs = substreams(np.array(seeds, dtype=np.uint64), keys)
+        for seed, key, rng in zip(seeds, keys, rngs):
+            assert rng.random(3).tobytes() == reference_stream(seed, *key).random(3).tobytes()
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))

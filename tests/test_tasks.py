@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import legwork.tasks
 from legwork.errors import ConfigurationError, NumericsError
 from legwork.policy import mask_low_level_obs
-from legwork.randomization import RandomizationConfig, substream
+from legwork.randomization import RandomizationConfig, substreams
 from legwork.tasks import (
     AVOID_MAX_BLOCK_MOVE,
     BONUS_RADIUS,
@@ -40,7 +40,7 @@ from legwork.tasks import (
     torso_xy_slots,
 )
 from legwork.world import DynamicsParams, HeightField, hypot
-from helpers import AgentState, BlockState, Row, make_worlds
+from helpers import AgentState, BlockState, Row, make_worlds, reference_stream
 
 # One episode's task: its kind plus its target points, (1, 2) for
 # low_goal/avoid/push and (2, 2) for coordinate.
@@ -618,10 +618,17 @@ class TestTaskEnv:
         with pytest.raises(ConfigurationError):
             TaskEnv(TaskEnvConfig(kind="push"), seeds=[])
 
-    @pytest.mark.parametrize("seed", [-3, 1.5, "7", None, np.float64(2.0)])
+    @pytest.mark.parametrize("seed", [-3, 1.5, "7", None, np.float64(2.0), True,
+                                      False, np.bool_(True), 2**64])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ConfigurationError):
             TaskEnv(TaskEnvConfig(kind="push"), seeds=[0, seed])
+
+    def test_largest_seed_accepted(self):
+        env = TaskEnv(TaskEnvConfig("push", rand=RandomizationConfig()),
+                      seeds=[2**64 - 1])
+        expected, _ = legwork.tasks.init_push(reference_stream(2**64 - 1, 40))
+        assert env.targets[0].tobytes() == expected.tobytes()
 
     def test_numpy_integer_seeds_accepted(self):
         a = TaskEnv(TaskEnvConfig("push", rand=RandomizationConfig()), seeds=[0, 5])
@@ -750,7 +757,7 @@ class TestStepWork:
                                     torso_obs_noise=eps), seeds)
         # the documented schedule: sub-stream 60, one draw per torso slot
         # of every observation, reset included
-        noise = np.stack([substream(s, 60).uniform(-eps, eps, (env.horizon + 1, 4))
+        noise = np.stack([reference_stream(s, 60).uniform(-eps, eps, (env.horizon + 1, 4))
                           for s in seeds])
         rng = np.random.default_rng(0)
         for t in range(env.horizon + 1):
@@ -852,14 +859,15 @@ class TestScoringPass:
 
 
 def _recording_substreams(monkeypatch) -> Counter:
-    """Count the sub-stream keys that TaskEnv builds from here on."""
+    """Count the sub-stream keys that TaskEnv builds from here on, one per
+    (seed, key) pair given to substreams."""
     keys = Counter()
 
-    def recording(seed, *key):
-        keys[key] += 1
-        return substream(seed, *key)
+    def recording(seeds, pair_keys):
+        keys.update(tuple(int(w) for w in key) for key in pair_keys)
+        return substreams(seeds, pair_keys)
 
-    monkeypatch.setattr(legwork.tasks, "substream", recording)
+    monkeypatch.setattr(legwork.tasks, "substreams", recording)
     return keys
 
 

@@ -21,7 +21,6 @@ from legwork.trainer import (
     TrainConfig,
     TrajectoryBatch,
     _hier_env_cfg,
-    _traj_streams,
     batch_kl,
     collect_batch,
     compute_advantages,
@@ -38,7 +37,9 @@ from legwork.trainer import (
     train_high_level,
     train_low_level,
 )
+from helpers import reference_stream
 from test_policy import log_prob_batch
+from test_tasks import _recording_substreams
 
 
 def _spd(rng, n):
@@ -318,7 +319,8 @@ class TestCollectBatch:
         assert together.rew.shape == (n, horizon)
         alone = []
         for i in range(n):  # episode i uses sub-stream seed_key + (i,)
-            env_seed, rng = _traj_streams(2, (0, i))
+            env_seed = int(np.random.SeedSequence(2, spawn_key=(0, i)).generate_state(1)[0])
+            rng = np.random.default_rng(np.random.SeedSequence(2, spawn_key=(0, i, 1)))
             alone += _rows(fn([env_seed], [rng]))
         _same_trajectories(_rows(together), alone)
 
@@ -345,22 +347,16 @@ class TestCollectBatch:
         policy = fn.args[0]
         batch = collect_batch(fn, 8, seed=2, seed_key=(0,))
         assert batch.lengths.min() < horizon  # falls covered
-        for i, (obs, acts, *_) in enumerate(_rows(batch)):
-            _, rng = _traj_streams(2, (0, i))
+        for i, (obs, acts, _, logps, _) in enumerate(_rows(batch)):
+            rng = reference_stream(2, 0, i, 1)
             for t in range(len(obs)):
-                act, _ = policy.sample_rows(obs[t:t + 1],
-                                            rng.standard_normal((1, policy.act_dim)))
+                act, logp = policy.sample_rows(obs[t:t + 1],
+                                               rng.standard_normal((1, policy.act_dim)))
                 assert act.tobytes() == acts[t:t + 1].tobytes()
+                assert logp.tobytes() == logps[t:t + 1].tobytes()
 
     def test_hierarchical_episode_builds_each_start_once(self, monkeypatch):
-        calls = Counter()
-        substream = legwork.tasks.substream
-
-        def recording(seed, *key):
-            calls[key] += 1
-            return substream(seed, *key)
-
-        monkeypatch.setattr(legwork.tasks, "substream", recording)
+        calls = _recording_substreams(monkeypatch)
         fn, _ = _rollout("push")
         collect_batch(fn, 5, seed=1, seed_key=(0,))
         # with the dynamics switches off only the initialization draws
@@ -482,9 +478,11 @@ def test_bad_solver_and_run_settings_rejected(field, value):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("seed", -1), ("seed", 1.5), ("seed", "3"), ("iterations", 2.0),
-    ("iterations", 0), ("batch_size", 2.5), ("batch_size", None),
-    ("cg_iters", 10.0), ("checkpoint_every", 0.5)])
+    ("seed", -1), ("seed", 1.5), ("seed", "3"), ("seed", 2**64), ("seed", True),
+    ("seed", False), ("iterations", 2.0), ("iterations", 0), ("iterations", True),
+    ("batch_size", 2.5), ("batch_size", None), ("batch_size", True),
+    ("cg_iters", 10.0), ("cg_iters", True), ("checkpoint_every", 0.5),
+    ("checkpoint_every", False)])
 def test_counts_and_seed_must_be_integers_in_range(field, value):
     with pytest.raises(ConfigurationError):
         TrainConfig(**{field: value})
