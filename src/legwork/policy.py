@@ -4,9 +4,10 @@ hierarchical executor.
 The policy is a tanh MLP producing the mean of a diagonal Gaussian with a
 state-independent learned log standard deviation. Sampled actions are
 clamped to [-1, 1] by the world they act in; gradients always use the
-log-density of the pre-clamp sample. Rollouts evaluate it row by row
-(mean_rows, sample_rows), so a row's action never depends on the rows
-beside it; the trainer's maths evaluates whole batches (mean_batch).
+log-density of the pre-clamp sample. Rollouts evaluate its means row by row
+(mean_rows) and add the scaled noise themselves, so a row's action never
+depends on the rows beside it; the trainer's maths evaluates whole batches
+(mean_batch) and derives every log-density it needs from that pass.
 
 Goal mappings, observation masking and the hierarchical executor work on
 all rows of a world.Worlds at once.
@@ -40,7 +41,6 @@ from .world import N_JOINTS, Worlds, body_frame
 LOW_LEVEL_OBS_DIM = 32  # q(12) + qdot(12) + zeroed torso pose(6) + body goal(2)
 GOAL_HORIZON = 10  # low-level steps per high-level decision
 CHECKPOINT_FORMAT_VERSION = 1
-LOG_2PI = math.log(2.0 * math.pi)
 
 
 def h_map(a_hi_pairs) -> tuple:
@@ -144,23 +144,6 @@ class MlpPolicy:
         out = np.matmul(self.weights[-1], h)
         out += self.biases[-1][:, None]
         return out[:, :, 0]
-
-    def sample_rows(self, X: np.ndarray, noise: np.ndarray):
-        """Pre-clamp actions mean + std * noise for the rows of X, and their
-        log densities. noise holds one standard-normal draw per row and
-        action dimension; zero noise gives the mean."""
-        mu = self.mean_rows(X)
-        act = mu + np.exp(self.log_std) * noise
-        return act, self.log_density(act, mu)
-
-    def log_density(self, act: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        """Log densities of pre-clamp actions act (..., act_dim) whose means
-        are mu, one per action: a dot product each, so an action's value
-        never depends on the others in the call."""
-        z = act - mu
-        z /= np.exp(self.log_std)
-        zz = np.matmul(z[..., None, :], z[..., :, None])[..., 0, 0]
-        return -0.5 * zz - self.log_std.sum() - 0.5 * self.act_dim * LOG_2PI
 
     # -- parameter vector ------------------------------------------------
 
@@ -322,14 +305,16 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy, rngs,
     draws nothing: both levels act on their means, unperturbed.
 
     Returns the high-level trajectory of every row: per-decision arrays
-    (obs, act pre-clamp, rew, logp), each with leading axes (E, decisions).
+    obs, act (pre-clamp) and rew, each with leading axes (E, decisions).
     The per-step task rewards (E, horizon) stay with the env
     (env.rewards()).
     """
     horizon, c = env.horizon, GOAL_HORIZON
     if horizon % c != 0:
         raise ConfigurationError(f"horizon must be divisible by {c}")
-    n_rows, n = len(rngs), env.n_agents
+    n_rows, n = len(env.world.x), env.n_agents
+    if len(rngs) != n_rows:
+        raise ConfigurationError(f"{len(rngs)} generators for {n_rows} rows")
     n_hi, n_lo = pi_hi.act_dim, pi_lo.act_dim
     decisions = horizon // c
     perturb = env.config.rand.task and not deterministic
@@ -346,25 +331,25 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy, rngs,
         hi_noise, lo_noise = np.stack(hi_noise), np.stack(lo_noise)
         shift = np.stack(shift) if perturb else None
 
-    # sample_rows' noise term of every low-level step, (horizon, rows, n_lo)
+    # the noise term std * noise of every action: (rows, decisions, n_hi)
+    # for the high level, (horizon, rows, n_lo) for the low level
+    hi_step = np.exp(pi_hi.log_std) * hi_noise
     lo_step = (np.exp(pi_lo.log_std) * lo_noise).swapaxes(0, 1).reshape(
         horizon, n_rows * n, n_lo)
-    hi_obs, hi_act, hi_logp = [], [], []
+    hi_obs, hi_act = [], []
     for t in range(horizon):
         k, i = divmod(t, c)
         world = env.world
         if i == 0:
             obs = env.obs
-            a_pre, logp = pi_hi.sample_rows(obs, hi_noise[:, k])
+            a_pre = pi_hi.mean_rows(obs) + hi_step[:, k]
             a_hi = np.clip(a_pre, -1.0, 1.0)
             if perturb:
                 a_hi = np.clip(a_hi + shift[:, k], -1.0, 1.0)
             goals = goal_from_high_action(world, a_hi)
             hi_obs.append(obs)
             hi_act.append(a_pre)
-            hi_logp.append(logp)
         lo_obs = mask_low_level_obs(world, goals).reshape(n_rows * n, -1)
-        # sample_rows' action without its log density, which nothing reads
         a_lo = pi_lo.mean_rows(lo_obs) + lo_step[t]
         env.step(a_lo.reshape(n_rows, n, N_JOINTS))
     rewards = env.rewards()
@@ -379,7 +364,6 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy, rngs,
         "obs": np.stack(hi_obs, axis=1),
         "act": np.stack(hi_act, axis=1),
         "rew": hi_rew,
-        "logp": np.stack(hi_logp, axis=1),
     }
 
 

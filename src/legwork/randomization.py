@@ -34,6 +34,7 @@ exactly what the SeedSequence-built one draws, at about 2 us a generator.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -69,6 +70,16 @@ POOL_SIZE = 4
 HASH_INIT_A, HASH_MULT_A = 0x43B0D7E5, 0x931E8875  # mixing the entropy in
 HASH_INIT_B, HASH_MULT_B = 0x8B51F9DD, 0x58F38DED  # drawing the state out
 MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def check_word(value, bits: int, name: str) -> None:
+    """Raise ConfigurationError unless value is an integer in [0, 2**bits)
+    (a bool is not one): a seed takes 64 bits and a spawn-key word 32, as
+    seed_state packs them."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                       and 0 <= value < 2**bits):
+        raise ConfigurationError(f"{name} must be an integer in [0, 2**{bits}), "
+                                 f"got {value!r}")
 
 
 def _multipliers(init: int, mult: int, n: int) -> np.ndarray:

@@ -44,7 +44,6 @@ returns it beside the reward (TaskEnv.episode_success).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
@@ -57,6 +56,7 @@ from .randomization import (
     HFIELD_WIDTH,
     STICKY_PROB,
     RandomizationConfig,
+    check_word,
     sample_dynamics,
     sample_height_field,
     sample_object_dims,
@@ -411,10 +411,8 @@ class TaskEnv:
         self.seeds = list(seeds)
         if not self.seeds:
             raise ConfigurationError("a TaskEnv needs at least one seed")
-        bad = [s for s in self.seeds if isinstance(s, bool)
-               or not (isinstance(s, numbers.Integral) and 0 <= s < 2**64)]
-        if bad:
-            raise ConfigurationError(f"seeds must be integers in [0, 2**64), got {bad[0]!r}")
+        for seed in self.seeds:
+            check_word(seed, 64, "seed")
         self.n_agents = N_AGENTS[self.kind]
         self.horizon = HORIZON[self.kind]
         self._build_starts()

@@ -16,8 +16,9 @@ sub-streams keyed by (iteration, i), and every formula on the rollout path
 computes each row on its own (row-wise matrix-vector products and
 reductions), so the batch width never changes a bit of the result. The
 generators of a whole batch are built in one pass (randomization.substreams).
-Like the rewards, the log-densities of a joint-level batch are scored in one
-pass after the last step, from the action means that the steps keep.
+A batch holds only what the update reads: no collection-time log-density,
+since the gradient recomputes every one from its forward pass over the
+batch states (grad_log_prob_sum).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .policy import (
     mean_vjp,
     save_checkpoint,
 )
-from .randomization import RandomizationConfig, seed_state, substreams
+from .randomization import RandomizationConfig, check_word, seed_state, substreams
 from .tasks import N_AGENTS, TASK_OBS_DIM, TaskEnv, TaskEnvConfig
 
 log = logging.getLogger(__name__)
@@ -73,14 +74,13 @@ class TrainConfig:
         if not (isinstance(self.workers, numbers.Integral) and self.workers == 1):
             raise ConfigurationError(f"workers must be 1, got {self.workers!r}")
         for name, low in (("iterations", 1), ("batch_size", 1), ("cg_iters", 1),
-                          ("checkpoint_every", 0), ("seed", 0)):
+                          ("checkpoint_every", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
                                                and value >= low):
                 raise ConfigurationError(f"{name} must be an integer >= {low}, "
                                          f"got {value!r}")
-        if self.seed >= 2**64:  # sub-streams take 64-bit seeds
-            raise ConfigurationError(f"seed must be below 2**64, got {self.seed!r}")
+        check_word(self.seed, 64, "seed")
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigurationError("gamma must be in [0, 1)")
         if not 0.0 <= self.lam <= 1.0:
@@ -95,23 +95,23 @@ class TrainConfig:
 class TrajectoryBatch:
     """E episodes as arrays padded to T steps: row e holds lengths[e] valid
     steps. Construction zeroes every step past a row's length, so a scan
-    over T meets zero reward and zero value there. It holds only what
-    collection produced; the NPG phases pass what they derive to each
-    other."""
+    over T meets zero reward and zero value there, and rejects a
+    non-finite action at a valid step. It holds only what collection
+    produced and the update reads; the NPG phases pass what they derive to
+    each other."""
     obs: np.ndarray  # (E, T, obs_dim)
     act: np.ndarray  # (E, T, act_dim), pre-clamp samples
     rew: np.ndarray  # (E, T)
-    logp: np.ndarray  # (E, T) at collection time
     lengths: np.ndarray  # (E,)
     success: np.ndarray  # (E,) bool
     mask: np.ndarray = field(init=False, repr=False)  # (E, T) valid steps
 
     def __post_init__(self):
         self.mask = np.arange(self.rew.shape[1]) < self.lengths[:, None]
-        for x in (self.obs, self.act, self.rew, self.logp):
+        for x in (self.obs, self.act, self.rew):
             x[~self.mask] = 0.0
-        if not np.all(np.isfinite(self.logp)):
-            raise NumericsError("non-finite log probabilities in batch")
+        if not np.all(np.isfinite(self.act)):
+            raise NumericsError("non-finite actions in batch")
 
     @property
     def trajectories(self) -> np.ndarray:
@@ -148,14 +148,14 @@ def run_task_episode(policy: MlpPolicy, task_cfg: TaskEnvConfig,
     """Episodes driven directly at the joint level, one per (env seed, rng)
     row, stepped in lockstep: low-level goal episodes, or a flat policy's
     task episodes. Each row draws one action sample from its rng per step
-    it runs. Steps keep each action's mean; the log-densities of all steps
-    come from one pass after the last (MlpPolicy.log_density), as the
-    rewards do (TaskEnv.rewards)."""
+    it runs; the rewards of all steps come from one pass after the last
+    (TaskEnv.rewards)."""
     env = TaskEnv(task_cfg, env_seeds)  # constructed at its reset state
     n_rows, horizon = len(env.seeds), env.horizon
+    if len(rngs) != n_rows:
+        raise ConfigurationError(f"{len(rngs)} generators for {n_rows} rows")
     obs = np.zeros((n_rows, horizon, env.obs.shape[1]))
     act = np.zeros((n_rows, horizon, policy.act_dim))
-    means = np.zeros((n_rows, horizon, policy.act_dim))
     rew = np.zeros((n_rows, horizon))  # scored after the last step
     steps = np.zeros(n_rows, dtype=int)
     # A row's rng serves only its action noise: one draw for the whole
@@ -168,13 +168,11 @@ def run_task_episode(policy: MlpPolicy, task_cfg: TaskEnvConfig,
         if not live.any():
             break
         obs[:, t] = env.obs
-        means[:, t] = policy.mean_rows(env.obs)
-        act[:, t] = means[:, t] + noise[:, t]
+        act[:, t] = policy.mean_rows(env.obs) + noise[:, t]
         env.step(act[:, t].reshape(n_rows, env.n_agents, 12))  # the world clamps
         steps[live] += 1
     rew[:, :env.t] = env.rewards()
-    return TrajectoryBatch(obs, act, rew, policy.log_density(act, means), steps,
-                           env.episode_success())
+    return TrajectoryBatch(obs, act, rew, steps, env.episode_success())
 
 
 def run_hier_task_episode(pi_hi: MlpPolicy, pi_lo: MlpPolicy,
@@ -185,7 +183,7 @@ def run_hier_task_episode(pi_hi: MlpPolicy, pi_lo: MlpPolicy,
     env = TaskEnv(task_cfg, env_seeds)
     hi = hierarchical_episode(env, pi_hi, pi_lo, rngs, gamma=gamma)
     decisions = np.full(len(env.seeds), hi["rew"].shape[1])
-    return TrajectoryBatch(hi["obs"], hi["act"], hi["rew"], hi["logp"], decisions,
+    return TrajectoryBatch(hi["obs"], hi["act"], hi["rew"], decisions,
                            env.episode_success())
 
 
@@ -196,10 +194,14 @@ def collect_batch(rollout_fn, n_traj: int, seed: int,
     rollout_fn(env_seeds, rngs) -> TrajectoryBatch runs one episode per row
     in lockstep. Episode i's env seed is the first state word of
     SeedSequence(seed, spawn_key=seed_key + (i,)), and its rng is sub-stream
-    (seed, seed_key + (i, 1)).
+    (seed, seed_key + (i, 1)). The seed is an integer in [0, 2**64) and
+    each seed_key word one in [0, 2**32).
     """
     if n_traj < 1:
         raise ConfigurationError("a batch needs at least one episode")
+    check_word(seed, 64, "seed")
+    for word in seed_key:
+        check_word(word, 32, "seed_key word")
     keys = np.empty((n_traj, len(seed_key) + 2), dtype=np.uint32)
     keys[:, :-2], keys[:, -2], keys[:, -1] = seed_key, np.arange(n_traj), 1
     env_seeds = seed_state(seed, keys[:, :-1], 1)[:, 0].tolist()

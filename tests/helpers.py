@@ -61,6 +61,12 @@ def reference_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
+def sampled_action(policy, X, noise) -> np.ndarray:
+    """The pre-clamp actions mean + std * noise of a policy at the rows of
+    X, as the rollouts sample them; zero noise gives the means."""
+    return policy.mean_rows(X) + np.exp(policy.log_std) * noise
+
+
 def make_worlds(rows) -> Worlds:
     """The rows as one Worlds; they share their agent and block counts and
     their terrain's grid size and width."""

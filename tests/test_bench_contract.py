@@ -9,7 +9,9 @@ training calls through names it looks up in legwork:
   npg_update's info["skipped"] and batch_kl's float (legwork.trainer).
 If one of them goes, the benchmark's set-up crashes and its run exits
 nonzero; this runs the harness in-process, one call per workload and no
-set-up probes, so tier-1 sees it first. The pinned digests are the
+set-up probes, so tier-1 sees it first. A traced run times the functions
+that npgbench/layers.py binds; one that goes only reads as absent there,
+so the set of absent bindings is pinned too. The pinned digests are the
 benchmark's final_params_sha256 at --seed 1 under one BLAS thread
 (conftest.py); regenerate them only for an intended change of behaviour.
 flat_coord_npg is not in BENCHMARK.json, but its randomized flat
@@ -32,6 +34,20 @@ FINAL_PARAMS_SHA256 = {
 }
 
 
+# The bindings of npgbench/layers.py that name functions this package no
+# longer has. Rebinding them in the benchmark shrinks this set; a function
+# removed from the package must not grow it.
+ABSENT_BINDINGS = {
+    "legwork.tasks.world_step", "legwork.tasks.substream",
+    "legwork.tasks.apply_sticky", "legwork.tasks.sample_wrench",
+    "legwork.tasks.low_level_reward", "legwork.world.step_agent",
+    "legwork.world.resolve_push", "legwork.world.sample_terrain",
+    "legwork.policy.perturb_high_level_action", "legwork.policy:MlpPolicy.sample",
+    "legwork.tasks:TaskEnv.reset", "legwork.tasks:LowLevelGoalEnv.__init__",
+    "legwork.tasks:LowLevelGoalEnv.reset", "legwork.tasks:LowLevelGoalEnv.step",
+}
+
+
 @pytest.fixture(scope="module")
 def harness():
     sys.path.insert(0, str(NPGBENCH))
@@ -40,6 +56,17 @@ def harness():
         yield harness
     finally:
         sys.path.remove(str(NPGBENCH))
+
+
+def test_benchmark_binds_every_layer_but_the_known_absent_ones(harness):
+    # resolved as a traced run resolves them, each wrapped in itself
+    patches = harness.Patches()
+    try:
+        for _, owner, attr in harness.layers.BINDINGS:
+            patches.wrap(owner, attr, lambda fn: fn)
+    finally:
+        patches.undo()
+    assert patches.absent == ABSENT_BINDINGS
 
 
 @pytest.mark.parametrize("workload", sorted(FINAL_PARAMS_SHA256))

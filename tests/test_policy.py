@@ -9,7 +9,6 @@ from legwork.errors import ConfigurationError
 from legwork.randomization import RandomizationConfig
 from legwork.policy import (
     LOW_LEVEL_OBS_DIM,
-    LOG_2PI,
     ForwardPass,
     MlpPolicy,
     gaussian_kl,
@@ -24,7 +23,9 @@ from legwork.policy import (
 )
 from legwork.tasks import TaskEnvConfig
 from legwork.world import N_JOINTS
-from helpers import AgentState, Row, make_worlds
+from helpers import AgentState, Row, make_worlds, sampled_action
+
+LOG_2PI = math.log(2.0 * math.pi)
 
 
 def rows(*agents):
@@ -123,19 +124,10 @@ class TestMlpPolicy:
     def test_log_prob_at_mean(self):
         pol = MlpPolicy(5, 4, seed=3)
         obs = np.random.default_rng(0).normal(size=(1, 5))
-        mu, logp = pol.sample_rows(obs, np.zeros((1, 4)))
+        mu = sampled_action(pol, obs, np.zeros((1, 4)))
         expected = -pol.log_std.sum() - 2.0 * math.log(2 * math.pi)
         assert np.array_equal(mu, pol.mean_rows(obs))
-        assert logp[0] == pytest.approx(expected, abs=1e-12)
         assert log_prob_batch(pol, obs, mu)[0] == pytest.approx(expected, abs=1e-12)
-
-    def test_sample_log_density_matches_log_prob_batch(self):
-        pol = MlpPolicy(5, 4, seed=3)
-        pol.log_std[:] = [-0.5, 0.0, 0.3, 1.0]
-        rng = np.random.default_rng(2)
-        X = rng.normal(size=(7, 5))
-        act, logp = pol.sample_rows(X, rng.standard_normal((7, 4)))
-        assert np.allclose(logp, log_prob_batch(pol, X, act), rtol=0, atol=1e-12)
 
     def test_batch_matches_single(self):
         pol = MlpPolicy(5, 3, seed=4)
@@ -147,23 +139,21 @@ class TestMlpPolicy:
     @pytest.mark.parametrize("dims", [(32, (32, 32), 12), (32, (32, 32), 2),
                                       (70, (64, 64), 24)])
     def test_rows_are_width_invariant(self, dims):
-        # a row's mean, sample and log density do not depend on the other
-        # rows of the call, bit for bit
+        # a row's mean and sample do not depend on the other rows of the
+        # call, bit for bit
         obs_dim, hidden, act_dim = dims
         pol = MlpPolicy(obs_dim, act_dim, hidden=hidden, seed=6)
         pol.log_std[:] = np.linspace(-1.0, 0.5, act_dim)
         rng = np.random.default_rng(3)
         X = rng.normal(size=(40, obs_dim))
         noise = rng.standard_normal((40, act_dim))
-        act, logp = pol.sample_rows(X, noise)
+        act = sampled_action(pol, X, noise)
         for width in (1, 2, 7, 20, 33):
-            a_w, l_w = pol.sample_rows(X[:width], noise[:width])
+            a_w = sampled_action(pol, X[:width], noise[:width])
             assert a_w.tobytes() == act[:width].tobytes()
-            assert l_w.tobytes() == logp[:width].tobytes()
         for i in (0, 19, 39):
-            a_i, l_i = pol.sample_rows(X[i:i + 1], noise[i:i + 1])
+            a_i = sampled_action(pol, X[i:i + 1], noise[i:i + 1])
             assert a_i.tobytes() == act[i:i + 1].tobytes()
-            assert l_i.tobytes() == logp[i:i + 1].tobytes()
 
     def test_copy_equals_the_original_and_owns_its_arrays(self):
         pol = MlpPolicy(5, 3, hidden=(4, 6), seed=8)
@@ -324,18 +314,17 @@ class TestHierarchicalEpisode:
             lo_noise = rng.standard_normal((200, 1, 12))
             world = make_worlds([Row([AgentState.at_rest()])])
             for k in range(20):
-                a_pre, _ = pi_hi.sample_rows(np.zeros((1, 4)), hi_noise[k:k + 1])
+                a_pre = sampled_action(pi_hi, np.zeros((1, 4)), hi_noise[k:k + 1])
                 assert a_pre.tobytes() == hi["act"][e, k:k + 1].tobytes()
                 a_hi = np.clip(np.clip(a_pre, -1.0, 1.0) + shift[k], -1.0, 1.0)
                 obs = mask_low_level_obs(world, goal_from_high_action(world, a_hi))[0]
                 for t in range(10 * k, 10 * k + 10):
-                    a_lo, _ = pi_lo.sample_rows(obs, lo_noise[t])
+                    a_lo = sampled_action(pi_lo, obs, lo_noise[t])
                     assert a_lo.tobytes() == env.actions[t][e].tobytes()
         # the fallen row draws and is handed what the standing row is; the
         # world, not the executor, keeps a fallen agent still
         assert all(a[2].tobytes() == a[0].tobytes() for a in env.actions)
-        for key in ("act", "logp"):
-            assert hi[key][2].tobytes() == hi[key][0].tobytes()
+        assert hi["act"][2].tobytes() == hi["act"][0].tobytes()
 
     def test_deterministic_draws_nothing(self):
         pi_hi, pi_lo = self._policies()

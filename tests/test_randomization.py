@@ -31,7 +31,7 @@ from legwork.randomization import (
 from legwork.errors import ConfigurationError
 from legwork.tasks import COORD_BLOCK_HALF, TaskEnv, TaskEnvConfig
 from legwork.world import DynamicsParams
-from helpers import reference_stream
+from helpers import reference_stream, sampled_action
 from test_policy import _ConstRewardEnv
 from test_tasks import _recording_substreams
 
@@ -194,7 +194,7 @@ class TestHighLevelNoise:
         hi_noise = np.stack([np.random.default_rng(i).standard_normal((20, 2))
                              for i in range(2)])
         for k, a_hi in enumerate(seen):
-            a_pre, _ = pi_hi.sample_rows(np.zeros((2, 4)), hi_noise[:, k])
+            a_pre = sampled_action(pi_hi, np.zeros((2, 4)), hi_noise[:, k])
             assert a_hi.tobytes() == np.clip(a_pre, -1.0, 1.0).tobytes()
 
     @pytest.mark.parametrize("task", [True, False])

@@ -13,10 +13,11 @@ from legwork.policy import (
     ForwardPass,
     MlpPolicy,
     gaussian_kl,
+    hierarchical_episode,
     load_checkpoint,
 )
 from legwork.randomization import RandomizationConfig
-from legwork.tasks import TaskEnvConfig
+from legwork.tasks import TaskEnv, TaskEnvConfig
 from legwork.trainer import (
     TrainConfig,
     TrajectoryBatch,
@@ -37,8 +38,7 @@ from legwork.trainer import (
     train_high_level,
     train_low_level,
 )
-from helpers import reference_stream
-from test_policy import log_prob_batch
+from helpers import reference_stream, sampled_action
 from test_tasks import _recording_substreams
 
 
@@ -52,7 +52,6 @@ def _batch(rng, policy, n=30):
     obs = rng.normal(size=(n, policy.obs_dim))
     act = rng.normal(size=(n, policy.act_dim))
     return TrajectoryBatch(obs[None], act[None], rng.normal(size=(1, n)),
-                           log_prob_batch(policy, obs, act)[None],
                            lengths=np.array([n]), success=np.zeros(1, dtype=bool))
 
 
@@ -294,18 +293,17 @@ def _rollout(kind):
 
 
 def _rows(batch):
-    """Each episode's valid steps: (obs, act, rew, logp, success) per row."""
-    return [(batch.obs[e, :n], batch.act[e, :n], batch.rew[e, :n],
-             batch.logp[e, :n], batch.success[e])
+    """Each episode's valid steps: (obs, act, rew, success) per row."""
+    return [(batch.obs[e, :n], batch.act[e, :n], batch.rew[e, :n], batch.success[e])
             for e, n in enumerate(batch.lengths)]
 
 
 def _same_trajectories(a, b):
     assert len(a) == len(b)
     for x, y in zip(a, b):
-        for u, v in zip(x[:4], y[:4]):
+        for u, v in zip(x[:3], y[:3]):
             assert u.tobytes() == v.tobytes()
-        assert x[4] == y[4]
+        assert x[3] == y[3]
 
 
 class TestCollectBatch:
@@ -347,13 +345,12 @@ class TestCollectBatch:
         policy = fn.args[0]
         batch = collect_batch(fn, 8, seed=2, seed_key=(0,))
         assert batch.lengths.min() < horizon  # falls covered
-        for i, (obs, acts, _, logps, _) in enumerate(_rows(batch)):
+        for i, (obs, acts, _, _) in enumerate(_rows(batch)):
             rng = reference_stream(2, 0, i, 1)
             for t in range(len(obs)):
-                act, logp = policy.sample_rows(obs[t:t + 1],
-                                               rng.standard_normal((1, policy.act_dim)))
+                act = sampled_action(policy, obs[t:t + 1],
+                                     rng.standard_normal((1, policy.act_dim)))
                 assert act.tobytes() == acts[t:t + 1].tobytes()
-                assert logp.tobytes() == logps[t:t + 1].tobytes()
 
     def test_hierarchical_episode_builds_each_start_once(self, monkeypatch):
         calls = _recording_substreams(monkeypatch)
@@ -409,26 +406,48 @@ class TestTrajectoryBatch:
     def test_steps_past_a_row_length_are_zero(self):
         fn, _ = _rollout("low_goal")
         batch = collect_batch(fn, 8, seed=2, seed_key=(0,))
-        for x in (batch.obs, batch.act, batch.rew, batch.logp):
+        for x in (batch.obs, batch.act, batch.rew):
             assert not x[~batch.mask].any()
 
-    def test_non_finite_log_probability_at_a_valid_step_is_rejected(self):
-        obs, act = np.zeros((2, 5, 3)), np.zeros((2, 5, 2))
-        logp = np.zeros((2, 5))
-        logp[1, 3] = np.nan
+    def test_non_finite_action_at_a_valid_step_is_rejected(self):
+        obs = np.zeros((2, 5, 3))
+        act = np.zeros((2, 5, 2))
+        act[1, 3, 0] = np.nan
         with pytest.raises(NumericsError):
-            TrajectoryBatch(obs, act, np.zeros((2, 5)), logp, np.array([5, 4]),
+            TrajectoryBatch(obs, act, np.zeros((2, 5)), np.array([5, 4]),
                             np.zeros(2, dtype=bool))
         # past row 1's length the value is padding, and is zeroed
-        batch = TrajectoryBatch(obs, act, np.zeros((2, 5)), logp, np.array([5, 3]),
+        batch = TrajectoryBatch(obs, act, np.zeros((2, 5)), np.array([5, 3]),
                                 np.zeros(2, dtype=bool))
-        assert batch.logp[1, 3] == 0.0
+        assert batch.act[1, 3, 0] == 0.0
 
     @pytest.mark.parametrize("n_traj", [0, -1])
     def test_empty_batch_is_rejected(self, n_traj):
         fn, _ = _rollout("low_goal")
         with pytest.raises(ConfigurationError):
             collect_batch(fn, n_traj, seed=2)
+
+    @pytest.mark.parametrize("seed, seed_key", [
+        (1.5, ()), (True, ()), (-1, ()), (2**64, ()), (1, (-1,)), (1, (2**32,))])
+    def test_seed_and_key_words_must_be_integers_in_range(self, seed, seed_key):
+        fn, _ = _rollout("low_goal")
+        with pytest.raises(ConfigurationError):
+            collect_batch(fn, 2, seed=seed, seed_key=seed_key)
+
+
+@pytest.mark.parametrize("rollout", ["joint", "hierarchical", "deterministic"])
+@pytest.mark.parametrize("n_rngs, n_rows", [(1, 4), (3, 2)])
+def test_rollouts_take_one_generator_per_row(rollout, n_rngs, n_rows):
+    seeds = list(range(n_rows))
+    rngs = [np.random.default_rng(i) for i in range(n_rngs)]
+    with pytest.raises(ConfigurationError):
+        if rollout == "joint":
+            fn, _ = _rollout("low_goal")
+            fn(seeds, rngs)
+        else:
+            env = TaskEnv(_hier_env_cfg("push", True), seeds)
+            hierarchical_episode(env, MlpPolicy(32, 2, seed=2), MlpPolicy(32, 12, seed=1),
+                                 rngs, deterministic=rollout == "deterministic")
 
 
 def test_training_smoke_run(tmp_path):
