@@ -41,10 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .world import DynamicsParams, HeightField
+from .world import DynamicsParams
 
 HFIELD_N = 32
-HFIELD_WIDTH = 10.0
 
 DAMPING_RANGE = (0.9, 1.1)
 JOINT_FRICTION_RANGE = (0.001, 0.005)
@@ -186,12 +185,12 @@ def sample_dynamics(rng: np.random.Generator) -> DynamicsParams:
                           actuator_gain=gain, total_mass=mass, surface_friction=surface)
 
 
-def sample_height_field(rng: np.random.Generator) -> HeightField:
-    """Random terrain: amplitude drawn from its range, node heights iid
-    uniform(0, amplitude)."""
+def sample_height_field(rng: np.random.Generator) -> np.ndarray:
+    """Random terrain: the (HFIELD_N, HFIELD_N) node heights, iid uniform(0,
+    amplitude) with the amplitude drawn from its range; finite and square,
+    they go straight into a batch's grid column."""
     amplitude = float(rng.uniform(*HFIELD_AMPLITUDE_RANGE))
-    grid = rng.uniform(0.0, amplitude, (HFIELD_N, HFIELD_N))
-    return HeightField(grid, width=HFIELD_WIDTH)
+    return rng.uniform(0.0, amplitude, (HFIELD_N, HFIELD_N))
 
 
 def sticky_schedule(prob: float, rng: np.random.Generator, horizon: int) -> np.ndarray:

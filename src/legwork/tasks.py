@@ -53,7 +53,6 @@ from .errors import ConfigurationError
 from .policy import LOW_LEVEL_OBS_DIM, mask_low_level_obs
 from .randomization import (
     HFIELD_N,
-    HFIELD_WIDTH,
     STICKY_PROB,
     RandomizationConfig,
     check_word,
@@ -342,6 +341,11 @@ class EnvOverrides:
     sticky_prob: float = 0.0
 
     def __post_init__(self):
+        for name, cls in (("params", DynamicsParams), ("terrain", HeightField)):
+            value = getattr(self, name)
+            if not isinstance(value, cls):
+                raise ConfigurationError(f"{name} must be a {cls.__name__}, "
+                                         f"got a {type(value).__name__}")
         if not 0.0 <= self.sticky_prob <= 1.0:
             raise ConfigurationError("sticky_prob must be in [0, 1]")
 
@@ -363,6 +367,9 @@ class TaskEnvConfig:
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise ConfigurationError(f"unknown task kind {self.kind!r}")
+        if not isinstance(self.rand, RandomizationConfig):
+            raise ConfigurationError(
+                f"rand must be a RandomizationConfig, got {self.rand!r}")
         if not 0.0 <= self.torso_obs_noise < math.inf:
             raise ConfigurationError("torso_obs_noise must be finite and >= 0")
         if self.kind == "low_goal" and self.torso_obs_noise > 0.0:
@@ -396,7 +403,8 @@ class TaskEnv:
     steps only (the hierarchical executor reads it once per decision) pays
     for those alone. sticky (E, n_agents, horizon) and wrench (E, n_agents,
     horizon, 3) are each episode's sticky-action and torso wrench
-    schedules.
+    schedules. Every row draws its wrenches or none does, so each step
+    passes its wrench to the world, or None when no row draws one.
 
     Stepping computes no reward. The env keeps a reference to each SCORED
     column of the start and of every later state, and rewards() and
@@ -417,10 +425,7 @@ class TaskEnv:
         self.horizon = HORIZON[self.kind]
         self._build_starts()
         self._sticks = bool(self.sticky.any())
-        pushed = self.wrench.any(axis=(0, 1, 3))  # a nonzero wrench, per step
-        self._pushed = pushed.tolist()
-        self._force = (hypot(self.wrench[..., 0], self.wrench[..., 1])
-                       if pushed.any() else None)
+        self._pushed = bool(self.wrench.any())
         self._prev_actions = None
         self._obs, self._obs_t = None, None
         self.t = 0
@@ -442,7 +447,7 @@ class TaskEnv:
         if ov is not None:
             base, terrain, sticky_prob = ov.params, ov.terrain, ov.sticky_prob
         else:  # drawn rows overwrite the nominal values
-            base, terrain = DynamicsParams(), HeightField.flat(HFIELD_N, HFIELD_WIDTH)
+            base, terrain = DynamicsParams(), HeightField.flat(HFIELD_N)
             sticky_prob = STICKY_PROB if draw else 0.0
         params = {f.name: np.full((rows, n), getattr(base, f.name))
                   for f in fields(DynamicsParams)}
@@ -492,7 +497,7 @@ class TaskEnv:
                 if sticky_prob > 0.0:
                     self.sticky[e, i] = sticky_schedule(sticky_prob, rng[20 + i], horizon)
             if draw:
-                grid[e] = sample_height_field(rng[0]).grid
+                grid[e] = sample_height_field(rng[0])
             if self._obs_noise is not None:
                 self._obs_noise[e] = rng[60].uniform(-eps, eps, (horizon + 1, 2 * n))
         self.targets = targets
@@ -507,7 +512,7 @@ class TaskEnv:
             fallen=np.zeros((rows, n), dtype=bool),
             bx=bx, by=by, byaw=np.zeros((rows, n_blocks)),
             half_extents=half_extents, block_mass=np.full((rows, n_blocks), mass),
-            params=params, grid=grid, width=terrain.width)
+            params=params, grid=grid)
 
     @property
     def obs(self) -> np.ndarray:
@@ -535,11 +540,8 @@ class TaskEnv:
             prev = self._prev_actions if t > 0 else acts
             acts = np.where(self.sticky[:, :, t, None], prev, acts)
             self._prev_actions = acts
-        if self._pushed[t]:
-            wrench, force = self.wrench[:, :, t], self._force[:, :, t]
-        else:
-            wrench = force = None
-        self.world = step_worlds(self.world, acts, wrench, ~self.done, force)
+        wrench = self.wrench[:, :, t] if self._pushed else None
+        self.world = step_worlds(self.world, acts, wrench, ~self.done)
         for name, column in self._columns.items():
             column.append(getattr(self.world, name))
         self.t += 1

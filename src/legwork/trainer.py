@@ -55,6 +55,13 @@ METRICS_COLUMNS = ("iteration", "mean_return", "std_return", "mean_kl",
                    "success_rate", "wall_time")
 
 
+def check_count(value, low: int, name: str) -> None:
+    """Raise ConfigurationError unless value is an integer >= low, not a bool."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                       and value >= low):
+        raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass
 class TrainConfig:
     iterations: int = 1000
@@ -75,11 +82,7 @@ class TrainConfig:
             raise ConfigurationError(f"workers must be 1, got {self.workers!r}")
         for name, low in (("iterations", 1), ("batch_size", 1), ("cg_iters", 1),
                           ("checkpoint_every", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
-                                               and value >= low):
-                raise ConfigurationError(f"{name} must be an integer >= {low}, "
-                                         f"got {value!r}")
+            check_count(getattr(self, name), low, name)
         check_word(self.seed, 64, "seed")
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigurationError("gamma must be in [0, 1)")
@@ -195,10 +198,9 @@ def collect_batch(rollout_fn, n_traj: int, seed: int,
     in lockstep. Episode i's env seed is the first state word of
     SeedSequence(seed, spawn_key=seed_key + (i,)), and its rng is sub-stream
     (seed, seed_key + (i, 1)). The seed is an integer in [0, 2**64) and
-    each seed_key word one in [0, 2**32).
+    each seed_key word one in [0, 2**32), and n_traj an integer >= 1.
     """
-    if n_traj < 1:
-        raise ConfigurationError("a batch needs at least one episode")
+    check_count(n_traj, 1, "n_traj")
     check_word(seed, 64, "seed")
     for word in seed_key:
         check_word(word, 32, "seed_key word")

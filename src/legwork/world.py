@@ -13,8 +13,8 @@ terrain grids (E, n, n), and each dynamics parameter an (E, A) array.
 Every formula runs once over all rows; masks select the rows and agents
 that move. Whoever builds a Worlds allocates its columns once and writes
 each row's values into its slots (tasks.TaskEnv). HeightField and
-DynamicsParams describe one terrain and one agent's dynamics, as drawn by
-the randomization samplers or pinned by evaluation overrides.
+DynamicsParams validate one terrain (every patch is TERRAIN_WIDTH wide)
+and one agent's dynamics: evaluation overrides and the nominal defaults.
 
 Stepping is pure: step_worlds returns a new Worlds and never mutates its
 input, so a trace may hold every state. Each row's result depends on that
@@ -48,6 +48,7 @@ F_REF = 40.0  # N
 V_REF = 2.0  # m/s
 
 AGENT_RADIUS = 0.3  # m, disc footprint used for pushing
+TERRAIN_WIDTH = 10.0  # m, side of every square terrain patch
 
 # Joint layout: leg L owns indices 3L..3L+2, so the abduction, flexion and
 # knee joints are the strided slices 0::3, 1::3 and 2::3. Legs are ordered
@@ -70,7 +71,8 @@ def hypot(a, b) -> np.ndarray:
     if a.shape != b.shape:
         raise ValueError(f"hypot needs two arrays of one shape, got {a.shape} "
                          f"and {b.shape}")
-    out = np.fromiter(map(math.hypot, a.ravel().tolist(), b.ravel().tolist()),
+    # memoryview yields the floats without building a list per input
+    out = np.fromiter(map(math.hypot, memoryview(a.ravel()), memoryview(b.ravel())),
                       dtype=float, count=a.size)
     return out.reshape(a.shape)
 
@@ -84,7 +86,7 @@ def body_frame(c, s, dx, dy) -> tuple:
 
 @dataclass
 class HeightField:
-    """Square terrain patch of width x width meters sampled on an n x n grid.
+    """Square terrain patch, TERRAIN_WIDTH m a side, on an n x n grid.
 
     grid[i, j] is the height at x-index i, y-index j; heights are bilinearly
     interpolated between nodes. Queries outside the patch clamp to the edge
@@ -92,7 +94,6 @@ class HeightField:
     """
 
     grid: np.ndarray
-    width: float = 10.0
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -100,14 +101,12 @@ class HeightField:
             raise ConfigurationError("height field grid must be square")
         if self.grid.shape[0] < 2:
             raise ConfigurationError("height field grid needs at least 2x2 nodes")
-        if not 0.0 < self.width < math.inf:
-            raise ConfigurationError("height field width must be positive and finite")
         if not np.isfinite(self.grid).all():
             raise ConfigurationError("height field heights must be finite")
 
     @classmethod
-    def flat(cls, n: int = 32, width: float = 10.0) -> "HeightField":
-        return cls(np.zeros((n, n)), width=width)
+    def flat(cls, n: int = 32) -> "HeightField":
+        return cls(np.zeros((n, n)))
 
 
 @dataclass
@@ -138,7 +137,7 @@ class Worlds:
     Agents: x, y, yaw, z_proxy, fallen (E, A); q, qdot (E, A, 12).
     Blocks: bx, by, byaw, block_mass (E, B); half_extents (E, B, 2).
     params maps each DynamicsParams field name to an (E, A) array; grid
-    holds each row's terrain heights (E, n, n) over a patch of one width.
+    holds each row's terrain heights (E, n, n) over its TERRAIN_WIDTH patch.
 
     Stepping never changes params, grid, half_extents or block_mass, so
     what stepping derives from them (constants) is computed
@@ -160,7 +159,6 @@ class Worlds:
     block_mass: np.ndarray
     params: dict
     grid: np.ndarray
-    width: float
 
     @cached_property
     def constants(self) -> dict:
@@ -203,16 +201,16 @@ def block_constants(half_extents: np.ndarray, mass: np.ndarray) -> tuple:
     return hx, hy, -hx, -hy, 1.0 + mass
 
 
-def terrain_at(grid: np.ndarray, width: float, x: np.ndarray, y: np.ndarray):
+def terrain_at(grid: np.ndarray, x: np.ndarray, y: np.ndarray):
     """Analytic slope of the bilinear height interpolant at (x, y).
 
-    grid (E, n, n) holds one terrain per row; x and y are (E, k), k query
-    points per row. Returns (dh/dx, dh/dy), each (E, k). Outside the patch
-    the slope is zero.
+    grid (E, n, n) holds one terrain per row over the TERRAIN_WIDTH patch;
+    x and y are (E, k), k query points per row. Returns (dh/dx, dh/dy),
+    each (E, k). Outside the patch the slope is zero.
     """
     n = grid.shape[1]
-    half = width / 2.0
-    cell = width / (n - 1)
+    half = TERRAIN_WIDTH / 2.0
+    cell = TERRAIN_WIDTH / (n - 1)
 
     inside = (-half <= x) & (x <= half) & (-half <= y) & (y <= half)
     gx = (np.minimum(np.maximum(x, -half), half) + half) / cell
@@ -232,14 +230,13 @@ def terrain_at(grid: np.ndarray, width: float, x: np.ndarray, y: np.ndarray):
     return dhdx, dhdy
 
 
-def step_agents(world: Worlds, actions, wrench, active, force=None) -> Worlds:
+def step_agents(world: Worlds, actions, wrench, active) -> Worlds:
     """Advance the active agents by dt under the surrogate dynamics; the
     others keep their state.
 
     actions (E, A, 12), clamped to [-1, 1] here; wrench (E, A, 3) holds
     each torso's world-frame force and torque (fx, fy, torque), or is None
-    when it is zero in every row; force is hypot(fx, fy) of the wrench,
-    (E, A), computed here when omitted; active (E, A) is a bool mask. The
+    when it is zero in every row; active (E, A) is a bool mask. The
     contract, in order:
       1. semi-implicit Euler joint servo with dry friction, clamped at
          +-Q_MAX (clamping zeroes the joint's velocity);
@@ -251,12 +248,12 @@ def step_agents(world: Worlds, actions, wrench, active, force=None) -> Worlds:
          (world frame) and lateral bias force (body frame) add dv = F*dt/m;
          wrench torque adds domega = tau*dt/I with I the disc inertia;
       5. pose integration and the stability score that drives z_proxy and
-         the absorbing fall flag.
+         the absorbing fall flag; a wrench lowers it by hypot(fx, fy) / F_REF.
     When every row's grid is all zeros (constants["all_flat"]), the slope
     is 0.0 everywhere and the terrain lookup is skipped: the friction scale
     is then surface_friction * 1.0 and the stability loses 0.0, the same
-    bits the lookup gives. Likewise a wrench of None skips its stability term,
-    which would subtract 0.0.
+    bits the lookup gives. Likewise a wrench of None skips its terms, and
+    no bias in any row the force terms: each would add or subtract 0.0.
     """
     a = np.asarray(actions, dtype=float)
     if a.shape != world.q.shape:
@@ -297,7 +294,7 @@ def step_agents(world: Worlds, actions, wrench, active, force=None) -> Worlds:
     if k["all_flat"]:
         scale, slope_term = p["surface_friction"], 0.0
     else:
-        sx, sy = terrain_at(world.grid, world.width, world.x, world.y)
+        sx, sy = terrain_at(world.grid, world.x, world.y)
         slope_mag = hypot(sx, sy)
         scale = p["surface_friction"] * np.maximum(0.0, 1.0 - 2.0 * slope_mag)
         slope_term = 4.0 * slope_mag
@@ -305,25 +302,23 @@ def step_agents(world: Worlds, actions, wrench, active, force=None) -> Worlds:
     v_lat = v_lat * scale
     omega = omega * scale
 
-    if wrench is None and k["no_bias"]:
-        # No force acts in any row. The force terms would add +0.0, which
-        # can only turn a -0.0 into +0.0, and that changes yaw, x or y only
-        # where they hold -0.0. No start holds -0.0, and a sum is -0.0 only
-        # when both terms are, so they never do: the bits are unchanged.
-        yaw = world.yaw + omega * DT
-        c, s = np.cos(yaw), np.sin(yaw)
-        vx = c * v_fwd - s * v_lat
-        vy = s * v_fwd + c * v_lat
-    else:
-        fx, fy, torque = ((0.0, 0.0, 0.0) if wrench is None else
-                          (wrench[..., 0], wrench[..., 1], wrench[..., 2]))
-        omega = omega + torque * DT / k["inertia"]
-        yaw = world.yaw + omega * DT
-        c, s = np.cos(yaw), np.sin(yaw)
-        inv_m = k["inv_m"]
-        bias = p["lateral_bias_force"]
-        vx = c * v_fwd - s * v_lat + (fx - s * bias) * inv_m
-        vy = s * v_fwd + c * v_lat + (fy + c * bias) * inv_m
+    # The torque term is added only when a wrench is given, the force terms
+    # only when a wrench is given or some row has a bias. Where no force
+    # acts, such a term would add +0.0, which can only turn a -0.0 into
+    # +0.0, and that changes yaw, x or y only where they hold -0.0. No start
+    # holds -0.0, and a sum is -0.0 only when both terms are, so they never
+    # do: skipping the term keeps the bits.
+    if wrench is not None:
+        omega = omega + wrench[..., 2] * DT / k["inertia"]
+    yaw = world.yaw + omega * DT
+    c, s = np.cos(yaw), np.sin(yaw)
+    vx = c * v_fwd - s * v_lat
+    vy = s * v_fwd + c * v_lat
+    if wrench is not None or not k["no_bias"]:
+        fx, fy = (0.0, 0.0) if wrench is None else (wrench[..., 0], wrench[..., 1])
+        bias, inv_m = p["lateral_bias_force"], k["inv_m"]
+        vx = vx + (fx - s * bias) * inv_m
+        vy = vy + (fy + c * bias) * inv_m
 
     # 5. pose integration and stability; the speed term counts the gait
     # twist only (the wrench already has its own term)
@@ -332,9 +327,7 @@ def step_agents(world: Worlds, actions, wrench, active, force=None) -> Worlds:
     stability = 1.0 - 0.5 * np.maximum.reduce(np.abs(qdot), axis=-1) / QDOT_REF
     stability = stability - slope_term
     if wrench is not None:
-        if force is None:
-            force = hypot(wrench[..., 0], wrench[..., 1])
-        stability = stability - force / F_REF
+        stability = stability - hypot(wrench[..., 0], wrench[..., 1]) / F_REF
     stability = stability - hypot(v_fwd, v_lat) / V_REF
     z_proxy = Z0 * np.minimum(np.maximum(stability, 0.0), 1.0)
     fallen = stability < 0.0
@@ -408,16 +401,16 @@ def push_block(ax, ay, bx, by, byaw, block: tuple, active):
     return bx, by, byaw
 
 
-def step_worlds(world: Worlds, actions, wrench, live, force=None) -> Worlds:
+def step_worlds(world: Worlds, actions, wrench, live) -> Worlds:
     """Advance the live rows (bool mask (E,)) by one step; the other rows
     keep their state.
 
     Every standing agent moves; fallen agents receive no motion. Then each
-    agent pushes each block, in agent-index order. actions, wrench and
-    force are as in step_agents.
+    agent pushes each block, in agent-index order. actions and wrench are
+    as in step_agents: a wrench of None is a zero wrench in every row.
     """
     live = np.asarray(live, dtype=bool)
-    world = step_agents(world, actions, wrench, live[:, None] & ~world.fallen, force)
+    world = step_agents(world, actions, wrench, live[:, None] & ~world.fallen)
     if world.bx.shape[1]:
         bx, by, byaw = world.bx.copy(), world.by.copy(), world.byaw.copy()
         blocks = world.constants["blocks"]

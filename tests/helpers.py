@@ -69,7 +69,7 @@ def sampled_action(policy, X, noise) -> np.ndarray:
 
 def make_worlds(rows) -> Worlds:
     """The rows as one Worlds; they share their agent and block counts and
-    their terrain's grid size and width."""
+    their terrain's grid size."""
     rows = list(rows)
     e, a, b = len(rows), len(rows[0].agents), len(rows[0].blocks)
 
@@ -96,5 +96,4 @@ def make_worlds(rows) -> Worlds:
         params={f.name: table(params, lambda p, n=f.name: getattr(p, n), (e, a))
                 for f in fields(DynamicsParams)},
         grid=np.stack([r.terrain.grid for r in rows]),
-        width=rows[0].terrain.width,
     )

@@ -42,8 +42,7 @@ def run_episode(env, actions):
 _ROUGH = EnvOverrides(
     params=DynamicsParams(joint_damping=1.3, total_mass=2.4,
                           surface_friction=0.7, lateral_bias_force=0.8),
-    terrain=HeightField(np.random.default_rng(3).uniform(0.0, 0.25, (32, 32)),
-                        width=10.0),
+    terrain=HeightField(np.random.default_rng(3).uniform(0.0, 0.25, (32, 32))),
     sticky_prob=0.5)
 _MILD = EnvOverrides(params=DynamicsParams(total_mass=2.1),
                      terrain=HeightField.flat(), sticky_prob=0.3)

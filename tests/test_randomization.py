@@ -12,6 +12,7 @@ from legwork.randomization import (
     DAMPING_RANGE,
     GAIN_RANGE,
     HFIELD_AMPLITUDE_RANGE,
+    HFIELD_N,
     JOINT_FRICTION_RANGE,
     MASS_RANGE,
     SURFACE_FRICTION_RANGE,
@@ -95,10 +96,11 @@ class TestEpisodeParams:
         for _ in range(20):
             # the amplitude is the sampler's first draw
             amplitude = copy.deepcopy(rng).uniform(*HFIELD_AMPLITUDE_RANGE)
-            hf = sample_height_field(rng)
+            grid = sample_height_field(rng)
+            assert grid.shape == (HFIELD_N, HFIELD_N)
             assert 0.0 <= amplitude <= 0.050
-            assert hf.grid.min() >= 0.0
-            assert hf.grid.max() <= amplitude
+            assert grid.min() >= 0.0
+            assert grid.max() <= amplitude
 
 
 class TestSticky:
@@ -260,11 +262,11 @@ class TestStreams:
         def draw_all(seed):
             rng = next(substreams([seed], [[0]]))
             p = sample_dynamics(rng)
-            hf = sample_height_field(rng)
+            grid = sample_height_field(rng)
             w = wrench_schedule(rng, 20)
             s = sticky_schedule(0.5, rng, 20)
             n = highlevel_noise_schedule(rng, 3, 2)
-            return p, hf.grid.copy(), w, s, n.copy()
+            return p, grid, w, s, n.copy()
 
         a, b = draw_all(123), draw_all(123)
         assert a[0] == b[0]

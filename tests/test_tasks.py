@@ -652,9 +652,14 @@ class TestTaskEnv:
         lambda: EnvOverrides(DynamicsParams(), HeightField.flat(), 1.7),
         lambda: EnvOverrides(DynamicsParams(), HeightField.flat(), -0.1),
         lambda: EnvOverrides(DynamicsParams(), HeightField.flat(), math.nan),
+        lambda: EnvOverrides({"total_mass": 2.0}, HeightField.flat()),
+        lambda: EnvOverrides(DynamicsParams(), np.zeros((32, 32))),
+        lambda: TaskEnvConfig("push", rand=None),
+        lambda: TaskEnvConfig("push", rand=True),
     ], ids=["noise_negative", "noise_nan", "noise_inf", "noise_low_goal",
             "fixed_init_x", "fixed_init_low_goal", "kind_unknown",
-            "sticky_above_one", "sticky_negative", "sticky_nan"])
+            "sticky_above_one", "sticky_negative", "sticky_nan",
+            "params_dict", "terrain_array", "rand_none", "rand_bool"])
     def test_bad_env_settings_rejected(self, make):
         with pytest.raises(ConfigurationError):
             make()
@@ -766,6 +771,31 @@ class TestStepWork:
             assert env.obs.tobytes() == eager.tobytes()
             if t < env.horizon:
                 env.step(rng.uniform(-1.0, 1.0, (2, 2, 12)))
+
+    @pytest.mark.parametrize("kind, rand, overrides, pushed", [
+        ("low_goal", RandomizationConfig(), None, True),
+        ("push", RandomizationConfig(dynamics=False), None, False),
+        ("push", RandomizationConfig(),
+         EnvOverrides(DynamicsParams(), HeightField.flat()), False),
+    ], ids=["drawn", "dynamics_off", "overrides"])
+    def test_rows_pass_a_wrench_at_every_step_or_at_none(self, kind, rand, overrides,
+                                                         pushed, monkeypatch):
+        passed = []
+        step_worlds = legwork.tasks.step_worlds
+
+        def recording(world, actions, wrench, live):
+            passed.append(wrench)
+            return step_worlds(world, actions, wrench, live)
+
+        monkeypatch.setattr(legwork.tasks, "step_worlds", recording)
+        env = TaskEnv(TaskEnvConfig(kind, rand=rand, overrides=overrides), seeds=[1, 2])
+        for _ in range(12):
+            env.step(np.zeros((2, 1, 12)))
+        if pushed:
+            assert all(w is not None and w.tobytes() == env.wrench[:, :, t].tobytes()
+                       for t, w in enumerate(passed))
+        else:
+            assert passed == [None] * 12
 
 
 # Setups whose per-step rewards the scoring pass must reproduce: every

@@ -327,9 +327,9 @@ class TestCollectBatch:
         stepped = []
         step_worlds = legwork.tasks.step_worlds
 
-        def counting(world, actions, wrench, live, force=None):
+        def counting(world, actions, wrench, live):
             stepped.append(int(np.count_nonzero(live)))
-            return step_worlds(world, actions, wrench, live, force)
+            return step_worlds(world, actions, wrench, live)
 
         monkeypatch.setattr(legwork.tasks, "step_worlds", counting)
         fn, horizon = _rollout(kind)
@@ -421,11 +421,16 @@ class TestTrajectoryBatch:
                                 np.zeros(2, dtype=bool))
         assert batch.act[1, 3, 0] == 0.0
 
-    @pytest.mark.parametrize("n_traj", [0, -1])
+    @pytest.mark.parametrize("n_traj", [0, -1, True, 2.0, "2"])
     def test_empty_batch_is_rejected(self, n_traj):
+        # an episode count is an integer >= 1, as TrainConfig's counts are
         fn, _ = _rollout("low_goal")
         with pytest.raises(ConfigurationError):
             collect_batch(fn, n_traj, seed=2)
+
+    def test_numpy_integer_episode_count_runs(self):
+        fn, _ = _rollout("low_goal")
+        assert len(collect_batch(fn, np.int64(2), seed=2).lengths) == 2
 
     @pytest.mark.parametrize("seed, seed_key", [
         (1.5, ()), (True, ()), (-1, ()), (2**64, ()), (1, (-1,)), (1, (2**32,))])
