@@ -2,18 +2,20 @@
 
 Randomization is switched on or off per level, never per item
 (RandomizationConfig). The low level's randomizations (dynamics) are joint
-damping, joint dry friction, total mass, surface friction, actuator gain,
-the terrain height field, sticky actions and periodic torso wrenches. The
-high level's (task) are uniform noise on its actions and, on the
+damping, joint dry friction, total mass, surface friction, actuator gain
+(DRAWN_DYNAMICS), the terrain height field, sticky actions, periodic torso
+wrenches and, on every task kind that observes a torso pose (all but
+low_goal), uniform +-TORSO_OBS_NOISE on its torso x, y observation slots.
+The high level's (task) are uniform noise on its actions and, on the
 two-agent task, rescaled block dimensions. The ranges are module
 constants. Each range's midpoint is the DynamicsParams default, so a row
 with dynamics off takes DynamicsParams() and draws nothing.
 
-Sticky actions, wrenches and the high-level noise are drawn as
-whole-episode schedules up front: the first two from sub-streams that
-nothing else reads, the high-level noise from the episode's rollout
-generator at a fixed place in its draw order (see
-policy.hierarchical_episode).
+Sticky actions, wrenches, the torso noise and the high-level noise are
+drawn as whole-episode schedules up front, and an undrawn one is None:
+the first three from sub-streams that nothing else reads, the high-level
+noise from the episode's rollout generator at a fixed place in its draw
+order (see policy.hierarchical_episode).
 
 Every sampler takes an explicit numpy Generator. Distinct concerns use
 distinct sub-streams derived from the episode seed with fixed spawn keys,
@@ -34,14 +36,12 @@ exactly what the SeedSequence-built one draws, at about 2 us a generator.
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .world import DynamicsParams
 
 HFIELD_N = 32
 
@@ -61,6 +61,11 @@ WRENCH_FORCE_RANGE = (-3.0, 3.0)
 WRENCH_TORQUE_RANGE = (-0.3, 0.3)
 HIGHLEVEL_NOISE_RANGE = (-1.0, 1.0)
 OBJECT_DIM_SCALE_RANGE = (0.8, 1.2)
+TORSO_OBS_NOISE = 0.1  # uniform +- noise on each torso x, y observation slot
+# The DynamicsParams fields that sample_dynamics draws, in draw order.
+DRAWN_DYNAMICS = {"joint_damping": DAMPING_RANGE, "joint_friction": JOINT_FRICTION_RANGE,
+                  "total_mass": MASS_RANGE, "surface_friction": SURFACE_FRICTION_RANGE,
+                  "actuator_gain": GAIN_RANGE}
 
 
 # numpy's SeedSequence hash: a pool of four uint32 words, mixed by
@@ -69,16 +74,6 @@ POOL_SIZE = 4
 HASH_INIT_A, HASH_MULT_A = 0x43B0D7E5, 0x931E8875  # mixing the entropy in
 HASH_INIT_B, HASH_MULT_B = 0x8B51F9DD, 0x58F38DED  # drawing the state out
 MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def check_word(value, bits: int, name: str) -> None:
-    """Raise ConfigurationError unless value is an integer in [0, 2**bits)
-    (a bool is not one): a seed takes 64 bits and a spawn-key word 32, as
-    seed_state packs them."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
-                                       and 0 <= value < 2**bits):
-        raise ConfigurationError(f"{name} must be an integer in [0, 2**{bits}), "
-                                 f"got {value!r}")
 
 
 def _multipliers(init: int, mult: int, n: int) -> np.ndarray:
@@ -172,17 +167,13 @@ class RandomizationConfig:
                 raise ConfigurationError(f"{name} must be a bool, got {value!r}")
 
 
-def sample_dynamics(rng: np.random.Generator) -> DynamicsParams:
-    """One dynamics realization. Draw order is fixed (damping, joint
-    friction, mass, surface friction, gain) and part of the
+def sample_dynamics(rng: np.random.Generator) -> np.ndarray:
+    """One dynamics realization: the values of the DRAWN_DYNAMICS fields,
+    (5,), in that order, which is the draw order and part of the
     reproducibility contract. One rng.random call gives the values that one
-    rng.uniform call per item would: uniform is low + (high - low) * u."""
-    ranges = (DAMPING_RANGE, JOINT_FRICTION_RANGE, MASS_RANGE,
-              SURFACE_FRICTION_RANGE, GAIN_RANGE)
-    damping, friction, mass, surface, gain = (
-        lo + (hi - lo) * u for (lo, hi), u in zip(ranges, rng.random(5).tolist()))
-    return DynamicsParams(joint_damping=damping, joint_friction=friction,
-                          actuator_gain=gain, total_mass=mass, surface_friction=surface)
+    rng.uniform call per field would: uniform is low + (high - low) * u."""
+    low, high = np.array(list(DRAWN_DYNAMICS.values())).T
+    return low + (high - low) * rng.random(len(DRAWN_DYNAMICS))
 
 
 def sample_height_field(rng: np.random.Generator) -> np.ndarray:

@@ -24,11 +24,12 @@ one seed per row. Row e draws all its randomness from seeds[e], so its
 episode is the same bit for bit whatever rows run beside it. Sub-stream
 keys (see substreams): 0 terrain, 10+i agent-i dynamics, 20+i agent-i
 sticky, 30+i agent-i wrench, 40 initialization geometry, 50 object
-dimensions, 60 observation noise. A sub-stream is built only where a
-randomization is switched on, so switched-off ones cost nothing: with
-rand.dynamics off no row builds 0, 10+i, 20+i or 30+i, and with rand.task
-off none builds 50. Construction builds every row's sub-streams in one
-substreams call.
+dimensions, 60 torso observation noise. A sub-stream is built only where
+a randomization is switched on, so switched-off ones cost nothing: with
+rand.dynamics off no row builds 0, 10+i, 20+i, 30+i or 60 (60 only on a
+kind that observes a torso pose, not low_goal), and with rand.task off
+none builds 50. Construction builds every row's sub-streams in one
+substreams call; a schedule that no row draws is None.
 
 The work sits at the two ends of an episode batch. Construction allocates
 each state column once for all rows, and each row writes its draws into
@@ -44,18 +45,19 @@ returns it beside the reward (TaskEnv.episode_success).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_real, check_word
 from .policy import LOW_LEVEL_OBS_DIM, mask_low_level_obs
 from .randomization import (
+    DRAWN_DYNAMICS,
     HFIELD_N,
     STICKY_PROB,
+    TORSO_OBS_NOISE,
     RandomizationConfig,
-    check_word,
     sample_dynamics,
     sample_height_field,
     sample_object_dims,
@@ -165,11 +167,7 @@ def observe_task(world: Worlds, kind: str, targets: np.ndarray) -> np.ndarray:
 
 def torso_xy_slots(n_agents: int) -> list:
     """Observation indices of the torso x, y entries (noise targets)."""
-    slots = []
-    for i in range(n_agents):
-        base = AGENT_CORE_DIM * i
-        slots.extend([base + 24, base + 25])
-    return slots
+    return [AGENT_CORE_DIM * i + j for i in range(n_agents) for j in (24, 25)]
 
 
 # -- rewards ------------------------------------------------------------------
@@ -346,6 +344,7 @@ class EnvOverrides:
             if not isinstance(value, cls):
                 raise ConfigurationError(f"{name} must be a {cls.__name__}, "
                                          f"got a {type(value).__name__}")
+        check_real(self.sticky_prob, "sticky_prob")
         if not 0.0 <= self.sticky_prob <= 1.0:
             raise ConfigurationError("sticky_prob must be in [0, 1]")
 
@@ -353,14 +352,14 @@ class EnvOverrides:
 @dataclass
 class TaskEnvConfig:
     """How a task episode is randomized and initialized. Dynamics, terrain,
-    sticky actions and wrenches are drawn when rand.dynamics holds (nominal
-    otherwise) unless overrides pin them; coordinate's block dimensions are
-    drawn for random starts when rand.task holds."""
+    sticky actions, wrenches and torso observation noise are drawn when
+    rand.dynamics holds unless overrides pin them (nominal and clean
+    otherwise); coordinate's block dimensions are drawn for random starts
+    when rand.task holds."""
 
     kind: str
     rand: RandomizationConfig = field(
         default_factory=lambda: RandomizationConfig(dynamics=False, task=False))
-    torso_obs_noise: float = 0.0  # uniform +-noise on torso xy observation slots
     fixed_init: str | None = None  # None = random init, else "+" or "-"
     overrides: EnvOverrides | None = None
 
@@ -370,11 +369,6 @@ class TaskEnvConfig:
         if not isinstance(self.rand, RandomizationConfig):
             raise ConfigurationError(
                 f"rand must be a RandomizationConfig, got {self.rand!r}")
-        if not 0.0 <= self.torso_obs_noise < math.inf:
-            raise ConfigurationError("torso_obs_noise must be finite and >= 0")
-        if self.kind == "low_goal" and self.torso_obs_noise > 0.0:
-            raise ConfigurationError(
-                "low_goal observations hold no torso pose to add noise to")
         if self.fixed_init not in (None, "+", "-"):
             raise ConfigurationError(
                 f"fixed_init must be None, '+' or '-', got {self.fixed_init!r}")
@@ -403,8 +397,9 @@ class TaskEnv:
     steps only (the hierarchical executor reads it once per decision) pays
     for those alone. sticky (E, n_agents, horizon) and wrench (E, n_agents,
     horizon, 3) are each episode's sticky-action and torso wrench
-    schedules. Every row draws its wrenches or none does, so each step
-    passes its wrench to the world, or None when no row draws one.
+    schedules, None where not drawn: each step passes its rows' wrenches
+    to the world, or None. With the dynamics, every kind but low_goal draws
+    noise on the torso x, y slots of every observation.
 
     Stepping computes no reward. The env keeps a reference to each SCORED
     column of the start and of every later state, and rewards() and
@@ -424,8 +419,6 @@ class TaskEnv:
         self.n_agents = N_AGENTS[self.kind]
         self.horizon = HORIZON[self.kind]
         self._build_starts()
-        self._sticks = bool(self.sticky.any())
-        self._pushed = bool(self.wrench.any())
         self._prev_actions = None
         self._obs, self._obs_t = None, None
         self.t = 0
@@ -443,16 +436,16 @@ class TaskEnv:
         cfg, ov = self.config, self.config.overrides
         kind, n, horizon = self.kind, self.n_agents, self.horizon
         rows = len(self.seeds)
-        draw = ov is None and cfg.rand.dynamics  # dynamics, terrain, sticky, wrench
-        if ov is not None:
-            base, terrain, sticky_prob = ov.params, ov.terrain, ov.sticky_prob
-        else:  # drawn rows overwrite the nominal values
-            base, terrain = DynamicsParams(), HeightField.flat(HFIELD_N)
+        # dynamics, terrain, wrenches, sticky actions and torso noise
+        draw = ov is None and cfg.rand.dynamics
+        if ov is None:  # drawn rows overwrite the nominal values
+            base, grid = DynamicsParams(), np.zeros((rows, HFIELD_N, HFIELD_N))
             sticky_prob = STICKY_PROB if draw else 0.0
-        params = {f.name: np.full((rows, n), getattr(base, f.name))
-                  for f in fields(DynamicsParams)}
-        grid = np.zeros((rows,) + terrain.grid.shape)
-        grid[:] = terrain.grid
+        else:
+            base, grid = ov.params, np.repeat(ov.terrain.grid[None], rows, axis=0)
+            sticky_prob = ov.sticky_prob
+        params = {name: np.full((rows, n), value) for name, value in asdict(base).items()}
+        sticks = sticky_prob > 0.0
         draw_dims = kind == "coordinate" and cfg.fixed_init is None and cfg.rand.task
 
         coordinate = kind == "coordinate"
@@ -461,11 +454,11 @@ class TaskEnv:
         bx, by = np.zeros((rows, n_blocks)), np.zeros((rows, n_blocks))
         half_extents = np.empty((rows, n_blocks, 2))
         half_extents[:] = COORD_BLOCK_HALF if coordinate else PUSH_BLOCK_HALF
-        self.sticky = np.zeros((rows, n, horizon), dtype=bool)
-        self.wrench = np.zeros((rows, n, horizon, 3))
-        eps = cfg.torso_obs_noise
+        self.wrench = np.empty((rows, n, horizon, 3)) if draw else None
+        self.sticky = np.empty((rows, n, horizon), dtype=bool) if sticks else None
         # one draw per torso slot of every observation, reset included
-        self._obs_noise = np.empty((rows, horizon + 1, 2 * n)) if eps > 0.0 else None
+        noisy = draw and kind != "low_goal"
+        self._obs_noise = np.empty((rows, horizon + 1, 2 * n)) if noisy else None
         fixed = None if cfg.fixed_init is None else fixed_eval_init(kind, cfg.fixed_init)
 
         keys = []  # the sub-streams of every row, in build order
@@ -475,9 +468,9 @@ class TaskEnv:
             keys.append(50)
         if draw:
             keys += [10 + i for i in range(n)] + [30 + i for i in range(n)] + [0]
-        if sticky_prob > 0.0:
+        if sticks:
             keys += [20 + i for i in range(n)]
-        if self._obs_noise is not None:
+        if noisy:
             keys.append(60)
         built = substreams(np.repeat(np.asarray(self.seeds, dtype=np.uint64), len(keys)),
                            np.tile(keys, rows)[:, None])
@@ -490,16 +483,16 @@ class TaskEnv:
                 half_extents[e, 0] = sample_object_dims(COORD_BLOCK_HALF, rng[50])
             for i in range(n):
                 if draw:
-                    drawn = sample_dynamics(rng[10 + i])
-                    for name, column in params.items():
-                        column[e, i] = getattr(drawn, name)
+                    for name, value in zip(DRAWN_DYNAMICS, sample_dynamics(rng[10 + i])):
+                        params[name][e, i] = value
                     self.wrench[e, i] = wrench_schedule(rng[30 + i], horizon)
-                if sticky_prob > 0.0:
+                if sticks:
                     self.sticky[e, i] = sticky_schedule(sticky_prob, rng[20 + i], horizon)
             if draw:
                 grid[e] = sample_height_field(rng[0])
-            if self._obs_noise is not None:
-                self._obs_noise[e] = rng[60].uniform(-eps, eps, (horizon + 1, 2 * n))
+            if noisy:
+                self._obs_noise[e] = rng[60].uniform(-TORSO_OBS_NOISE, TORSO_OBS_NOISE,
+                                                     (horizon + 1, 2 * n))
         self.targets = targets
 
         x, y = np.zeros((rows, n)), np.zeros((rows, n))
@@ -534,13 +527,13 @@ class TaskEnv:
         if acts.shape != shape:
             raise ConfigurationError(f"actions must be {shape}, got {acts.shape}")
         t = self.t
-        if self._sticks:
+        if self.sticky is not None:
             # step 0 never sticks, so np.where then copies the actions: the
             # caller may reuse its buffer
             prev = self._prev_actions if t > 0 else acts
             acts = np.where(self.sticky[:, :, t, None], prev, acts)
             self._prev_actions = acts
-        wrench = self.wrench[:, :, t] if self._pushed else None
+        wrench = None if self.wrench is None else self.wrench[:, :, t]
         self.world = step_worlds(self.world, acts, wrench, ~self.done)
         for name, column in self._columns.items():
             column.append(getattr(self.world, name))

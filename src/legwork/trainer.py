@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericsError
+from .errors import ConfigurationError, NumericsError, check_count, check_real, check_word
 from .policy import (
     GOAL_HORIZON,
     ForwardPass,
@@ -46,20 +46,13 @@ from .policy import (
     mean_vjp,
     save_checkpoint,
 )
-from .randomization import RandomizationConfig, check_word, seed_state, substreams
+from .randomization import RandomizationConfig, seed_state, substreams
 from .tasks import N_AGENTS, TASK_OBS_DIM, TaskEnv, TaskEnvConfig
 
 log = logging.getLogger(__name__)
 
 METRICS_COLUMNS = ("iteration", "mean_return", "std_return", "mean_kl",
                    "success_rate", "wall_time")
-
-
-def check_count(value, low: int, name: str) -> None:
-    """Raise ConfigurationError unless value is an integer >= low, not a bool."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
-                                       and value >= low):
-        raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass
@@ -84,6 +77,8 @@ class TrainConfig:
                           ("checkpoint_every", 0)):
             check_count(getattr(self, name), low, name)
         check_word(self.seed, 64, "seed")
+        for name in ("gamma", "lam", "kl_step", "cg_damping"):
+            check_real(getattr(self, name), name)
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigurationError("gamma must be in [0, 1)")
         if not 0.0 <= self.lam <= 1.0:
@@ -476,14 +471,12 @@ def train_high_level(config: TrainConfig, task_kind: str,
 def train_flat(config: TrainConfig, task_kind: str, randomized: bool,
                out_dir=None, metrics_path=None) -> MlpPolicy:
     """Non-hierarchical baseline: width-64 policy on raw joint actions over
-    the full task horizon. The randomized variant applies every low-level
-    randomization plus uniform(-0.1, 0.1) torso xy observation noise."""
+    the full task horizon. The randomized variant switches both levels'
+    randomizations on: the dynamics level brings the torso observation
+    noise of a task kind with it (see tasks.TaskEnv)."""
     _not_low_goal(task_kind)
-    if randomized:
-        env_cfg = TaskEnvConfig(kind=task_kind, rand=RandomizationConfig(),
-                                torso_obs_noise=0.1)
-    else:
-        env_cfg = TaskEnvConfig(kind=task_kind)
+    env_cfg = TaskEnvConfig(kind=task_kind, rand=RandomizationConfig(
+        dynamics=randomized, task=randomized))
     policy = MlpPolicy(TASK_OBS_DIM[task_kind], 12 * N_AGENTS[task_kind],
                        hidden=(64, 64), seed=config.seed)
     fn = lambda pol: partial(run_task_episode, pol, env_cfg)

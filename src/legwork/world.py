@@ -24,12 +24,12 @@ row alone, bit for bit, whatever rows are stepped with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericsError
+from .errors import ConfigurationError, NumericsError, check_real
 
 DT = 0.1  # s per world step
 N_JOINTS = 12
@@ -104,10 +104,6 @@ class HeightField:
         if not np.isfinite(self.grid).all():
             raise ConfigurationError("height field heights must be finite")
 
-    @classmethod
-    def flat(cls, n: int = 32) -> "HeightField":
-        return cls(np.zeros((n, n)))
-
 
 @dataclass
 class DynamicsParams:
@@ -121,13 +117,13 @@ class DynamicsParams:
     lateral_bias_force: float = 0.0  # N, signed, along body +y
 
     def __post_init__(self):
-        vals = (self.joint_damping, self.joint_friction, self.actuator_gain,
-                self.total_mass, self.surface_friction, self.lateral_bias_force)
-        if not all(math.isfinite(v) for v in vals):
-            raise ConfigurationError("dynamics parameters must be finite")
+        for f in fields(self):
+            check_real(getattr(self, f.name), f.name)
+            if not math.isfinite(getattr(self, f.name)):
+                raise ConfigurationError(f"{f.name} must be finite")
         if min(self.joint_damping, self.joint_friction, self.actuator_gain,
-               self.total_mass, self.surface_friction) < 0:
-            raise ConfigurationError("dynamics magnitudes must be nonnegative")
+               self.surface_friction) < 0 or self.total_mass <= 0:  # a step divides by it
+            raise ConfigurationError("dynamics magnitudes must be >= 0, the mass > 0")
 
 
 @dataclass

@@ -10,6 +10,11 @@ from legwork.errors import ConfigurationError
 from legwork.world import N_JOINTS, Z0, DynamicsParams, HeightField, Worlds
 
 
+def flat_terrain(n: int = 32) -> HeightField:
+    """A level terrain patch on an n x n grid."""
+    return HeightField(np.zeros((n, n)))
+
+
 @dataclass
 class AgentState:
     """Pose, torso-height proxy, and joint state of one legged agent."""
@@ -51,7 +56,7 @@ class Row:
 
     agents: list
     blocks: list = field(default_factory=list)
-    terrain: HeightField = field(default_factory=HeightField.flat)
+    terrain: HeightField = field(default_factory=flat_terrain)
     params: list | None = None
 
 

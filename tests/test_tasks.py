@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import legwork.tasks
 from legwork.errors import ConfigurationError, NumericsError
 from legwork.policy import mask_low_level_obs
-from legwork.randomization import RandomizationConfig, substreams
+from legwork.randomization import TORSO_OBS_NOISE, RandomizationConfig, substreams
 from legwork.tasks import (
     AVOID_MAX_BLOCK_MOVE,
     BONUS_RADIUS,
@@ -40,7 +40,7 @@ from legwork.tasks import (
     torso_xy_slots,
 )
 from legwork.world import DynamicsParams, HeightField, hypot
-from helpers import AgentState, BlockState, Row, make_worlds, reference_stream
+from helpers import AgentState, BlockState, Row, flat_terrain, make_worlds, reference_stream
 
 # One episode's task: its kind plus its target points, (1, 2) for
 # low_goal/avoid/push and (2, 2) for coordinate.
@@ -559,13 +559,12 @@ class TestLowLevelGoalEnv:
 
     def test_overrides_pin_dynamics(self):
         ov = EnvOverrides(params=DynamicsParams(),
-                          terrain=HeightField.flat(), sticky_prob=0.0)
+                          terrain=flat_terrain(), sticky_prob=0.0)
         env = TaskEnv(TaskEnvConfig("low_goal", rand=RandomizationConfig(),
                                     overrides=ov), [3])
         assert env.world.params["total_mass"][0, 0] == 1.8
         assert not env.world.grid.any()
-        assert not env.wrench.any()
-        assert not env.sticky.any()
+        assert env.wrench is None and env.sticky is None
 
 
 class TestTaskEnv:
@@ -642,23 +641,21 @@ class TestTaskEnv:
         assert env.world.bx[0, 0] == 1.0
 
     @pytest.mark.parametrize("make", [
-        lambda: TaskEnvConfig("push", torso_obs_noise=-0.1),
-        lambda: TaskEnvConfig("push", torso_obs_noise=math.nan),
-        lambda: TaskEnvConfig("push", torso_obs_noise=math.inf),
-        lambda: TaskEnvConfig("low_goal", torso_obs_noise=0.1),
         lambda: TaskEnvConfig("avoid", fixed_init="x"),
         lambda: TaskEnvConfig("low_goal", fixed_init="+"),
         lambda: TaskEnvConfig("bogus"),
-        lambda: EnvOverrides(DynamicsParams(), HeightField.flat(), 1.7),
-        lambda: EnvOverrides(DynamicsParams(), HeightField.flat(), -0.1),
-        lambda: EnvOverrides(DynamicsParams(), HeightField.flat(), math.nan),
-        lambda: EnvOverrides({"total_mass": 2.0}, HeightField.flat()),
+        lambda: EnvOverrides(DynamicsParams(), flat_terrain(), 1.7),
+        lambda: EnvOverrides(DynamicsParams(), flat_terrain(), -0.1),
+        lambda: EnvOverrides(DynamicsParams(), flat_terrain(), math.nan),
+        lambda: EnvOverrides(DynamicsParams(), flat_terrain(), "0.1"),
+        lambda: EnvOverrides(DynamicsParams(), flat_terrain(), True),
+        lambda: EnvOverrides({"total_mass": 2.0}, flat_terrain()),
         lambda: EnvOverrides(DynamicsParams(), np.zeros((32, 32))),
         lambda: TaskEnvConfig("push", rand=None),
         lambda: TaskEnvConfig("push", rand=True),
-    ], ids=["noise_negative", "noise_nan", "noise_inf", "noise_low_goal",
-            "fixed_init_x", "fixed_init_low_goal", "kind_unknown",
-            "sticky_above_one", "sticky_negative", "sticky_nan",
+    ], ids=["fixed_init_x", "fixed_init_low_goal", "kind_unknown",
+            "sticky_above_one", "sticky_negative", "sticky_nan", "sticky_str",
+            "sticky_bool",
             "params_dict", "terrain_array", "rand_none", "rand_bool"])
     def test_bad_env_settings_rejected(self, make):
         with pytest.raises(ConfigurationError):
@@ -674,13 +671,19 @@ class TestTaskEnv:
         assert 0.12 <= hx <= 0.18 and 0.56 <= hy <= 0.84
 
     def test_obs_noise_touches_only_torso_slots(self):
-        cfg_clean = TaskEnvConfig(kind="push")
-        cfg_noisy = TaskEnvConfig(kind="push", torso_obs_noise=0.1)
+        # at reset the drawn dynamics have moved nothing yet: switching them
+        # on changes only the torso slots, by the noise
+        cfg_clean = TaskEnvConfig(kind="push", rand=RandomizationConfig(dynamics=False))
+        cfg_noisy = TaskEnvConfig(kind="push", rand=RandomizationConfig())
         clean = TaskEnv(cfg_clean, seeds=[9]).obs[0]
         noisy = TaskEnv(cfg_noisy, seeds=[9]).obs[0]
         diff = np.nonzero(clean != noisy)[0]
-        assert set(diff).issubset({24, 25})
-        assert np.abs(clean[[24, 25]] - noisy[[24, 25]]).max() <= 0.1
+        assert set(diff) == {24, 25}
+        assert np.abs(clean[[24, 25]] - noisy[[24, 25]]).max() <= TORSO_OBS_NOISE
+        # overrides pin the dynamics, and draw no noise either
+        pinned = TaskEnvConfig(kind="push", rand=RandomizationConfig(),
+                               overrides=EnvOverrides(DynamicsParams(), flat_terrain()))
+        assert TaskEnv(pinned, seeds=[9]).obs[0].tobytes() == clean.tobytes()
 
     def test_bad_action_shape(self):
         env = TaskEnv(TaskEnvConfig(kind="coordinate"), seeds=[0])
@@ -757,9 +760,8 @@ class TestStepWork:
         assert env.episode_success().tolist() == expected.tolist() == [False]
 
     def test_on_demand_obs_equals_the_eager_observation(self):
-        seeds, eps = (3, 4), 0.1
-        env = TaskEnv(TaskEnvConfig("coordinate", rand=RandomizationConfig(),
-                                    torso_obs_noise=eps), seeds)
+        seeds, eps = (3, 4), TORSO_OBS_NOISE
+        env = TaskEnv(TaskEnvConfig("coordinate", rand=RandomizationConfig()), seeds)
         # the documented schedule: sub-stream 60, one draw per torso slot
         # of every observation, reset included
         noise = np.stack([reference_stream(s, 60).uniform(-eps, eps, (env.horizon + 1, 4))
@@ -776,7 +778,7 @@ class TestStepWork:
         ("low_goal", RandomizationConfig(), None, True),
         ("push", RandomizationConfig(dynamics=False), None, False),
         ("push", RandomizationConfig(),
-         EnvOverrides(DynamicsParams(), HeightField.flat()), False),
+         EnvOverrides(DynamicsParams(), flat_terrain()), False),
     ], ids=["drawn", "dynamics_off", "overrides"])
     def test_rows_pass_a_wrench_at_every_step_or_at_none(self, kind, rand, overrides,
                                                          pushed, monkeypatch):
@@ -809,8 +811,7 @@ SCORED_SETUPS = {
     "low_goal/rand": TaskEnvConfig("low_goal", rand=RandomizationConfig()),
     "avoid/rand": TaskEnvConfig("avoid", rand=RandomizationConfig()),
     "push/rand": TaskEnvConfig("push", rand=RandomizationConfig()),
-    "coordinate/dims/noise": TaskEnvConfig("coordinate", rand=RandomizationConfig(),
-                                           torso_obs_noise=0.1),
+    "coordinate/dims/noise": TaskEnvConfig("coordinate", rand=RandomizationConfig()),
     "avoid/fixed": TaskEnvConfig("avoid", fixed_init="+"),
     "push/overrides": TaskEnvConfig("push", rand=RandomizationConfig(), overrides=_ROUGH),
     "low_goal/overrides": TaskEnvConfig("low_goal", overrides=_ROUGH),
@@ -914,7 +915,7 @@ class TestArrayStarts:
             assert (column == getattr(nominal, f.name)).all()
         assert env.world.grid.shape == (3, 32, 32)
         assert not env.world.grid.any() and env.world.constants["all_flat"]
-        assert not env.sticky.any() and not env.wrench.any()
+        assert env.sticky is None and env.wrench is None
         # only the initialization draws
         assert keys == {(40,): 3}
 
@@ -923,6 +924,8 @@ class TestArrayStarts:
         keys = _recording_substreams(monkeypatch)
         n = 2 if kind == "coordinate" else 1
         dynamics = {(0,)} | {(k + i,) for k in (10, 20, 30) for i in range(n)}
+        if kind != "low_goal":  # the torso noise of a kind that observes a torso
+            dynamics |= {(60,)}
         task = {(50,)} if kind == "coordinate" else set()
         for rand, expected in [
                 (RandomizationConfig(), dynamics | task),

@@ -284,8 +284,7 @@ def _rollout(kind):
         return partial(run_task_episode, policy, cfg), 40
     if kind == "coordinate":
         policy = MlpPolicy(70, 24, hidden=(64, 64), seed=3)
-        cfg = TaskEnvConfig("coordinate", rand=RandomizationConfig(),
-                            torso_obs_noise=0.1)
+        cfg = TaskEnvConfig("coordinate", rand=RandomizationConfig())
         return partial(run_task_episode, policy, cfg), 200
     return (partial(run_hier_task_episode, MlpPolicy(32, 2, seed=2),
                     MlpPolicy(32, 12, seed=1), _hier_env_cfg("push", True), 0.99),
@@ -476,6 +475,15 @@ def test_training_smoke_run(tmp_path):
         assert back.flat_params().tobytes() == policy.flat_params().tobytes()
 
 
+def test_periodic_checkpoints(tmp_path):
+    config = TrainConfig(iterations=2, batch_size=3, seed=4, checkpoint_every=1)
+    policy = train_low_level(config, RandomizationConfig(), out_dir=tmp_path)
+    saved = {name: load_checkpoint(tmp_path / name).flat_params().tobytes()
+             for name in ("ckpt_000001", "ckpt_000002", "final")}
+    assert saved["final"] == saved["ckpt_000002"] == policy.flat_params().tobytes()
+    assert saved["ckpt_000001"] != saved["ckpt_000002"]
+
+
 def test_one_iteration_makes_two_forward_passes(monkeypatch):
     # one over the batch for the gradient, the CG solve and the old means
     # of the KL; one for the KL's new means
@@ -495,7 +503,9 @@ def test_one_iteration_makes_two_forward_passes(monkeypatch):
     ("cg_iters", 0), ("cg_damping", -1e-4), ("cg_damping", math.nan),
     ("cg_damping", math.inf), ("workers", 0), ("workers", 2), ("workers", 1.0),
     ("checkpoint_every", -1), ("kl_step", 0.0),
-    ("kl_step", math.nan), ("kl_step", math.inf), ("kl_step", -math.inf)])
+    ("kl_step", math.nan), ("kl_step", math.inf), ("kl_step", -math.inf),
+    ("gamma", "0.9"), ("lam", None), ("lam", True), ("kl_step", None),
+    ("cg_damping", "1")])
 def test_bad_solver_and_run_settings_rejected(field, value):
     with pytest.raises(ConfigurationError):
         TrainConfig(**{field: value})

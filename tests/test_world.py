@@ -25,7 +25,7 @@ from legwork.world import (
     step_worlds,
     terrain_at,
 )
-from helpers import AgentState, BlockState, Row, make_worlds
+from helpers import AgentState, BlockState, Row, flat_terrain, make_worlds
 
 
 def scripted_trot_action(step: int, period: int = 16,
@@ -47,7 +47,7 @@ def scripted_trot_action(step: int, period: int = 16,
 
 
 NOMINAL = DynamicsParams()
-FLAT = HeightField.flat()
+FLAT = flat_terrain()
 ZERO_W = np.zeros(3)  # (fx, fy, torque)
 
 # Forward displacement of the scripted trot over 40 steps under nominal
@@ -142,6 +142,17 @@ def agent_block_penetration(agent, block):
     if d == 0.0:
         return AGENT_RADIUS + min(hx - abs(lx), hy - abs(ly))
     return AGENT_RADIUS - d
+
+
+@pytest.mark.parametrize("field, value", [
+    ("joint_damping", -0.1), ("actuator_gain", math.nan),
+    ("lateral_bias_force", math.inf), ("total_mass", 0.0), ("joint_damping", "1"),
+    ("joint_damping", None), ("surface_friction", True)],
+    ids=["negative", "nan", "inf", "zero_mass", "str", "none", "bool"])
+def test_bad_dynamics_params_rejected(field, value):
+    # a zero mass would divide by zero in the step's constants
+    with pytest.raises(ConfigurationError):
+        DynamicsParams(**{field: value})
 
 
 class TestStepAgent:
@@ -504,7 +515,7 @@ def random_row(draw, n_agents, n_blocks, flat=None):
     if flat is None:
         flat = draw(st.booleans())
     if flat:
-        terrain = HeightField.flat(8)
+        terrain = flat_terrain(8)
     agents = []
     for _ in range(n_agents):
         st_ = AgentState(rng.uniform(-5.5, 5.5), rng.uniform(-5.5, 5.5),
@@ -574,7 +585,7 @@ class TestLockstep:
         bump = np.zeros((8, 8))
         bump[3, 4] = 0.05
         walker = AgentState(0.2, -0.4, 0.3, 0.3, np.full(12, 0.5), np.full(12, -2.0))
-        rows = [Row([walker], terrain=HeightField.flat(8)),
+        rows = [Row([walker], terrain=flat_terrain(8)),
                 Row([walker], terrain=HeightField(bump))]
         acts, live = np.full((2, 1, 12), 0.7), np.array([True, True])
         flat = make_worlds(rows[:1])
