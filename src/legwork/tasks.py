@@ -69,7 +69,6 @@ from .world import (
     N_JOINTS,
     Z0,
     DynamicsParams,
-    HeightField,
     Worlds,
     body_frame,
     hypot,
@@ -313,8 +312,11 @@ def fixed_eval_init(kind: str, variant: str = "+"):
 
     avoid, push: block 1 m ahead of the agent, target at (2, +0.5) or
     (2, -0.5) by variant. coordinate: targets are the 1.5 m forward
-    translation of the block ends.
+    translation of the block ends. Any variant but "+" or "-" raises
+    ConfigurationError.
     """
+    if variant not in ("+", "-"):
+        raise ConfigurationError(f"variant must be '+' or '-', got {variant!r}")
     if kind in ("avoid", "push"):
         sign = 1.0 if variant == "+" else -1.0
         return np.array([[2.0, sign * 0.5]]), (1.0, 0.0)
@@ -332,18 +334,25 @@ INITS = {"low_goal": init_low_goal, "avoid": init_avoid, "push": init_push,
 
 @dataclass
 class EnvOverrides:
-    """Fixed episode conditions used by evaluation environments."""
+    """Fixed episode conditions for evaluation environments; each field
+    defaults to the nominal condition. grid holds the terrain's n x n node
+    heights, as world.terrain_at reads them."""
 
-    params: DynamicsParams
-    terrain: HeightField
+    params: DynamicsParams = field(default_factory=DynamicsParams)
+    grid: np.ndarray = field(default_factory=lambda: np.zeros((HFIELD_N, HFIELD_N)))
     sticky_prob: float = 0.0
 
     def __post_init__(self):
-        for name, cls in (("params", DynamicsParams), ("terrain", HeightField)):
-            value = getattr(self, name)
-            if not isinstance(value, cls):
-                raise ConfigurationError(f"{name} must be a {cls.__name__}, "
-                                         f"got a {type(value).__name__}")
+        if not isinstance(self.params, DynamicsParams):
+            raise ConfigurationError(f"params must be a DynamicsParams, "
+                                     f"got a {type(self.params).__name__}")
+        self.grid = np.asarray(self.grid, dtype=float)
+        if self.grid.ndim != 2 or self.grid.shape[0] != self.grid.shape[1]:
+            raise ConfigurationError("the terrain grid must be square")
+        if self.grid.shape[0] < 2:
+            raise ConfigurationError("the terrain grid needs at least 2x2 nodes")
+        if not np.isfinite(self.grid).all():
+            raise ConfigurationError("terrain heights must be finite")
         check_real(self.sticky_prob, "sticky_prob")
         if not 0.0 <= self.sticky_prob <= 1.0:
             raise ConfigurationError("sticky_prob must be in [0, 1]")
@@ -353,9 +362,10 @@ class EnvOverrides:
 class TaskEnvConfig:
     """How a task episode is randomized and initialized. Dynamics, terrain,
     sticky actions, wrenches and torso observation noise are drawn when
-    rand.dynamics holds unless overrides pin them (nominal and clean
-    otherwise); coordinate's block dimensions are drawn for random starts
-    when rand.task holds."""
+    rand.dynamics holds and no overrides are given; otherwise the episode
+    runs under the overrides' conditions, the nominal ones (EnvOverrides())
+    when none are given, without wrenches or noise. Coordinate's block
+    dimensions are drawn for random starts when rand.task holds."""
 
     kind: str
     rand: RandomizationConfig = field(
@@ -429,22 +439,20 @@ class TaskEnv:
     def _build_starts(self) -> None:
         """Set world, targets, sticky, wrench and the observation noise of
         every row. Each column is allocated once for all rows, holding
-        agents at rest and nominal (or overridden) dynamics over flat (or
-        overridden) terrain; each row then writes what it draws into its
-        slots, from the sub-streams of its seed whose randomization is on,
-        all built in one substreams call."""
-        cfg, ov = self.config, self.config.overrides
+        agents at rest under the conditions of the overrides, or of
+        EnvOverrides() when none are given; each row then writes what it
+        draws into its slots, from the sub-streams of its seed whose
+        randomization is on, all built in one substreams call."""
+        cfg = self.config
         kind, n, horizon = self.kind, self.n_agents, self.horizon
         rows = len(self.seeds)
         # dynamics, terrain, wrenches, sticky actions and torso noise
-        draw = ov is None and cfg.rand.dynamics
-        if ov is None:  # drawn rows overwrite the nominal values
-            base, grid = DynamicsParams(), np.zeros((rows, HFIELD_N, HFIELD_N))
-            sticky_prob = STICKY_PROB if draw else 0.0
-        else:
-            base, grid = ov.params, np.repeat(ov.terrain.grid[None], rows, axis=0)
-            sticky_prob = ov.sticky_prob
-        params = {name: np.full((rows, n), value) for name, value in asdict(base).items()}
+        draw = cfg.overrides is None and cfg.rand.dynamics
+        base = cfg.overrides or EnvOverrides()  # drawn rows overwrite its values
+        params = {name: np.full((rows, n), value)
+                  for name, value in asdict(base.params).items()}
+        grid = np.repeat(base.grid[None], rows, axis=0)
+        sticky_prob = STICKY_PROB if draw else base.sticky_prob
         sticks = sticky_prob > 0.0
         draw_dims = kind == "coordinate" and cfg.fixed_init is None and cfg.rand.task
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -71,7 +70,8 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0: final checkpoint only
 
     def __post_init__(self):
-        if not (isinstance(self.workers, numbers.Integral) and self.workers == 1):
+        check_count(self.workers, 1, "workers")
+        if self.workers != 1:
             raise ConfigurationError(f"workers must be 1, got {self.workers!r}")
         for name, low in (("iterations", 1), ("batch_size", 1), ("cg_iters", 1),
                           ("checkpoint_every", 0)):

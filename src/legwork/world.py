@@ -12,9 +12,9 @@ fields are (E, A) arrays, joint vectors (E, A, 12), block fields (E, B),
 terrain grids (E, n, n), and each dynamics parameter an (E, A) array.
 Every formula runs once over all rows; masks select the rows and agents
 that move. Whoever builds a Worlds allocates its columns once and writes
-each row's values into its slots (tasks.TaskEnv). HeightField and
-DynamicsParams validate one terrain (every patch is TERRAIN_WIDTH wide)
-and one agent's dynamics: evaluation overrides and the nominal defaults.
+each row's values into its slots (tasks.TaskEnv). DynamicsParams
+validates one agent's dynamics: evaluation overrides and the nominal
+defaults. Every terrain patch is TERRAIN_WIDTH wide (terrain_at).
 
 Stepping is pure: step_worlds returns a new Worlds and never mutates its
 input, so a trace may hold every state. Each row's result depends on that
@@ -82,27 +82,6 @@ def body_frame(c, s, dx, dy) -> tuple:
     cosine c and sine s: (c dx + s dy, -s dx + c dy), elementwise. The one
     rotation into a body frame: observations, goals and block contact."""
     return c * dx + s * dy, -s * dx + c * dy
-
-
-@dataclass
-class HeightField:
-    """Square terrain patch, TERRAIN_WIDTH m a side, on an n x n grid.
-
-    grid[i, j] is the height at x-index i, y-index j; heights are bilinearly
-    interpolated between nodes. Queries outside the patch clamp to the edge
-    and report zero slope.
-    """
-
-    grid: np.ndarray
-
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        if self.grid.ndim != 2 or self.grid.shape[0] != self.grid.shape[1]:
-            raise ConfigurationError("height field grid must be square")
-        if self.grid.shape[0] < 2:
-            raise ConfigurationError("height field grid needs at least 2x2 nodes")
-        if not np.isfinite(self.grid).all():
-            raise ConfigurationError("height field heights must be finite")
 
 
 @dataclass
@@ -200,9 +179,11 @@ def block_constants(half_extents: np.ndarray, mass: np.ndarray) -> tuple:
 def terrain_at(grid: np.ndarray, x: np.ndarray, y: np.ndarray):
     """Analytic slope of the bilinear height interpolant at (x, y).
 
-    grid (E, n, n) holds one terrain per row over the TERRAIN_WIDTH patch;
-    x and y are (E, k), k query points per row. Returns (dh/dx, dh/dy),
-    each (E, k). Outside the patch the slope is zero.
+    grid (E, n, n) holds one terrain per row over the square TERRAIN_WIDTH
+    patch centred on the origin: grid[e, i, j] is the height at x-index i
+    and y-index j of the n x n nodes. x and y are (E, k), k query points
+    per row. Returns (dh/dx, dh/dy), each (E, k). Outside the patch the
+    slope is zero.
     """
     n = grid.shape[1]
     half = TERRAIN_WIDTH / 2.0

@@ -7,12 +7,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from legwork.errors import ConfigurationError
-from legwork.world import N_JOINTS, Z0, DynamicsParams, HeightField, Worlds
+from legwork.world import N_JOINTS, Z0, DynamicsParams, Worlds
 
 
-def flat_terrain(n: int = 32) -> HeightField:
-    """A level terrain patch on an n x n grid."""
-    return HeightField(np.zeros((n, n)))
+def flat_terrain(n: int = 32) -> np.ndarray:
+    """The node heights of a level terrain patch on an n x n grid."""
+    return np.zeros((n, n))
 
 
 @dataclass
@@ -51,12 +51,13 @@ class BlockState:
 
 @dataclass
 class Row:
-    """One world: its agents, blocks, terrain and per-agent dynamics
-    (nominal for every agent when omitted)."""
+    """One world: its agents, blocks, terrain grid (n x n node heights, as
+    world.terrain_at reads them) and per-agent dynamics (nominal for every
+    agent when omitted)."""
 
     agents: list
     blocks: list = field(default_factory=list)
-    terrain: HeightField = field(default_factory=flat_terrain)
+    terrain: np.ndarray = field(default_factory=flat_terrain)
     params: list | None = None
 
 
@@ -100,5 +101,5 @@ def make_worlds(rows) -> Worlds:
         block_mass=table(blocks, lambda s: s.mass, (e, b)),
         params={f.name: table(params, lambda p, n=f.name: getattr(p, n), (e, a))
                 for f in fields(DynamicsParams)},
-        grid=np.stack([r.terrain.grid for r in rows]),
+        grid=np.stack([r.terrain for r in rows]),
     )

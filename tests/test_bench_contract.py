@@ -11,7 +11,8 @@ If one of them goes, the benchmark's set-up crashes and its run exits
 nonzero; this runs the harness in-process, one call per workload and no
 set-up probes, so tier-1 sees it first. A traced run times the functions
 that npgbench/layers.py binds; one that goes only reads as absent there,
-so the set of absent bindings is pinned too. The pinned digests are the
+so the set of absent bindings is pinned too, and so are the batched
+successors that are to replace them. The pinned digests are the
 benchmark's final_params_sha256 at --seed 1 under one BLAS thread
 (conftest.py); regenerate them only for an intended change of behaviour.
 flat_coord_npg is not in BENCHMARK.json, but its randomized flat
@@ -48,6 +49,18 @@ ABSENT_BINDINGS = {
 }
 
 
+# The batched successors of the absent bindings, each at the binding its
+# callers look it up through, which the benchmark is to bind next: none of
+# them may go before it does.
+SUCCESSOR_BINDINGS = {
+    ("legwork.tasks", "step_worlds"), ("legwork.tasks", "substreams"),
+    ("legwork.tasks", "sticky_schedule"), ("legwork.tasks", "wrench_schedule"),
+    ("legwork.world", "step_agents"), ("legwork.world", "push_block"),
+    ("legwork.world", "terrain_at"), ("legwork.policy", "highlevel_noise_schedule"),
+    ("legwork.policy:MlpPolicy", "mean_rows"),
+}
+
+
 @pytest.fixture(scope="module")
 def harness():
     sys.path.insert(0, str(NPGBENCH))
@@ -67,6 +80,16 @@ def test_benchmark_binds_every_layer_but_the_known_absent_ones(harness):
     finally:
         patches.undo()
     assert patches.absent == ABSENT_BINDINGS
+
+
+def test_successors_of_the_absent_bindings_resolve(harness):
+    patches = harness.Patches()
+    try:
+        for owner, attr in sorted(SUCCESSOR_BINDINGS):
+            patches.wrap(owner, attr, lambda fn: fn)
+    finally:
+        patches.undo()
+    assert patches.absent == set()
 
 
 @pytest.mark.parametrize("workload", sorted(FINAL_PARAMS_SHA256))

@@ -15,7 +15,7 @@ import pytest
 
 from legwork.randomization import RandomizationConfig
 from legwork.tasks import EnvOverrides, TaskEnv, TaskEnvConfig
-from legwork.world import DynamicsParams, HeightField
+from legwork.world import DynamicsParams
 from helpers import flat_terrain
 from test_world import scripted_trot_action
 
@@ -43,10 +43,10 @@ def run_episode(env, actions):
 _ROUGH = EnvOverrides(
     params=DynamicsParams(joint_damping=1.3, total_mass=2.4,
                           surface_friction=0.7, lateral_bias_force=0.8),
-    terrain=HeightField(np.random.default_rng(3).uniform(0.0, 0.25, (32, 32))),
+    grid=np.random.default_rng(3).uniform(0.0, 0.25, (32, 32)),
     sticky_prob=0.5)
 _MILD = EnvOverrides(params=DynamicsParams(total_mass=2.1),
-                     terrain=flat_terrain(), sticky_prob=0.3)
+                     grid=flat_terrain(), sticky_prob=0.3)
 # What high-level training uses: dynamics nominal, the high level's own
 # randomizations on.
 _HIGH_LEVEL = RandomizationConfig(dynamics=False)

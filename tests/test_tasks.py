@@ -39,7 +39,7 @@ from legwork.tasks import (
     task_reward,
     torso_xy_slots,
 )
-from legwork.world import DynamicsParams, HeightField, hypot
+from legwork.world import DynamicsParams, hypot
 from helpers import AgentState, BlockState, Row, flat_terrain, make_worlds, reference_stream
 
 # One episode's task: its kind plus its target points, (1, 2) for
@@ -375,6 +375,11 @@ class TestFixedEvalInit:
         assert task.targets[0][0] == pytest.approx(2.3)
         assert abs(task.targets[0][1]) == pytest.approx(0.55)
 
+    @pytest.mark.parametrize("kind, variant", [("avoid", "x"), ("push", None)])
+    def test_unknown_variant_rejected(self, kind, variant):
+        with pytest.raises(ConfigurationError):
+            fixed_eval_init(kind, variant)
+
 
 # The per-kind observation formulas that observe_task and
 # mask_low_level_obs replaced with one writer and one body-frame rotation
@@ -523,7 +528,7 @@ class TestObservations:
         assert torso_xy_slots(2) == [24, 25, 52, 53]
 
 
-class TestLowLevelGoalEnv:
+class TestLowGoalKind:
     """The low_goal kind of TaskEnv."""
 
     def test_deterministic_episode(self):
@@ -559,7 +564,7 @@ class TestLowLevelGoalEnv:
 
     def test_overrides_pin_dynamics(self):
         ov = EnvOverrides(params=DynamicsParams(),
-                          terrain=flat_terrain(), sticky_prob=0.0)
+                          grid=flat_terrain(), sticky_prob=0.0)
         env = TaskEnv(TaskEnvConfig("low_goal", rand=RandomizationConfig(),
                                     overrides=ov), [3])
         assert env.world.params["total_mass"][0, 0] == 1.8
@@ -650,13 +655,15 @@ class TestTaskEnv:
         lambda: EnvOverrides(DynamicsParams(), flat_terrain(), "0.1"),
         lambda: EnvOverrides(DynamicsParams(), flat_terrain(), True),
         lambda: EnvOverrides({"total_mass": 2.0}, flat_terrain()),
-        lambda: EnvOverrides(DynamicsParams(), np.zeros((32, 32))),
+        lambda: EnvOverrides(DynamicsParams(), np.zeros((32, 31))),
+        lambda: EnvOverrides(grid=np.zeros((1, 1))),
         lambda: TaskEnvConfig("push", rand=None),
         lambda: TaskEnvConfig("push", rand=True),
     ], ids=["fixed_init_x", "fixed_init_low_goal", "kind_unknown",
             "sticky_above_one", "sticky_negative", "sticky_nan", "sticky_str",
             "sticky_bool",
-            "params_dict", "terrain_array", "rand_none", "rand_bool"])
+            "params_dict", "grid_not_square", "grid_one_node", "rand_none",
+            "rand_bool"])
     def test_bad_env_settings_rejected(self, make):
         with pytest.raises(ConfigurationError):
             make()
@@ -684,6 +691,24 @@ class TestTaskEnv:
         pinned = TaskEnvConfig(kind="push", rand=RandomizationConfig(),
                                overrides=EnvOverrides(DynamicsParams(), flat_terrain()))
         assert TaskEnv(pinned, seeds=[9]).obs[0].tobytes() == clean.tobytes()
+
+    @pytest.mark.parametrize("kind", TASK_KINDS)
+    def test_default_overrides_are_the_nominal_conditions(self, kind):
+        # EnvOverrides() runs an episode as switching the dynamics off does
+        nominal = TaskEnv(TaskEnvConfig(kind, rand=RandomizationConfig(dynamics=False)),
+                          seeds=[4, 5])
+        pinned = TaskEnv(TaskEnvConfig(kind, rand=RandomizationConfig(),
+                                       overrides=EnvOverrides()), seeds=[4, 5])
+        rng = np.random.default_rng(2)
+        for _ in range(12):
+            acts = rng.uniform(-1.0, 1.0, (2, nominal.n_agents, 12))
+            nominal.step(acts)
+            pinned.step(acts)
+            assert pinned.obs.tobytes() == nominal.obs.tobytes()
+        assert pinned.rewards().tobytes() == nominal.rewards().tobytes()
+        assert pinned.world.grid.tobytes() == nominal.world.grid.tobytes()
+        assert all(pinned.world.params[k].tobytes() == nominal.world.params[k].tobytes()
+                   for k in nominal.world.params)
 
     def test_bad_action_shape(self):
         env = TaskEnv(TaskEnvConfig(kind="coordinate"), seeds=[0])
@@ -805,7 +830,7 @@ class TestStepWork:
 # fixed start, and overrides with rough terrain and a lateral bias force.
 _ROUGH = EnvOverrides(
     DynamicsParams(total_mass=2.1, lateral_bias_force=0.8),
-    HeightField(np.random.default_rng(3).uniform(0.0, 0.1, (32, 32))),
+    np.random.default_rng(3).uniform(0.0, 0.1, (32, 32)),
     sticky_prob=0.3)
 SCORED_SETUPS = {
     "low_goal/rand": TaskEnvConfig("low_goal", rand=RandomizationConfig()),

@@ -309,7 +309,7 @@ class TestCollectBatch:
     """The determinism contract: batch width never changes results."""
 
     @pytest.mark.parametrize("kind", ["low_goal", "push", "coordinate"])
-    def test_batch_width_and_worker_count_never_change_results(self, kind):
+    def test_batch_width_never_changes_results(self, kind):
         fn, horizon = _rollout(kind)
         n = 8 if kind == "low_goal" else 3
         together = collect_batch(fn, n, seed=2, seed_key=(0,))
@@ -502,6 +502,7 @@ def test_one_iteration_makes_two_forward_passes(monkeypatch):
 @pytest.mark.parametrize("field, value", [
     ("cg_iters", 0), ("cg_damping", -1e-4), ("cg_damping", math.nan),
     ("cg_damping", math.inf), ("workers", 0), ("workers", 2), ("workers", 1.0),
+    ("workers", True),
     ("checkpoint_every", -1), ("kl_step", 0.0),
     ("kl_step", math.nan), ("kl_step", math.inf), ("kl_step", -math.inf),
     ("gamma", "0.9"), ("lam", None), ("lam", True), ("kl_step", None),

@@ -17,7 +17,7 @@ from legwork.world import (
     N_LEGS,
     TERRAIN_WIDTH,
     DynamicsParams,
-    HeightField,
+    Worlds,
     block_constants,
     hypot,
     push_block,
@@ -25,6 +25,8 @@ from legwork.world import (
     step_worlds,
     terrain_at,
 )
+from legwork.randomization import RandomizationConfig
+from legwork.tasks import EnvOverrides, TaskEnv, TaskEnvConfig
 from helpers import AgentState, BlockState, Row, flat_terrain, make_worlds
 
 
@@ -109,26 +111,25 @@ def push(agent_state, blk):
                       blk.half_extents, blk.mass)
 
 
-def bilinear_height(field, x, y):
-    """Reference height of one terrain at one point: the bilinear
+def bilinear_height(g, x, y):
+    """Reference height of one terrain grid at one point: the bilinear
     interpolant of the four surrounding nodes, the query clamped to the
     patch."""
-    n, half = field.grid.shape[0], TERRAIN_WIDTH / 2.0
+    n, half = g.shape[0], TERRAIN_WIDTH / 2.0
     cell = TERRAIN_WIDTH / (n - 1)
     gx = (min(max(x, -half), half) + half) / cell
     gy = (min(max(y, -half), half) + half) / cell
     i, j = min(int(gx), n - 2), min(int(gy), n - 2)
     fx, fy = gx - i, gy - j
-    g = field.grid
     return (g[i, j] * (1 - fx) * (1 - fy) + g[i + 1, j] * fx * (1 - fy)
             + g[i, j + 1] * (1 - fx) * fy + g[i + 1, j + 1] * fx * fy)
 
 
-def sample_terrain(field, x, y):
-    """(height, (dh/dx, dh/dy)) of one terrain at one point: the reference
-    height and terrain_at's slope."""
-    sx, sy = terrain_at(field.grid[None], np.array([[x]]), np.array([[y]]))
-    return float(bilinear_height(field, x, y)), (float(sx[0, 0]), float(sy[0, 0]))
+def sample_terrain(grid, x, y):
+    """(height, (dh/dx, dh/dy)) of one terrain grid at one point: the
+    reference height and terrain_at's slope."""
+    sx, sy = terrain_at(grid[None], np.array([[x]]), np.array([[y]]))
+    return float(bilinear_height(grid, x, y)), (float(sx[0, 0]), float(sy[0, 0]))
 
 
 def agent_block_penetration(agent, block):
@@ -315,17 +316,17 @@ class TestSampleTerrain:
 
     def test_grid_node_identity(self):
         rng = np.random.default_rng(7)
-        field = HeightField(rng.uniform(0, 0.05, (32, 32)))
+        grid = rng.uniform(0, 0.05, (32, 32))
         cell = TERRAIN_WIDTH / 31
         for i, j in [(0, 0), (5, 17), (31, 31), (16, 3)]:
             x = -TERRAIN_WIDTH / 2 + i * cell
             y = -TERRAIN_WIDTH / 2 + j * cell
-            h, _ = sample_terrain(field, x, y)
-            assert h == pytest.approx(field.grid[i, j], abs=1e-12)
+            h, _ = sample_terrain(grid, x, y)
+            assert h == pytest.approx(grid[i, j], abs=1e-12)
 
     def test_slope_matches_central_differences(self):
         rng = np.random.default_rng(11)
-        field = HeightField(rng.uniform(0, 0.05, (32, 32)))
+        grid = rng.uniform(0, 0.05, (32, 32))
         eps = 1e-6
         for _ in range(200):
             # keep the stencil inside one cell: stay away from node lines
@@ -336,11 +337,11 @@ class TestSampleTerrain:
             fy = ((y + 5.0) / cell) % 1.0
             if min(fx, 1 - fx, fy, 1 - fy) < 1e-3:
                 continue
-            h, (sx, sy) = sample_terrain(field, x, y)
-            hxp, _ = sample_terrain(field, x + eps, y)
-            hxm, _ = sample_terrain(field, x - eps, y)
-            hyp, _ = sample_terrain(field, x, y + eps)
-            hym, _ = sample_terrain(field, x, y - eps)
+            h, (sx, sy) = sample_terrain(grid, x, y)
+            hxp, _ = sample_terrain(grid, x + eps, y)
+            hxm, _ = sample_terrain(grid, x - eps, y)
+            hyp, _ = sample_terrain(grid, x, y + eps)
+            hym, _ = sample_terrain(grid, x, y - eps)
             assert abs((hxp - hxm) / (2 * eps) - sx) < 1e-6
             assert abs((hyp - hym) / (2 * eps) - sy) < 1e-6
             assert 0.0 <= h <= 0.05
@@ -350,13 +351,13 @@ class TestSampleTerrain:
         grid = np.zeros((32, 32))
         grid[4, 7] = height
         with pytest.raises(ConfigurationError):
-            HeightField(grid)
+            EnvOverrides(grid=grid)
 
     def test_outside_returns_edge_value_zero_slope(self):
         rng = np.random.default_rng(3)
-        field = HeightField(rng.uniform(0, 0.05, (32, 32)))
-        h_out, (sx, sy) = sample_terrain(field, 50.0, 1.25)
-        h_edge, _ = sample_terrain(field, 5.0, 1.25)
+        grid = rng.uniform(0, 0.05, (32, 32))
+        h_out, (sx, sy) = sample_terrain(grid, 50.0, 1.25)
+        h_edge, _ = sample_terrain(grid, 5.0, 1.25)
         assert h_out == pytest.approx(h_edge, abs=1e-12)
         assert sx == 0.0 and sy == 0.0
 
@@ -466,7 +467,7 @@ class TestWorldProperties:
     def test_determinism_and_speed_bound(self, q, qdot, act, params, wrench, seed):
         rng = np.random.default_rng(seed)
         amp = rng.uniform(0, 0.05)
-        terrain = HeightField(rng.uniform(0, amp, (16, 16)))
+        terrain = rng.uniform(0, amp, (16, 16))
         state = AgentState(0.0, 0.0, float(rng.uniform(-3, 3)), 0.3, q, qdot)
         out1 = step_one(state, act, params, terrain, wrench)
         out2 = step_one(state, act, params, terrain, wrench)
@@ -511,7 +512,7 @@ def random_row(draw, n_agents, n_blocks, flat=None):
     seed = draw(st.integers(0, 2**31 - 1))
     rng = np.random.default_rng(seed)
     amp = rng.uniform(0.0, 0.3)
-    terrain = HeightField(rng.uniform(0.0, amp, (8, 8)))
+    terrain = rng.uniform(0.0, amp, (8, 8))
     if flat is None:
         flat = draw(st.booleans())
     if flat:
@@ -586,7 +587,7 @@ class TestLockstep:
         bump[3, 4] = 0.05
         walker = AgentState(0.2, -0.4, 0.3, 0.3, np.full(12, 0.5), np.full(12, -2.0))
         rows = [Row([walker], terrain=flat_terrain(8)),
-                Row([walker], terrain=HeightField(bump))]
+                Row([walker], terrain=bump)]
         acts, live = np.full((2, 1, 12), 0.7), np.array([True, True])
         flat = make_worlds(rows[:1])
         assert flat.constants["all_flat"]
@@ -598,3 +599,65 @@ class TestLockstep:
         assert calls == [1]
         # the lookup gives the flat row the bits the skipped lookup does
         assert same_row(rough, flat, 0, 0)
+
+
+# The surrogate's left-right mirror: y and yaw negate; the left and right
+# legs swap (front-left with front-right, back-left with back-right) and
+# their abduction joints negate, in q, qdot and the actions; blocks mirror
+# like agents, the terrain grid flips along y, and a wrench (fx, fy, torque)
+# and the lateral bias force mirror with the body.
+MIRRORED_JOINTS = [3, 4, 5, 0, 1, 2, 9, 10, 11, 6, 7, 8]
+
+
+def mirror_joints(v):
+    """Joint vectors (..., 12) of the mirrored legs."""
+    out = v[..., MIRRORED_JOINTS]
+    out[..., 0::3] = -out[..., 0::3]
+    return out
+
+
+def mirror(world):
+    """The mirror image of every row, built by Worlds so that its stepping
+    constants are its own."""
+    params = dict(world.params, lateral_bias_force=-world.params["lateral_bias_force"])
+    return Worlds(x=world.x, y=-world.y, yaw=-world.yaw, z_proxy=world.z_proxy,
+                  q=mirror_joints(world.q), qdot=mirror_joints(world.qdot),
+                  fallen=world.fallen, bx=world.bx, by=-world.by, byaw=-world.byaw,
+                  half_extents=world.half_extents, block_mass=world.block_mass,
+                  params=params, grid=world.grid[:, :, ::-1])
+
+
+MIRRORED_STARTS = {
+    "push": TaskEnvConfig("push"),
+    "push/rand": TaskEnvConfig("push", rand=RandomizationConfig()),
+    "coordinate/rand": TaskEnvConfig("coordinate", rand=RandomizationConfig()),
+    "low_goal/rand": TaskEnvConfig("low_goal", rand=RandomizationConfig()),
+    "push/overrides": TaskEnvConfig("push", overrides=EnvOverrides(
+        DynamicsParams(lateral_bias_force=0.8),
+        np.random.default_rng(3).uniform(0.0, 0.1, (32, 32)))),
+}
+
+
+class TestMirrorSymmetry:
+    """Stepping a mirrored state gives the mirror of the stepped state, up
+    to rounding: the mirror reorders the legs' thrust sums, so exact bits
+    are not expected."""
+
+    @pytest.mark.parametrize("name", sorted(MIRRORED_STARTS))
+    def test_step_worlds_is_mirror_equivariant(self, name):
+        env = TaskEnv(MIRRORED_STARTS[name], seeds=range(64))
+        world, image = env.world, mirror(env.world)
+        rng = np.random.default_rng(5)
+        live = np.ones(64, dtype=bool)
+        for t in range(env.horizon):
+            acts = rng.uniform(-1.5, 1.5, world.q.shape)
+            wrench = None if env.wrench is None else env.wrench[:, :, t]
+            world = step_worlds(world, acts, wrench, live)
+            image = step_worlds(image, mirror_joints(acts),
+                                None if wrench is None else wrench * [1.0, -1.0, -1.0],
+                                live)
+            expected = mirror(world)
+            for field in ("x", "y", "yaw", "z_proxy", "q", "qdot", "bx", "by", "byaw"):
+                gap = np.abs(getattr(image, field) - getattr(expected, field))
+                assert gap.max(initial=0.0) <= 1e-12, (t, field)
+            assert np.array_equal(image.fallen, world.fallen), t
