@@ -8,6 +8,8 @@ log-density of the pre-clamp sample. Rollouts evaluate its means row by row
 (mean_rows) and add the scaled noise themselves, so a row's action never
 depends on the rows beside it; the trainer's maths evaluates whole batches
 (mean_batch) and derives every log-density it needs from that pass.
+Its parameters are one vector, theta, laid out by MlpPolicy.unflatten
+alone; weights, biases and log_std are views into it.
 
 Goal mappings, observation masking and the hierarchical executor work on
 all rows of a world.Worlds at once.
@@ -86,26 +88,41 @@ class MlpPolicy:
     """Diagonal-Gaussian policy: tanh hidden layers, affine mean output,
     learned per-dimension log std.
 
-    Parameters flatten in checkpoint order: for each layer the weight matrix
-    (row-major) then the bias, finally log_std.
+    The parameters are one float64 vector, theta; weights, biases and
+    log_std are views into it, laid out as unflatten lays out any
+    parameter-shaped vector.
     """
 
     def __init__(self, obs_dim: int, act_dim: int, hidden=(32, 32), seed: int = 0):
         self.obs_dim = obs_dim
         self.act_dim = act_dim
-        self.layer_dims = [obs_dim, *hidden, act_dim]
+        self.layer_dims = dims = [obs_dim, *hidden, act_dim]
         self.seed = seed
+        n_network = sum((fan_in + 1) * width for fan_in, width in zip(dims, dims[1:]))
+        self.theta = np.zeros(n_network + act_dim)
+        self._view_theta()
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(97,)))
-        self.weights = []
-        self.biases = []
-        for l in range(len(self.layer_dims) - 1):
-            fan_in = self.layer_dims[l]
-            w = rng.normal(0.0, 1.0 / math.sqrt(fan_in),
-                           (self.layer_dims[l + 1], fan_in))
-            self.weights.append(w)
-            self.biases.append(np.zeros(self.layer_dims[l + 1]))
+        for w in self.weights:
+            w[...] = rng.normal(0.0, 1.0 / math.sqrt(w.shape[1]), w.shape)
         self.weights[-1] *= 0.01  # small initial actions
-        self.log_std = np.zeros(act_dim)
+
+    def unflatten(self, flat: np.ndarray):
+        """Views into a parameter-shaped vector: ([(weight, bias) per
+        layer], log_std). The one statement of the layout, which is also
+        the checkpoint's: for each layer the weight matrix (row-major) then
+        the bias, finally log_std."""
+        layers, k = [], 0
+        for fan_in, width in zip(self.layer_dims, self.layer_dims[1:]):
+            w = flat[k:k + width * fan_in].reshape(width, fan_in)
+            k += w.size
+            layers.append((w, flat[k:k + width]))
+            k += width
+        return layers, flat[k:]
+
+    def _view_theta(self) -> None:
+        layers, self.log_std = self.unflatten(self.theta)
+        self.weights = [w for w, _ in layers]
+        self.biases = [b for _, b in layers]
 
     # -- forward ---------------------------------------------------------
 
@@ -149,39 +166,26 @@ class MlpPolicy:
 
     @property
     def n_params(self) -> int:
-        n = sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-        return n + self.act_dim
+        return self.theta.size
 
     def flat_params(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        parts.append(self.log_std)
-        return np.concatenate(parts)
+        return self.theta.copy()
 
     def set_flat_params(self, theta: np.ndarray) -> None:
-        """Write theta into the parameter arrays, which stay the same
-        objects; a copy (copy()) has arrays of its own."""
+        """Write theta into the parameter vector, which stays the same
+        object; a copy (copy()) has a vector of its own."""
         if theta.shape != (self.n_params,):
             raise ConfigurationError("parameter vector has wrong length")
         if not np.all(np.isfinite(theta)):
             raise NumericsError("non-finite policy parameters")
-        k = 0
-        for w, b in zip(self.weights, self.biases):
-            w[...] = theta[k:k + w.size].reshape(w.shape)
-            k += w.size
-            b[...] = theta[k:k + b.size]
-            k += b.size
-        self.log_std[...] = theta[k:]
+        self.theta[...] = theta
 
     def copy(self) -> "MlpPolicy":
-        """A policy with the same parameters in arrays of its own."""
+        """A policy with the same parameters in a vector of its own."""
         out = copy.copy(self)
         out.layer_dims = list(self.layer_dims)
-        out.weights = [w.copy() for w in self.weights]
-        out.biases = [b.copy() for b in self.biases]
-        out.log_std = self.log_std.copy()
+        out.theta = self.theta.copy()
+        out._view_theta()
         return out
 
 
@@ -216,21 +220,13 @@ class ForwardPass:
         return dtanh
 
 
-def _layer_slices(policy: MlpPolicy, flat: np.ndarray):
-    """Views (weight, bias) per layer into a flat parameter-shaped vector."""
-    k = 0
-    for w, b in zip(policy.weights, policy.biases):
-        yield flat[k:k + w.size].reshape(w.shape), flat[k + w.size:k + w.size + b.size]
-        k += w.size + b.size
-
-
 def mean_vjp(policy: MlpPolicy, G: np.ndarray, fp: ForwardPass) -> np.ndarray:
     """Backprop upstream gradients G (N, act_dim) on the means of the pass
-    fp into a new flat gradient over the network parameters (log_std slots
-    left at zero). G may be fp's output buffer; the hidden buffers are
-    overwritten."""
+    fp into a new parameter-shaped gradient, written through
+    policy.unflatten; its log_std block is left at zero. G may be fp's
+    output buffer; the hidden buffers are overwritten."""
     out = np.zeros(policy.n_params)
-    grads = list(_layer_slices(policy, out))
+    grads, _ = policy.unflatten(out)
     up = G
     for l in range(len(policy.weights) - 1, -1, -1):
         gw, gb = grads[l]
@@ -246,7 +242,7 @@ def mean_jvp(policy: MlpPolicy, v: np.ndarray, fp: ForwardPass) -> np.ndarray:
     """Forward-mode directional derivative of the means of the pass fp along
     the network slice of the flat tangent v; returns (N, act_dim), which is
     fp's output buffer until the next product over fp."""
-    dvs = list(_layer_slices(policy, v))
+    dvs, _ = policy.unflatten(v)
     dh = np.matmul(fp.cache[0], dvs[0][0].T, out=fp.buffers[0])
     dh += dvs[0][1]
     for l in range(1, len(policy.weights)):
@@ -265,8 +261,8 @@ def grad_log_prob_sum(policy: MlpPolicy, A: np.ndarray, weights: np.ndarray,
     inv_var = np.exp(-2.0 * policy.log_std)
     z = (A - fp.means) * inv_var
     g = mean_vjp(policy, weights[:, None] * z, fp)
-    d_ls = weights @ (z * (A - fp.means) - 1.0)
-    g[-policy.act_dim:] = d_ls
+    _, g_log_std = policy.unflatten(g)
+    g_log_std[:] = weights @ (z * (A - fp.means) - 1.0)
     return g
 
 
@@ -370,11 +366,11 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy, rngs,
 # -- checkpoints ----------------------------------------------------------
 
 def save_checkpoint(policy: MlpPolicy, base_path, meta: dict | None = None) -> None:
-    """Write <base>.json (manifest) and <base>.bin (little-endian float64
-    parameters, layer by layer: weight row-major then bias, then log_std)."""
+    """Write <base>.json (manifest) and <base>.bin (the parameter vector
+    theta as little-endian float64, in MlpPolicy.unflatten's layout)."""
     base = Path(base_path)  # suffixes are appended, so dotted names survive
     base.parent.mkdir(parents=True, exist_ok=True)
-    theta = policy.flat_params().astype("<f8")
+    theta = policy.theta.astype("<f8")
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "kind": "gaussian_mlp",

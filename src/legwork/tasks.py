@@ -332,11 +332,12 @@ INITS = {"low_goal": init_low_goal, "avoid": init_avoid, "push": init_push,
 
 # -- environment ----------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class EnvOverrides:
     """Fixed episode conditions for evaluation environments; each field
     defaults to the nominal condition. grid holds the terrain's n x n node
-    heights, as world.terrain_at reads them."""
+    heights, as world.terrain_at reads them, in a read-only copy of the
+    caller's array: like the fields, it cannot change after validation."""
 
     params: DynamicsParams = field(default_factory=DynamicsParams)
     grid: np.ndarray = field(default_factory=lambda: np.zeros((HFIELD_N, HFIELD_N)))
@@ -346,12 +347,14 @@ class EnvOverrides:
         if not isinstance(self.params, DynamicsParams):
             raise ConfigurationError(f"params must be a DynamicsParams, "
                                      f"got a {type(self.params).__name__}")
-        self.grid = np.asarray(self.grid, dtype=float)
-        if self.grid.ndim != 2 or self.grid.shape[0] != self.grid.shape[1]:
+        grid = np.array(self.grid, dtype=float)
+        grid.flags.writeable = False
+        object.__setattr__(self, "grid", grid)
+        if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
             raise ConfigurationError("the terrain grid must be square")
-        if self.grid.shape[0] < 2:
+        if grid.shape[0] < 2:
             raise ConfigurationError("the terrain grid needs at least 2x2 nodes")
-        if not np.isfinite(self.grid).all():
+        if not np.isfinite(grid).all():
             raise ConfigurationError("terrain heights must be finite")
         check_real(self.sticky_prob, "sticky_prob")
         if not 0.0 <= self.sticky_prob <= 1.0:
@@ -379,6 +382,9 @@ class TaskEnvConfig:
         if not isinstance(self.rand, RandomizationConfig):
             raise ConfigurationError(
                 f"rand must be a RandomizationConfig, got {self.rand!r}")
+        if not isinstance(self.overrides, (EnvOverrides, type(None))):
+            raise ConfigurationError(
+                f"overrides must be None or an EnvOverrides, got {self.overrides!r}")
         if self.fixed_init not in (None, "+", "-"):
             raise ConfigurationError(
                 f"fixed_init must be None, '+' or '-', got {self.fixed_init!r}")

@@ -291,8 +291,9 @@ def fisher_vector_product(policy: MlpPolicy, v: np.ndarray, damping: float,
                           fp: ForwardPass) -> np.ndarray:
     """F v + damping v, with F the Hessian of the mean KL between the
     collection-time policy and the current one over the batch states (for a
-    Gaussian policy this is the Gauss-Newton form J' diag(1/var) J plus a
-    constant 2I block for log_std).
+    Gaussian policy this is the Gauss-Newton form J' diag(1/var) J over the
+    network blocks plus a constant 2I block for log_std; v and the result
+    are laid out by policy.unflatten).
 
     fp is the policy's ForwardPass over batch.flat_obs(): the products of a
     CG solve share it, and its buffers hold every (N, width) intermediate,
@@ -302,7 +303,8 @@ def fisher_vector_product(policy: MlpPolicy, v: np.ndarray, damping: float,
     dmu *= np.exp(-2.0 * policy.log_std)
     out = mean_vjp(policy, dmu, fp)
     out /= len(fp.X)
-    out[-policy.act_dim:] = 2.0 * v[-policy.act_dim:]
+    _, out_log_std = policy.unflatten(out)
+    out_log_std[:] = 2.0 * policy.unflatten(v)[1]
     out += damping * v
     if not np.all(np.isfinite(out)):
         raise NumericsError("non-finite Fisher-vector product")
@@ -345,20 +347,20 @@ LOG_STD_FLOOR = -3.0
 
 def npg_update(policy: MlpPolicy, g: np.ndarray, d: np.ndarray,
                delta: float):
-    """theta' = theta + sqrt(2 delta / (d.g)) d; skipped when d.g <= 0 or the
-    step is non-finite. Returns (new_policy, info)."""
+    """theta' = theta + sqrt(2 delta / (d.g)) d, with the new policy's
+    log_std floored at LOG_STD_FLOOR; skipped when d.g <= 0 or the step is
+    non-finite. Returns (new_policy, info)."""
     dtg = float(d @ g)
     if not math.isfinite(dtg) or dtg <= 0.0:
         log.warning("npg_update skipped: d.g = %s", dtg)
         return policy, {"skipped": True, "step_scale": 0.0}
     scale = math.sqrt(2.0 * delta / dtg)
-    theta = policy.flat_params() + scale * d
-    if not np.all(np.isfinite(theta)):
+    new_policy = policy.copy()
+    new_policy.theta += scale * d
+    if not np.all(np.isfinite(new_policy.theta)):
         log.warning("npg_update skipped: non-finite parameters")
         return policy, {"skipped": True, "step_scale": scale}
-    new_policy = policy.copy()
-    theta[-policy.act_dim:] = np.maximum(theta[-policy.act_dim:], LOG_STD_FLOOR)
-    new_policy.set_flat_params(theta)
+    np.maximum(new_policy.log_std, LOG_STD_FLOOR, out=new_policy.log_std)
     return new_policy, {"skipped": False, "step_scale": scale}
 
 

@@ -84,9 +84,10 @@ def body_frame(c, s, dx, dy) -> tuple:
     return c * dx + s * dy, -s * dx + c * dy
 
 
-@dataclass
+@dataclass(frozen=True)
 class DynamicsParams:
-    """One realization of the randomized agent dynamics."""
+    """One realization of the randomized agent dynamics; frozen, so it stays
+    as validated."""
 
     joint_damping: float = 1.0  # 1/s
     joint_friction: float = 0.003  # N*m dry friction

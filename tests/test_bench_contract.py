@@ -4,9 +4,15 @@ training calls through names it looks up in legwork:
   train_high_level(config, "push", low_policy) and
   train_flat(config, "coordinate", randomized=True);
 - RandomizationConfig() with no arguments (legwork.randomization);
-- TrainConfig(workers=1), the one value workers accepts, and
-  TrajectoryBatch.trajectories and .n_samples,
-  npg_update's info["skipped"] and batch_kl's float (legwork.trainer).
+- MlpPolicy(32, 12, seed=...), the hierarchical workload's low level, and
+  GOAL_HORIZON (legwork.policy, read by npgbench/workloads.py);
+- MlpPolicy.flat_params() of each call's final policy, a copy that the
+  bit-identity check keeps (legwork.policy);
+- TrainConfig(workers=1), the one value workers accepts, and the
+  batch_size and kl_step defaults of TrainConfig(); collect_batch, whose
+  absence makes the harness raise; TrajectoryBatch.trajectories and
+  .n_samples, npg_update's info["skipped"] and batch_kl's float
+  (legwork.trainer).
 If one of them goes, the benchmark's set-up crashes and its run exits
 nonzero; this runs the harness in-process, one call per workload and no
 set-up probes, so tier-1 sees it first. A traced run times the functions

@@ -180,7 +180,7 @@ class TestMlpPolicy:
         eps = 1e-5
         for trial in range(10):
             pol = MlpPolicy(3, 2, hidden=(4, 4), seed=100 + trial)
-            pol.log_std = rng.normal(0, 0.3, 2)
+            pol.log_std[:] = rng.normal(0, 0.3, 2)
             X = rng.normal(size=(5, 3))
             A = rng.normal(size=(5, 2))
             w = rng.normal(size=5)

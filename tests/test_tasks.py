@@ -1,6 +1,6 @@
 import math
 from collections import Counter, namedtuple
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -659,14 +659,34 @@ class TestTaskEnv:
         lambda: EnvOverrides(grid=np.zeros((1, 1))),
         lambda: TaskEnvConfig("push", rand=None),
         lambda: TaskEnvConfig("push", rand=True),
+        lambda: TaskEnvConfig("push", overrides={"sticky_prob": 0.1}),
+        lambda: TaskEnvConfig("push", overrides="rough"),
     ], ids=["fixed_init_x", "fixed_init_low_goal", "kind_unknown",
             "sticky_above_one", "sticky_negative", "sticky_nan", "sticky_str",
             "sticky_bool",
             "params_dict", "grid_not_square", "grid_one_node", "rand_none",
-            "rand_bool"])
+            "rand_bool", "overrides_dict", "overrides_str"])
     def test_bad_env_settings_rejected(self, make):
         with pytest.raises(ConfigurationError):
             make()
+
+    def test_overrides_keep_a_read_only_copy_of_the_grid(self):
+        grid = np.zeros((32, 32))
+        ov = EnvOverrides(grid=grid)
+        grid[3, 3] = math.nan  # after validation, in the caller's array
+        env = TaskEnv(TaskEnvConfig("push", overrides=ov), seeds=[0])
+        assert np.isfinite(env.world.grid).all()
+        with pytest.raises(ValueError):
+            ov.grid[3, 3] = 1.0
+
+    def test_validated_conditions_cannot_change(self):
+        params = DynamicsParams()
+        ov = EnvOverrides(params=params)
+        with pytest.raises(FrozenInstanceError):
+            params.total_mass = 0.0  # a step divides by it
+        with pytest.raises(FrozenInstanceError):
+            ov.sticky_prob = 5.0
+        assert (ov.params.total_mass, ov.sticky_prob) == (DynamicsParams().total_mass, 0.0)
 
     def test_object_dims_randomized_only_when_enabled(self):
         rand_on = RandomizationConfig()

@@ -19,6 +19,7 @@ from legwork.policy import (
 from legwork.randomization import RandomizationConfig
 from legwork.tasks import TaskEnv, TaskEnvConfig
 from legwork.trainer import (
+    LOG_STD_FLOOR,
     TrainConfig,
     TrajectoryBatch,
     _hier_env_cfg,
@@ -272,6 +273,24 @@ class TestNpgStep:
             new, info = npg_update(policy, g, d, delta)
             assert not info["skipped"]
             assert batch_kl(policy, new, fp) == pytest.approx(delta, rel=0.05)
+
+    def test_log_std_below_the_floor_is_floored_and_nothing_else_moves(self):
+        policy = MlpPolicy(3, 2, hidden=(4,), seed=6)
+        theta = policy.flat_params()
+        d = np.random.default_rng(1).normal(size=policy.n_params)
+        policy.unflatten(d)[1][0] = -100.0  # the step's bulk: log_std[0]
+        g = 1e-3 * d  # d.g > 0, and a step of norm about 10
+        new, info = npg_update(policy, g, d, 0.05)
+        scale = math.sqrt(2.0 * 0.05 / float(d @ g))
+        assert not info["skipped"] and info["step_scale"] == scale
+        expected = theta + scale * d
+        assert policy.unflatten(expected)[1][0] < LOG_STD_FLOOR
+        assert new.log_std[0] == LOG_STD_FLOOR
+        moved = new.flat_params()
+        rest = np.ones(policy.n_params, dtype=bool)
+        policy.unflatten(rest)[1][0] = False
+        assert moved[rest].tobytes() == expected[rest].tobytes()
+        assert policy.flat_params().tobytes() == theta.tobytes()
 
 
 def _rollout(kind):
