@@ -14,7 +14,9 @@ alone; weights, biases and log_std are views into it.
 Goal mappings, observation masking and the hierarchical executor work on
 all rows of a world.Worlds at once.
 
-The high level emits one action per GOAL_HORIZON low-level steps. Each
+The high level emits one action per GOAL_HORIZON low-level steps, and its
+reward for a window is the window's task rewards discounted by GAMMA,
+which the trainer also discounts every level's returns by. Each
 per-agent pair of that action maps through a polar transform to a goal
 offset in the agent's body frame, re-anchored in the world at every
 decision; the low level sees only joint state plus the goal rotated into
@@ -42,6 +44,7 @@ from .world import N_JOINTS, Worlds, body_frame
 
 LOW_LEVEL_OBS_DIM = 32  # q(12) + qdot(12) + zeroed torso pose(6) + body goal(2)
 GOAL_HORIZON = 10  # low-level steps per high-level decision
+GAMMA = 0.99  # discount per low-level step
 CHECKPOINT_FORMAT_VERSION = 1
 
 
@@ -279,7 +282,7 @@ def gaussian_kl(mu_old: np.ndarray, log_std_old: np.ndarray,
 # -- hierarchical execution ----------------------------------------------
 
 def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy, rngs,
-                         gamma: float = 0.99, deterministic: bool = False) -> dict:
+                         deterministic: bool = False) -> dict:
     """Run the env's E task episodes in lockstep under the two-level policy,
     from the state the env is in; rngs holds one generator per row.
 
@@ -288,7 +291,7 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy, rngs,
     when the env randomizes the task (env.config.rand.task), the clamped
     action gets uniform noise and is clamped again. The frozen low level
     then acts for c steps; the world clamps its actions and gives fallen
-    agents no motion. The high-level reward for a window is sum_i gamma^i
+    agents no motion. The high-level reward for a window is sum_i GAMMA^i
     r_i over the window's task rewards, which the env scores after the
     last step (env.rewards()). Episodes never end early.
 
@@ -355,7 +358,7 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy, rngs,
     hi_rew, disc = 0.0, 1.0
     for i in range(c):
         hi_rew = hi_rew + disc * windows[:, :, i]
-        disc *= gamma
+        disc *= GAMMA
     return {
         "obs": np.stack(hi_obs, axis=1),
         "act": np.stack(hi_act, axis=1),

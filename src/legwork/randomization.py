@@ -152,7 +152,7 @@ def substreams(seeds, keys) -> Iterator[np.random.Generator]:
     return (np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RandomizationConfig:
     """Which levels' randomizations are on: dynamics (the low level's) and
     task (the high level's). Each switch is a bool."""
@@ -217,10 +217,7 @@ def highlevel_noise_schedule(rng: np.random.Generator, decisions: int,
     return rng.uniform(*HIGHLEVEL_NOISE_RANGE, (decisions, size))
 
 
-def sample_object_dims(nominal, rng: np.random.Generator):
-    """Scale each block half extent by an independent uniform draw."""
-    hx, hy = nominal
-    if hx <= 0 or hy <= 0:
-        raise ConfigurationError("nominal half extents must be positive")
-    lo, hi = OBJECT_DIM_SCALE_RANGE
-    return (hx * float(rng.uniform(lo, hi)), hy * float(rng.uniform(lo, hi)))
+def sample_object_dims(rng: np.random.Generator) -> np.ndarray:
+    """The scales of a block's two half extents, (2,): independent uniform
+    draws from OBJECT_DIM_SCALE_RANGE, x's first."""
+    return rng.uniform(*OBJECT_DIM_SCALE_RANGE, 2)

@@ -307,7 +307,7 @@ def init_coordinate(rng: np.random.Generator):
     return targets, (COORD_BLOCK_AHEAD, 0.0)
 
 
-def fixed_eval_init(kind: str, variant: str = "+"):
+def fixed_eval_init(kind: str, variant: str):
     """Fixed evaluation starts mirroring the hardware protocol.
 
     avoid, push: block 1 m ahead of the agent, target at (2, +0.5) or
@@ -361,7 +361,7 @@ class EnvOverrides:
             raise ConfigurationError("sticky_prob must be in [0, 1]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskEnvConfig:
     """How a task episode is randomized and initialized. Dynamics, terrain,
     sticky actions, wrenches and torso observation noise are drawn when
@@ -494,7 +494,7 @@ class TaskEnv:
             if block is not None:
                 bx[e, 0], by[e, 0] = block
             if draw_dims:
-                half_extents[e, 0] = sample_object_dims(COORD_BLOCK_HALF, rng[50])
+                half_extents[e, 0] *= sample_object_dims(rng[50])
             for i in range(n):
                 if draw:
                     for name, value in zip(DRAWN_DYNAMICS, sample_dynamics(rng[10 + i])):

@@ -8,6 +8,11 @@ Fisher-vector products, and apply a KL-normalized step
 theta' = theta + sqrt(2 delta / d.g) * d. Each phase takes only what it
 reads: the advantages pass from compute_advantages to the gradient, and
 the Fisher-vector products and the KL read only the forward pass.
+The recipe is fixed: returns are discounted by policy.GAMMA (per
+decision, GAMMA ** GOAL_HORIZON, for the high level), advantages use
+GAE_LAMBDA, and the solve runs at most CG_ITERS conjugate-gradient steps
+on Fisher-vector products damped by CG_DAMPING, stopping early at
+residual CG_TOL. TrainConfig holds what a run chooses.
 
 Rollout collection steps all episodes of a batch in lockstep, as the rows
 of one TaskEnv, into one batch of arrays padded to the horizon. It is
@@ -35,6 +40,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericsError, check_count, check_real, check_word
 from .policy import (
+    GAMMA,
     GOAL_HORIZON,
     ForwardPass,
     MlpPolicy,
@@ -54,15 +60,11 @@ METRICS_COLUMNS = ("iteration", "mean_return", "std_return", "mean_kl",
                    "success_rate", "wall_time")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     iterations: int = 1000
     batch_size: int = 20  # trajectories per iteration
-    gamma: float = 0.99
-    lam: float = 0.97
     kl_step: float = 0.05
-    cg_iters: int = 10
-    cg_damping: float = 1e-4
     seed: int = 0
     # Only 1 (collection runs in one process); kept while the npgbench
     # workloads pass workers=1, it goes with the next benchmark change.
@@ -73,20 +75,12 @@ class TrainConfig:
         check_count(self.workers, 1, "workers")
         if self.workers != 1:
             raise ConfigurationError(f"workers must be 1, got {self.workers!r}")
-        for name, low in (("iterations", 1), ("batch_size", 1), ("cg_iters", 1),
-                          ("checkpoint_every", 0)):
+        for name, low in (("iterations", 1), ("batch_size", 1), ("checkpoint_every", 0)):
             check_count(getattr(self, name), low, name)
         check_word(self.seed, 64, "seed")
-        for name in ("gamma", "lam", "kl_step", "cg_damping"):
-            check_real(getattr(self, name), name)
-        if not 0.0 <= self.gamma < 1.0:
-            raise ConfigurationError("gamma must be in [0, 1)")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ConfigurationError("lam must be in [0, 1]")
+        check_real(self.kl_step, "kl_step")
         if not 0.0 < self.kl_step < math.inf:
             raise ConfigurationError("kl_step must be positive and finite")
-        if not 0.0 <= self.cg_damping < math.inf:
-            raise ConfigurationError("cg_damping must be >= 0 and finite")
 
 
 @dataclass
@@ -174,19 +168,17 @@ def run_task_episode(policy: MlpPolicy, task_cfg: TaskEnvConfig,
 
 
 def run_hier_task_episode(pi_hi: MlpPolicy, pi_lo: MlpPolicy,
-                          task_cfg: TaskEnvConfig, gamma: float,
-                          env_seeds, rngs) -> TrajectoryBatch:
+                          task_cfg: TaskEnvConfig, env_seeds, rngs) -> TrajectoryBatch:
     """Task episodes under the hierarchy, one per (env seed, rng) row,
     stepped in lockstep; the high-level view of each."""
     env = TaskEnv(task_cfg, env_seeds)
-    hi = hierarchical_episode(env, pi_hi, pi_lo, rngs, gamma=gamma)
+    hi = hierarchical_episode(env, pi_hi, pi_lo, rngs)
     decisions = np.full(len(env.seeds), hi["rew"].shape[1])
     return TrajectoryBatch(hi["obs"], hi["act"], hi["rew"], decisions,
                            env.episode_success())
 
 
-def collect_batch(rollout_fn, n_traj: int, seed: int,
-                  seed_key: tuple = ()) -> TrajectoryBatch:
+def collect_batch(rollout_fn, n_traj: int, seed: int, seed_key: tuple) -> TrajectoryBatch:
     """Collect n_traj episodes; deterministic given (rollout_fn, seed).
 
     rollout_fn(env_seeds, rngs) -> TrajectoryBatch runs one episode per row
@@ -265,12 +257,15 @@ def fit_baseline(batch: TrajectoryBatch, gamma: float) -> np.ndarray:
     return values
 
 
+GAE_LAMBDA = 0.97  # GAE's extra discount of the TD residuals
+
+
 def compute_advantages(batch: TrajectoryBatch, values: np.ndarray,
-                       gamma: float, lam: float) -> np.ndarray:
-    """The GAE advantages of the valid steps from the baseline's (E, T)
-    values, normalized to mean 0, std 1: (n_samples,), in the order of
-    batch.flat_obs()."""
-    flat = gae_advantages(batch.rew, values, gamma, lam)[batch.mask]
+                       gamma: float) -> np.ndarray:
+    """The GAE(gamma, GAE_LAMBDA) advantages of the valid steps from the
+    baseline's (E, T) values, normalized to mean 0, std 1: (n_samples,), in
+    the order of batch.flat_obs()."""
+    flat = gae_advantages(batch.rew, values, gamma, GAE_LAMBDA)[batch.mask]
     return (flat - flat.mean()) / (flat.std() + 1e-8)
 
 
@@ -311,10 +306,12 @@ def fisher_vector_product(policy: MlpPolicy, v: np.ndarray, damping: float,
     return out
 
 
+CG_ITERS = 10  # conjugate-gradient steps of one NPG solve
+CG_DAMPING = 1e-4  # multiple of v added to each Fisher-vector product
 CG_TOL = 1e-10  # residual norm at which conjugate_gradient stops early
 
 
-def conjugate_gradient(fvp, g: np.ndarray, iters: int = 10):
+def conjugate_gradient(fvp, g: np.ndarray, iters: int):
     """Approximately solve F d = g; returns (d, residual_norm) for the best
     iterate seen."""
     x = np.zeros_like(g)
@@ -388,30 +385,29 @@ class MetricsWriter:
 
 
 def train_policy(policy: MlpPolicy, make_rollout_fn, config: TrainConfig,
-                 gamma: float | None = None, out_dir=None, metrics_path=None,
-                 phase: str = "policy") -> MlpPolicy:
+                 phase: str, gamma: float = GAMMA, out_dir=None,
+                 metrics_path=None) -> MlpPolicy:
     """Generic NPG loop: collect, fit baseline, GAE, gradient, CG, update.
 
     make_rollout_fn(policy) must return a rollout callable,
     rollout_fn(env_seeds, rngs) -> TrajectoryBatch (see collect_batch); the
-    batch's arrays fix the horizon.
-    gamma overrides config.gamma for return/advantage discounting (the
-    high level discounts across decisions with gamma^c). A metrics row is
-    built only when metrics_path names a file to write it to.
+    batch's arrays fix the horizon. gamma discounts returns and advantages
+    per batch step (the high level's steps are decisions, discounted by
+    GAMMA ** GOAL_HORIZON). phase names the level in the checkpoints'
+    meta. A metrics row is built only when metrics_path names a file to
+    write it to.
     """
-    gamma = config.gamma if gamma is None else gamma
     writer = MetricsWriter(metrics_path) if metrics_path is not None else None
     out = Path(out_dir) if out_dir is not None else None
     start = time.monotonic()
     for it in range(config.iterations):
         batch = collect_batch(make_rollout_fn(policy), config.batch_size,
                               config.seed, seed_key=(it,))
-        adv = compute_advantages(batch, fit_baseline(batch, gamma), gamma, config.lam)
+        adv = compute_advantages(batch, fit_baseline(batch, gamma), gamma)
         fp = ForwardPass(policy, batch.flat_obs())  # shared by every step below
         g = policy_gradient(batch, policy, adv, fp)
         d, _ = conjugate_gradient(
-            lambda v: fisher_vector_product(policy, v, config.cg_damping, fp),
-            g, config.cg_iters)
+            lambda v: fisher_vector_product(policy, v, CG_DAMPING, fp), g, CG_ITERS)
         new_policy, upd = npg_update(policy, g, d, config.kl_step)
         kl = 0.0 if upd["skipped"] else batch_kl(policy, new_policy, fp)
         del fp  # its buffers are not needed while the next batch is collected
@@ -438,8 +434,8 @@ def train_low_level(config: TrainConfig, rand: RandomizationConfig,
     policy = MlpPolicy(TASK_OBS_DIM["low_goal"], 12, hidden=(32, 32), seed=config.seed)
     env_cfg = TaskEnvConfig(kind="low_goal", rand=rand)
     fn = lambda pol: partial(run_task_episode, pol, env_cfg)
-    return train_policy(policy, fn, config=config, out_dir=out_dir,
-                        metrics_path=metrics_path, phase="low")
+    return train_policy(policy, fn, config, "low", out_dir=out_dir,
+                        metrics_path=metrics_path)
 
 
 def _not_low_goal(task_kind: str) -> None:
@@ -463,11 +459,9 @@ def train_high_level(config: TrainConfig, task_kind: str,
     env_cfg = _hier_env_cfg(task_kind, randomized)
     policy = MlpPolicy(TASK_OBS_DIM[task_kind], 2 * N_AGENTS[task_kind],
                        hidden=(32, 32), seed=config.seed)
-    fn = lambda pol: partial(run_hier_task_episode, pol, low_policy, env_cfg,
-                             config.gamma)
-    return train_policy(policy, fn, config=config,
-                        gamma=config.gamma ** GOAL_HORIZON, out_dir=out_dir,
-                        metrics_path=metrics_path, phase="high")
+    fn = lambda pol: partial(run_hier_task_episode, pol, low_policy, env_cfg)
+    return train_policy(policy, fn, config, "high", gamma=GAMMA ** GOAL_HORIZON,
+                        out_dir=out_dir, metrics_path=metrics_path)
 
 
 def train_flat(config: TrainConfig, task_kind: str, randomized: bool,
@@ -482,5 +476,5 @@ def train_flat(config: TrainConfig, task_kind: str, randomized: bool,
     policy = MlpPolicy(TASK_OBS_DIM[task_kind], 12 * N_AGENTS[task_kind],
                        hidden=(64, 64), seed=config.seed)
     fn = lambda pol: partial(run_task_episode, pol, env_cfg)
-    return train_policy(policy, fn, config=config, out_dir=out_dir,
-                        metrics_path=metrics_path, phase="flat")
+    return train_policy(policy, fn, config, "flat", out_dir=out_dir,
+                        metrics_path=metrics_path)

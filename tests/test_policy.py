@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import legwork.policy
 from legwork.errors import ConfigurationError
 from legwork.randomization import RandomizationConfig
 from legwork.policy import (
+    GAMMA,
+    GOAL_HORIZON,
     LOW_LEVEL_OBS_DIM,
     ForwardPass,
     MlpPolicy,
@@ -276,19 +279,22 @@ class TestHierarchicalEpisode:
     def test_window_reward_geometric_series(self):
         pi_hi, pi_lo = self._policies()
         env = _ConstRewardEnv(reward=-1.0)
-        hi = hierarchical_episode(env, pi_hi, pi_lo, _rngs(), gamma=0.99)
-        expected = -(1 - 0.99 ** 10) / 0.01
+        hi = hierarchical_episode(env, pi_hi, pi_lo, _rngs())
+        c = GOAL_HORIZON
+        expected = -(1 - GAMMA ** c) / (1 - GAMMA)
         assert np.allclose(hi["rew"], expected, atol=1e-12)
         # independent oracle: accumulate the env's per-step rewards
         r = env.rewards()[0]
         for j in range(20):
-            oracle = sum(0.99 ** i * r[10 * j + i] for i in range(10))
+            oracle = sum(GAMMA ** i * r[c * j + i] for i in range(c))
             assert abs(hi["rew"][0, j] - oracle) <= 1e-9
 
-    def test_gamma_zero_keeps_first_step_only(self):
+    def test_gamma_zero_keeps_first_step_only(self, monkeypatch):
+        # the executor reads GAMMA when it discounts, not at import
+        monkeypatch.setattr(legwork.policy, "GAMMA", 0.0)
         pi_hi, pi_lo = self._policies()
         hi = hierarchical_episode(_ConstRewardEnv(reward=-3.0), pi_hi,
-                                  pi_lo, _rngs(), gamma=0.0)
+                                  pi_lo, _rngs())
         assert np.allclose(hi["rew"], -3.0)
 
     def test_indivisible_horizon_rejected(self):

@@ -250,15 +250,26 @@ class TestObjectDims:
     def test_scaled_within_range(self):
         rng = np.random.default_rng(2)
         for _ in range(1000):
-            hx, hy = sample_object_dims((0.15, 0.7), rng)
-            assert 0.12 <= hx <= 0.18
-            assert 0.56 <= hy <= 0.84
+            scales = sample_object_dims(rng)
+            assert scales.shape == (2,)
+            assert ((0.8 <= scales) & (scales <= 1.2)).all()
 
     def test_scale_mean(self):
         rng = np.random.default_rng(4)
-        scales = np.array([sample_object_dims((1.0, 1.0), rng)[0]
-                           for _ in range(10_000)])
+        scales = np.array([sample_object_dims(rng)[0] for _ in range(10_000)])
         assert abs(scales.mean() - 1.0) < 0.01
+
+    def test_enabled_scales_the_nominal_half_extents(self):
+        # each row's block is COORD_BLOCK_HALF scaled by the draws of its
+        # sub-stream 50, x's first
+        seeds = [0, 1, 2]
+        env = TaskEnv(TaskEnvConfig("coordinate", rand=RandomizationConfig(dynamics=False)),
+                      seeds=seeds)
+        for e, seed in enumerate(seeds):
+            rng = reference_stream(seed, 50)
+            expected = [COORD_BLOCK_HALF[0] * float(rng.uniform(0.8, 1.2)),
+                        COORD_BLOCK_HALF[1] * float(rng.uniform(0.8, 1.2))]
+            assert env.world.half_extents[e, 0].tolist() == expected
 
 
 class TestStreams:

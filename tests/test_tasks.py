@@ -368,7 +368,7 @@ class TestFixedEvalInit:
         assert (world.blocks[0].x, world.blocks[0].y) == (1.0, 0.0)
 
     def test_coordinate_targets_are_translated_ends(self):
-        world, task = _start("coordinate", fixed_eval_init("coordinate"))
+        world, task = _start("coordinate", fixed_eval_init("coordinate", "+"))
         b = world.blocks[0]
         ends = block_ends(b.x, b.y, b.yaw)
         assert np.allclose(task.targets, ends + np.array([1.5, 0.0]))

@@ -1,6 +1,7 @@
 import csv
 import math
 from collections import Counter
+from dataclasses import FrozenInstanceError, fields
 from functools import partial
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 import legwork.tasks
 from legwork.errors import ConfigurationError, NumericsError
 from legwork.policy import (
+    GAMMA,
     GOAL_HORIZON,
     ForwardPass,
     MlpPolicy,
@@ -19,6 +21,9 @@ from legwork.policy import (
 from legwork.randomization import RandomizationConfig
 from legwork.tasks import TaskEnv, TaskEnvConfig
 from legwork.trainer import (
+    CG_DAMPING,
+    CG_ITERS,
+    GAE_LAMBDA,
     LOG_STD_FLOOR,
     TrainConfig,
     TrajectoryBatch,
@@ -192,23 +197,23 @@ class TestFisherVectorProduct:
             batch = _batch(rng, policy, n=50)
             fp = ForwardPass(policy, batch.flat_obs())
             vs = [rng.normal(size=policy.n_params) for _ in range(4)]
-            hoisted = [fisher_vector_product(policy, v, 1e-4, fp) for v in vs]
+            hoisted = [fisher_vector_product(policy, v, CG_DAMPING, fp) for v in vs]
             for v, got in zip(vs, hoisted):
-                per_call = fisher_vector_product(policy, v, 1e-4,
+                per_call = fisher_vector_product(policy, v, CG_DAMPING,
                                                  ForwardPass(policy, batch.flat_obs()))
                 assert got.tobytes() == per_call.tobytes()
-                ref = _reference_fvp(policy, batch.flat_obs(), v, 1e-4)
+                ref = _reference_fvp(policy, batch.flat_obs(), v, CG_DAMPING)
                 assert got.tobytes() == ref.tobytes()
 
     def test_shared_forward_pass_changes_no_gradient_or_kl_bit(self):
         # train_policy runs the gradient, a CG solve and the KL on one pass
         policy = MlpPolicy(32, 12, seed=3)
         batch = _low_goal_batch(policy)
-        adv = compute_advantages(batch, fit_baseline(batch, 0.99), 0.99, 0.97)
+        adv = compute_advantages(batch, fit_baseline(batch, GAMMA), GAMMA)
         fp = ForwardPass(policy, batch.flat_obs())
         g = policy_gradient(batch, policy, adv, fp)
         d, _ = conjugate_gradient(
-            lambda v: fisher_vector_product(policy, v, 1e-4, fp), g, 10)
+            lambda v: fisher_vector_product(policy, v, CG_DAMPING, fp), g, CG_ITERS)
         new, _ = npg_update(policy, g, d, 0.05)
         kl = batch_kl(policy, new, fp)
 
@@ -230,16 +235,16 @@ class TestGae:
     def test_lambda_one_is_returns_minus_values(self):
         rng = np.random.default_rng(1)
         rew, values = rng.normal(size=(3, 25)), rng.normal(size=(3, 25))
-        adv = gae_advantages(rew, values, 0.97, 1.0)
-        assert np.allclose(adv, discounted_returns(rew, 0.97) - values,
+        adv = gae_advantages(rew, values, GAMMA, 1.0)
+        assert np.allclose(adv, discounted_returns(rew, GAMMA) - values,
                            rtol=0, atol=1e-12)
 
     def test_lambda_zero_is_td_residuals(self):
         rng = np.random.default_rng(2)
         rew, values = rng.normal(size=(3, 25)), rng.normal(size=(3, 25))
-        adv = gae_advantages(rew, values, 0.97, 0.0)
+        adv = gae_advantages(rew, values, GAMMA, 0.0)
         v_next = np.concatenate([values[:, 1:], np.zeros((3, 1))], axis=1)
-        td = rew + 0.97 * v_next - values
+        td = rew + GAMMA * v_next - values
         assert np.allclose(adv, td, rtol=0, atol=1e-12)
 
     def test_scans_over_padded_rows_equal_the_step_by_step_loops(self):
@@ -250,12 +255,12 @@ class TestGae:
         rew, values = np.zeros((3, T)), np.zeros((3, T))
         for e, n in enumerate(lengths):
             rew[e, :n], values[e, :n] = rng.normal(size=n), rng.normal(size=n)
-        returns = discounted_returns(rew, 0.99)
-        adv = gae_advantages(rew, values, 0.99, 0.97)
+        returns = discounted_returns(rew, GAMMA)
+        adv = gae_advantages(rew, values, GAMMA, GAE_LAMBDA)
         for e, n in enumerate(lengths):
-            ref = _reference_returns(rew[e, :n], 0.99)
+            ref = _reference_returns(rew[e, :n], GAMMA)
             assert returns[e, :n].tobytes() == ref.tobytes()
-            ref = _reference_gae(rew[e, :n], values[e, :n], 0.99, 0.97)
+            ref = _reference_gae(rew[e, :n], values[e, :n], GAMMA, GAE_LAMBDA)
             assert adv[e, :n].tobytes() == ref.tobytes()
             assert not returns[e, n:].any() and not adv[e, n:].any()
 
@@ -264,11 +269,11 @@ class TestNpgStep:
     def test_realized_kl_is_about_kl_step(self):
         policy = MlpPolicy(32, 12, seed=4)
         batch = _low_goal_batch(policy)
-        adv = compute_advantages(batch, fit_baseline(batch, 0.99), 0.99, 0.97)
+        adv = compute_advantages(batch, fit_baseline(batch, GAMMA), GAMMA)
         fp = ForwardPass(policy, batch.flat_obs())
         g = policy_gradient(batch, policy, adv, fp)
         d, _ = conjugate_gradient(
-            lambda v: fisher_vector_product(policy, v, 1e-4, fp), g, 10)
+            lambda v: fisher_vector_product(policy, v, CG_DAMPING, fp), g, CG_ITERS)
         for delta in (0.01, 0.05):
             new, info = npg_update(policy, g, d, delta)
             assert not info["skipped"]
@@ -306,7 +311,7 @@ def _rollout(kind):
         cfg = TaskEnvConfig("coordinate", rand=RandomizationConfig())
         return partial(run_task_episode, policy, cfg), 200
     return (partial(run_hier_task_episode, MlpPolicy(32, 2, seed=2),
-                    MlpPolicy(32, 12, seed=1), _hier_env_cfg("push", True), 0.99),
+                    MlpPolicy(32, 12, seed=1), _hier_env_cfg("push", True)),
             200 // GOAL_HORIZON)
 
 
@@ -444,11 +449,11 @@ class TestTrajectoryBatch:
         # an episode count is an integer >= 1, as TrainConfig's counts are
         fn, _ = _rollout("low_goal")
         with pytest.raises(ConfigurationError):
-            collect_batch(fn, n_traj, seed=2)
+            collect_batch(fn, n_traj, seed=2, seed_key=())
 
     def test_numpy_integer_episode_count_runs(self):
         fn, _ = _rollout("low_goal")
-        assert len(collect_batch(fn, np.int64(2), seed=2).lengths) == 2
+        assert len(collect_batch(fn, np.int64(2), seed=2, seed_key=()).lengths) == 2
 
     @pytest.mark.parametrize("seed, seed_key", [
         (1.5, ()), (True, ()), (-1, ()), (2**64, ()), (1, (-1,)), (1, (2**32,))])
@@ -518,6 +523,15 @@ def test_one_iteration_makes_two_forward_passes(monkeypatch):
     assert len(calls) <= 2
 
 
+# gamma, lam, cg_iters and cg_damping are the recipe's constants now, so
+# TrainConfig refuses them as unknown keywords, whatever the value
+FIXED_NPG_SETTINGS = ("gamma", "lam", "cg_iters", "cg_damping")
+
+
+def _refusal(field):
+    return TypeError if field in FIXED_NPG_SETTINGS else ConfigurationError
+
+
 @pytest.mark.parametrize("field, value", [
     ("cg_iters", 0), ("cg_damping", -1e-4), ("cg_damping", math.nan),
     ("cg_damping", math.inf), ("workers", 0), ("workers", 2), ("workers", 1.0),
@@ -527,7 +541,7 @@ def test_one_iteration_makes_two_forward_passes(monkeypatch):
     ("gamma", "0.9"), ("lam", None), ("lam", True), ("kl_step", None),
     ("cg_damping", "1")])
 def test_bad_solver_and_run_settings_rejected(field, value):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(_refusal(field)):
         TrainConfig(**{field: value})
 
 
@@ -538,8 +552,34 @@ def test_bad_solver_and_run_settings_rejected(field, value):
     ("cg_iters", 10.0), ("cg_iters", True), ("checkpoint_every", 0.5),
     ("checkpoint_every", False)])
 def test_counts_and_seed_must_be_integers_in_range(field, value):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(_refusal(field)):
         TrainConfig(**{field: value})
+
+
+def test_train_config_holds_only_what_a_run_chooses():
+    assert [f.name for f in fields(TrainConfig)] == [
+        "iterations", "batch_size", "kl_step", "seed", "workers", "checkpoint_every"]
+
+
+@pytest.mark.parametrize("name, value", zip(
+    FIXED_NPG_SETTINGS, (GAMMA, GAE_LAMBDA, CG_ITERS, CG_DAMPING)))
+def test_fixed_npg_settings_are_not_config_fields(name, value):
+    # even a constant's own value is refused
+    with pytest.raises(TypeError):
+        TrainConfig(**{name: value})
+
+
+CONFIGS = (TrainConfig(), TaskEnvConfig("push"), RandomizationConfig())
+
+
+@pytest.mark.parametrize("config, name", [
+    pytest.param(c, f.name, id=f"{type(c).__name__}.{f.name}")
+    for c in CONFIGS for f in fields(c)])
+def test_configs_cannot_change_after_validation(config, name):
+    value = getattr(config, name)
+    with pytest.raises(FrozenInstanceError):
+        setattr(config, name, value)
+    assert getattr(config, name) is value
 
 
 def test_numpy_integer_counts_and_seed_accepted():

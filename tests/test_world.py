@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import legwork.tasks
 import legwork.world
 from legwork.errors import ConfigurationError, NumericsError
 from legwork.world import (
@@ -26,8 +27,16 @@ from legwork.world import (
     terrain_at,
 )
 from legwork.randomization import RandomizationConfig
-from legwork.tasks import EnvOverrides, TaskEnv, TaskEnvConfig
+from legwork.tasks import (
+    SCORED,
+    TASK_KINDS,
+    EnvOverrides,
+    TaskEnv,
+    TaskEnvConfig,
+    observe_task,
+)
 from helpers import AgentState, BlockState, Row, flat_terrain, make_worlds
+from test_tasks import _meet_goal
 
 
 def scripted_trot_action(step: int, period: int = 16,
@@ -661,3 +670,96 @@ class TestMirrorSymmetry:
                 gap = np.abs(getattr(image, field) - getattr(expected, field))
                 assert gap.max(initial=0.0) <= 1e-12, (t, field)
             assert np.array_equal(image.fallen, world.fallen), t
+
+
+AGENT_FIELDS = ("x", "y", "yaw", "z_proxy", "q", "qdot", "fallen")
+
+
+def mirror_task(world, targets, kind):
+    """The mirror image of every row's task state, (world, targets): the
+    targets' y negates. Coordinate's mirror also swaps the agents, and with
+    them the block ends and their targets: the first end of the mirrored
+    block is the mirror of the second end."""
+    image, targets = mirror(world), targets * [1.0, -1.0]
+    if kind == "coordinate":
+        image = replace(image, params={k: v[:, ::-1] for k, v in image.params.items()},
+                        **{f: getattr(image, f)[:, ::-1] for f in AGENT_FIELDS})
+        targets = targets[:, ::-1]
+    return image, targets
+
+
+def mirror_obs(obs, kind):
+    """The observations (E, obs_dim) of the mirrored states, from those of
+    the states: joint slots permuted, and every y, sin yaw and body-frame y
+    entry negated; Coordinate's agents and block ends swap."""
+    out = obs.copy()
+    if kind == "low_goal":  # q, qdot, zeros, then the goal in the body frame
+        out[:, :24] = mirror_joints(obs[:, :24].reshape(-1, 2, 12)).reshape(-1, 24)
+        out[:, 31] = -obs[:, 31]
+        return out
+    n = 2 if kind == "coordinate" else 1
+    core = out[:, :28 * n].reshape(-1, n, 28)
+    core[..., :24] = mirror_joints(core[..., :24].reshape(-1, n, 2, 12)).reshape(-1, n, 24)
+    core[..., 25] *= -1.0  # y
+    core[..., 27] *= -1.0  # sin yaw
+    tail = out[:, 28 * n:]
+    if kind == "coordinate":
+        core[:] = core[:, ::-1].copy()
+        tail[:, 1] *= -1.0  # the block's sin yaw
+        ends = tail[:, 2:6].reshape(-1, 2, 2)  # each target rel. its end
+        ends[:] = ends[:, ::-1].copy()
+        seen = tail[:, 6:].reshape(-1, 2, 2, 2)  # agent, end, (x, y)
+        seen[:] = seen[:, ::-1, ::-1].copy()
+        tail[:, 3:6:2] *= -1.0
+        tail[:, 7::2] *= -1.0
+    else:  # the target and the block center in the body frame
+        tail[:, 1::2] *= -1.0
+    return out
+
+
+MIRRORED_TASKS = {f"{kind}/{level}": TaskEnvConfig(kind, rand=RandomizationConfig(on, on))
+                  for kind in TASK_KINDS for level, on in (("nominal", False), ("rand", True))}
+
+
+class TestMirroredTasks:
+    """A mirrored episode is observed as the mirror of the episode and
+    scored the same. Every formula on that path is sign-symmetric: cos is
+    even and sin odd, body_frame and hypot keep a sign flip exact, and
+    Coordinate's swapped terms are sums of two. So the values are equal
+    exactly, not within a tolerance (0.0 and -0.0 count as equal)."""
+
+    @pytest.mark.parametrize("name", sorted(MIRRORED_TASKS))
+    def test_observation_reward_and_success(self, name, monkeypatch):
+        # image steps to the mirror of each state env reaches, so its
+        # scoring pass reads exactly the mirrored episodes; rows 1 and 2
+        # are put on their goals after step 3 and row 3 at the start, so
+        # success takes both answers
+        cfg = MIRRORED_TASKS[name]
+        env, image = TaskEnv(cfg, seeds=range(16)), TaskEnv(cfg, seeds=range(16))
+        kind = env.kind
+        _meet_goal(env, [3])
+        start, image.targets = mirror_task(env.world, env.targets, kind)
+        for column in SCORED[kind]:  # the start's arrays are the ones image scores
+            getattr(image.world, column)[...] = getattr(start, column)
+        rng = np.random.default_rng(6)
+        seen = set()
+        while True:
+            world, targets = mirror_task(env.world, env.targets, kind)
+            got = observe_task(world, kind, targets)
+            expected = mirror_obs(observe_task(env.world, kind, env.targets), kind)
+            assert np.array_equal(got, expected), env.t
+            success = env.episode_success()
+            assert image.episode_success().tolist() == success.tolist(), env.t
+            seen.update(success.tolist())
+            if env.done.all():
+                break
+            acts = rng.uniform(-1.5, 1.5, (16, env.n_agents, N_JOINTS))
+            env.step(acts)
+            if env.t == 3:
+                _meet_goal(env, [1, 2])
+            with monkeypatch.context() as m:
+                m.setattr(legwork.tasks, "step_worlds",
+                          lambda *_: mirror_task(env.world, env.targets, kind)[0])
+                image.step(acts)
+        assert np.array_equal(image.rewards(), env.rewards())
+        assert seen == {True, False}
