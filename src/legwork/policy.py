@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericsError
+from .errors import ConfigurationError, NumericsError, check_count
 from .randomization import highlevel_noise_schedule
 from .world import N_JOINTS, Worlds, body_frame
 
@@ -100,6 +100,8 @@ class MlpPolicy:
         self.obs_dim = obs_dim
         self.act_dim = act_dim
         self.layer_dims = dims = [obs_dim, *hidden, act_dim]
+        for width in dims:
+            check_count(width, 1, "every layer width")
         self.seed = seed
         n_network = sum((fan_in + 1) * width for fan_in, width in zip(dims, dims[1:]))
         self.theta = np.zeros(n_network + act_dim)
@@ -293,7 +295,7 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy, rngs,
     then acts for c steps; the world clamps its actions and gives fallen
     agents no motion. The high-level reward for a window is sum_i GAMMA^i
     r_i over the window's task rewards, which the env scores after the
-    last step (env.rewards()). Episodes never end early.
+    last step (env.score()). Episodes never end early.
 
     Each row draws its whole episode's noise up front from its own
     generator, in this order: the high-level sample noise (decisions,
@@ -304,9 +306,8 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy, rngs,
     draws nothing: both levels act on their means, unperturbed.
 
     Returns the high-level trajectory of every row: per-decision arrays
-    obs, act (pre-clamp) and rew, each with leading axes (E, decisions).
-    The per-step task rewards (E, horizon) stay with the env
-    (env.rewards()).
+    obs, act (pre-clamp) and rew, each with leading axes (E, decisions),
+    and success (E,), each episode's success from the same scoring pass.
     """
     horizon, c = env.horizon, GOAL_HORIZON
     if horizon % c != 0:
@@ -351,7 +352,7 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy, rngs,
         lo_obs = mask_low_level_obs(world, goals).reshape(n_rows * n, -1)
         a_lo = pi_lo.mean_rows(lo_obs) + lo_step[t]
         env.step(a_lo.reshape(n_rows, n, N_JOINTS))
-    rewards = env.rewards()
+    rewards, success = env.score()
     # every window's return at once, in the order a step-by-step sum
     # window_ret + disc * r would take
     windows = rewards.reshape(n_rows, decisions, c)
@@ -363,6 +364,7 @@ def hierarchical_episode(env, pi_hi: MlpPolicy, pi_lo: MlpPolicy, rngs,
         "obs": np.stack(hi_obs, axis=1),
         "act": np.stack(hi_act, axis=1),
         "rew": hi_rew,
+        "success": success,
     }
 
 
@@ -392,16 +394,26 @@ def save_checkpoint(policy: MlpPolicy, base_path, meta: dict | None = None) -> N
 
 
 def load_checkpoint(base_path) -> MlpPolicy:
+    """The policy that save_checkpoint wrote at base_path. A manifest it
+    would not write raises ConfigurationError: a key missing (seed defaults
+    to 0), weights outside <base>.bin or a layer width < 1."""
     base = Path(base_path)
     with open(base.with_name(base.name + ".json")) as f:
         manifest = json.load(f)
+    missing = {"format_version", "layer_dims", "obs_dim", "act_dim", "n_params",
+               "weights_file"}.difference(manifest)
+    if missing:
+        raise ConfigurationError(f"checkpoint manifest lacks {sorted(missing)}")
+    if manifest["weights_file"] != base.name + ".bin":
+        raise ConfigurationError(f"checkpoint weights must be in {base.name}.bin, "
+                                 f"not {manifest['weights_file']!r}")
     if manifest["format_version"] != CHECKPOINT_FORMAT_VERSION:
         raise ConfigurationError(
             f"unsupported checkpoint version {manifest['format_version']}")
     dims = manifest["layer_dims"]
     policy = MlpPolicy(manifest["obs_dim"], manifest["act_dim"],
                        hidden=tuple(dims[1:-1]), seed=manifest.get("seed", 0))
-    theta = np.fromfile(base.parent / manifest["weights_file"], dtype="<f8")
+    theta = np.fromfile(base.with_name(manifest["weights_file"]), dtype="<f8")
     if theta.size != manifest["n_params"]:
         raise ConfigurationError("checkpoint weight count mismatch")
     policy.set_flat_params(theta.astype(float))

@@ -12,7 +12,9 @@ tables N_AGENTS, HORIZON and TASK_OBS_DIM); the reward weights and goal
 radii are module constants, the same for every kind.
 
 Initializations return one episode's numbers: its targets and its block's
-center. Observations and rewards are computed for many episodes at once,
+center; the fixed evaluation starts are one read-only table of them,
+FIXED_STARTS[(kind, variant)], whose variants TaskEnvConfig.fixed_init
+names. Observations and rewards are computed for many episodes at once,
 on the rows of a world.Worlds and the matching rows of targets (E, k, 2).
 observe_task is one writer for avoid, push and coordinate: it fills one
 (E, obs_dim) array, computes each agent's cos and sin of yaw once, and
@@ -34,12 +36,11 @@ substreams call; a schedule that no row draws is None.
 The work sits at the two ends of an episode batch. Construction allocates
 each state column once for all rows, and each row writes its draws into
 its slots. Stepping advances the dynamics only: the observation is
-computed when first read at a step, and the rewards of all steps come
-from one pass after the last (TaskEnv.rewards). Its formulas are
-elementwise per row, so they give the bits that scoring each step would.
-Success is derived from the same pass: each kind's goal test is written
-once, as the condition of its reward's bonus term, and task_reward
-returns it beside the reward (TaskEnv.episode_success).
+computed when first read at a step, and TaskEnv.score() gives the
+rewards of all steps and each row's success from one task_reward call
+after the last. Its formulas are elementwise per row, so they give the
+bits that scoring each step would. Each kind's goal test is written once,
+as the condition of its reward's bonus term.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def torso_xy_slots(n_agents: int) -> list:
 # Each *_reward_terms function returns its terms in a fixed order, each an
 # (E,) array; task_reward sums them in that order, and the bonus term is
 # paid exactly where the kind's goal is met. world is a Worlds, or
-# any object that holds the kind's SCORED columns (TaskEnv.rewards).
+# any object that holds the kind's SCORED columns (TaskEnv.score).
 
 def _upright(z_proxy: np.ndarray) -> np.ndarray:
     return np.where(z_proxy < UPRIGHT_Z_MIN, -W_UPRIGHT, 0.0)
@@ -307,25 +308,22 @@ def init_coordinate(rng: np.random.Generator):
     return targets, (COORD_BLOCK_AHEAD, 0.0)
 
 
-def fixed_eval_init(kind: str, variant: str):
-    """Fixed evaluation starts mirroring the hardware protocol.
-
-    avoid, push: block 1 m ahead of the agent, target at (2, +0.5) or
-    (2, -0.5) by variant. coordinate: targets are the 1.5 m forward
-    translation of the block ends. Any variant but "+" or "-" raises
-    ConfigurationError.
-    """
-    if variant not in ("+", "-"):
-        raise ConfigurationError(f"variant must be '+' or '-', got {variant!r}")
-    if kind in ("avoid", "push"):
-        sign = 1.0 if variant == "+" else -1.0
-        return np.array([[2.0, sign * 0.5]]), (1.0, 0.0)
-    if kind == "coordinate":
-        targets = block_ends(COORD_BLOCK_AHEAD, 0.0, 0.0) + np.array([1.5, 0.0])
-        return targets, (COORD_BLOCK_AHEAD, 0.0)
-    raise ConfigurationError(f"no fixed initialization for kind {kind!r}")
+def _fixed_starts() -> dict:
+    """Read-only starts mirroring the hardware protocol, keyed by (kind,
+    variant). avoid, push: block 1 m ahead of the agent, target at (2, +0.5)
+    or (2, -0.5). coordinate: the block ends moved 1.5 m forward, for both."""
+    ends = block_ends(COORD_BLOCK_AHEAD, 0.0, 0.0) + np.array([1.5, 0.0])
+    table = {}
+    for variant, sign in (("+", 1.0), ("-", -1.0)):
+        table["avoid", variant] = table["push", variant] = (
+            np.array([[2.0, sign * 0.5]]), (1.0, 0.0))
+        table["coordinate", variant] = ends, (COORD_BLOCK_AHEAD, 0.0)
+    for targets, _ in table.values():
+        targets.flags.writeable = False
+    return table
 
 
+FIXED_STARTS = _fixed_starts()
 INITS = {"low_goal": init_low_goal, "avoid": init_avoid, "push": init_push,
          "coordinate": init_coordinate}
 
@@ -347,7 +345,13 @@ class EnvOverrides:
         if not isinstance(self.params, DynamicsParams):
             raise ConfigurationError(f"params must be a DynamicsParams, "
                                      f"got a {type(self.params).__name__}")
-        grid = np.array(self.grid, dtype=float)
+        try:
+            grid = np.array(self.grid)
+        except ValueError as err:  # ragged nesting
+            raise ConfigurationError(f"the terrain grid is not an array: {err}") from None
+        if grid.dtype.kind not in "iuf":  # not bool, complex, str or object
+            raise ConfigurationError(f"terrain heights must be real, got {grid.dtype}")
+        grid = grid.astype(float, copy=False)
         grid.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
@@ -373,7 +377,7 @@ class TaskEnvConfig:
     kind: str
     rand: RandomizationConfig = field(
         default_factory=lambda: RandomizationConfig(dynamics=False, task=False))
-    fixed_init: str | None = None  # None = random init, else "+" or "-"
+    fixed_init: str | None = None  # None = random init, else a FIXED_STARTS variant
     overrides: EnvOverrides | None = None
 
     def __post_init__(self):
@@ -385,11 +389,11 @@ class TaskEnvConfig:
         if not isinstance(self.overrides, (EnvOverrides, type(None))):
             raise ConfigurationError(
                 f"overrides must be None or an EnvOverrides, got {self.overrides!r}")
-        if self.fixed_init not in (None, "+", "-"):
-            raise ConfigurationError(
-                f"fixed_init must be None, '+' or '-', got {self.fixed_init!r}")
-        if self.kind == "low_goal" and self.fixed_init is not None:
-            raise ConfigurationError("low_goal has no fixed initialization")
+        fixed = self.fixed_init  # a str first: a key must hash
+        if fixed is not None and not (isinstance(fixed, str)
+                                      and (self.kind, fixed) in FIXED_STARTS):
+            raise ConfigurationError(f"fixed_init must be None or a FIXED_STARTS variant "
+                                     f"of kind {self.kind!r}, got {fixed!r}")
 
 
 # The state columns that each kind's reward and success read: all that a
@@ -418,8 +422,8 @@ class TaskEnv:
     noise on the torso x, y slots of every observation.
 
     Stepping computes no reward. The env keeps a reference to each SCORED
-    column of the start and of every later state, and rewards() and
-    episode_success() read one task_reward call over all of them. The
+    column of the start and of every later state, and score() reads the
+    rewards and success of all of them from one task_reward call. The
     columns are kept, not copied: writing into env.world's arrays changes
     what is scored for the step that made them.
     """
@@ -440,7 +444,6 @@ class TaskEnv:
         self.t = 0
         self.done = np.zeros(len(self.seeds), dtype=bool)
         self._columns = {name: [getattr(self.world, name)] for name in SCORED[self.kind]}
-        self._scored, self._scored_t = None, None
 
     def _build_starts(self) -> None:
         """Set world, targets, sticky, wrench and the observation noise of
@@ -473,7 +476,7 @@ class TaskEnv:
         # one draw per torso slot of every observation, reset included
         noisy = draw and kind != "low_goal"
         self._obs_noise = np.empty((rows, horizon + 1, 2 * n)) if noisy else None
-        fixed = None if cfg.fixed_init is None else fixed_eval_init(kind, cfg.fixed_init)
+        fixed = None if cfg.fixed_init is None else FIXED_STARTS[kind, cfg.fixed_init]
 
         keys = []  # the sub-streams of every row, in build order
         if fixed is None:
@@ -558,40 +561,27 @@ class TaskEnv:
         self.done = done
         return self.done
 
-    def _score(self) -> tuple:
-        """(rewards, success) of the steps so far, from one pass over the
-        kept columns stacked step by step: (t + 1) * E rows."""
-        if self._scored_t != self.t:
-            states = self.t + 1
-            cols = SimpleNamespace(**{name: np.concatenate(column)
-                                      for name, column in self._columns.items()})
-            targets = np.tile(self.targets, (states, 1, 1))
-            rewards, goal_met = task_reward(cols, self.kind, targets)
-            goal_met = goal_met.reshape(states, -1)
-            if self.kind == "avoid":
-                bx, by = self._columns["bx"], self._columns["by"]
-                moved = hypot(bx[-1][:, 0] - bx[0][:, 0], by[-1][:, 0] - by[0][:, 0])
-                success = goal_met.any(axis=0) & (moved < AVOID_MAX_BLOCK_MOVE)
-            else:
-                success = goal_met[-1]
-            self._scored = rewards.reshape(states, -1)[1:].T, success
-            self._scored_t = self.t
-        return self._scored
-
-    def rewards(self) -> np.ndarray:
-        """The reward of every row at every step so far, (E, t). The
-        rewards of rows that had already finished carry no meaning."""
-        return self._score()[0]
-
-    def episode_success(self) -> np.ndarray:
-        """Success of every row so far, (E,) bool: whether the kind's goal
-        test, the one that pays the reward's bonus term, holds.
-
-        low_goal: the agent's latest position is within BONUS_RADIUS of
-        the goal. avoid: the agent was within BONUS_RADIUS of the target
-        at the start or after some step, and the block's center has moved
-        less than AVOID_MAX_BLOCK_MOVE from its start. push: the block's
-        latest center is within BONUS_RADIUS of the target. coordinate:
-        both latest block ends are within COORD_RADIUS of their targets.
-        """
-        return self._score()[1]
+    def score(self) -> tuple:
+        """(rewards (E, t), success (E,)) of the steps so far, from one
+        task_reward call over the kept columns of every state. Rewards of
+        rows that had already finished carry no meaning. Success is the
+        kind's goal test, the one that pays its bonus term. low_goal: the
+        latest agent position is within BONUS_RADIUS of the goal. avoid:
+        the agent was within BONUS_RADIUS of the target at some state, the
+        start included, and the block center moved less than
+        AVOID_MAX_BLOCK_MOVE. push: the latest block center is within
+        BONUS_RADIUS of the target. coordinate: both latest block ends are
+        within COORD_RADIUS of their targets."""
+        states = self.t + 1
+        cols = SimpleNamespace(**{name: np.concatenate(column)
+                                  for name, column in self._columns.items()})
+        targets = np.tile(self.targets, (states, 1, 1))
+        rewards, goal_met = task_reward(cols, self.kind, targets)
+        goal_met = goal_met.reshape(states, -1)
+        if self.kind == "avoid":
+            bx, by = self._columns["bx"], self._columns["by"]
+            moved = hypot(bx[-1][:, 0] - bx[0][:, 0], by[-1][:, 0] - by[0][:, 0])
+            success = goal_met.any(axis=0) & (moved < AVOID_MAX_BLOCK_MOVE)
+        else:
+            success = goal_met[-1]
+        return rewards.reshape(states, -1)[1:].T, success

@@ -53,6 +53,7 @@ from .policy import (
 )
 from .randomization import RandomizationConfig, seed_state, substreams
 from .tasks import N_AGENTS, TASK_OBS_DIM, TaskEnv, TaskEnvConfig
+from .world import N_JOINTS
 
 log = logging.getLogger(__name__)
 
@@ -123,15 +124,6 @@ class TrajectoryBatch:
     def flat_act(self) -> np.ndarray:
         return self.act[self.mask]
 
-    def mean_return(self) -> float:
-        return float(np.mean(self.rew.sum(axis=1)))
-
-    def std_return(self) -> float:
-        return float(np.std(self.rew.sum(axis=1)))
-
-    def success_rate(self) -> float:
-        return float(np.mean(self.success))
-
 
 # -- rollouts ----------------------------------------------------------------
 
@@ -140,8 +132,8 @@ def run_task_episode(policy: MlpPolicy, task_cfg: TaskEnvConfig,
     """Episodes driven directly at the joint level, one per (env seed, rng)
     row, stepped in lockstep: low-level goal episodes, or a flat policy's
     task episodes. Each row draws one action sample from its rng per step
-    it runs; the rewards of all steps come from one pass after the last
-    (TaskEnv.rewards)."""
+    it runs; the rewards and success of all steps come from one pass after
+    the last (TaskEnv.score)."""
     env = TaskEnv(task_cfg, env_seeds)  # constructed at its reset state
     n_rows, horizon = len(env.seeds), env.horizon
     if len(rngs) != n_rows:
@@ -161,21 +153,19 @@ def run_task_episode(policy: MlpPolicy, task_cfg: TaskEnvConfig,
             break
         obs[:, t] = env.obs
         act[:, t] = policy.mean_rows(env.obs) + noise[:, t]
-        env.step(act[:, t].reshape(n_rows, env.n_agents, 12))  # the world clamps
+        env.step(act[:, t].reshape(n_rows, env.n_agents, N_JOINTS))  # the world clamps
         steps[live] += 1
-    rew[:, :env.t] = env.rewards()
-    return TrajectoryBatch(obs, act, rew, steps, env.episode_success())
+    rew[:, :env.t], success = env.score()
+    return TrajectoryBatch(obs, act, rew, steps, success)
 
 
 def run_hier_task_episode(pi_hi: MlpPolicy, pi_lo: MlpPolicy,
                           task_cfg: TaskEnvConfig, env_seeds, rngs) -> TrajectoryBatch:
     """Task episodes under the hierarchy, one per (env seed, rng) row,
     stepped in lockstep; the high-level view of each."""
-    env = TaskEnv(task_cfg, env_seeds)
-    hi = hierarchical_episode(env, pi_hi, pi_lo, rngs)
-    decisions = np.full(len(env.seeds), hi["rew"].shape[1])
-    return TrajectoryBatch(hi["obs"], hi["act"], hi["rew"], decisions,
-                           env.episode_success())
+    hi = hierarchical_episode(TaskEnv(task_cfg, env_seeds), pi_hi, pi_lo, rngs)
+    decisions = np.full(len(hi["rew"]), hi["rew"].shape[1])
+    return TrajectoryBatch(hi["obs"], hi["act"], hi["rew"], decisions, hi["success"])
 
 
 def collect_batch(rollout_fn, n_traj: int, seed: int, seed_key: tuple) -> TrajectoryBatch:
@@ -413,10 +403,10 @@ def train_policy(policy: MlpPolicy, make_rollout_fn, config: TrainConfig,
         del fp  # its buffers are not needed while the next batch is collected
         policy = new_policy
         if writer is not None:
-            writer.write(iteration=it, mean_return=f"{batch.mean_return():.6f}",
-                         std_return=f"{batch.std_return():.6f}",
-                         mean_kl=f"{kl:.8f}",
-                         success_rate=f"{batch.success_rate():.4f}",
+            returns = batch.rew.sum(axis=1)
+            writer.write(iteration=it, mean_return=f"{np.mean(returns):.6f}",
+                         std_return=f"{np.std(returns):.6f}", mean_kl=f"{kl:.8f}",
+                         success_rate=f"{np.mean(batch.success):.4f}",
                          wall_time=f"{time.monotonic() - start:.3f}")
         if out is not None and config.checkpoint_every > 0 \
                 and (it + 1) % config.checkpoint_every == 0:
@@ -431,7 +421,8 @@ def train_policy(policy: MlpPolicy, make_rollout_fn, config: TrainConfig,
 def train_low_level(config: TrainConfig, rand: RandomizationConfig,
                     out_dir=None, metrics_path=None) -> MlpPolicy:
     """Goal-reaching pre-training under the configured randomizations."""
-    policy = MlpPolicy(TASK_OBS_DIM["low_goal"], 12, hidden=(32, 32), seed=config.seed)
+    policy = MlpPolicy(TASK_OBS_DIM["low_goal"], N_JOINTS, hidden=(32, 32),
+                       seed=config.seed)
     env_cfg = TaskEnvConfig(kind="low_goal", rand=rand)
     fn = lambda pol: partial(run_task_episode, pol, env_cfg)
     return train_policy(policy, fn, config, "low", out_dir=out_dir,
@@ -473,7 +464,7 @@ def train_flat(config: TrainConfig, task_kind: str, randomized: bool,
     _not_low_goal(task_kind)
     env_cfg = TaskEnvConfig(kind=task_kind, rand=RandomizationConfig(
         dynamics=randomized, task=randomized))
-    policy = MlpPolicy(TASK_OBS_DIM[task_kind], 12 * N_AGENTS[task_kind],
+    policy = MlpPolicy(TASK_OBS_DIM[task_kind], N_JOINTS * N_AGENTS[task_kind],
                        hidden=(64, 64), seed=config.seed)
     fn = lambda pol: partial(run_task_episode, pol, env_cfg)
     return train_policy(policy, fn, config, "flat", out_dir=out_dir,

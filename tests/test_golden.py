@@ -32,8 +32,9 @@ def run_episode(env, actions):
         done = env.step(actions[t][None])
         if done[0]:
             break
-    rewards = list(env.rewards()[0])
-    return rewards, len(rewards), env.obs[0], bool(env.episode_success()[0])
+    rewards, success = env.score()
+    rewards = list(rewards[0])
+    return rewards, len(rewards), env.obs[0], bool(success[0])
 
 
 # -- cases -------------------------------------------------------------------

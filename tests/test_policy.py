@@ -228,6 +228,15 @@ class TestMlpPolicy:
         with pytest.raises(ConfigurationError):
             pol.set_flat_params(np.zeros(3))
 
+    @pytest.mark.parametrize("args, hidden", [
+        ((0, 2), (32, 32)), ((3, 0), (32, 32)), ((3, 2), (0,)), ((3, 2), (4, -1)),
+        ((True, 2), (32, 32)), ((3, 2.0), (32, 32)), ((3, 2), ("4",)),
+    ], ids=["obs_dim_0", "act_dim_0", "hidden_0", "hidden_negative", "obs_dim_bool",
+            "act_dim_float", "hidden_str"])
+    def test_bad_layer_width_rejected(self, args, hidden):
+        with pytest.raises(ConfigurationError):
+            MlpPolicy(*args, hidden=hidden)
+
 
 class _ConstRewardEnv:
     """Stub task env of E rows paying a constant reward each step; its
@@ -256,8 +265,10 @@ class _ConstRewardEnv:
         self.t += 1
         return np.full(len(self.obs), self.t >= self.horizon)
 
-    def rewards(self):
-        return np.full((len(self.obs), self.t), self.reward)
+    def score(self):
+        """Constant rewards, and success once every episode has ended."""
+        rows = len(self.obs)
+        return np.full((rows, self.t), self.reward), np.full(rows, self.t >= self.horizon)
 
 
 def _rngs(n=1):
@@ -274,7 +285,9 @@ class TestHierarchicalEpisode:
         hi = hierarchical_episode(env, pi_hi, pi_lo, _rngs(3))
         assert hi["obs"].shape[:2] == (3, 20)
         assert hi["rew"].shape == (3, 20)
-        assert env.rewards().shape == (3, 200)
+        assert env.score()[0].shape == (3, 200)
+        # success is scored after the last step, in the same pass
+        assert hi["success"].tolist() == [True] * 3
 
     def test_window_reward_geometric_series(self):
         pi_hi, pi_lo = self._policies()
@@ -284,7 +297,7 @@ class TestHierarchicalEpisode:
         expected = -(1 - GAMMA ** c) / (1 - GAMMA)
         assert np.allclose(hi["rew"], expected, atol=1e-12)
         # independent oracle: accumulate the env's per-step rewards
-        r = env.rewards()[0]
+        r = env.score()[0][0]
         for j in range(20):
             oracle = sum(GAMMA ** i * r[c * j + i] for i in range(c))
             assert abs(hi["rew"][0, j] - oracle) <= 1e-9
@@ -398,6 +411,44 @@ class TestCheckpoints:
                 == (tmp_path / "b" / "ck.json").read_bytes())
         assert ((tmp_path / "a" / "ck.bin").read_bytes()
                 == (tmp_path / "b" / "ck.bin").read_bytes())
+
+    @staticmethod
+    def _saved_with(tmp_path, **changes):
+        """A checkpoint at tmp_path / "ck" whose manifest is changed: a
+        value of None deletes its key."""
+        save_checkpoint(MlpPolicy(3, 2, seed=1), tmp_path / "ck")
+        manifest = json.loads((tmp_path / "ck.json").read_text())
+        for key, value in changes.items():
+            if value is None:
+                del manifest[key]
+            else:
+                manifest[key] = value
+        (tmp_path / "ck.json").write_text(json.dumps(manifest))
+        return tmp_path / "ck"
+
+    @pytest.mark.parametrize("key", ["format_version", "layer_dims", "obs_dim",
+                                     "act_dim", "n_params", "weights_file"])
+    def test_missing_manifest_key_rejected(self, tmp_path, key):
+        with pytest.raises(ConfigurationError):
+            load_checkpoint(self._saved_with(tmp_path, **{key: None}))
+
+    def test_missing_seed_defaults_to_zero(self, tmp_path):
+        assert load_checkpoint(self._saved_with(tmp_path, seed=None)).seed == 0
+
+    @pytest.mark.parametrize("name", ["absolute", "other.bin", "ck.json", "../ck.bin"])
+    def test_weights_only_from_the_saved_file(self, tmp_path, name):
+        # another policy's weights, of the same size, in a file of their own
+        save_checkpoint(MlpPolicy(3, 2, seed=9), tmp_path / "elsewhere" / "ck")
+        other = tmp_path / "elsewhere" / "ck.bin"
+        (tmp_path / "other.bin").write_bytes(other.read_bytes())
+        weights_file = str(other) if name == "absolute" else name
+        with pytest.raises(ConfigurationError):
+            load_checkpoint(self._saved_with(tmp_path, weights_file=weights_file))
+
+    @pytest.mark.parametrize("layer_dims", [[3, 0, 2], [3, 32, -4, 2]])
+    def test_bad_manifest_layer_width_rejected(self, tmp_path, layer_dims):
+        with pytest.raises(ConfigurationError):
+            load_checkpoint(self._saved_with(tmp_path, layer_dims=layer_dims))
 
     def test_version_check(self, tmp_path):
         pol = MlpPolicy(3, 2)

@@ -17,6 +17,7 @@ from legwork.tasks import (
     COORD_BLOCK_HALF,
     COORD_BLOCK_MASS,
     COORD_RADIUS,
+    FIXED_STARTS,
     PUSH_BLOCK_HALF,
     PUSH_BLOCK_MASS,
     PUSH_INIT_ATTEMPTS,
@@ -28,7 +29,6 @@ from legwork.tasks import (
     avoid_reward_terms,
     block_ends,
     coordinate_reward_terms,
-    fixed_eval_init,
     init_avoid,
     init_coordinate,
     init_low_goal,
@@ -68,7 +68,7 @@ def _world(agents, blocks):
 
 
 def _start(kind, start):
-    """An init_* or fixed_eval_init result, (targets, block center), as the
+    """An init_* result or FIXED_STARTS entry, (targets, block center), as the
     world and task of its episode: agents at rest, the block at yaw 0."""
     targets, block = start
     if kind == "coordinate":
@@ -102,7 +102,7 @@ def _observe(world, task) -> np.ndarray:
     return observe_task(*_row(world, task))[0]
 
 
-# The reference for TaskEnv.episode_success: each kind's success predicate
+# The reference for TaskEnv.score's success: each kind's success predicate
 # written on its own, apart from the reward's bonus terms that the
 # environment derives success from.
 
@@ -131,7 +131,7 @@ def _reference_success(kind, targets, start, end, reached):
 
 
 def _succeeds(task, worlds) -> bool:
-    """episode_success of a one-row episode whose kept states are the given
+    """score()'s success of a one-row episode whose kept states are the given
     worlds, written into a TaskEnv's state step by step; it must equal the
     reference's."""
     env = TaskEnv(TaskEnvConfig(task.kind), seeds=[0])
@@ -145,7 +145,7 @@ def _succeeds(task, worlds) -> bool:
     targets = task.targets[None]
     reached = np.any([_reference_target_reached(r, targets) for r in rows], axis=0)
     expected = _reference_success(task.kind, targets, rows[0], rows[-1], reached)
-    assert env.episode_success().tolist() == expected.tolist()
+    assert env.score()[1].tolist() == expected.tolist()
     return bool(expected[0])
 
 
@@ -357,28 +357,32 @@ class TestSuccess:
 
 
 class TestFixedEvalInit:
+    """The fixed evaluation starts, FIXED_STARTS."""
+
     def test_avoid_variants(self):
-        _, task_p = _start("avoid", fixed_eval_init("avoid", "+"))
-        _, task_m = _start("avoid", fixed_eval_init("avoid", "-"))
+        _, task_p = _start("avoid", FIXED_STARTS["avoid", "+"])
+        _, task_m = _start("avoid", FIXED_STARTS["avoid", "-"])
         assert tuple(task_p.targets[0]) == (2.0, 0.5)
         assert tuple(task_m.targets[0]) == (2.0, -0.5)
 
     def test_push_block_one_meter_ahead(self):
-        world, _ = _start("push", fixed_eval_init("push", "+"))
+        world, _ = _start("push", FIXED_STARTS["push", "+"])
         assert (world.blocks[0].x, world.blocks[0].y) == (1.0, 0.0)
 
     def test_coordinate_targets_are_translated_ends(self):
-        world, task = _start("coordinate", fixed_eval_init("coordinate", "+"))
+        world, task = _start("coordinate", FIXED_STARTS["coordinate", "+"])
         b = world.blocks[0]
         ends = block_ends(b.x, b.y, b.yaw)
         assert np.allclose(task.targets, ends + np.array([1.5, 0.0]))
         assert task.targets[0][0] == pytest.approx(2.3)
         assert abs(task.targets[0][1]) == pytest.approx(0.55)
 
-    @pytest.mark.parametrize("kind, variant", [("avoid", "x"), ("push", None)])
-    def test_unknown_variant_rejected(self, kind, variant):
-        with pytest.raises(ConfigurationError):
-            fixed_eval_init(kind, variant)
+    def test_table_is_read_only(self):
+        kinds = ("avoid", "coordinate", "push")  # low_goal has no fixed start
+        assert sorted(FIXED_STARTS) == [(kind, v) for kind in kinds for v in "+-"]
+        for targets, _ in FIXED_STARTS.values():
+            with pytest.raises(ValueError):
+                targets[0, 0] = 0.0
 
 
 # The per-kind observation formulas that observe_task and
@@ -540,7 +544,7 @@ class TestLowGoalKind:
                 done = env.step(rng.uniform(-1, 1, (1, 1, 12)))
                 if done[0]:
                     break
-            for r in env.rewards()[0]:
+            for r in env.score()[0][0]:
                 total += r
             return total, env.obs
 
@@ -585,7 +589,7 @@ class TestTaskEnv:
         for t in range(50):
             e1.step(acts[t])
             e2.step(acts[t])
-        tot1, tot2 = sum(e1.rewards()[0]), sum(e2.rewards()[0])
+        tot1, tot2 = sum(e1.score()[0][0]), sum(e2.score()[0][0])
         assert tot1 == tot2
 
     def test_never_terminates_early(self):
@@ -648,6 +652,7 @@ class TestTaskEnv:
     @pytest.mark.parametrize("make", [
         lambda: TaskEnvConfig("avoid", fixed_init="x"),
         lambda: TaskEnvConfig("low_goal", fixed_init="+"),
+        lambda: TaskEnvConfig("push", fixed_init=["+"]),
         lambda: TaskEnvConfig("bogus"),
         lambda: EnvOverrides(DynamicsParams(), flat_terrain(), 1.7),
         lambda: EnvOverrides(DynamicsParams(), flat_terrain(), -0.1),
@@ -657,14 +662,19 @@ class TestTaskEnv:
         lambda: EnvOverrides({"total_mass": 2.0}, flat_terrain()),
         lambda: EnvOverrides(DynamicsParams(), np.zeros((32, 31))),
         lambda: EnvOverrides(grid=np.zeros((1, 1))),
+        lambda: EnvOverrides(grid="abc"),
+        lambda: EnvOverrides(grid=[[0.0, 0.0], [0.0]]),
+        lambda: EnvOverrides(grid=np.zeros((32, 32), dtype=complex)),
+        lambda: EnvOverrides(grid=np.zeros((32, 32), dtype=bool)),
         lambda: TaskEnvConfig("push", rand=None),
         lambda: TaskEnvConfig("push", rand=True),
         lambda: TaskEnvConfig("push", overrides={"sticky_prob": 0.1}),
         lambda: TaskEnvConfig("push", overrides="rough"),
-    ], ids=["fixed_init_x", "fixed_init_low_goal", "kind_unknown",
+    ], ids=["fixed_init_x", "fixed_init_low_goal", "fixed_init_list", "kind_unknown",
             "sticky_above_one", "sticky_negative", "sticky_nan", "sticky_str",
             "sticky_bool",
-            "params_dict", "grid_not_square", "grid_one_node", "rand_none",
+            "params_dict", "grid_not_square", "grid_one_node", "grid_str",
+            "grid_ragged", "grid_complex", "grid_bool", "rand_none",
             "rand_bool", "overrides_dict", "overrides_str"])
     def test_bad_env_settings_rejected(self, make):
         with pytest.raises(ConfigurationError):
@@ -725,7 +735,7 @@ class TestTaskEnv:
             nominal.step(acts)
             pinned.step(acts)
             assert pinned.obs.tobytes() == nominal.obs.tobytes()
-        assert pinned.rewards().tobytes() == nominal.rewards().tobytes()
+        assert pinned.score()[0].tobytes() == nominal.score()[0].tobytes()
         assert pinned.world.grid.tobytes() == nominal.world.grid.tobytes()
         assert all(pinned.world.params[k].tobytes() == nominal.world.params[k].tobytes()
                    for k in nominal.world.params)
@@ -747,7 +757,7 @@ class TestTaskEnv:
         env = TaskEnv(TaskEnvConfig(kind="push", fixed_init="+"), seeds=[0])
         for _ in range(200):
             env.step(np.zeros((1, 1, 12)))
-        assert not env.episode_success()[0]  # nothing moved the block
+        assert not env.score()[1][0]  # nothing moved the block
 
 
 def _meet_goal(env, rows) -> None:
@@ -775,7 +785,7 @@ class TestStepWork:
         start = env.world
         expected = _reference_target_reached(env.world, env.targets)
         assert expected.tolist() == [False, False]
-        assert env.episode_success().tolist() == _reference_success(
+        assert env.score()[1].tolist() == _reference_success(
             "avoid", env.targets, start, env.world, expected).tolist() == [False, False]
         for t in range(12):
             if t == 4:  # row 1's agent onto its target for two steps
@@ -784,9 +794,9 @@ class TestStepWork:
                 env.world.x[1, 0], env.world.y[1, 0] = 0.0, 0.0
             env.step(np.zeros((2, 1, 12)))
             expected = expected | _reference_target_reached(env.world, env.targets)
-            assert env.episode_success().tolist() == _reference_success(
+            assert env.score()[1].tolist() == _reference_success(
                 "avoid", env.targets, start, env.world, expected).tolist()
-        assert env.episode_success().tolist() == [False, True]
+        assert env.score()[1].tolist() == [False, True]
 
     @pytest.mark.parametrize("kind", ["low_goal", "push", "coordinate"])
     def test_reached_is_not_tracked_where_success_ignores_it(self, kind):
@@ -795,14 +805,14 @@ class TestStepWork:
         env = TaskEnv(TaskEnvConfig(kind), seeds=[0])
         start = env.world
         _meet_goal(env, [0])
-        assert env.episode_success().tolist() == [True]
+        assert env.score()[1].tolist() == [True]
         env.step(np.zeros((1, env.n_agents, 12)))
         if kind == "low_goal":
             env.world.x[0, 0] += 5.0
         else:
             env.world.bx[0, 0] += 5.0
         expected = _reference_success(kind, env.targets, start, env.world, None)
-        assert env.episode_success().tolist() == expected.tolist() == [False]
+        assert env.score()[1].tolist() == expected.tolist() == [False]
 
     def test_on_demand_obs_equals_the_eager_observation(self):
         seeds, eps = (3, 4), TORSO_OBS_NOISE
@@ -878,12 +888,13 @@ class TestScoringPass:
             env.step(rng.uniform(-1.0, 1.0, (4, env.n_agents, 12)))
             per_step.append(task_reward(env.world, env.kind, env.targets)[0])
             reached = reached | _reference_target_reached(env.world, env.targets)
-        assert env.rewards().shape == (4, env.t)
-        assert env.rewards().tobytes() == np.stack(per_step, axis=1).tobytes()
+        rewards, success = env.score()
+        assert rewards.shape == (4, env.t)
+        assert rewards.tobytes() == np.stack(per_step, axis=1).tobytes()
         # avoid reads reached; the reference ignores it for the other kinds
         expected = _reference_success(env.kind, env.targets, start, env.world,
                                       reached if env.kind == "avoid" else None)
-        assert env.episode_success().tolist() == expected.tolist()
+        assert success.tolist() == expected.tolist()
 
     @pytest.mark.parametrize("name", sorted(SCORED_SETUPS))
     def test_success_equals_the_reference_after_every_step(self, name):
@@ -900,7 +911,7 @@ class TestScoringPass:
             reached = reached | _reference_target_reached(env.world, env.targets)
             expected = _reference_success(env.kind, env.targets, start, env.world,
                                           reached)
-            assert env.episode_success().tolist() == expected.tolist()
+            assert env.score()[1].tolist() == expected.tolist()
             seen |= expected
             if env.done.all():
                 break
@@ -909,13 +920,13 @@ class TestScoringPass:
 
     def test_rewards_so_far(self):
         env = TaskEnv(TaskEnvConfig("push"), seeds=[0, 1])
-        assert env.rewards().shape == (2, 0)
+        assert env.score()[0].shape == (2, 0)
         for _ in range(3):
             env.step(np.ones((2, 1, 12)))
-        first = env.rewards()
+        first, _ = env.score()
         env.step(np.ones((2, 1, 12)))
-        assert env.rewards().shape == (2, 4)
-        assert env.rewards()[:, :3].tobytes() == first.tobytes()
+        assert env.score()[0].shape == (2, 4)
+        assert env.score()[0][:, :3].tobytes() == first.tobytes()
 
     def test_task_reward_runs_once_per_read(self, monkeypatch):
         calls = []
@@ -929,9 +940,10 @@ class TestScoringPass:
         for _ in range(env.horizon):
             env.step(np.zeros((2, 1, 12)))
         assert calls == []  # stepping scores nothing
-        env.rewards()
-        env.episode_success()  # success comes from the same pass
+        env.score()  # rewards and success from one pass
         assert len(calls) == 1
+        env.score()  # each read scores again: nothing is cached
+        assert len(calls) == 2
 
 
 def _recording_substreams(monkeypatch) -> Counter:

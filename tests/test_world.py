@@ -17,6 +17,7 @@ from legwork.world import (
     N_JOINTS,
     N_LEGS,
     TERRAIN_WIDTH,
+    Z0,
     DynamicsParams,
     Worlds,
     block_constants,
@@ -33,10 +34,12 @@ from legwork.tasks import (
     EnvOverrides,
     TaskEnv,
     TaskEnvConfig,
+    block_ends,
     observe_task,
+    task_reward,
 )
 from helpers import AgentState, BlockState, Row, flat_terrain, make_worlds
-from test_tasks import _meet_goal
+from test_tasks import _meet_goal, observed_rows
 
 
 def scripted_trot_action(step: int, period: int = 16,
@@ -647,10 +650,42 @@ MIRRORED_STARTS = {
 }
 
 
+@st.composite
+def mirror_steps(draw):
+    """A random state and one step's inputs: random_rows' agents, blocks,
+    terrain (flat, rough or mixed) and live rows; every agent's dynamics
+    drawn by ranged_params, with a lateral bias force or none; a wrench
+    per agent or None."""
+    rows = draw(random_rows())
+    bias = draw(st.booleans())
+    for row, *_ in rows:
+        row.params = [replace(draw(ranged_params()), lateral_bias_force=(
+            draw(st.floats(-1.0, 1.0)) if bias else 0.0)) for _ in row.agents]
+    wrench = np.stack([r[2] for r in rows]) if draw(st.booleans()) else None
+    return (make_worlds(r[0] for r in rows), np.stack([r[1] for r in rows]), wrench,
+            np.array([r[3] for r in rows]))
+
+
+MIRRORED_FIELDS = ("x", "y", "yaw", "z_proxy", "q", "qdot", "bx", "by", "byaw")
+
+
 class TestMirrorSymmetry:
     """Stepping a mirrored state gives the mirror of the stepped state, up
     to rounding: the mirror reorders the legs' thrust sums, so exact bits
     are not expected."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=mirror_steps())
+    def test_one_step_of_a_random_state_is_mirror_equivariant(self, case):
+        world, acts, wrench, live = case
+        stepped = step_worlds(world, acts, wrench, live)
+        image = step_worlds(mirror(world), mirror_joints(acts),
+                            None if wrench is None else wrench * [1.0, -1.0, -1.0], live)
+        expected = mirror(stepped)
+        for field in MIRRORED_FIELDS:
+            gap = np.abs(getattr(image, field) - getattr(expected, field))
+            assert gap.max(initial=0.0) <= 1e-12, field
+        assert np.array_equal(image.fallen, stepped.fallen)
 
     @pytest.mark.parametrize("name", sorted(MIRRORED_STARTS))
     def test_step_worlds_is_mirror_equivariant(self, name):
@@ -666,7 +701,7 @@ class TestMirrorSymmetry:
                                 None if wrench is None else wrench * [1.0, -1.0, -1.0],
                                 live)
             expected = mirror(world)
-            for field in ("x", "y", "yaw", "z_proxy", "q", "qdot", "bx", "by", "byaw"):
+            for field in MIRRORED_FIELDS:
                 gap = np.abs(getattr(image, field) - getattr(expected, field))
                 assert gap.max(initial=0.0) <= 1e-12, (t, field)
             assert np.array_equal(image.fallen, world.fallen), t
@@ -728,6 +763,27 @@ class TestMirroredTasks:
     Coordinate's swapped terms are sums of two. So the values are equal
     exactly, not within a tolerance (0.0 and -0.0 count as equal)."""
 
+    @settings(max_examples=50, deadline=None)
+    @given(case=observed_rows(), z=st.floats(0.0, Z0), goal_met=st.booleans())
+    def test_observation_and_reward_of_a_random_state(self, case, z, goal_met):
+        world, kind, targets = case
+        world.z_proxy[:] = z  # the upright term pays below UPRIGHT_Z_MIN
+        if goal_met:  # row 0's targets where its kind's goal test holds
+            if kind in ("low_goal", "avoid"):
+                targets[0, 0] = world.x[0, 0], world.y[0, 0]
+            elif kind == "push":
+                targets[0, 0] = world.bx[0, 0], world.by[0, 0]
+            else:
+                targets[0] = block_ends(world.bx[0, 0], world.by[0, 0], world.byaw[0, 0])
+        image, image_targets = mirror_task(world, targets, kind)
+        assert np.array_equal(observe_task(image, kind, image_targets),
+                              mirror_obs(observe_task(world, kind, targets), kind))
+        reward, met = task_reward(world, kind, targets)
+        image_reward, image_met = task_reward(image, kind, image_targets)
+        assert np.array_equal(image_reward, reward)
+        assert np.array_equal(image_met, met)
+        assert met[0] or not goal_met
+
     @pytest.mark.parametrize("name", sorted(MIRRORED_TASKS))
     def test_observation_reward_and_success(self, name, monkeypatch):
         # image steps to the mirror of each state env reaches, so its
@@ -748,8 +804,8 @@ class TestMirroredTasks:
             got = observe_task(world, kind, targets)
             expected = mirror_obs(observe_task(env.world, kind, env.targets), kind)
             assert np.array_equal(got, expected), env.t
-            success = env.episode_success()
-            assert image.episode_success().tolist() == success.tolist(), env.t
+            success = env.score()[1]
+            assert image.score()[1].tolist() == success.tolist(), env.t
             seen.update(success.tolist())
             if env.done.all():
                 break
@@ -761,5 +817,5 @@ class TestMirroredTasks:
                 m.setattr(legwork.tasks, "step_worlds",
                           lambda *_: mirror_task(env.world, env.targets, kind)[0])
                 image.step(acts)
-        assert np.array_equal(image.rewards(), env.rewards())
+        assert np.array_equal(image.score()[0], env.score()[0])
         assert seen == {True, False}
